@@ -380,20 +380,26 @@ class _Recorder:
         return value
 
 
-def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
-    """Full optimizer run; deterministic in (f, cfg) including cfg.seed."""
-    bounds = np.asarray(f.bounds, dtype=float)
+def _box(bounds, dimension: int, cfg: BfaConfig
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (lower, upper, steps) arrays of a search box."""
+    bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 2 or bounds.shape[1] != 2:
         raise ValidationError("fitness bounds must be (lo, hi) pairs")
-    if bounds.shape[0] != f.dimension:
+    if bounds.shape[0] != dimension:
         raise ValidationError(
-            f"fitness declares {f.dimension} dimensions but "
+            f"fitness declares {dimension} dimensions but "
             f"{bounds.shape[0]} bounds")
     if np.any(bounds[:, 0] > bounds[:, 1]):
         raise ValidationError("fitness bounds contain an empty interval")
     lower = bounds[:, 0].copy()
     upper = bounds[:, 1].copy()
-    steps = cfg.step_fraction * (upper - lower)
+    return lower, upper, cfg.step_fraction * (upper - lower)
+
+
+def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
+    """Full optimizer run; deterministic in (f, cfg) including cfg.seed."""
+    lower, upper, steps = _box(f.bounds, f.dimension, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     recorder = _Recorder(f)
@@ -422,3 +428,211 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
     return RunResult(best_position=recorder.best_position.copy(),
                      best_fitness=recorder.best_fitness,
                      trace=trace)
+
+
+# Lockstep engine: many independent runs stepped together on
+# (runs, bacteria, dims) arrays. Within a run the arithmetic and the draw
+# order are those of run_bfa, operation for operation, so every run
+# reproduces its run_bfa result bit for bit; only the numpy call overhead is
+# shared across runs.
+
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of every row, computed as `row @ row` is.
+
+    Stacked matmul of (1, d) by (d, 1) goes through the same dot kernel as
+    a 1-d `@`; einsum or a sum of squares can differ in the last bit.
+    """
+    return (rows[..., None, :] @ rows[..., :, None])[..., 0, 0]
+
+
+def _tumble_round(rngs: Sequence[np.random.Generator], population: int,
+                  dimensions: int) -> np.ndarray:
+    """(runs, population, dims) unit tumbles for one chemotaxis round.
+
+    Per run this draws the stream, and returns the vectors, of `population`
+    successive tumble_direction calls: a zero row is dropped and the next
+    draws move up to take its place, as tumble_direction redraws it.
+    """
+    deltas = np.stack([rng.uniform(-1.0, 1.0, (population, dimensions))
+                       for rng in rngs])
+    norm_sq = _row_dots(deltas)
+    for run in np.flatnonzero((norm_sq == 0.0).any(axis=1)):
+        rows, sq = deltas[run], norm_sq[run]
+        while not sq.all():
+            extra = rngs[run].uniform(-1.0, 1.0,
+                                      (population - np.count_nonzero(sq),
+                                       dimensions))
+            rows = np.concatenate([rows[sq > 0.0], extra])
+            sq = np.concatenate([sq[sq > 0.0], _row_dots(extra)])
+        deltas[run], norm_sq[run] = rows, sq
+    return deltas / np.sqrt(norm_sq)[..., None]
+
+
+# exp(x) rounds to 0.0 below this; numpy's exp is several times slower on
+# such inputs than on others, and far-apart bacteria give many of them
+_EXP_ZERO_BELOW = -746.0
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x), skipping the entries whose result is exactly 0.0."""
+    return np.exp(x, out=np.zeros_like(x), where=x > _EXP_ZERO_BELOW)
+
+
+def _signal_rows(points: np.ndarray, members: np.ndarray,
+                 cfg: BfaConfig) -> np.ndarray:
+    """_signal of points[k] against the swarm members[k], for every k."""
+    diff = members - points[:, None, :]
+    d2 = np.einsum("rij,rij->ri", diff, diff)
+    attract = -cfg.attract_depth * _exp(-cfg.attract_width * d2).sum(-1)
+    repel = cfg.repel_height * _exp(-cfg.repel_width * d2).sum(-1)
+    return attract + repel
+
+
+def _take_first_best(best_fitness: np.ndarray, best_position: np.ndarray,
+                     runs: np.ndarray, values: np.ndarray,
+                     swarms: np.ndarray) -> None:
+    """Incumbent update after run runs[k] evaluated values[k] in index order
+    at the positions swarms[k]: the first maximum replaces the incumbent if
+    it is strictly greater. Entries a run did not evaluate hold -inf."""
+    first = values.argmax(axis=1)
+    rows = np.arange(len(runs))
+    top = values[rows, first]
+    better = top > best_fitness[runs]
+    best_fitness[runs[better]] = top[better]
+    best_position[runs[better]] = swarms[rows[better], first[better]]
+
+
+def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
+                     seeds: Sequence[int]) -> list[RunResult]:
+    """One optimizer run per seed, all stepped together.
+
+    evaluate(runs, positions) returns the raw fitness of positions[k]
+    (an (m, dims) array) under the fitness function of run runs[k], as
+    finite floats. Result r equals run_bfa(f_r, replace(cfg,
+    seed=seeds[r])) bit for bit, trace included, when evaluate computes
+    f_r.evaluate elementwise with the same operations.
+
+    Runs are not kept in phase: each step moves the current bacterium of
+    every unfinished run once (its tumble or its next swim), and a run
+    whose bacterium stops swimming goes on to its next bacterium, round,
+    reproduction or dispersal while other runs still swim. Runs share no
+    state, so this changes only how many numpy calls the batch takes.
+    """
+    lower, upper, steps = _box(bounds, len(bounds), cfg)
+    n_runs, size, dims = len(seeds), cfg.population_size, len(lower)
+    if n_runs < 1:
+        raise ValidationError("need at least one seed")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    everyone = np.arange(n_runs)
+    positions = np.stack([rng.uniform(lower, upper, size=(size, dims))
+                          for rng in rngs])
+    raw = evaluate(np.repeat(everyone, size),
+                   positions.reshape(-1, dims)).reshape(n_runs, size)
+    count = np.full(n_runs, size)
+    best_fitness = np.full(n_runs, -math.inf)
+    best_position = np.zeros((n_runs, dims))
+    _take_first_best(best_fitness, best_position, everyone, raw, positions)
+
+    per_cycle = cfg.chemotaxis_steps
+    per_dispersal = per_cycle * cfg.reproduction_cycles
+    rounds = cfg.total_passes * cfg.elimination_cycles * per_dispersal
+    trace_fitness = np.empty((rounds + 1, n_runs))
+    trace_position = np.empty((rounds + 1, n_runs, dims))
+    trace_count = np.empty((rounds + 1, n_runs), dtype=np.int64)
+    trace_fitness[0], trace_position[0], trace_count[0] = (
+        best_fitness, best_position, count)
+
+    def reproduce_runs(runs: np.ndarray) -> None:
+        order = np.argsort(-health[runs], axis=1, kind="stable")
+        top = order[:, : size // 2]
+        positions[runs] = np.repeat(np.take_along_axis(
+            positions[runs], top[..., None], axis=1), 2, axis=1)
+        raw[runs] = np.repeat(np.take_along_axis(raw[runs], top, axis=1),
+                              2, axis=1)
+
+    def disperse_runs(runs: np.ndarray) -> None:
+        relocate = np.stack([rngs[run].random(size) for run in runs]) \
+            < cfg.elimination_prob
+        for k in np.flatnonzero(relocate.any(axis=1)):
+            positions[runs[k], relocate[k]] = rngs[runs[k]].uniform(
+                lower, upper, (np.count_nonzero(relocate[k]), dims))
+        row, member = np.nonzero(relocate)
+        if len(row):
+            values = evaluate(runs[row], positions[runs[row], member])
+            raw[runs[row], member] = values
+            count[runs] += relocate.sum(axis=1)
+            found = np.full(relocate.shape, -math.inf)
+            found[row, member] = values
+            _take_first_best(best_fitness, best_position, runs, found,
+                             positions[runs])
+
+    health = np.zeros((n_runs, size))
+    moves = steps * _tumble_round(rngs, size, dims)
+    done = np.zeros(n_runs, dtype=np.intp)  # finished chemotaxis rounds
+    current = np.zeros(n_runs, dtype=np.intp)  # bacterium moving now
+    swims = np.zeros(n_runs, dtype=np.intp)
+    fresh = np.ones(n_runs, dtype=bool)  # current bacterium not tumbled yet
+    prev = np.empty(n_runs)  # effective fitness before the move
+    active = everyone
+    while len(active):
+        starting = active[fresh[active]]
+        if len(starting):
+            i = current[starting]
+            prev[starting] = raw[starting, i] + (
+                _signal_rows(positions[starting, i], positions[starting], cfg)
+                if cfg.swarming else 0.0)
+        i = current[active]
+        moved = np.clip(positions[active, i] + moves[active, i],
+                        lower, upper)
+        positions[active, i] = moved
+        values = evaluate(active, moved)
+        count[active] += 1
+        better = values > best_fitness[active]
+        if better.any():
+            best_fitness[active[better]] = values[better]
+            best_position[active[better]] = moved[better]
+        raw[active, i] = values
+        if cfg.swarming:
+            swarms = (positions if len(active) == n_runs
+                      else positions[active])
+            eff = values + _signal_rows(moved, swarms, cfg)
+        else:
+            eff = values + 0.0
+        health[active, i] += eff
+        swim_on = (eff > prev[active]) & (swims[active] < cfg.swim_limit)
+        prev[active[swim_on]] = eff[swim_on]
+        swims[active] = np.where(swim_on, swims[active] + 1, 0)
+        stopped = active[~swim_on]
+        fresh[active] = ~swim_on
+        current[stopped] += 1
+        ended = stopped[current[stopped] == size]
+        if len(ended):
+            done[ended] += 1
+            row = done[ended]
+            trace_fitness[row, ended] = best_fitness[ended]
+            trace_position[row, ended] = best_position[ended]
+            trace_count[row, ended] = count[ended]
+            cycle_end = ended[row % per_cycle == 0]
+            if len(cycle_end):
+                reproduce_runs(cycle_end)
+                health[cycle_end] = 0.0
+            dispersal = ended[row % per_dispersal == 0]
+            if len(dispersal):
+                disperse_runs(dispersal)
+            again = ended[row < rounds]
+            if len(again):
+                moves[again] = steps * _tumble_round(
+                    [rngs[run] for run in again], size, dims)
+                current[again] = 0
+            active = active[current[active] < size]
+
+    results = []
+    for run in range(n_runs):
+        trace = RunTrace(iterations=list(range(rounds + 1)),
+                         best_fitness=trace_fitness[:, run].tolist(),
+                         best_positions=list(trace_position[:, run]),
+                         evaluations=trace_count[:, run].tolist())
+        results.append(RunResult(best_position=best_position[run].copy(),
+                                 best_fitness=float(best_fitness[run]),
+                                 trace=trace))
+    return results

@@ -205,12 +205,18 @@ def _ranked_table(frontier: Frontier) -> list[str]:
     return lines
 
 
-def _notes_lines(problem: ProblemSpec, n_points: int | None = None) -> list[str]:
+def _notes_lines(problem: ProblemSpec, n_points: int | None = None,
+                 defaults: bool = False) -> list[str]:
     lines = ["notes:"]
     if n_points is not None:
-        lines.append(f"- complete simplex weight grid kept: {n_points} "
-                     f"vectors (a 35-vector variant of this sweep "
-                     f"circulates; the full grid has one more)")
+        grid = f"- complete simplex weight grid kept: {n_points} vectors"
+        if n_points == 36:
+            grid += (" (a 35-vector variant of this sweep circulates; the "
+                     "full grid has one more)")
+        lines.append(grid)
+    if defaults:
+        lines.append("- problem settings below are package defaults: the "
+                     "bundle has no config.json")
     lines.append("- objectives oriented for maximization"
                  + ("" if problem.maximize else " DISABLED: printed signs kept"))
     lines.append("- efficiency intercept correction "
@@ -405,12 +411,20 @@ def _load_bundle(path: str) -> tuple[Frontier, dict]:
     return frontier, metrics
 
 
+def _bundle_problem(path: str) -> ProblemSpec | None:
+    """The problem a bundle was run on, from its config.json, if any."""
+    config_path = os.path.join(path, "config.json")
+    if not os.path.isfile(config_path):
+        return None
+    return RunConfig.from_dict(_load_json(config_path)).problem
+
+
 def cmd_report(args) -> int:
     bundles = []
     for path in args.bundles:
         frontier, metrics = _load_bundle(path)
-        bundles.append((path, frontier, metrics))
-    for path, frontier, metrics in bundles:
+        bundles.append((path, frontier, metrics, _bundle_problem(path)))
+    for path, frontier, metrics, problem in bundles:
         print(f"bundle: {path}")
         print(f"points: {metrics['n_points']}, dominance (mean F): "
               f"{_fmt(metrics['dominance_mean_F'])}, diversity: "
@@ -420,14 +434,15 @@ def cmd_report(args) -> int:
               f"{json.dumps(context, sort_keys=True) if context else 'none'}")
         for line in _ranked_table(frontier):
             print(line)
-        for line in _notes_lines(ProblemSpec(),
-                                 n_points=metrics["n_points"]):
+        for line in _notes_lines(problem or ProblemSpec(),
+                                 n_points=metrics["n_points"],
+                                 defaults=problem is None):
             print(line)
         print()
     if len(bundles) > 1:
         ranking = sorted(bundles, key=lambda b: -b[2]["dominance_mean_F"])
         print("ranking by dominance (mean F):")
-        for rank, (path, _, metrics) in enumerate(ranking, start=1):
+        for rank, (path, _, metrics, _) in enumerate(ranking, start=1):
             print(f"{rank}. {path} "
                   f"(dominance {_fmt(metrics['dominance_mean_F'])})")
     return 0

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     EmptyInterval,
     InfeasibleSpec,
@@ -206,7 +208,8 @@ def _code(value: float, lo: float, hi: float) -> float:
 def _objective_values(xa: float, xb: float, xc: float, xd: float,
                       za: float, zb: float, spec: ProblemSpec
                       ) -> tuple[float, float, float]:
-    # hot path: plain float arithmetic only
+    # hot path: +, -, * and / only, so floats and numpy columns
+    # (evaluate_rows) give the same values
     if spec.variable_mode == "coded":
         (alo, ahi), (blo, bhi), (clo, chi), (dlo, dhi) = spec.design_bounds
         (zalo, zahi), (zblo, zbhi) = CRISP_NOISE_BOUNDS
@@ -237,6 +240,28 @@ def _objective_values(xa: float, xb: float, xc: float, xd: float,
     power = sign * power_inner * 10.0 ** spec.power_scale_exp
     savings = sign * savings_inner * 10.0 ** spec.savings_scale_exp
     return (power, efficiency, savings)
+
+
+def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
+                  positions: np.ndarray) -> np.ndarray:
+    """IrrigationFitness.evaluate for many rows at once.
+
+    Row k scores positions[k] (x_a..x_d, Z_a, Z_b) with the weights
+    weights[k] = (w1, w2, w3). The same elementwise operations run in the
+    same order as in the scalar evaluator, so every value is bit-identical
+    to IrrigationFitness(spec, WeightVector(*weights[k])).evaluate.
+    """
+    try:
+        power, efficiency, savings = _objective_values(*positions.T, spec)
+    except OverflowError:
+        raise NonFiniteResult("objectives overflow") from None
+    finite = np.isfinite(power) & np.isfinite(efficiency) \
+        & np.isfinite(savings)
+    if not finite.all():
+        bad = positions[np.argmin(finite)]
+        raise NonFiniteResult(f"objectives not finite at position {bad!r}")
+    return (weights[:, 0] * power + weights[:, 1] * efficiency
+            + weights[:, 2] * savings)
 
 
 def _as_design(design) -> tuple[float, float, float, float]:

@@ -17,11 +17,14 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .bfa import BfaConfig, RunTrace, run_bfa
+# run_bfa is no longer called here, but stays bound under this module's
+# name: the benchmark's span tracer wraps pareto.run_bfa
+from .bfa import BfaConfig, RunResult, run_bfa, run_bfa_lockstep  # noqa: F401
 from .errors import (
     EmptyGrid,
     SchemaMismatch,
@@ -30,13 +33,13 @@ from .errors import (
 )
 from .irrigation import (
     DesignVector,
-    IrrigationFitness,
     NoiseVector,
     ObjectiveTriple,
     ProblemSpec,
     WeightVector,
     aggregate,
     eval_objectives,
+    evaluate_rows,
 )
 
 FRONTIER_CSV_HEADER = ("w1", "w2", "w3", "x_a", "x_b", "x_c", "x_d",
@@ -194,24 +197,13 @@ def solution_from_position(problem: ProblemSpec, weights: WeightVector,
                          seed=seed)
 
 
-def _run_cell(problem: ProblemSpec, cfg: BfaConfig, weights: WeightVector,
-              runs_per_weight: int, master_seed: int
-              ) -> tuple[SolutionPoint, RunTrace]:
-    fitness = IrrigationFitness(problem, weights)
-    best = None
-    for replicate in range(runs_per_weight):
-        seed = derive_seed(master_seed, weights, replicate)
-        result = run_bfa(fitness, replace(cfg, seed=seed))
-        if best is None or result.best_fitness > best[0].best_fitness:
-            best = (result, seed)
-    result, seed = best
-    point = solution_from_position(problem, weights, result.best_position,
-                                   seed)
-    return point, result.trace
-
-
-def _run_cell_packed(packed) -> tuple[SolutionPoint, RunTrace]:
-    return _run_cell(*packed)
+def _run_batch(problem: ProblemSpec, cfg: BfaConfig, weights: np.ndarray,
+               seeds: list[int]) -> list[RunResult]:
+    """One lockstep batch: run k maximizes weights[k] . f from seeds[k]."""
+    return run_bfa_lockstep(
+        lambda runs, positions: evaluate_rows(problem, weights[runs],
+                                              positions),
+        problem.design_bounds + problem.noise_bounds, cfg, seeds)
 
 
 def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
@@ -220,10 +212,13 @@ def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
                    workers: int = 1, on_cell=None) -> Frontier:
     """Sweep the weight list; keep the best-aggregate run per weight.
 
-    cfg.seed acts as the master seed. With workers > 1 the cells run in a
-    process pool; results are still collected and emitted in grid order, so
-    the frontier is identical for any worker count. on_cell, if given, is
-    called as on_cell(point, trace) per cell in grid order.
+    cfg.seed acts as the master seed. The (weight, replicate) runs of the
+    sweep step as one lockstep batch that reproduces run_bfa run by run;
+    with workers > 1 each worker process steps its own contiguous share of
+    the runs. Runs share no state, so the frontier is identical for any
+    worker count. Per weight the first replicate with the highest best
+    fitness wins. on_cell, if given, is called as on_cell(point, trace) per
+    cell in grid order.
     """
     if runs_per_weight < 1:
         raise ValidationError(
@@ -232,17 +227,32 @@ def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
         raise EmptyGrid("no weight vectors to sweep")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    jobs = [(problem, cfg, w, runs_per_weight, cfg.seed) for w in weights]
+    seeds = [derive_seed(cfg.seed, w, replicate)
+             for w in weights for replicate in range(runs_per_weight)]
+    table = np.repeat([w.as_tuple() for w in weights], runs_per_weight,
+                      axis=0)
     if workers == 1:
-        results = [_run_cell_packed(job) for job in jobs]
+        results = _run_batch(problem, cfg, table, seeds)
     else:
+        shares = [share for share in np.array_split(
+            np.arange(len(seeds)), workers) if len(share)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell_packed, jobs))
+            parts = pool.map(_run_batch, repeat(problem), repeat(cfg),
+                             [table[share] for share in shares],
+                             [[seeds[k] for k in share] for share in shares])
+            results = [result for part in parts for result in part]
     points = []
-    for point, trace in results:
+    for cell, w in enumerate(weights):
+        best = cell * runs_per_weight
+        for run in range(best + 1, best + runs_per_weight):
+            if results[run].best_fitness > results[best].best_fitness:
+                best = run
+        point = solution_from_position(problem, w,
+                                       results[best].best_position,
+                                       seeds[best])
         points.append(point)
         if on_cell is not None:
-            on_cell(point, trace)
+            on_cell(point, results[best].trace)
     return Frontier(points=points, grade_context=grade_context)
 
 

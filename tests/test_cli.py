@@ -268,6 +268,41 @@ class TestReport:
                      >= second["dominance_mean_F"] else other)
         assert ranking_lines[0].startswith(f"1. {best_path} ")
 
+    def test_notes_describe_the_bundle_problem(self, tmp_path, capsys):
+        config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
+                              runs_per_weight=1,
+                              problem={"fix_efficiency_intercept": False})
+        out = str(tmp_path / "off")
+        assert main(["frontier", "--config", config, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["report", out]) == 0
+        stdout = capsys.readouterr().out
+        assert "efficiency intercept correction off" in stdout
+        assert "package defaults" not in stdout
+        summary = open(os.path.join(out, "summary.txt")).read()
+        assert "efficiency intercept correction off" in summary
+
+    def test_bundle_without_config_reports_defaults(self, bundle, tmp_path,
+                                                    capsys):
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for name in ("frontier.csv", "metrics.json"):
+            (bare / name).write_bytes(
+                open(os.path.join(bundle, name), "rb").read())
+        assert main(["report", str(bare)]) == 0
+        stdout = capsys.readouterr().out
+        assert "package defaults: the bundle has no config.json" in stdout
+        assert "efficiency intercept correction on" in stdout
+
+    def test_grid_note_fits_the_grid(self, bundle, capsys):
+        assert main(["report", bundle]) == 0
+        stdout = capsys.readouterr().out
+        assert "- complete simplex weight grid kept: 6 vectors\n" in stdout
+        assert "35-vector" not in stdout
+        summary = open(os.path.join(bundle, "summary.txt")).read()
+        assert "- complete simplex weight grid kept: 6 vectors\n" in summary
+        assert "35-vector" not in summary
+
     def test_incomplete_bundle_is_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -361,6 +361,11 @@ class TestBuildFrontier:
         assert point.aggregate_value == pytest.approx(
             runs[best_seed].best_fitness, rel=1e-12)
 
+    def test_run_bfa_stays_bound_in_pareto(self):
+        # the benchmark's span tracer wraps pareto.run_bfa by that name
+        from solarswarm import bfa, pareto
+        assert pareto.run_bfa is bfa.run_bfa
+
     def test_cell_results_survive_grid_edits(self, tiny_frontier):
         problem = ss.ProblemSpec()
         grid = ss.weight_grid(step=0.5, minimum=0.0)
