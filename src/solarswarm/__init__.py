@@ -54,7 +54,6 @@ from .irrigation import (
     ProblemSpec,
     WeightVector,
     aggregate,
-    design_bounds,
     eval_objectives,
     feasible,
     noise_interval_from_grades,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -62,8 +62,62 @@ def sphere_function(dimensions: int = 4, half_width: float = 5.0) -> BoxFunction
                        fn=lambda p: -float(p @ p))
 
 
+class ConfigCodec:
+    """JSON codec of the config dataclasses, driven by their fields.
+
+    to_dict encodes tuples as lists and nested configs as dicts. from_dict
+    takes a JSON object, rejects unknown keys, and decodes a nested config
+    field from its own object (null only where the field defaults to None);
+    lists are left to the dataclass's __post_init__. A TypeError or
+    ValueError raised while building the dataclass is reported as a
+    ValidationError.
+    """
+
+    def to_dict(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data):
+        return _decode(cls, data, "config")
+
+
+def _decode(cls, data, label: str):
+    if not isinstance(data, dict):
+        kind = "null" if data is None else type(data).__name__
+        raise ValidationError(f"{label} must be a JSON object, got {kind}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValidationError(f"unknown {label} keys: {sorted(unknown)}")
+    kwargs = dict(data)
+    for name, nested in _nested_configs(cls).items():
+        if name in kwargs and not (kwargs[name] is None
+                                   and known[name].default is None):
+            kwargs[name] = _decode(nested, kwargs[name], name)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"bad {label}: {err}") from None
+
+
+def _encode(value):
+    if isinstance(value, ConfigCodec):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _nested_configs(cls) -> dict:
+    """Field name -> config class, for fields typed as a config class."""
+    hints = get_type_hints(cls)
+    return {f.name: t for f in fields(cls)
+            for t in (hints[f.name], *get_args(hints[f.name]))
+            if ConfigCodec in getattr(t, "__mro__", ())}
+
+
 @dataclass(frozen=True)
-class BfaConfig:
+class BfaConfig(ConfigCodec):
     """Optimizer settings.
 
     The loop nest runs total_passes x elimination_cycles x
@@ -111,26 +165,6 @@ class BfaConfig:
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BfaConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown optimizer keys: {sorted(unknown)}")
-        return cls(**data)
-
-
-@dataclass
-class Bacterium:
-    """Snapshot of one swarm member."""
-
-    position: np.ndarray
-    last_fitness: float = math.nan
-    health: float = 0.0
-
 
 @dataclass
 class Swarm:
@@ -170,22 +204,6 @@ class Swarm:
         return cls(positions=positions,
                    raw_fitness=np.full(size, math.nan),
                    health=np.zeros(size))
-
-    @classmethod
-    def from_members(cls, members: Sequence[Bacterium]) -> "Swarm":
-        if not members:
-            raise ValidationError("swarm must hold at least one bacterium")
-        return cls(positions=np.array([m.position for m in members], float),
-                   raw_fitness=np.array([m.last_fitness for m in members]),
-                   health=np.array([m.health for m in members]))
-
-    def bacterium(self, index: int) -> Bacterium:
-        return Bacterium(position=self.positions[index].copy(),
-                         last_fitness=float(self.raw_fitness[index]),
-                         health=float(self.health[index]))
-
-    def members(self) -> list[Bacterium]:
-        return [self.bacterium(i) for i in range(self.size)]
 
 
 def tumble_direction(dimensions: int, rng: np.random.Generator) -> np.ndarray:
@@ -230,16 +248,6 @@ def cell_to_cell_signal(position, swarm: Swarm, cfg: BfaConfig) -> float:
     return _signal(np.asarray(position, dtype=float), swarm.positions, cfg)
 
 
-def effective_fitness(position, swarm: Swarm, f: FitnessFunction,
-                      cfg: BfaConfig) -> float:
-    """Raw fitness plus the swarming signal (signal off => raw alone)."""
-    pos = np.asarray(position, dtype=float)
-    raw = float(f.evaluate(pos))
-    if not cfg.swarming:
-        return raw
-    return raw + _signal(pos, swarm.positions, cfg)
-
-
 def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
               rng: np.random.Generator, *, steps: np.ndarray | None = None,
               lower: np.ndarray | None = None,
@@ -252,9 +260,7 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
     effective fitness.
     """
     if steps is None or lower is None or upper is None:
-        b = np.asarray(f.bounds, dtype=float)
-        lower, upper = b[:, 0], b[:, 1]
-        steps = cfg.step_fraction * (upper - lower)
+        lower, upper, steps = _box(f.bounds, f.dimension, cfg)
     positions = swarm.positions
     current = positions[index]
     raw = swarm.raw_fitness[index]
@@ -305,15 +311,13 @@ def reproduce(swarm: Swarm) -> Swarm:
 def eliminate_disperse(swarm: Swarm, cfg: BfaConfig,
                        rng: np.random.Generator, bounds,
                        f=None) -> Swarm:
-    """Each bacterium relocates uniformly inside the box with probability
-    elimination_prob. Swarm size never changes. If a fitness function is
-    given, relocated members are re-evaluated; otherwise their cached raw
-    fitness goes stale (nan) until someone evaluates them."""
+    """Each bacterium relocates uniformly inside the box of (lo, hi) pairs
+    with probability elimination_prob. Swarm size never changes. If a
+    fitness function is given, relocated members are re-evaluated;
+    otherwise their cached raw fitness goes stale (nan) until someone
+    evaluates them."""
     b = np.asarray(bounds, dtype=float)
-    if b.ndim == 2 and b.shape[1] == 2:
-        lower, upper = b[:, 0], b[:, 1]
-    else:
-        lower, upper = b[0], b[1]
+    lower, upper = b[:, 0], b[:, 1]
     mask = rng.random(swarm.size) < cfg.elimination_prob
     for i in np.flatnonzero(mask):
         swarm.positions[i] = rng.uniform(lower, upper)
@@ -392,9 +396,7 @@ def _box(bounds, dimension: int, cfg: BfaConfig
             f"{bounds.shape[0]} bounds")
     if np.any(bounds[:, 0] > bounds[:, 1]):
         raise ValidationError("fitness bounds contain an empty interval")
-    lower = bounds[:, 0].copy()
-    upper = bounds[:, 1].copy()
-    return lower, upper, cfg.step_fraction * (upper - lower)
+    return bounds[:, 0].copy(), bounds[:, 1].copy(), step_sizes(cfg, bounds)
 
 
 def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
@@ -423,7 +425,7 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
                     trace.record(iteration, recorder.best_fitness,
                                  recorder.best_position, recorder.count)
                 swarm = reproduce(swarm)
-            swarm = eliminate_disperse(swarm, cfg, rng, (lower, upper),
+            swarm = eliminate_disperse(swarm, cfg, rng, f.bounds,
                                        f=recorder)
     return RunResult(best_position=recorder.best_position.copy(),
                      best_fitness=recorder.best_fitness,

@@ -20,10 +20,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import climate, fuzzy
-from .bfa import BfaConfig, run_bfa, sphere_function
+from .bfa import BfaConfig, ConfigCodec, run_bfa, sphere_function
 from .errors import (
     IncompleteBundle,
     SolarswarmError,
@@ -55,7 +55,7 @@ SELF_TEST_THRESHOLD = -1e-2
 
 
 @dataclass
-class RunConfig:
+class RunConfig(ConfigCodec):
     """Everything a CLI run needs, overridable by flags."""
 
     climate_csv: str | None = None
@@ -76,43 +76,6 @@ class RunConfig:
             raise ValidationError("workers must be >= 1")
         if self.master_seed < 0:
             raise ValidationError("master_seed must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "climate_csv": self.climate_csv,
-            "out_dir": self.out_dir,
-            "weight_step": self.weight_step,
-            "weight_minimum": self.weight_minimum,
-            "runs_per_weight": self.runs_per_weight,
-            "master_seed": self.master_seed,
-            "workers": self.workers,
-            "problem": self.problem.to_dict(),
-            "bfa": self.bfa.to_dict(),
-            "grade_context": (self.grade_context.to_dict()
-                              if self.grade_context else None),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {"climate_csv", "out_dir", "weight_step", "weight_minimum",
-                 "runs_per_weight", "master_seed", "workers", "problem",
-                 "bfa", "grade_context"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "problem" in kwargs and kwargs["problem"] is not None:
-            kwargs["problem"] = ProblemSpec.from_dict(kwargs["problem"])
-        else:
-            kwargs.pop("problem", None)
-        if "bfa" in kwargs and kwargs["bfa"] is not None:
-            kwargs["bfa"] = BfaConfig.from_dict(kwargs["bfa"])
-        else:
-            kwargs.pop("bfa", None)
-        if kwargs.get("grade_context") is not None:
-            kwargs["grade_context"] = GradeContext.from_dict(
-                kwargs["grade_context"])
-        return cls(**kwargs)
 
 
 def _read_text(path: str) -> str:
@@ -279,7 +242,7 @@ def cmd_optimize(args) -> int:
     problem = _resolve_problem(config, args)
     seed = (args.seed if args.seed is not None
             else derive_seed(config.master_seed, weights, 0))
-    cfg = BfaConfig.from_dict({**config.bfa.to_dict(), "seed": seed})
+    cfg = replace(config.bfa, seed=seed)
     started = time.perf_counter()
     result = run_bfa(IrrigationFitness(problem, weights), cfg)
     elapsed = time.perf_counter() - started
@@ -331,8 +294,7 @@ def cmd_frontier(args) -> int:
         config.runs_per_weight = args.runs
     weights = weight_grid(config.weight_step, config.weight_minimum)
     problem = _resolve_problem(config, args)
-    cfg = BfaConfig.from_dict({**config.bfa.to_dict(),
-                               "seed": config.master_seed})
+    cfg = replace(config.bfa, seed=config.master_seed)
     out_dir = config.out_dir
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .bfa import ConfigCodec
 from .errors import (
     EmptyInterval,
     InfeasibleSpec,
@@ -127,7 +128,7 @@ def _check_bounds(bounds: Iterable[Sequence[float]], n: int,
 
 
 @dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(ConfigCodec):
     """Everything that pins down one instance of the sizing problem.
 
     variable_mode selects how raw variable values feed the polynomials:
@@ -168,37 +169,7 @@ class ProblemSpec:
 
     def with_noise_bounds(
             self, noise_bounds: Iterable[Sequence[float]]) -> "ProblemSpec":
-        return replace(self, noise_bounds=tuple(
-            (float(lo), float(hi)) for lo, hi in noise_bounds))
-
-    def to_dict(self) -> dict:
-        return {
-            "design_bounds": [list(b) for b in self.design_bounds],
-            "noise_bounds": [list(b) for b in self.noise_bounds],
-            "variable_mode": self.variable_mode,
-            "power_scale_exp": self.power_scale_exp,
-            "savings_scale_exp": self.savings_scale_exp,
-            "fix_efficiency_intercept": self.fix_efficiency_intercept,
-            "fix_savings_flow_term": self.fix_savings_flow_term,
-            "maximize": self.maximize,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProblemSpec":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown problem keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("design_bounds", "noise_bounds"):
-            if key in kwargs:
-                kwargs[key] = tuple(tuple(map(float, b)) for b in kwargs[key])
-        return cls(**kwargs)
-
-
-def design_bounds(spec: ProblemSpec) -> tuple[tuple[float, float], ...]:
-    """The four (lo, hi) design intervals of this problem instance."""
-    return spec.design_bounds
+        return replace(self, noise_bounds=noise_bounds)
 
 
 def _code(value: float, lo: float, hi: float) -> float:
@@ -240,6 +211,24 @@ def _objective_values(xa: float, xb: float, xc: float, xd: float,
     power = sign * power_inner * 10.0 ** spec.power_scale_exp
     savings = sign * savings_inner * 10.0 ** spec.savings_scale_exp
     return (power, efficiency, savings)
+
+
+def _finite_objectives(xa: float, xb: float, xc: float, xd: float,
+                       za: float, zb: float, spec: ProblemSpec
+                       ) -> tuple[float, float, float]:
+    """_objective_values at one point, rejecting overflow, inf and nan."""
+    try:
+        power, efficiency, savings = _objective_values(
+            xa, xb, xc, xd, za, zb, spec)
+    except OverflowError:
+        raise NonFiniteResult(
+            f"objectives overflow at {(xa, xb, xc, xd, za, zb)}") from None
+    if not (math.isfinite(power) and math.isfinite(efficiency)
+            and math.isfinite(savings)):
+        raise NonFiniteResult(
+            f"objectives not finite at {(xa, xb, xc, xd, za, zb)}: "
+            f"({power}, {efficiency}, {savings})")
+    return power, efficiency, savings
 
 
 def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
@@ -284,20 +273,8 @@ def _as_noise(noise) -> tuple[float, float]:
 
 def eval_objectives(design, noise, spec: ProblemSpec) -> ObjectiveTriple:
     """Evaluate all three response surfaces at one (design, noise) point."""
-    xa, xb, xc, xd = _as_design(design)
-    za, zb = _as_noise(noise)
-    try:
-        power, efficiency, savings = _objective_values(
-            xa, xb, xc, xd, za, zb, spec)
-    except OverflowError:
-        raise NonFiniteResult(
-            f"objectives overflow at design={design}, noise={noise}") \
-            from None
-    if not (math.isfinite(power) and math.isfinite(efficiency)
-            and math.isfinite(savings)):
-        raise NonFiniteResult(
-            f"objectives not finite at design={design}, noise={noise}: "
-            f"({power}, {efficiency}, {savings})")
+    power, efficiency, savings = _finite_objectives(
+        *_as_design(design), *_as_noise(noise), spec)
     return ObjectiveTriple(power=power, efficiency=efficiency, savings=savings)
 
 
@@ -374,21 +351,6 @@ class IrrigationFitness:
     def evaluate(self, position) -> float:
         xa, xb, xc, xd, za, zb = position.tolist() if hasattr(
             position, "tolist") else (float(v) for v in position)
-        try:
-            power, efficiency, savings = _objective_values(
-                xa, xb, xc, xd, za, zb, self.spec)
-        except OverflowError:
-            raise NonFiniteResult(
-                f"objectives overflow at position {position!r}") from None
-        if not (math.isfinite(power) and math.isfinite(efficiency)
-                and math.isfinite(savings)):
-            raise NonFiniteResult(
-                f"objectives not finite at position {position!r}")
+        power, efficiency, savings = _finite_objectives(
+            xa, xb, xc, xd, za, zb, self.spec)
         return self._w1 * power + self._w2 * efficiency + self._w3 * savings
-
-    def split(self, position) -> tuple[DesignVector, NoiseVector]:
-        values = [float(v) for v in position]
-        if len(values) != 6:
-            raise ValidationError(
-                f"search vector needs 6 values, got {len(values)}")
-        return (DesignVector(*values[:4]), NoiseVector(*values[4:]))

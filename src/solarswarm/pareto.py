@@ -22,9 +22,10 @@ from itertools import repeat
 
 import numpy as np
 
+from .bfa import BfaConfig, ConfigCodec, RunResult, run_bfa_lockstep
 # run_bfa is no longer called here, but stays bound under this module's
 # name: the benchmark's span tracer wraps pareto.run_bfa
-from .bfa import BfaConfig, RunResult, run_bfa, run_bfa_lockstep  # noqa: F401
+from .bfa import run_bfa  # noqa: F401
 from .errors import (
     EmptyGrid,
     SchemaMismatch,
@@ -61,7 +62,7 @@ def _point_or_pair(value):
 
 
 @dataclass(frozen=True)
-class GradeContext:
+class GradeContext(ConfigCodec):
     """Membership grades a frontier was conditioned on.
 
     Each entry is a single grade or a (lo, hi) grade range; primary grades
@@ -82,27 +83,6 @@ class GradeContext:
                                _point_or_pair(getattr(self, name)))
         if self.pad < 0.0:
             raise ValidationError(f"pad must be >= 0, got {self.pad}")
-
-    def to_dict(self) -> dict:
-        def encode(value):
-            return list(value) if isinstance(value, tuple) else value
-        return {
-            "temperature_primary": encode(self.temperature_primary),
-            "temperature_secondary": encode(self.temperature_secondary),
-            "insolation_primary": encode(self.insolation_primary),
-            "insolation_secondary": encode(self.insolation_secondary),
-            "pad": self.pad,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GradeContext":
-        known = {"temperature_primary", "temperature_secondary",
-                 "insolation_primary", "insolation_secondary", "pad"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(
-                f"unknown grade context keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -295,16 +275,12 @@ class SigmaVector:
     magnitude: float
 
 
-def sigma_components(values, *, magnitude_mode: str = "squared"
-                     ) -> SigmaVector:
+def sigma_components(values) -> SigmaVector:
     """Sigma decomposition of an objective vector.
 
     Component (i, j), for i < j, is (f_i^2 - f_j^2) / sum(f^2): it vanishes
     when the two objectives balance and swings to +-1 on the axes. The
-    magnitude sums squared components under the root ("squared", default).
-    The "as_printed" mode sums the signed components of the full
-    antisymmetric pair matrix instead, which cancels to zero identically;
-    it exists only to document why the squared form is used.
+    magnitude sums squared components under the root.
     """
     vector = tuple(float(v) for v in values)
     if len(vector) < 2:
@@ -316,17 +292,9 @@ def sigma_components(values, *, magnitude_mode: str = "squared"
     components = tuple((vector[i] ** 2 - vector[j] ** 2) / denom
                        for i in range(len(vector))
                        for j in range(i + 1, len(vector)))
-    if magnitude_mode == "squared":
-        magnitude = math.sqrt(sum(c * c for c in components))
-    elif magnitude_mode == "as_printed":
-        total = sum((vector[i] ** 2 - vector[j] ** 2) / denom
-                    for i in range(len(vector))
-                    for j in range(len(vector)))
-        magnitude = math.sqrt(max(total, 0.0))
-    else:
-        raise ValidationError(
-            f"magnitude_mode {magnitude_mode!r} not in "
-            f"('squared', 'as_printed')")
+    # squared, not signed: the printed form sums the signed components of
+    # the full antisymmetric pair matrix, which cancels to zero identically
+    magnitude = math.sqrt(sum(c * c for c in components))
     return SigmaVector(components=components, magnitude=magnitude)
 
 

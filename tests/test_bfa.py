@@ -1,14 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import solarswarm as ss
 from solarswarm.bfa import (
-    Bacterium,
     cell_to_cell_signal,
     chemotaxis_move,
-    effective_fitness,
     eliminate_disperse,
     reproduce,
     step_sizes,
@@ -136,14 +135,17 @@ def test_signal_hand_oracle():
 
 
 def test_effective_fitness_toggle():
-    f = CountingFunction()
-    swarm = make_swarm([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], fitness=f)
-    on = ss.BfaConfig(attract_depth=0.4)
-    off = ss.BfaConfig(attract_depth=0.4, swarming=False)
-    pos = [1.0, 1.0, 1.0]
-    assert effective_fitness(pos, swarm, f, off) == 3.0
-    assert effective_fitness(pos, swarm, f, on) == pytest.approx(
-        3.0 + cell_to_cell_signal(pos, swarm, on), rel=1e-12)
+    # swim_loop returns the effective fitness of the move it kept: raw
+    # fitness alone with swarming off, raw plus the signal with it on
+    f = CountingFunction(sign=-1.0)
+    on = ss.BfaConfig(attract_depth=0.4, step_fraction=0.01)
+    for cfg in (replace(on, swarming=False), on):
+        swarm = make_swarm([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], fitness=f)
+        eff = swim_loop(swarm, 0, f, cfg, FixedDirectionRng())
+        moved = swarm.positions[0]
+        signal = cell_to_cell_signal(moved, swarm, cfg)
+        assert eff == f.evaluate(moved) + (signal if cfg.swarming else 0.0)
+        assert signal != 0.0
 
 
 def test_swim_loop_full_swim_on_monotone_improvement():
@@ -224,6 +226,18 @@ def test_eliminate_disperse_probability_extremes():
         assert -2.0 <= row[0] <= 2.0
         assert raw == row[0]  # re-evaluated at the new spot
     assert swarm.size == 2
+
+
+def test_eliminate_disperse_covers_the_whole_box_in_2d():
+    # two (lo, hi) pairs make a 2 x 2 array too; every draw must still
+    # take its coordinates from its own dimension's interval
+    bounds = ((-5.0, 5.0), (0.0, 20.0))
+    swarm = make_swarm(np.zeros((2000, 2)))
+    eliminate_disperse(swarm, ss.BfaConfig(elimination_prob=1.0),
+                       np.random.default_rng(0), bounds)
+    x, y = swarm.positions.T
+    assert -5.0 <= x.min() < -4.9 and 4.9 < x.max() <= 5.0
+    assert 0.0 <= y.min() < 0.1 and 19.9 < y.max() <= 20.0
 
 
 def test_eliminate_disperse_marks_stale_without_fitness():
@@ -313,16 +327,3 @@ def test_trace_csv_roundtrip(tmp_path):
         assert int(cells[0]) == it
         assert float(cells[1]) == fit  # repr round-trips exactly
         assert int(cells[2]) == ev
-
-
-def test_swarm_member_views():
-    swarm = make_swarm([[1.0, 2.0], [3.0, 4.0]])
-    swarm.raw_fitness[:] = [5.0, 6.0]
-    member = swarm.bacterium(1)
-    assert isinstance(member, Bacterium)
-    assert member.position.tolist() == [3.0, 4.0]
-    assert member.last_fitness == 6.0
-    member.position[0] = 99.0  # snapshot, not a view
-    assert swarm.positions[1, 0] == 3.0
-    rebuilt = ss.Swarm.from_members(swarm.members())
-    assert np.array_equal(rebuilt.positions, swarm.positions)

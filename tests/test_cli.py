@@ -120,6 +120,27 @@ class TestOptimize:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document", [
+        {"bfa": {"seed": "x"}},
+        {"grade_context": {"pad": "a"}},
+        {"problem": {"design_bounds": 5}},
+        [1, 2],
+        {"problem": None},
+        {"bfa": None},
+    ], ids=["seed_str", "pad_str", "bounds_int", "list", "null_problem",
+            "null_bfa"])
+    def test_malformed_config_is_one_line(self, document, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        code = main(["optimize", "--config", str(config),
+                     "--out", str(tmp_path / "x"),
+                     "--weights", "0.1,0.1,0.8"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ValidationError: ")
+        assert err.count("\n") == 1
+        assert "unknown config keys" not in err
+
     def test_self_test_passes(self, capsys):
         assert main(["optimize", "--self-test"]) == 0
         assert "self-test: PASS" in capsys.readouterr().out

@@ -16,6 +16,10 @@ SHORT_BFA = {"chemotaxis_steps": 10, "elimination_cycles": 2,
              "reproduction_cycles": 2}
 
 DIGESTS = {
+    # the config echo holds --out as given, so the sweep writes to the
+    # relative path "bundle"
+    "config.json":
+        "40f805d90e090d60af2860ca03ca9e952de98af37ad3cbcd9766789a1d368206",
     "frontier.csv":
         "027429e62ab4718a2b85e4baa65885bfae75bf91266544a95df9a457f990cf9e",
     "metrics.json":
@@ -38,13 +42,14 @@ DIGESTS = {
 }
 
 
-def test_reduced_sweep_bytes_are_pinned(tmp_path, capsys):
+def test_reduced_sweep_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"bfa": SHORT_BFA}))
-    out = tmp_path / "bundle"
     assert main(["frontier", "--config", str(config), "--step", "0.5",
                  "--minimum", "0", "--runs", "2", "--seed", "0",
-                 "--out", str(out)]) == 0
+                 "--out", "bundle"]) == 0
+    out = tmp_path / "bundle"
     capsys.readouterr()
     traces = sorted(os.listdir(out / "traces"))
     assert traces == [os.path.basename(n) for n in DIGESTS

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import solarswarm as ss
-from solarswarm.bfa import _tumble_round, run_bfa_lockstep, tumble_direction
+from solarswarm.bfa import (
+    _row_dots,
+    _tumble_round,
+    run_bfa_lockstep,
+    tumble_direction,
+)
 from solarswarm.irrigation import evaluate_rows
 
 SMALL = ss.BfaConfig(population_size=10, chemotaxis_steps=5,
@@ -37,6 +42,17 @@ def lockstep(spec, cfg, cells):
     return seeds, results
 
 
+def assert_same_run(got, want):
+    assert np.array_equal(got.best_position, want.best_position)
+    assert got.best_fitness == want.best_fitness
+    assert got.trace.iterations == want.trace.iterations
+    assert got.trace.best_fitness == want.trace.best_fitness
+    assert got.trace.evaluations == want.trace.evaluations
+    assert all(np.array_equal(a, b) for a, b in zip(
+        got.trace.best_positions, want.trace.best_positions))
+    assert len(got.trace.best_positions) == len(want.trace.best_positions)
+
+
 @pytest.mark.parametrize("cells", [SINGLE, MIXED], ids=["R1", "mixed"])
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 def test_lockstep_equals_run_bfa(setting, cells):
@@ -44,16 +60,21 @@ def test_lockstep_equals_run_bfa(setting, cells):
     seeds, results = lockstep(spec, cfg, cells)
     assert len(results) == len(cells)
     for (weights, _), seed, got in zip(cells, seeds, results):
-        want = ss.run_bfa(ss.IrrigationFitness(spec, weights),
-                          replace(cfg, seed=seed))
-        assert np.array_equal(got.best_position, want.best_position)
-        assert got.best_fitness == want.best_fitness
-        assert got.trace.iterations == want.trace.iterations
-        assert got.trace.best_fitness == want.trace.best_fitness
-        assert got.trace.evaluations == want.trace.evaluations
-        assert all(np.array_equal(a, b) for a, b in zip(
-            got.trace.best_positions, want.trace.best_positions))
-        assert len(got.trace.best_positions) == len(want.trace.best_positions)
+        assert_same_run(got, ss.run_bfa(ss.IrrigationFitness(spec, weights),
+                                        replace(cfg, seed=seed)))
+
+
+@pytest.mark.parametrize("dimensions", [1, 2, 3])
+def test_lockstep_equals_run_bfa_on_sphere(dimensions):
+    # every bacterium disperses, so a box read the wrong way shows; a
+    # 2-d box is the one whose (lo, hi) pairs form a square array
+    f = ss.sphere_function(dimensions)
+    cfg = replace(SMALL, elimination_prob=1.0)
+    seeds = [0, 1, 2]
+    results = run_bfa_lockstep(lambda runs, positions: -_row_dots(positions),
+                               f.bounds, cfg, seeds)
+    for seed, got in zip(seeds, results):
+        assert_same_run(got, ss.run_bfa(f, replace(cfg, seed=seed)))
 
 
 def test_lockstep_breaks_ties_like_run_bfa():
@@ -70,12 +91,7 @@ def test_lockstep_breaks_ties_like_run_bfa():
         lambda runs, positions: np.floor(positions.sum(axis=1) / 4.0), box,
         cfg, seeds)
     for seed, got in zip(seeds, results):
-        want = ss.run_bfa(f, replace(cfg, seed=seed))
-        assert np.array_equal(got.best_position, want.best_position)
-        assert got.trace.best_fitness == want.trace.best_fitness
-        assert got.trace.evaluations == want.trace.evaluations
-        assert all(np.array_equal(a, b) for a, b in zip(
-            got.trace.best_positions, want.trace.best_positions))
+        assert_same_run(got, ss.run_bfa(f, replace(cfg, seed=seed)))
 
 
 def test_evaluate_rows_matches_scalar_evaluator():

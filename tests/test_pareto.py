@@ -159,13 +159,7 @@ class TestSigma:
         with pytest.raises(ZeroVector):
             sigma_components((0.0, 0.0, 0.0))
 
-    def test_as_printed_mode_cancels(self):
-        sv = sigma_components((3.0, 4.0, 5.0), magnitude_mode="as_printed")
-        assert sv.magnitude == 0.0
-
-    def test_bad_mode_and_short_vector(self):
-        with pytest.raises(ValidationError):
-            sigma_components((1.0, 2.0), magnitude_mode="cubed")
+    def test_short_vector_rejected(self):
         with pytest.raises(ValidationError):
             sigma_components((1.0,))
 
