@@ -16,8 +16,17 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Protocol, Sequence, get_args, get_type_hints
+from dataclasses import dataclass, fields
+from types import UnionType
+from typing import (
+    NamedTuple,
+    Protocol,
+    Sequence,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
@@ -67,10 +76,13 @@ class ConfigCodec:
 
     to_dict encodes tuples as lists and nested configs as dicts. from_dict
     takes a JSON object, rejects unknown keys, and decodes a nested config
-    field from its own object (null only where the field defaults to None);
-    lists are left to the dataclass's __post_init__. A TypeError or
-    ValueError raised while building the dataclass is reported as a
-    ValidationError.
+    field from its own object (null only where the field defaults to None).
+    Every other value must fit its field's annotation: a bool field takes
+    only a bool, an int field an int but not a bool, a float field an int
+    or a float, a str field a str, null only where the annotation admits
+    None, and a tuple field a list, whose items are left to the
+    dataclass's __post_init__. A TypeError or ValueError raised while
+    building the dataclass is reported as a ValidationError.
     """
 
     def to_dict(self) -> dict:
@@ -83,21 +95,47 @@ class ConfigCodec:
 
 def _decode(cls, data, label: str):
     if not isinstance(data, dict):
-        kind = "null" if data is None else type(data).__name__
-        raise ValidationError(f"{label} must be a JSON object, got {kind}")
+        raise ValidationError(
+            f"{label} must be a JSON object, got {_json_kind(data)}")
     known = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(known)
     if unknown:
         raise ValidationError(f"unknown {label} keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    for name, nested in _nested_configs(cls).items():
-        if name in kwargs and not (kwargs[name] is None
-                                   and known[name].default is None):
-            kwargs[name] = _decode(nested, kwargs[name], name)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name, value in data.items():
+        hint = hints[name]
+        nested = _config_class(hint)
+        if nested is None:
+            if not _fits(hint, value):
+                expected = hint.__name__ if isinstance(hint, type) else hint
+                raise ValidationError(
+                    f"bad {label}: {name} must be {expected}, "
+                    f"got {_json_kind(value)}")
+        elif not (value is None and known[name].default is None):
+            value = _decode(nested, value, name)
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
         raise ValidationError(f"bad {label}: {err}") from None
+
+
+def _json_kind(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _fits(hint, value) -> bool:
+    """Whether a JSON value may fill a field annotated `hint`."""
+    if get_origin(hint) in (Union, UnionType):
+        return any(_fits(t, value) for t in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _encode(value):
@@ -108,12 +146,12 @@ def _encode(value):
     return value
 
 
-def _nested_configs(cls) -> dict:
-    """Field name -> config class, for fields typed as a config class."""
-    hints = get_type_hints(cls)
-    return {f.name: t for f in fields(cls)
-            for t in (hints[f.name], *get_args(hints[f.name]))
-            if ConfigCodec in getattr(t, "__mro__", ())}
+def _config_class(hint):
+    """The config class a field annotation names, or None."""
+    for t in (hint, *get_args(hint)):
+        if ConfigCodec in getattr(t, "__mro__", ()):
+            return t
+    return None
 
 
 @dataclass(frozen=True)
@@ -228,16 +266,22 @@ def chemotaxis_move(position: np.ndarray, direction: np.ndarray,
     """One displacement along `direction`, clamped back into the box."""
     b = np.asarray(bounds, dtype=float)
     moved = np.asarray(position, dtype=float) + np.asarray(steps) * direction
-    return np.clip(moved, b[:, 0], b[:, 1])
+    return np.minimum(np.maximum(moved, b[:, 0]), b[:, 1])
 
 
-def _signal(position: np.ndarray, matrix: np.ndarray,
-            cfg: BfaConfig) -> float:
+def _kernel_rates(cfg: BfaConfig) -> np.ndarray:
+    """Exponent rates of the attraction and repulsion kernels, a (2, 1)
+    column, so one exp call computes both kernels."""
+    return np.array([[-cfg.attract_width], [-cfg.repel_width]])
+
+
+def _signal(position: np.ndarray, matrix: np.ndarray, cfg: BfaConfig,
+            rates: np.ndarray) -> float:
     diff = matrix - position
     d2 = np.einsum("ij,ij->i", diff, diff)
-    attract = -cfg.attract_depth * float(np.exp(-cfg.attract_width * d2).sum())
-    repel = cfg.repel_height * float(np.exp(-cfg.repel_width * d2).sum())
-    return attract + repel
+    # each kernel row sums over the same contiguous values as a 1-d sum
+    attract, repel = np.exp(rates * d2).sum(axis=1).tolist()
+    return -cfg.attract_depth * attract + cfg.repel_height * repel
 
 
 def cell_to_cell_signal(position, swarm: Swarm, cfg: BfaConfig) -> float:
@@ -245,7 +289,8 @@ def cell_to_cell_signal(position, swarm: Swarm, cfg: BfaConfig) -> float:
     attraction well and a repulsion bump, including a member sitting at
     `position` itself (its contribution is the constant
     -attract_depth + repel_height)."""
-    return _signal(np.asarray(position, dtype=float), swarm.positions, cfg)
+    return _signal(np.asarray(position, dtype=float), swarm.positions, cfg,
+                   _kernel_rates(cfg))
 
 
 def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
@@ -268,25 +313,30 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
         raw = float(f.evaluate(current))
         swarm.raw_fitness[index] = raw
     swarming = cfg.swarming
-    prev_eff = raw + (_signal(current, positions, cfg) if swarming else 0.0)
+    rates = _kernel_rates(cfg) if swarming else None
+    prev_eff = raw + (_signal(current, positions, cfg, rates)
+                      if swarming else 0.0)
 
     displacement = steps * tumble_direction(positions.shape[1], rng)
 
-    moved = np.clip(positions[index] + displacement, lower, upper)
+    moved = np.minimum(np.maximum(positions[index] + displacement, lower),
+                       upper)
     positions[index] = moved
     raw = float(f.evaluate(moved))
     swarm.raw_fitness[index] = raw
-    eff = raw + (_signal(moved, positions, cfg) if swarming else 0.0)
+    eff = raw + (_signal(moved, positions, cfg, rates) if swarming else 0.0)
     swarm.health[index] += eff
 
     swims = 0
     while eff > prev_eff and swims < cfg.swim_limit:
         prev_eff = eff
-        moved = np.clip(positions[index] + displacement, lower, upper)
+        moved = np.minimum(np.maximum(positions[index] + displacement, lower),
+                           upper)
         positions[index] = moved
         raw = float(f.evaluate(moved))
         swarm.raw_fitness[index] = raw
-        eff = raw + (_signal(moved, positions, cfg) if swarming else 0.0)
+        eff = raw + (_signal(moved, positions, cfg, rates)
+                     if swarming else 0.0)
         swarm.health[index] += eff
         swims += 1
     return eff
@@ -330,21 +380,18 @@ def eliminate_disperse(swarm: Swarm, cfg: BfaConfig,
 
 @dataclass
 class RunTrace:
-    """Per-round incumbent history of one optimizer run."""
+    """Per-round incumbent history of one optimizer run.
 
-    iterations: list[int] = field(default_factory=list)
-    best_fitness: list[float] = field(default_factory=list)
-    best_positions: list[np.ndarray] = field(default_factory=list)
-    evaluations: list[int] = field(default_factory=list)
+    best_positions is one (rounds + 1, dims) array, row k the incumbent
+    after round k, so a trace crosses a process boundary as one array.
+    """
+
+    iterations: list[int]
+    best_fitness: list[float]
+    best_positions: np.ndarray
+    evaluations: list[int]
 
     CSV_HEADER = ("iteration", "best_fitness", "evaluations")
-
-    def record(self, iteration: int, fitness: float,
-               position: np.ndarray, evaluations: int) -> None:
-        self.iterations.append(iteration)
-        self.best_fitness.append(fitness)
-        self.best_positions.append(np.array(position, dtype=float))
-        self.evaluations.append(evaluations)
 
     def __len__(self) -> int:
         return len(self.iterations)
@@ -409,10 +456,11 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
     for i in range(swarm.size):
         swarm.raw_fitness[i] = recorder.evaluate(swarm.positions[i])
 
-    trace = RunTrace()
-    trace.record(0, recorder.best_fitness, recorder.best_position,
-                 recorder.count)
-    iteration = 0
+    # the recorder replaces its incumbent array, never writes into it, so
+    # the rows can be stacked once at the end
+    trace_fitness = [recorder.best_fitness]
+    trace_positions = [recorder.best_position]
+    trace_count = [recorder.count]
     for _ in range(cfg.total_passes):
         for _ in range(cfg.elimination_cycles):
             for _ in range(cfg.reproduction_cycles):
@@ -421,12 +469,16 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
                     for i in range(swarm.size):
                         swim_loop(swarm, i, recorder, cfg, rng,
                                   steps=steps, lower=lower, upper=upper)
-                    iteration += 1
-                    trace.record(iteration, recorder.best_fitness,
-                                 recorder.best_position, recorder.count)
+                    trace_fitness.append(recorder.best_fitness)
+                    trace_positions.append(recorder.best_position)
+                    trace_count.append(recorder.count)
                 swarm = reproduce(swarm)
             swarm = eliminate_disperse(swarm, cfg, rng, f.bounds,
                                        f=recorder)
+    trace = RunTrace(iterations=list(range(len(trace_fitness))),
+                     best_fitness=trace_fitness,
+                     best_positions=np.stack(trace_positions),
+                     evaluations=trace_count)
     return RunResult(best_position=recorder.best_position.copy(),
                      best_fitness=recorder.best_fitness,
                      trace=trace)
@@ -480,14 +532,13 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.exp(x, out=np.zeros_like(x), where=x > _EXP_ZERO_BELOW)
 
 
-def _signal_rows(points: np.ndarray, members: np.ndarray,
-                 cfg: BfaConfig) -> np.ndarray:
+def _signal_rows(points: np.ndarray, members: np.ndarray, cfg: BfaConfig,
+                 rates: np.ndarray) -> np.ndarray:
     """_signal of points[k] against the swarm members[k], for every k."""
     diff = members - points[:, None, :]
     d2 = np.einsum("rij,rij->ri", diff, diff)
-    attract = -cfg.attract_depth * _exp(-cfg.attract_width * d2).sum(-1)
-    repel = cfg.repel_height * _exp(-cfg.repel_width * d2).sum(-1)
-    return attract + repel
+    attract, repel = _exp(rates[..., None] * d2).sum(-1)
+    return -cfg.attract_depth * attract + cfg.repel_height * repel
 
 
 def _take_first_best(best_fitness: np.ndarray, best_position: np.ndarray,
@@ -539,9 +590,9 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     per_dispersal = per_cycle * cfg.reproduction_cycles
     rounds = cfg.total_passes * cfg.elimination_cycles * per_dispersal
     trace_fitness = np.empty((rounds + 1, n_runs))
-    trace_position = np.empty((rounds + 1, n_runs, dims))
+    trace_position = np.empty((n_runs, rounds + 1, dims))
     trace_count = np.empty((rounds + 1, n_runs), dtype=np.int64)
-    trace_fitness[0], trace_position[0], trace_count[0] = (
+    trace_fitness[0], trace_position[:, 0], trace_count[0] = (
         best_fitness, best_position, count)
 
     def reproduce_runs(runs: np.ndarray) -> None:
@@ -568,6 +619,7 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
             _take_first_best(best_fitness, best_position, runs, found,
                              positions[runs])
 
+    rates = _kernel_rates(cfg)
     health = np.zeros((n_runs, size))
     moves = steps * _tumble_round(rngs, size, dims)
     done = np.zeros(n_runs, dtype=np.intp)  # finished chemotaxis rounds
@@ -578,14 +630,12 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     active = everyone
     while len(active):
         starting = active[fresh[active]]
-        if len(starting):
-            i = current[starting]
-            prev[starting] = raw[starting, i] + (
-                _signal_rows(positions[starting, i], positions[starting], cfg)
-                if cfg.swarming else 0.0)
+        first = current[starting]
+        points = positions[starting, first]  # before this step's move
+        prev[starting] = raw[starting, first]  # the signal is added below
         i = current[active]
-        moved = np.clip(positions[active, i] + moves[active, i],
-                        lower, upper)
+        moved = np.minimum(np.maximum(positions[active, i] + moves[active, i],
+                                      lower), upper)
         positions[active, i] = moved
         values = evaluate(active, moved)
         count[active] += 1
@@ -595,9 +645,15 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
             best_position[active[better]] = moved[better]
         raw[active, i] = values
         if cfg.swarming:
-            swarms = (positions if len(active) == n_runs
-                      else positions[active])
-            eff = values + _signal_rows(moved, swarms, cfg)
+            # one signal call: the starting rows against their swarms before
+            # the move (the moved member put back), then the moved rows
+            # against the swarms after it
+            swarms = positions[np.concatenate([starting, active])]
+            swarms[np.arange(len(starting)), first] = points
+            signals = _signal_rows(np.concatenate([points, moved]), swarms,
+                                   cfg, rates)
+            prev[starting] += signals[:len(starting)]
+            eff = values + signals[len(starting):]
         else:
             eff = values + 0.0
         health[active, i] += eff
@@ -612,7 +668,7 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
             done[ended] += 1
             row = done[ended]
             trace_fitness[row, ended] = best_fitness[ended]
-            trace_position[row, ended] = best_position[ended]
+            trace_position[ended, row] = best_position[ended]
             trace_count[row, ended] = count[ended]
             cycle_end = ended[row % per_cycle == 0]
             if len(cycle_end):
@@ -632,7 +688,7 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     for run in range(n_runs):
         trace = RunTrace(iterations=list(range(rounds + 1)),
                          best_fitness=trace_fitness[:, run].tolist(),
-                         best_positions=list(trace_position[:, run]),
+                         best_positions=trace_position[run],
                          evaluations=trace_count[:, run].tolist())
         results.append(RunResult(best_position=best_position[run].copy(),
                                  best_fitness=float(best_fitness[run]),

@@ -15,6 +15,7 @@ membership grades of the fuzzy climate model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -172,63 +173,124 @@ class ProblemSpec(ConfigCodec):
         return replace(self, noise_bounds=noise_bounds)
 
 
-def _code(value: float, lo: float, hi: float) -> float:
-    return 2.0 * (value - lo) / (hi - lo) - 1.0
+# Columns of a polynomial term: the six variables, then the constant 1.
+_XA, _XB, _XC, _XD, _ZA, _ZB, _ONE = range(7)
 
 
-def _objective_values(xa: float, xb: float, xc: float, xd: float,
-                      za: float, zb: float, spec: ProblemSpec
-                      ) -> tuple[float, float, float]:
-    # hot path: +, -, * and / only, so floats and numpy columns
-    # (evaluate_rows) give the same values
-    if spec.variable_mode == "coded":
-        (alo, ahi), (blo, bhi), (clo, chi), (dlo, dhi) = spec.design_bounds
-        (zalo, zahi), (zblo, zbhi) = CRISP_NOISE_BOUNDS
-        xa = _code(xa, alo, ahi)
-        xb = _code(xb, blo, bhi)
-        xc = _code(xc, clo, chi)
-        xd = _code(xd, dlo, dhi)
-        za = _code(za, zalo, zahi)
-        zb = _code(zb, zblo, zbhi)
-
-    power_inner = (24.947 + 16.011 * xd + 1.306 * xb + 0.820 * xb * xd
-                   - 0.785 * za - 0.497 * xd * za + 0.228 * xa * xb
-                   + 0.212 * xa - 0.15 * xb * xb + 0.13 * xa * xd
-                   - 0.11 * xa * xa - 0.034 * xb * za + 0.002 * xa * za)
-
-    intercept = 0.18507 if spec.fix_efficiency_intercept else 18507.0
-    efficiency = 43.4783 * (intercept + 0.01041 * xc + 0.0038 * zb
-                            - 0.00366 * za - 0.0035 * xc - 0.00157 * xb)
-
-    flow_coeff = 112114.69 if spec.fix_savings_flow_term else 0.0
-    savings_inner = (174695.73 + flow_coeff * xd + 9133.8 * xb
-                     + 5733.05 * xb * xd - 5487.76 * za - 3478.84 * xd * za
-                     + 1586.48 * xa * xb + 1486.84 * xa - 1067.42 * xb * xb
-                     + 916.26 * xa * xd - 768.9 * xa * xa - 242.88 * xb * za
-                     + 152.4 * xa * za)
-
-    sign = 1.0 if spec.maximize else -1.0
-    power = sign * power_inner * 10.0 ** spec.power_scale_exp
-    savings = sign * savings_inner * 10.0 ** spec.savings_scale_exp
-    return (power, efficiency, savings)
-
-
-def _finite_objectives(xa: float, xb: float, xc: float, xd: float,
-                       za: float, zb: float, spec: ProblemSpec
-                       ) -> tuple[float, float, float]:
-    """_objective_values at one point, rejecting overflow, inf and nan."""
+def _stretch(exponent: float) -> float:
+    """10 ** exponent, inf where it overflows (the finite check rejects it)."""
     try:
-        power, efficiency, savings = _objective_values(
-            xa, xb, xc, xd, za, zb, spec)
+        return 10.0 ** exponent
     except OverflowError:
-        raise NonFiniteResult(
-            f"objectives overflow at {(xa, xb, xc, xd, za, zb)}") from None
+        return math.inf
+
+
+def coefficient_table(spec: ProblemSpec
+                      ) -> tuple[tuple[float, tuple[tuple[float, int, int],
+                                                    ...]], ...]:
+    """The three response surfaces, as (factor, terms) per objective.
+
+    This is the one source of the polynomial coefficients. An objective is
+    factor * (t_1 + t_2 + ...), summed left to right in table order, where
+    term (coef, i, j) is coef * X[i] * X[j] over X = (x_a, x_b, x_c, x_d,
+    Z_a, Z_b, 1), coded or raw. A printed subtraction is a negative
+    coefficient, which IEEE arithmetic makes exact. The factor carries the
+    printed leading sign and scale; the misprint flags pick the
+    efficiency intercept and the savings flow coefficient.
+    """
+    sign = 1.0 if spec.maximize else -1.0
+    intercept = 0.18507 if spec.fix_efficiency_intercept else 18507.0
+    flow = 112114.69 if spec.fix_savings_flow_term else 0.0
+    power = (
+        (24.947, _ONE, _ONE), (16.011, _XD, _ONE), (1.306, _XB, _ONE),
+        (0.820, _XB, _XD), (-0.785, _ZA, _ONE), (-0.497, _XD, _ZA),
+        (0.228, _XA, _XB), (0.212, _XA, _ONE), (-0.15, _XB, _XB),
+        (0.13, _XA, _XD), (-0.11, _XA, _XA), (-0.034, _XB, _ZA),
+        (0.002, _XA, _ZA))
+    efficiency = (
+        (intercept, _ONE, _ONE), (0.01041, _XC, _ONE), (0.0038, _ZB, _ONE),
+        (-0.00366, _ZA, _ONE), (-0.0035, _XC, _ONE), (-0.00157, _XB, _ONE))
+    savings = (
+        (174695.73, _ONE, _ONE), (flow, _XD, _ONE), (9133.8, _XB, _ONE),
+        (5733.05, _XB, _XD), (-5487.76, _ZA, _ONE), (-3478.84, _XD, _ZA),
+        (1586.48, _XA, _XB), (1486.84, _XA, _ONE), (-1067.42, _XB, _XB),
+        (916.26, _XA, _XD), (-768.9, _XA, _XA), (-242.88, _XB, _ZA),
+        (152.4, _XA, _ZA))
+    return ((sign * _stretch(spec.power_scale_exp), power),
+            (43.4783, efficiency),
+            (sign * _stretch(spec.savings_scale_exp), savings))
+
+
+class _Surfaces:
+    """coefficient_table(spec) and the variable coding, laid out once for
+    the scalar evaluator (Python floats) and for evaluate_rows (arrays)."""
+
+    def __init__(self, spec: ProblemSpec) -> None:
+        self.table = coefficient_table(spec)
+        self.coded = spec.variable_mode == "coded"
+        bounds = spec.design_bounds + CRISP_NOISE_BOUNDS
+        self.lo = tuple(lo for lo, _ in bounds)
+        self.width = tuple(hi - lo for lo, hi in bounds)
+        # evaluate_rows sums every objective over the same number of terms;
+        # the shorter ones are padded with -0.0 * 1 * 1, and x + -0.0 == x
+        # holds bit for bit for every x, so padding changes no sum
+        size = max(len(terms) for _, terms in self.table)
+        padded = [terms + ((-0.0, _ONE, _ONE),) * (size - len(terms))
+                  for _, terms in self.table]
+        self.coef = np.array([[c for c, _, _ in terms] for terms in padded]
+                             )[..., None]
+        self.first = np.array([[i for _, i, _ in terms] for terms in padded])
+        self.second = np.array([[j for _, _, j in terms] for terms in padded])
+        self.factor = np.array([factor for factor, _ in self.table])[:, None]
+        self.lo_row = np.array(self.lo)
+        self.width_row = np.array(self.width)
+        # one instance serves every caller with an equal spec (_surfaces)
+        for array in (self.coef, self.first, self.second, self.factor,
+                      self.lo_row, self.width_row):
+            array.flags.writeable = False
+
+
+_surfaces = functools.lru_cache(maxsize=16)(_Surfaces)
+
+
+def _objective_values(values: Sequence[float], surfaces: _Surfaces
+                      ) -> tuple[float, float, float]:
+    """(power, efficiency, savings) at the six raw values, in Python floats.
+
+    The terms are added one by one from -0.0 (the exact additive identity),
+    never with sum(), whose summation differs between Python versions.
+    """
+    if surfaces.coded:
+        x = [2.0 * (v - lo) / w - 1.0
+             for v, lo, w in zip(values, surfaces.lo, surfaces.width)]
+    else:
+        x = list(values)
+    x.append(1.0)
+    out = []
+    for factor, terms in surfaces.table:
+        total = -0.0
+        for coef, i, j in terms:
+            total += coef * x[i] * x[j]
+        out.append(total * factor)
+    return tuple(out)
+
+
+def _finite_objectives(values: Sequence[float], surfaces: _Surfaces
+                       ) -> tuple[float, float, float]:
+    """_objective_values at one point, rejecting inf and nan."""
+    power, efficiency, savings = _objective_values(values, surfaces)
     if not (math.isfinite(power) and math.isfinite(efficiency)
             and math.isfinite(savings)):
         raise NonFiniteResult(
-            f"objectives not finite at {(xa, xb, xc, xd, za, zb)}: "
+            f"objectives not finite at {tuple(values)}: "
             f"({power}, {efficiency}, {savings})")
     return power, efficiency, savings
+
+
+# evaluate_rows works through at most this many rows at a time: its
+# temporaries hold 39 floats per row, so a sweep's first evaluation (every
+# bacterium of every run) would otherwise raise the peak memory
+_ROW_BLOCK = 256
 
 
 def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
@@ -236,21 +298,27 @@ def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
     """IrrigationFitness.evaluate for many rows at once.
 
     Row k scores positions[k] (x_a..x_d, Z_a, Z_b) with the weights
-    weights[k] = (w1, w2, w3). The same elementwise operations run in the
-    same order as in the scalar evaluator, so every value is bit-identical
-    to IrrigationFitness(spec, WeightVector(*weights[k])).evaluate.
+    weights[k] = (w1, w2, w3). Every term is the same product as in the
+    scalar evaluator and np.add.accumulate adds them strictly left to right
+    (a reduce may sum pairwise), so every value is bit-identical to
+    IrrigationFitness(spec, WeightVector(*weights[k])).evaluate.
     """
-    try:
-        power, efficiency, savings = _objective_values(*positions.T, spec)
-    except OverflowError:
-        raise NonFiniteResult("objectives overflow") from None
-    finite = np.isfinite(power) & np.isfinite(efficiency) \
-        & np.isfinite(savings)
+    if len(positions) > _ROW_BLOCK:
+        return np.concatenate([
+            evaluate_rows(spec, weights[k:k + _ROW_BLOCK],
+                          positions[k:k + _ROW_BLOCK])
+            for k in range(0, len(positions), _ROW_BLOCK)])
+    s = _surfaces(spec)
+    x = np.ones((7, len(positions)))
+    x[:6] = (2.0 * (positions - s.lo_row) / s.width_row - 1.0).T \
+        if s.coded else positions.T
+    terms = s.coef * x[s.first] * x[s.second]
+    objectives = np.add.accumulate(terms, axis=1)[:, -1] * s.factor
+    finite = np.isfinite(objectives).all(axis=0)
     if not finite.all():
         bad = positions[np.argmin(finite)]
         raise NonFiniteResult(f"objectives not finite at position {bad!r}")
-    return (weights[:, 0] * power + weights[:, 1] * efficiency
-            + weights[:, 2] * savings)
+    return np.add.accumulate(weights.T * objectives)[-1]
 
 
 def _as_design(design) -> tuple[float, float, float, float]:
@@ -274,7 +342,7 @@ def _as_noise(noise) -> tuple[float, float]:
 def eval_objectives(design, noise, spec: ProblemSpec) -> ObjectiveTriple:
     """Evaluate all three response surfaces at one (design, noise) point."""
     power, efficiency, savings = _finite_objectives(
-        *_as_design(design), *_as_noise(noise), spec)
+        _as_design(design) + _as_noise(noise), _surfaces(spec))
     return ObjectiveTriple(power=power, efficiency=efficiency, savings=savings)
 
 
@@ -347,10 +415,14 @@ class IrrigationFitness:
     def __post_init__(self) -> None:
         self.bounds = self.spec.design_bounds + self.spec.noise_bounds
         self._w1, self._w2, self._w3 = self.weights.as_tuple()
+        self._surfaces = _surfaces(self.spec)
 
     def evaluate(self, position) -> float:
-        xa, xb, xc, xd, za, zb = position.tolist() if hasattr(
-            position, "tolist") else (float(v) for v in position)
-        power, efficiency, savings = _finite_objectives(
-            xa, xb, xc, xd, za, zb, self.spec)
+        values = position.tolist() if hasattr(position, "tolist") else [
+            float(v) for v in position]
+        if len(values) != 6:
+            raise ValidationError(
+                f"position needs 6 values, got {len(values)}")
+        power, efficiency, savings = _finite_objectives(values,
+                                                        self._surfaces)
         return self._w1 * power + self._w2 * efficiency + self._w3 * savings

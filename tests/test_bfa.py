@@ -6,6 +6,9 @@ import pytest
 
 import solarswarm as ss
 from solarswarm.bfa import (
+    _kernel_rates,
+    _signal,
+    _signal_rows,
     cell_to_cell_signal,
     chemotaxis_move,
     eliminate_disperse,
@@ -132,6 +135,47 @@ def test_signal_hand_oracle():
                    for d in d2)
     assert cell_to_cell_signal([0.5], swarm, cfg) == pytest.approx(
         expected, rel=1e-12)
+
+
+def two_exp_signal_rows(points, members, cfg):
+    """The swarming signal computed kernel by kernel, one exp call each:
+    the reference the fused signal must match bit for bit."""
+    diff = members - points[:, None, :]
+    d2 = np.einsum("rij,rij->ri", diff, diff)
+    attract = -cfg.attract_depth * np.exp(-cfg.attract_width * d2).sum(-1)
+    repel = cfg.repel_height * np.exp(-cfg.repel_width * d2).sum(-1)
+    return attract + repel
+
+
+def signal_swarms(runs, size, rng):
+    """Swarms in raw pump units with members on top of the probe point,
+    members close to it, and members far enough for exp to underflow."""
+    points = rng.uniform(0.0, 1.0, (runs, 6))
+    members = rng.uniform(0.0, 1000.0, (runs, size, 6))
+    members[:, 1:size // 2] = rng.uniform(0.0, 1.0, (runs, size // 2 - 1, 6))
+    members[:, 0] = points
+    return points, members
+
+
+@pytest.mark.parametrize("size", [2, 5, 26, 40])
+@pytest.mark.parametrize("cfg", [ss.BfaConfig(), ss.BfaConfig(
+    attract_depth=0.3, attract_width=0.5, repel_height=0.2, repel_width=2.0)],
+    ids=["defaults", "custom"])
+def test_fused_signal_matches_two_exp_formula(cfg, size):
+    rng = np.random.default_rng(size)
+    points, members = signal_swarms(36, size, rng)
+    want = two_exp_signal_rows(points, members, cfg)
+    d2 = ((members - points[:, None]) ** 2).sum(-1)
+    assert (d2 == 0.0).any()
+    assert (np.exp(-cfg.attract_width * d2) == 0.0).any()
+    got = _signal_rows(points, members, cfg, _kernel_rates(cfg))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for k in range(3):
+        one = _signal_rows(points[k:k + 1], members[k:k + 1], cfg,
+                           _kernel_rates(cfg))
+        assert one.view(np.int64)[0] == want.view(np.int64)[k]
+        scalar = _signal(points[k], members[k], cfg, _kernel_rates(cfg))
+        assert np.float64(scalar).view(np.int64) == want.view(np.int64)[k]
 
 
 def test_effective_fitness_toggle():

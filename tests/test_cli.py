@@ -127,8 +127,11 @@ class TestOptimize:
         [1, 2],
         {"problem": None},
         {"bfa": None},
+        {"weight_step": "x"},
+        {"bfa": {"swarming": "no"}},
+        {"climate_csv": 5},
     ], ids=["seed_str", "pad_str", "bounds_int", "list", "null_problem",
-            "null_bfa"])
+            "null_bfa", "weight_step_str", "swarming_str", "climate_csv_int"])
     def test_malformed_config_is_one_line(self, document, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(document))
@@ -214,6 +217,25 @@ class TestFrontier:
         assert i_lo == pytest.approx(117.18603187090537)
         assert i_hi == pytest.approx(256.78623863640325)
         assert echo["grade_context"]["temperature_secondary"] == 0.17169
+
+
+    @pytest.mark.parametrize("document, message", [
+        ({"weight_step": "x"}, "weight_step must be float, got str"),
+        ({"bfa": {"swarming": "no"}}, "swarming must be bool, got str"),
+        ({"climate_csv": 5}, "climate_csv must be str | None, got int"),
+    ], ids=["weight_step_str", "swarming_str", "climate_csv_int"])
+    def test_mistyped_config_is_one_line(self, document, message, tmp_path,
+                                         capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        code = main(["frontier", "--config", str(config),
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ValidationError: ")
+        assert err.count("\n") == 1
+        assert message in err
+        assert not os.path.exists(tmp_path / "x")
 
 
 class TestMetrics:
@@ -349,3 +371,24 @@ class TestRunConfig:
             RunConfig(master_seed=-1)
         with pytest.raises(ValidationError):
             RunConfig.from_dict({"wrong": 1})
+
+    def test_scalar_types_follow_annotations(self):
+        # an int fills a float field, a list a tuple field, null only a
+        # field that admits None, and a bool only a bool field
+        config = RunConfig.from_dict({
+            "weight_step": 1, "climate_csv": None,
+            "bfa": {"swarming": False},
+            "grade_context": {"temperature_primary": [0.2, 0.4],
+                              "insolation_primary": None}})
+        assert config.weight_step == 1 and config.climate_csv is None
+        assert config.grade_context.temperature_primary == (0.2, 0.4)
+        for document in ({"runs_per_weight": True},
+                         {"runs_per_weight": 2.0},
+                         {"weight_step": True},
+                         {"out_dir": None},
+                         {"bfa": {"seed": 1.5}},
+                         {"problem": {"maximize": 1}},
+                         {"grade_context": {"pad": None}},
+                         {"grade_context": {"temperature_primary": "a"}}):
+            with pytest.raises(ValidationError):
+                RunConfig.from_dict(document)

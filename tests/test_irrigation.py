@@ -12,7 +12,12 @@ from solarswarm.errors import (
     NonFiniteResult,
     ValidationError,
 )
-from solarswarm.irrigation import CRISP_NOISE_BOUNDS, DEFAULT_DESIGN_BOUNDS
+from solarswarm.irrigation import (
+    CRISP_NOISE_BOUNDS,
+    DEFAULT_DESIGN_BOUNDS,
+    coefficient_table,
+    evaluate_rows,
+)
 
 # frozen goldens for raw mode at (1, 500, 600, 0.1, 300, 900), computed
 # term-by-term with exact rational arithmetic before this module was built
@@ -242,3 +247,106 @@ def test_with_noise_bounds():
     assert narrowed.noise_bounds == ((295.0, 296.0), (850.0, 860.0))
     assert narrowed.design_bounds == spec.design_bounds
     assert spec.noise_bounds == CRISP_NOISE_BOUNDS
+
+
+def literal_objectives(xa, xb, xc, xd, za, zb, spec):
+    """The response surfaces as the printed polynomials, term by term.
+
+    A frozen oracle for the coefficient table: the same expression runs on
+    Python floats or on numpy columns, so it scores one point or many.
+    """
+    if spec.variable_mode == "coded":
+        def code(value, lo, hi):
+            return 2.0 * (value - lo) / (hi - lo) - 1.0
+        (alo, ahi), (blo, bhi), (clo, chi), (dlo, dhi) = spec.design_bounds
+        (zalo, zahi), (zblo, zbhi) = CRISP_NOISE_BOUNDS
+        xa, xb = code(xa, alo, ahi), code(xb, blo, bhi)
+        xc, xd = code(xc, clo, chi), code(xd, dlo, dhi)
+        za, zb = code(za, zalo, zahi), code(zb, zblo, zbhi)
+
+    power_inner = (24.947 + 16.011 * xd + 1.306 * xb + 0.820 * xb * xd
+                   - 0.785 * za - 0.497 * xd * za + 0.228 * xa * xb
+                   + 0.212 * xa - 0.15 * xb * xb + 0.13 * xa * xd
+                   - 0.11 * xa * xa - 0.034 * xb * za + 0.002 * xa * za)
+
+    intercept = 0.18507 if spec.fix_efficiency_intercept else 18507.0
+    efficiency = 43.4783 * (intercept + 0.01041 * xc + 0.0038 * zb
+                            - 0.00366 * za - 0.0035 * xc - 0.00157 * xb)
+
+    flow_coeff = 112114.69 if spec.fix_savings_flow_term else 0.0
+    savings_inner = (174695.73 + flow_coeff * xd + 9133.8 * xb
+                     + 5733.05 * xb * xd - 5487.76 * za - 3478.84 * xd * za
+                     + 1586.48 * xa * xb + 1486.84 * xa - 1067.42 * xb * xb
+                     + 916.26 * xa * xd - 768.9 * xa * xa - 242.88 * xb * za
+                     + 152.4 * xa * za)
+
+    sign = 1.0 if spec.maximize else -1.0
+    power = sign * power_inner * 10.0 ** spec.power_scale_exp
+    savings = sign * savings_inner * 10.0 ** spec.savings_scale_exp
+    return (power, efficiency, savings)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+SPEC_FLAGS = [dict(variable_mode=mode, fix_efficiency_intercept=fix_e,
+                   fix_savings_flow_term=fix_s, maximize=maximize)
+              for mode in ("coded", "raw") for fix_e in (True, False)
+              for fix_s in (True, False) for maximize in (True, False)]
+
+
+# 600 rows take evaluate_rows through two full blocks and a partial one
+@pytest.mark.parametrize("m", [1, 2, 7, 36, 180, 600])
+@pytest.mark.parametrize("flags", SPEC_FLAGS,
+                         ids=lambda f: "-".join(str(v) for v in f.values()))
+def test_table_matches_literal(flags, m):
+    spec = ss.ProblemSpec(**flags)
+    rng = np.random.default_rng(m)
+    box = np.array(spec.design_bounds + spec.noise_bounds)
+    # the box, a margin outside it, and its corners and centre
+    width = box[:, 1] - box[:, 0]
+    positions = rng.uniform(box[:, 0] - 0.2 * width, box[:, 1] + 0.2 * width,
+                            (m, 6))
+    positions[0] = box[:, 0]
+    positions[-1] = (box[:, 0] + box[:, 1]) / 2.0
+    weights = rng.dirichlet([1.0, 1.0, 1.0], m)
+    weights[:, 2] = np.maximum(0.0, 1.0 - weights[:, 0] - weights[:, 1])
+    weights[0] = (1.0, 0.0, 0.0)
+
+    power, efficiency, savings = literal_objectives(*positions.T, spec)
+    want = (weights[:, 0] * power + weights[:, 1] * efficiency
+            + weights[:, 2] * savings)
+    assert same_bits(evaluate_rows(spec, weights, positions), want)
+    for k in range(m):
+        literal = literal_objectives(*positions[k].tolist(), spec)
+        assert same_bits(literal, (power[k], efficiency[k], savings[k]))
+        assert same_bits(ss.eval_objectives(positions[k, :4],
+                                            positions[k, 4:], spec).as_tuple(),
+                         literal)
+        fitness = ss.IrrigationFitness(spec, ss.WeightVector(*weights[k]))
+        assert same_bits(fitness.evaluate(positions[k]), want[k])
+
+
+def test_coefficient_table_flags():
+    # terms are (coef, i, j) over the 6 variables and the constant 1; the
+    # flags pick the two misprinted coefficients and the sign
+    table = coefficient_table(ss.ProblemSpec())
+    assert [len(terms) for _, terms in table] == [13, 6, 13]
+    for _, terms in table:
+        assert all(0 <= i <= 6 and 0 <= j <= 6 for _, i, j in terms)
+    printed = coefficient_table(ss.ProblemSpec(fix_efficiency_intercept=False,
+                                               fix_savings_flow_term=False,
+                                               maximize=False))
+    assert printed[1][1][0][0] == 18507.0
+    assert printed[2][1][1][0] == 0.0
+    assert printed[0][0] == -table[0][0]
+
+
+def test_fitness_rejects_wrong_length_position():
+    fitness = ss.IrrigationFitness(ss.ProblemSpec(),
+                                   ss.WeightVector(0.2, 0.3, 0.5))
+    for position in ([1.0] * 5, [1.0] * 7):
+        with pytest.raises(ValidationError):
+            fitness.evaluate(position)

@@ -48,9 +48,14 @@ def assert_same_run(got, want):
     assert got.trace.iterations == want.trace.iterations
     assert got.trace.best_fitness == want.trace.best_fitness
     assert got.trace.evaluations == want.trace.evaluations
-    assert all(np.array_equal(a, b) for a, b in zip(
-        got.trace.best_positions, want.trace.best_positions))
-    assert len(got.trace.best_positions) == len(want.trace.best_positions)
+    # one (rounds + 1, dims) array per run in both engines, so a pool
+    # worker sends a trace back as one array
+    for trace in (got.trace, want.trace):
+        assert isinstance(trace.best_positions, np.ndarray)
+        assert trace.best_positions.shape == (len(trace),
+                                              len(got.best_position))
+    assert np.array_equal(got.trace.best_positions,
+                          want.trace.best_positions)
 
 
 @pytest.mark.parametrize("cells", [SINGLE, MIXED], ids=["R1", "mixed"])
