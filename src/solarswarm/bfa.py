@@ -16,20 +16,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
-from types import UnionType
-from typing import (
-    NamedTuple,
-    Protocol,
-    Sequence,
-    Union,
-    get_args,
-    get_origin,
-    get_type_hints,
-)
+from dataclasses import dataclass
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
+from .codec import ConfigCodec
 from .errors import OddPopulation, ValidationError
 
 
@@ -69,89 +61,6 @@ def sphere_function(dimensions: int = 4, half_width: float = 5.0) -> BoxFunction
     bounds = tuple((-half_width, half_width) for _ in range(dimensions))
     return BoxFunction(dimension=dimensions, bounds=bounds,
                        fn=lambda p: -float(p @ p))
-
-
-class ConfigCodec:
-    """JSON codec of the config dataclasses, driven by their fields.
-
-    to_dict encodes tuples as lists and nested configs as dicts. from_dict
-    takes a JSON object, rejects unknown keys, and decodes a nested config
-    field from its own object (null only where the field defaults to None).
-    Every other value must fit its field's annotation: a bool field takes
-    only a bool, an int field an int but not a bool, a float field an int
-    or a float, a str field a str, null only where the annotation admits
-    None, and a tuple field a list, whose items are left to the
-    dataclass's __post_init__. A TypeError or ValueError raised while
-    building the dataclass is reported as a ValidationError.
-    """
-
-    def to_dict(self) -> dict:
-        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data):
-        return _decode(cls, data, "config")
-
-
-def _decode(cls, data, label: str):
-    if not isinstance(data, dict):
-        raise ValidationError(
-            f"{label} must be a JSON object, got {_json_kind(data)}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ValidationError(f"unknown {label} keys: {sorted(unknown)}")
-    hints = get_type_hints(cls)
-    kwargs = {}
-    for name, value in data.items():
-        hint = hints[name]
-        nested = _config_class(hint)
-        if nested is None:
-            if not _fits(hint, value):
-                expected = hint.__name__ if isinstance(hint, type) else hint
-                raise ValidationError(
-                    f"bad {label}: {name} must be {expected}, "
-                    f"got {_json_kind(value)}")
-        elif not (value is None and known[name].default is None):
-            value = _decode(nested, value, name)
-        kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"bad {label}: {err}") from None
-
-
-def _json_kind(value) -> str:
-    return "null" if value is None else type(value).__name__
-
-
-def _fits(hint, value) -> bool:
-    """Whether a JSON value may fill a field annotated `hint`."""
-    if get_origin(hint) in (Union, UnionType):
-        return any(_fits(t, value) for t in get_args(hint))
-    if get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple))
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
-def _encode(value):
-    if isinstance(value, ConfigCodec):
-        return value.to_dict()
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    return value
-
-
-def _config_class(hint):
-    """The config class a field annotation names, or None."""
-    for t in (hint, *get_args(hint)):
-        if ConfigCodec in getattr(t, "__mro__", ()):
-            return t
-    return None
 
 
 @dataclass(frozen=True)
@@ -318,18 +227,8 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
                       if swarming else 0.0)
 
     displacement = steps * tumble_direction(positions.shape[1], rng)
-
-    moved = np.minimum(np.maximum(positions[index] + displacement, lower),
-                       upper)
-    positions[index] = moved
-    raw = float(f.evaluate(moved))
-    swarm.raw_fitness[index] = raw
-    eff = raw + (_signal(moved, positions, cfg, rates) if swarming else 0.0)
-    swarm.health[index] += eff
-
-    swims = 0
-    while eff > prev_eff and swims < cfg.swim_limit:
-        prev_eff = eff
+    swims = 0  # moves after the tumble
+    while True:
         moved = np.minimum(np.maximum(positions[index] + displacement, lower),
                            upper)
         positions[index] = moved
@@ -338,8 +237,10 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
         eff = raw + (_signal(moved, positions, cfg, rates)
                      if swarming else 0.0)
         swarm.health[index] += eff
+        if not (eff > prev_eff and swims < cfg.swim_limit):
+            return eff
+        prev_eff = eff
         swims += 1
-    return eff
 
 
 def reproduce(swarm: Swarm) -> Swarm:
@@ -380,28 +281,24 @@ def eliminate_disperse(swarm: Swarm, cfg: BfaConfig,
 
 @dataclass
 class RunTrace:
-    """Per-round incumbent history of one optimizer run.
+    """Per-round incumbent history of one optimizer run: entry k holds the
+    best raw fitness and the evaluation count after round k (entry 0 after
+    the initial evaluation of the swarm)."""
 
-    best_positions is one (rounds + 1, dims) array, row k the incumbent
-    after round k, so a trace crosses a process boundary as one array.
-    """
-
-    iterations: list[int]
     best_fitness: list[float]
-    best_positions: np.ndarray
     evaluations: list[int]
 
     CSV_HEADER = ("iteration", "best_fitness", "evaluations")
 
     def __len__(self) -> int:
-        return len(self.iterations)
+        return len(self.best_fitness)
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(self.CSV_HEADER)
-            for it, fit, ev in zip(self.iterations, self.best_fitness,
-                                   self.evaluations):
+            for it, (fit, ev) in enumerate(zip(self.best_fitness,
+                                               self.evaluations)):
                 writer.writerow([it, repr(fit), ev])
 
 
@@ -456,10 +353,7 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
     for i in range(swarm.size):
         swarm.raw_fitness[i] = recorder.evaluate(swarm.positions[i])
 
-    # the recorder replaces its incumbent array, never writes into it, so
-    # the rows can be stacked once at the end
     trace_fitness = [recorder.best_fitness]
-    trace_positions = [recorder.best_position]
     trace_count = [recorder.count]
     for _ in range(cfg.total_passes):
         for _ in range(cfg.elimination_cycles):
@@ -470,18 +364,14 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
                         swim_loop(swarm, i, recorder, cfg, rng,
                                   steps=steps, lower=lower, upper=upper)
                     trace_fitness.append(recorder.best_fitness)
-                    trace_positions.append(recorder.best_position)
                     trace_count.append(recorder.count)
                 swarm = reproduce(swarm)
             swarm = eliminate_disperse(swarm, cfg, rng, f.bounds,
                                        f=recorder)
-    trace = RunTrace(iterations=list(range(len(trace_fitness))),
-                     best_fitness=trace_fitness,
-                     best_positions=np.stack(trace_positions),
-                     evaluations=trace_count)
     return RunResult(best_position=recorder.best_position.copy(),
                      best_fitness=recorder.best_fitness,
-                     trace=trace)
+                     trace=RunTrace(best_fitness=trace_fitness,
+                                    evaluations=trace_count))
 
 
 # Lockstep engine: many independent runs stepped together on
@@ -590,10 +480,8 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     per_dispersal = per_cycle * cfg.reproduction_cycles
     rounds = cfg.total_passes * cfg.elimination_cycles * per_dispersal
     trace_fitness = np.empty((rounds + 1, n_runs))
-    trace_position = np.empty((n_runs, rounds + 1, dims))
     trace_count = np.empty((rounds + 1, n_runs), dtype=np.int64)
-    trace_fitness[0], trace_position[:, 0], trace_count[0] = (
-        best_fitness, best_position, count)
+    trace_fitness[0], trace_count[0] = best_fitness, count
 
     def reproduce_runs(runs: np.ndarray) -> None:
         order = np.argsort(-health[runs], axis=1, kind="stable")
@@ -624,12 +512,11 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     moves = steps * _tumble_round(rngs, size, dims)
     done = np.zeros(n_runs, dtype=np.intp)  # finished chemotaxis rounds
     current = np.zeros(n_runs, dtype=np.intp)  # bacterium moving now
-    swims = np.zeros(n_runs, dtype=np.intp)
-    fresh = np.ones(n_runs, dtype=bool)  # current bacterium not tumbled yet
+    swims = np.zeros(n_runs, dtype=np.intp)  # 0: current bacterium tumbles
     prev = np.empty(n_runs)  # effective fitness before the move
     active = everyone
     while len(active):
-        starting = active[fresh[active]]
+        starting = active[swims[active] == 0]
         first = current[starting]
         points = positions[starting, first]  # before this step's move
         prev[starting] = raw[starting, first]  # the signal is added below
@@ -661,14 +548,12 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
         prev[active[swim_on]] = eff[swim_on]
         swims[active] = np.where(swim_on, swims[active] + 1, 0)
         stopped = active[~swim_on]
-        fresh[active] = ~swim_on
         current[stopped] += 1
         ended = stopped[current[stopped] == size]
         if len(ended):
             done[ended] += 1
             row = done[ended]
             trace_fitness[row, ended] = best_fitness[ended]
-            trace_position[ended, row] = best_position[ended]
             trace_count[row, ended] = count[ended]
             cycle_end = ended[row % per_cycle == 0]
             if len(cycle_end):
@@ -686,9 +571,7 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
 
     results = []
     for run in range(n_runs):
-        trace = RunTrace(iterations=list(range(rounds + 1)),
-                         best_fitness=trace_fitness[:, run].tolist(),
-                         best_positions=trace_position[run],
+        trace = RunTrace(best_fitness=trace_fitness[:, run].tolist(),
                          evaluations=trace_count[:, run].tolist())
         results.append(RunResult(best_position=best_position[run].copy(),
                                  best_fitness=float(best_fitness[run]),

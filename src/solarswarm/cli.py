@@ -23,7 +23,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import climate, fuzzy
-from .bfa import BfaConfig, ConfigCodec, run_bfa, sphere_function
+from .bfa import BfaConfig, run_bfa, sphere_function
+from .codec import ConfigCodec, json_text, read_json
 from .errors import (
     IncompleteBundle,
     SolarswarmError,
@@ -43,7 +44,6 @@ from .pareto import (
     derive_seed,
     frontier_dominance,
     frontier_from_csv_text,
-    metrics_json_text,
     rank_solutions,
     read_frontier_csv,
     solution_from_position,
@@ -86,15 +86,13 @@ def _read_text(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {err}") from None
 
 
-def _load_json(path: str) -> dict:
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"{path} is not valid JSON: {err}") from None
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_config(args) -> RunConfig:
-    config = (RunConfig.from_dict(_load_json(args.config))
+    config = (RunConfig.from_dict(read_json(args.config))
               if getattr(args, "config", None) else RunConfig())
     if getattr(args, "seed", None) is not None:
         config.master_seed = args.seed
@@ -319,18 +317,12 @@ def cmd_frontier(args) -> int:
         print(line)
     metrics = compute_metrics(frontier)
     write_frontier_csv(frontier, os.path.join(out_dir, "frontier.csv"))
-    with open(os.path.join(out_dir, "metrics.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(metrics_json_text(metrics))
-    with open(os.path.join(out_dir, "summary.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(_summary_text(frontier, metrics, config, problem))
-    config_echo = config.to_dict()
-    config_echo["problem"] = problem.to_dict()  # echo resolved noise bounds
-    with open(os.path.join(out_dir, "config.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(config_echo, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(os.path.join(out_dir, "metrics.json"), json_text(metrics))
+    _write_text(os.path.join(out_dir, "summary.txt"),
+                _summary_text(frontier, metrics, config, problem))
+    # echo what ran: the resolved noise bounds and the master seed
+    _write_text(os.path.join(out_dir, "config.json"), json_text(
+        replace(config, problem=problem, bfa=cfg).to_dict()))
     print(f"frontier: {len(frontier)} points, dominance "
           f"{_fmt(metrics['dominance_mean_F'])}, diversity "
           f"{_fmt(metrics['diversity'])}")
@@ -343,13 +335,12 @@ def cmd_metrics(args) -> int:
         raise ValidationError("--frontier is required (path to frontier CSV)")
     context = None
     if args.grade_context is not None:
-        context = GradeContext.from_dict(_load_json(args.grade_context))
+        context = GradeContext.from_dict(read_json(args.grade_context))
     frontier = frontier_from_csv_text(_read_text(args.frontier),
                                       grade_context=context)
-    text = metrics_json_text(compute_metrics(frontier))
+    text = json_text(compute_metrics(frontier))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -365,7 +356,7 @@ def _load_bundle(path: str) -> tuple[Frontier, dict]:
         raise IncompleteBundle(
             f"bundle {path} is missing {', '.join(missing)}")
     frontier = read_frontier_csv(frontier_path)
-    metrics = _load_json(metrics_path)
+    metrics = read_json(metrics_path)
     for key in ("dominance_mean_F", "diversity", "n_points"):
         if key not in metrics:
             raise IncompleteBundle(
@@ -378,7 +369,7 @@ def _bundle_problem(path: str) -> ProblemSpec | None:
     config_path = os.path.join(path, "config.json")
     if not os.path.isfile(config_path):
         return None
-    return RunConfig.from_dict(_load_json(config_path)).problem
+    return RunConfig.from_dict(read_json(config_path)).problem
 
 
 def cmd_report(args) -> int:

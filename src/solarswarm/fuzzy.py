@@ -12,13 +12,13 @@ Membership grades are plain floats in [0, 1] throughout.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import climate
+from .codec import ConfigCodec, json_text, read_json
 from .errors import (
     DegenerateRange,
     EmptyCut,
@@ -37,7 +37,7 @@ DEFAULT_ALPHA = 13.8135
 
 
 @dataclass(frozen=True)
-class SCurveParams:
+class SCurveParams(ConfigCodec):
     """Decreasing S-curve membership over [b_lo, b_hi].
 
     grade(b) = 1 for b <= b_lo, 0 for b >= b_hi, and
@@ -72,19 +72,6 @@ class SCurveParams:
     def smooth_inf(self) -> float:
         """Lower grade limit of the smooth branch (as b -> b_hi from below)."""
         return self.B / (1.0 + self.C * math.exp(self.alpha))
-
-    def to_dict(self) -> dict:
-        return {"b_lo": self.b_lo, "b_hi": self.b_hi,
-                "B": self.B, "C": self.C, "alpha": self.alpha}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SCurveParams":
-        try:
-            return cls(b_lo=float(data["b_lo"]), b_hi=float(data["b_hi"]),
-                       B=float(data["B"]), C=float(data["C"]),
-                       alpha=float(data["alpha"]))
-        except KeyError as missing:
-            raise ValidationError(f"curve dict missing key {missing}") from None
 
 
 def fit_scurve(lo: float, hi: float, *, B: float = DEFAULT_B,
@@ -122,7 +109,7 @@ def scurve_invert(grade: float, params: SCurveParams) -> float:
 
 
 @dataclass(frozen=True)
-class Type2FuzzyVariable:
+class Type2FuzzyVariable(ConfigCodec):
     """Twelve monthly primary curves plus one annual secondary curve."""
 
     factor: str
@@ -147,21 +134,6 @@ class Type2FuzzyVariable:
     @property
     def domain(self) -> tuple[float, float]:
         return (self.annual.b_lo, self.annual.b_hi)
-
-    def to_dict(self) -> dict:
-        return {"factor": self.factor,
-                "annual": self.annual.to_dict(),
-                "monthly": [c.to_dict() for c in self.monthly]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Type2FuzzyVariable":
-        try:
-            factor = data["factor"]
-            annual = SCurveParams.from_dict(data["annual"])
-            monthly = tuple(SCurveParams.from_dict(c) for c in data["monthly"])
-        except (KeyError, TypeError) as bad:
-            raise ValidationError(f"malformed model document: {bad}") from None
-        return cls(factor=factor, monthly=monthly, annual=annual)
 
 
 def build_type2_model(table: climate.ClimateTable,
@@ -320,14 +292,9 @@ def defuzzify_interval(planes: list[AlphaPlane],
 
 def save_model(model: Type2FuzzyVariable, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(model.to_dict()))
 
 
 def load_model(path: str) -> Type2FuzzyVariable:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as bad:
-            raise ValidationError(f"model file {path} is not JSON: {bad}") from None
-    return Type2FuzzyVariable.from_dict(data)
+    """A model file read under the config rules of ConfigCodec."""
+    return Type2FuzzyVariable.from_dict(read_json(path))

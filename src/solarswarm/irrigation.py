@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bfa import ConfigCodec
+from .codec import ConfigCodec
 from .errors import (
     EmptyInterval,
     InfeasibleSpec,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,10 +21,14 @@ from itertools import repeat
 
 import numpy as np
 
-from .bfa import BfaConfig, ConfigCodec, RunResult, run_bfa_lockstep
+from .bfa import BfaConfig, RunResult, run_bfa_lockstep
 # run_bfa is no longer called here, but stays bound under this module's
 # name: the benchmark's span tracer wraps pareto.run_bfa
 from .bfa import run_bfa  # noqa: F401
+from .codec import ConfigCodec
+# the shared writer, also bound under its earlier name here: the
+# benchmark's input generator imports pareto.metrics_json_text
+from .codec import json_text as metrics_json_text  # noqa: F401
 from .errors import (
     EmptyGrid,
     SchemaMismatch,
@@ -275,6 +278,15 @@ class SigmaVector:
     magnitude: float
 
 
+def _sum_squares(values) -> float:
+    """Left-to-right sum of squares, the same on every Python version
+    (the builtin sum of floats is compensated from Python 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return total
+
+
 def sigma_components(values) -> SigmaVector:
     """Sigma decomposition of an objective vector.
 
@@ -286,7 +298,7 @@ def sigma_components(values) -> SigmaVector:
     if len(vector) < 2:
         raise ValidationError(
             f"need at least 2 objectives, got {len(vector)}")
-    denom = sum(v * v for v in vector)
+    denom = _sum_squares(vector)
     if denom == 0.0:
         raise ZeroVector("sigma undefined for the all-zero vector")
     components = tuple((vector[i] ** 2 - vector[j] ** 2) / denom
@@ -294,7 +306,7 @@ def sigma_components(values) -> SigmaVector:
                        for j in range(i + 1, len(vector)))
     # squared, not signed: the printed form sums the signed components of
     # the full antisymmetric pair matrix, which cancels to zero identically
-    magnitude = math.sqrt(sum(c * c for c in components))
+    magnitude = math.sqrt(_sum_squares(components))
     return SigmaVector(components=components, magnitude=magnitude)
 
 
@@ -411,10 +423,6 @@ def compute_metrics(frontier: Frontier,
         "grade_context": (frontier.grade_context.to_dict()
                           if frontier.grade_context is not None else None),
     }
-
-
-def metrics_json_text(metrics: dict) -> str:
-    return json.dumps(metrics, indent=2, sort_keys=True) + "\n"
 
 
 def frontier_to_csv_text(frontier: Frontier) -> str:

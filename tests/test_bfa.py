@@ -338,10 +338,19 @@ def test_run_bfa_incumbent_monotone_and_consistent():
 
 
 def test_run_bfa_respects_bounds():
-    f = ss.sphere_function(2, 1.5)
+    # every position the optimizer evaluates, not only the incumbents
+    seen = []
+
+    def fn(p):
+        seen.append(np.array(p))
+        return -float(p @ p)
+
+    f = ss.BoxFunction(dimension=2, bounds=((-1.5, 1.5),) * 2, fn=fn)
     result = ss.run_bfa(f, quick_config())
-    for position in result.trace.best_positions:
-        assert np.all(position >= -1.5) and np.all(position <= 1.5)
+    # the trace's last count precedes the final dispersal's evaluations
+    assert len(seen) >= result.trace.evaluations[-1]
+    positions = np.array(seen)
+    assert np.all(positions >= -1.5) and np.all(positions <= 1.5)
 
 
 def test_run_bfa_validates_problem():
@@ -364,9 +373,9 @@ def test_trace_csv_roundtrip(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "iteration,best_fitness,evaluations"
     assert len(lines) == len(result.trace) + 1
-    for line, it, fit, ev in zip(lines[1:], result.trace.iterations,
-                                 result.trace.best_fitness,
-                                 result.trace.evaluations):
+    for it, (line, fit, ev) in enumerate(zip(lines[1:],
+                                             result.trace.best_fitness,
+                                             result.trace.evaluations)):
         cells = line.split(",")
         assert int(cells[0]) == it
         assert float(cells[1]) == fit  # repr round-trips exactly

@@ -218,6 +218,16 @@ class TestFrontier:
         assert i_hi == pytest.approx(256.78623863640325)
         assert echo["grade_context"]["temperature_secondary"] == 0.17169
 
+    def test_config_echo_holds_the_seed_that_ran(self, tmp_path, capsys):
+        # the --config bfa.seed never runs: the master seed does
+        config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
+                              runs_per_weight=1)
+        out = str(tmp_path / "run")
+        assert main(["frontier", "--config", config, "--out", out,
+                     "--seed", "5"]) == 0
+        echo = json.load(open(os.path.join(out, "config.json")))
+        assert echo["master_seed"] == 5
+        assert echo["bfa"]["seed"] == 5
 
     @pytest.mark.parametrize("document, message", [
         ({"weight_step": "x"}, "weight_step must be float, got str"),

@@ -219,9 +219,41 @@ def test_model_json_roundtrip(tmp_path, temp_model):
     with pytest.raises(ValidationError):
         ss.Type2FuzzyVariable.from_dict({"factor": "temperature"})
     bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    with pytest.raises(ValidationError):
-        ss.fuzzy.load_model(str(bad))
+    for text in ("not json", "[]", "12", "null"):
+        bad.write_text(text)
+        with pytest.raises(ValidationError):
+            ss.fuzzy.load_model(str(bad))
+    with pytest.raises(ValidationError, match="cannot read"):
+        ss.fuzzy.load_model(str(tmp_path / "absent.json"))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc.update(origin="santa rosa"), "unknown config keys"),
+    (lambda doc: doc["annual"].update(b_hi="309.1"),
+     "b_hi must be float, got str"),
+    (lambda doc: doc["monthly"][3].update(alpha="13.8"),
+     "alpha must be float, got str"),
+    (lambda doc: doc.update(monthly={"b_lo": 0.0}),
+     "monthly must be tuple"),
+], ids=["unknown_key", "float_as_str", "monthly_float_as_str",
+        "monthly_object"])
+def test_load_model_follows_the_config_rules(change, message, tmp_path,
+                                             temp_model):
+    doc = temp_model.to_dict()
+    change(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=message):
+        ss.fuzzy.load_model(str(path))
+
+
+def test_load_model_defaults_missing_shape_constants(tmp_path, temp_model):
+    doc = temp_model.to_dict()
+    for curve in (doc["annual"], *doc["monthly"]):
+        del curve["B"], curve["C"], curve["alpha"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert ss.fuzzy.load_model(str(path)) == temp_model
 
 
 def test_model_json_is_plain_data(temp_model):

@@ -1,9 +1,10 @@
-"""Pinned bytes of a reduced frontier sweep.
+"""Pinned bytes of a reduced frontier sweep and of the fuzzify models.
 
 The sweep runs 6 weight vectors (step 0.5, minimum 0) x 2 replicates with a
 short optimizer at master seed 0, so it also checks which replicate each
-cell keeps. A digest that moves is a change of output bytes: it must be
-declared, never silently refreshed.
+cell keeps. The models are fitted to the packaged climate table. A digest
+that moves is a change of output bytes: it must be declared, never silently
+refreshed.
 """
 
 import hashlib
@@ -57,3 +58,19 @@ def test_reduced_sweep_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in DIGESTS}
     assert got == DIGESTS
+
+
+MODEL_DIGESTS = {
+    "temperature_model.json":
+        "6709bca6da83ac41ed073b028208d049d7543f555b8b25da661b5493122e5808",
+    "insolation_model.json":
+        "a4e340412ab37f92250b7f34c53ef1284c2f1a5082de45ae525937a42cf4e3dc",
+}
+
+
+def test_fuzzify_model_bytes_are_pinned(tmp_path, capsys):
+    assert main(["fuzzify", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in MODEL_DIGESTS}
+    assert got == MODEL_DIGESTS

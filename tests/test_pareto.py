@@ -155,6 +155,16 @@ class TestSigma:
             for a, b in zip(base.components, scaled.components):
                 assert a == pytest.approx(b, abs=1e-12)
 
+    def test_sums_left_to_right(self):
+        # the squares 1, 1e-16, 1e-16 add to 1.0 left to right, but to
+        # 1.0000000000000002 compensated, as the builtin sum adds floats
+        # from Python 3.12; bundle bytes must not depend on the version
+        small = 1e-8 * 1e-8
+        sv = sigma_components((1.0, 1e-8, 1e-8))
+        assert sv.components == ((1.0 - small) / 1.0, (1.0 - small) / 1.0,
+                                 0.0)
+        assert math.fsum([1.0, small, small]) != 1.0
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             sigma_components((0.0, 0.0, 0.0))
