@@ -1,11 +1,11 @@
 """solarswarm: robust multiobjective sizing of a solar irrigation pump.
 
 Pipeline: a monthly climate table feeds interval type-2 fuzzy models of
-temperature and insolation noise; alpha-plane cuts turn membership grades
-into crisp noise intervals; a bacterial foraging swarm maximizes weighted
-sums of three pump response surfaces over design and noise jointly; a
-weight-grid sweep assembles the Pareto frontier, scored by dominance and
-sigma-line diversity.
+temperature and insolation noise; the inverse of a factor's annual curve
+turns secondary membership grades into crisp noise intervals; a bacterial
+foraging swarm maximizes weighted sums of three pump response surfaces over
+design and noise jointly; a weight-grid sweep assembles the Pareto
+frontier, scored by dominance and sigma-line diversity.
 """
 
 from .bfa import (
@@ -24,23 +24,16 @@ from .climate import (
     MonthlyClimateRecord,
     annual_extrema,
     builtin_table,
-    load_climate_csv,
     monthly_interval,
     parse_climate_csv,
     serialize_climate_csv,
 )
 from .fuzzy import (
-    AlphaPlane,
-    CredibilityLevel,
-    FootprintOfUncertainty,
     SCurveParams,
     Type2FuzzyVariable,
-    alpha_plane_cut,
     build_type2_model,
-    defuzzify_interval,
     fit_scurve,
-    fou_bounds,
-    grade_pair,
+    noise_interval_from_grades,
     sample_fou,
     scurve_grade,
     scurve_invert,
@@ -56,7 +49,6 @@ from .irrigation import (
     aggregate,
     eval_objectives,
     feasible,
-    noise_interval_from_grades,
 )
 from .pareto import (
     Frontier,

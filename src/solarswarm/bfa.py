@@ -306,6 +306,7 @@ class RunResult(NamedTuple):
     best_position: np.ndarray
     best_fitness: float
     trace: RunTrace
+    evaluations: int  # every evaluation, the final dispersal's included
 
 
 class _Recorder:
@@ -371,7 +372,8 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
     return RunResult(best_position=recorder.best_position.copy(),
                      best_fitness=recorder.best_fitness,
                      trace=RunTrace(best_fitness=trace_fitness,
-                                    evaluations=trace_count))
+                                    evaluations=trace_count),
+                     evaluations=recorder.count)
 
 
 # Lockstep engine: many independent runs stepped together on
@@ -575,5 +577,5 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
                          evaluations=trace_count[:, run].tolist())
         results.append(RunResult(best_position=best_position[run].copy(),
                                  best_fitness=float(best_fitness[run]),
-                                 trace=trace))
+                                 trace=trace, evaluations=int(count[run])))
     return results

@@ -30,13 +30,9 @@ from .errors import (
     SolarswarmError,
     ValidationError,
 )
-from .irrigation import (
-    IrrigationFitness,
-    ProblemSpec,
-    WeightVector,
-    noise_interval_from_grades,
-)
+from .irrigation import IrrigationFitness, ProblemSpec, WeightVector
 from .pareto import (
+    FRONTIER_CSV_HEADER,
     Frontier,
     GradeContext,
     build_frontier,
@@ -119,11 +115,11 @@ def _resolve_problem(config: RunConfig, args) -> ProblemSpec:
     bounds = list(config.problem.noise_bounds)
     if context.temperature_secondary is not None:
         model = fuzzy.build_type2_model(table, climate.FACTOR_TEMPERATURE)
-        bounds[0] = noise_interval_from_grades(
+        bounds[0] = fuzzy.noise_interval_from_grades(
             model, context.temperature_secondary, context.pad)
     if context.insolation_secondary is not None:
         model = fuzzy.build_type2_model(table, climate.FACTOR_INSOLATION)
-        bounds[1] = noise_interval_from_grades(
+        bounds[1] = fuzzy.noise_interval_from_grades(
             model, context.insolation_secondary, context.pad)
     return config.problem.with_noise_bounds(bounds)
 
@@ -145,22 +141,16 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-RANKED_ROWS = ("w1", "w2", "w3", "x_a", "x_b", "x_c", "x_d",
-               "Z_a", "Z_b", "f1", "f2", "f3", "F", "seed")
-
-
 def _point_column(point) -> list[str]:
-    values = [*point.weights.as_tuple(), *point.design.as_tuple(),
-              *point.noise.as_tuple(), *point.objectives.as_tuple(),
-              point.aggregate_value]
-    return [_fmt(v) for v in values] + [str(point.seed)]
+    *values, seed = point.row()
+    return [_fmt(v) for v in values] + [str(seed)]
 
 
 def _ranked_table(frontier: Frontier) -> list[str]:
     best, median, worst = rank_solutions(frontier)
     columns = [_point_column(p) for p in (best, median, worst)]
     lines = [f"{'quantity':<10}{'best':>16}{'median':>16}{'worst':>16}"]
-    for row, name in enumerate(RANKED_ROWS):
+    for row, name in enumerate(FRONTIER_CSV_HEADER):
         lines.append(f"{name:<10}" + "".join(
             f"{columns[col][row]:>16}" for col in range(3)))
     return lines
@@ -220,9 +210,9 @@ def _self_test(args) -> int:
     # the swarm settle within 1e-2 of the optimum
     cfg = BfaConfig(step_fraction=0.01, seed=seed)
     result = run_bfa(sphere_function(), cfg)
-    evals = result.trace.evaluations[-1]
-    print(f"self-test: best fitness {result.best_fitness!r} "
-          f"after {evals} evaluations (threshold {SELF_TEST_THRESHOLD})")
+    print(f"self-test: best fitness {result.best_fitness!r} after "
+          f"{result.evaluations} evaluations (threshold "
+          f"{SELF_TEST_THRESHOLD})")
     if result.best_fitness >= SELF_TEST_THRESHOLD:
         print("self-test: PASS")
         return 0
@@ -259,7 +249,7 @@ def cmd_optimize(args) -> int:
           f"{_fmt(o.efficiency)}, savings {_fmt(o.savings)}")
     print(f"design: {[_fmt(v) for v in point.design.as_tuple()]}, "
           f"noise: {[_fmt(v) for v in point.noise.as_tuple()]}")
-    print(f"evaluations: {result.trace.evaluations[-1]}, "
+    print(f"evaluations: {result.evaluations}, "
           f"runtime {elapsed:.2f}s")
     print(f"wrote {solution_path} and {trace_path}")
     return 0

@@ -156,11 +156,6 @@ def serialize_climate_csv(table: ClimateTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_climate_csv(path: str) -> ClimateTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_climate_csv(fh.read())
-
-
 def builtin_table() -> ClimateTable:
     """The packaged Santa Rosa measurement year."""
     text = (resources.files(__package__) / "data" / BUILTIN_TABLE_RESOURCE

@@ -51,10 +51,6 @@ class TooFewPlanes(ValidationError):
     """Type reduction requested with fewer than two alpha planes."""
 
 
-class EmptyCut(ComputationError):
-    """No alpha plane at or above the requested credibility level."""
-
-
 class EmptyInterval(ComputationError):
     """A derived interval came out empty."""
 

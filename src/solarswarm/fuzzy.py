@@ -2,12 +2,14 @@
 
 A factor (temperature or insolation) gets one decreasing S-curve membership
 function per month, fitted to that month's (min, max) interval, plus one
-annual secondary curve fitted to the year's overall extrema. The twelve
-monthly curves sweep out a footprint of uncertainty; alpha-plane cuts of the
-annual curve reduce the type-2 set to crisp intervals at a chosen
-credibility level.
+annual secondary curve fitted to the year's overall extrema. Secondary
+grades become crisp noise intervals through the inverse of the annual
+curve (noise_interval_from_grades); primary grades are only echoed. The
+twelve monthly curves sweep out a footprint of uncertainty: sample_fou and
+type_reduce (alpha-plane cuts of the annual curve) describe the model as
+diagnostics and feed no noise interval.
 
-Membership grades are plain floats in [0, 1] throughout.
+Membership grades are floats in [0, 1] throughout.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from . import climate
 from .codec import ConfigCodec, json_text, read_json
 from .errors import (
     DegenerateRange,
-    EmptyCut,
+    EmptyInterval,
     GradeOutOfSmoothRange,
-    MonthOutOfRange,
     TooFewPlanes,
     ValidationError,
 )
@@ -84,14 +85,19 @@ def fit_scurve(lo: float, hi: float, *, B: float = DEFAULT_B,
     return SCurveParams(b_lo=lo, b_hi=hi, B=B, C=C, alpha=alpha)
 
 
-def scurve_grade(b: float, params: SCurveParams) -> float:
-    """Membership grade of value b under the curve. Decreasing in b."""
-    if b <= params.b_lo:
-        return 1.0
-    if b >= params.b_hi:
-        return 0.0
+def scurve_grade(b, params: SCurveParams):
+    """Membership grade of value b under the curve. Decreasing in b.
+
+    An array b is graded elementwise and a scalar b gives a float, both
+    through the same numpy expression, so either form gives the same bits.
+    """
+    b = np.asarray(b, dtype=float)
     t = (b - params.b_lo) / (params.b_hi - params.b_lo)
-    return params.B / (1.0 + params.C * math.exp(params.alpha * t))
+    with np.errstate(over="ignore"):  # outside the support; replaced below
+        smooth = params.B / (1.0 + params.C * np.exp(params.alpha * t))
+    grade = np.where(b <= params.b_lo, 1.0,
+                     np.where(b >= params.b_hi, 0.0, smooth))
+    return float(grade) if grade.ndim == 0 else grade
 
 
 def scurve_invert(grade: float, params: SCurveParams) -> float:
@@ -146,21 +152,6 @@ def build_type2_model(table: climate.ClimateTable,
     return Type2FuzzyVariable(factor=factor, monthly=monthly, annual=annual)
 
 
-def grade_pair(model: Type2FuzzyVariable, x: float,
-               month: int) -> tuple[float, float]:
-    """(primary grade for the month, annual secondary grade) at value x."""
-    if not 1 <= month <= 12:
-        raise MonthOutOfRange(f"month {month} outside 1..12")
-    return (scurve_grade(x, model.monthly[month - 1]),
-            scurve_grade(x, model.annual))
-
-
-def fou_bounds(model: Type2FuzzyVariable, x: float) -> tuple[float, float]:
-    """Envelope of the twelve monthly grades at x: (lowest, highest)."""
-    grades = [scurve_grade(x, curve) for curve in model.monthly]
-    return (min(grades), max(grades))
-
-
 @dataclass(frozen=True)
 class FootprintOfUncertainty:
     """Sampled envelope of the monthly membership family over the annual domain."""
@@ -187,15 +178,15 @@ class FootprintOfUncertainty:
 
 def sample_fou(model: Type2FuzzyVariable,
                n_points: int = 512) -> FootprintOfUncertainty:
+    """Lowest and highest monthly grade at n_points evenly spaced values
+    across the annual domain."""
     if n_points < 2:
         raise ValidationError("need at least 2 grid points")
     lo, hi = model.domain
     grid = np.linspace(lo, hi, n_points)
-    lower = np.empty(n_points)
-    upper = np.empty(n_points)
-    for i, x in enumerate(grid):
-        lower[i], upper[i] = fou_bounds(model, float(x))
-    return FootprintOfUncertainty(grid=grid, lower=lower, upper=upper)
+    grades = np.stack([scurve_grade(grid, curve) for curve in model.monthly])
+    return FootprintOfUncertainty(grid=grid, lower=grades.min(axis=0),
+                                  upper=grades.max(axis=0))
 
 
 @dataclass(frozen=True)
@@ -212,10 +203,6 @@ class AlphaPlane:
         if self.lo > self.hi:
             raise ValidationError(
                 f"plane interval [{self.lo}, {self.hi}] is empty")
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
 
 def alpha_plane_cut(model: Type2FuzzyVariable, level: float) -> AlphaPlane:
@@ -254,40 +241,42 @@ def type_reduce(model: Type2FuzzyVariable,
     return [alpha_plane_cut(model, float(level)) for level in levels]
 
 
-@dataclass(frozen=True)
-class CredibilityLevel:
-    """Minimum secondary grade a value must carry to count as credible."""
+def noise_interval_from_grades(model: Type2FuzzyVariable,
+                               grades: float | tuple[float, float],
+                               pad: float = 0.0) -> tuple[float, float]:
+    """Crisp noise interval from secondary grades on the annual curve.
 
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
+    A (g_lo, g_hi) grade range maps to the preimage interval (the curve
+    decreases, so the higher grade gives the lower endpoint). A single
+    grade, or a degenerate (g, g) range, maps to its preimage point widened
+    symmetrically by pad * annual range. The result is intersected with the
+    annual domain.
+    """
+    if pad < 0.0:
+        raise ValidationError(f"pad must be >= 0, got {pad}")
+    dom_lo, dom_hi = model.domain
+    if isinstance(grades, (tuple, list)):
+        if len(grades) != 2:
             raise ValidationError(
-                f"epsilon {self.epsilon} outside (0, 1)")
-
-    @classmethod
-    def for_curve(cls, epsilon: float,
-                  params: SCurveParams) -> "CredibilityLevel":
-        """Validate epsilon against a curve's attainable smooth grades."""
-        if not 0.0 < epsilon < params.smooth_sup:
+                f"grade range needs 2 values, got {len(grades)}")
+        g_lo, g_hi = float(grades[0]), float(grades[1])
+        if g_lo > g_hi:
             raise ValidationError(
-                f"epsilon {epsilon} outside (0, {params.smooth_sup})")
-        return cls(epsilon=epsilon)
-
-
-def defuzzify_interval(planes: list[AlphaPlane],
-                       eps: float | CredibilityLevel) -> tuple[float, float]:
-    """Crisp interval at credibility eps: the tightest plane at or above it."""
-    level = eps.epsilon if isinstance(eps, CredibilityLevel) else float(eps)
-    if not planes:
-        raise EmptyCut("no planes supplied")
-    candidates = [p for p in planes if p.level >= level]
-    if not candidates:
-        raise EmptyCut(
-            f"no plane at or above credibility {level}; "
-            f"highest available is {max(p.level for p in planes)}")
-    chosen = min(candidates, key=lambda p: p.level)
-    return chosen.interval
+                f"grade range out of order: ({g_lo}, {g_hi})")
+        if g_lo == g_hi:
+            return noise_interval_from_grades(model, g_lo, pad)
+        lo = scurve_invert(g_hi, model.annual)
+        hi = scurve_invert(g_lo, model.annual)
+    else:
+        x = scurve_invert(float(grades), model.annual)
+        half = pad * (dom_hi - dom_lo)
+        lo, hi = x - half, x + half
+    lo, hi = max(lo, dom_lo), min(hi, dom_hi)
+    if lo > hi:
+        raise EmptyInterval(
+            f"derived interval [{lo}, {hi}] is empty after clipping to "
+            f"[{dom_lo}, {dom_hi}]")
+    return (lo, hi)
 
 
 def save_model(model: Type2FuzzyVariable, path: str) -> None:

@@ -9,8 +9,9 @@ table that carries two known misprints; the corrected readings are the
 default and each can be switched back to the as-printed form for fidelity
 checks.
 
-Noise bounds may be crisp reference intervals or intervals derived from
-membership grades of the fuzzy climate model.
+Noise bounds are the crisp reference intervals, or intervals that a grade
+context derives through fuzzy.noise_interval_from_grades; coded mode maps
+noise values from the crisp reference intervals either way.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ import numpy as np
 
 from .codec import ConfigCodec
 from .errors import (
-    EmptyInterval,
     InfeasibleSpec,
     NonFiniteResult,
     ValidationError,
 )
-from .fuzzy import Type2FuzzyVariable, scurve_invert
 
 # Reference variable intervals for the pump system. Design bounds double as
 # the coded-variable mapping intervals; the noise reference stays fixed even
@@ -358,44 +357,6 @@ def feasible(design, noise, spec: ProblemSpec) -> bool:
     values = _as_design(design) + _as_noise(noise)
     bounds = spec.design_bounds + spec.noise_bounds
     return all(lo <= v <= hi for v, (lo, hi) in zip(values, bounds))
-
-
-def noise_interval_from_grades(model: Type2FuzzyVariable,
-                               grades: float | tuple[float, float],
-                               pad: float = 0.0) -> tuple[float, float]:
-    """Crisp noise interval from membership grades on the annual curve.
-
-    A (g_lo, g_hi) grade range maps to the preimage interval (the curve
-    decreases, so the higher grade gives the lower endpoint). A single
-    grade, or a degenerate (g, g) range, maps to its preimage point widened
-    symmetrically by pad * annual range. The result is intersected with the
-    annual domain.
-    """
-    if pad < 0.0:
-        raise ValidationError(f"pad must be >= 0, got {pad}")
-    dom_lo, dom_hi = model.domain
-    if isinstance(grades, (tuple, list)):
-        if len(grades) != 2:
-            raise ValidationError(
-                f"grade range needs 2 values, got {len(grades)}")
-        g_lo, g_hi = float(grades[0]), float(grades[1])
-        if g_lo > g_hi:
-            raise ValidationError(
-                f"grade range out of order: ({g_lo}, {g_hi})")
-        if g_lo == g_hi:
-            return noise_interval_from_grades(model, g_lo, pad)
-        lo = scurve_invert(g_hi, model.annual)
-        hi = scurve_invert(g_lo, model.annual)
-    else:
-        x = scurve_invert(float(grades), model.annual)
-        half = pad * (dom_hi - dom_lo)
-        lo, hi = x - half, x + half
-    lo, hi = max(lo, dom_lo), min(hi, dom_hi)
-    if lo > hi:
-        raise EmptyInterval(
-            f"derived interval [{lo}, {hi}] is empty after clipping to "
-            f"[{dom_lo}, {dom_hi}]")
-    return (lo, hi)
 
 
 @dataclass

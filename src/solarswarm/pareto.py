@@ -109,6 +109,12 @@ class SolutionPoint:
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
 
+    def row(self) -> tuple:
+        """The point's values in FRONTIER_CSV_HEADER order."""
+        return (*self.weights.as_tuple(), *self.design.as_tuple(),
+                *self.noise.as_tuple(), *self.objectives.as_tuple(),
+                self.aggregate_value, self.seed)
+
 
 @dataclass
 class Frontier:
@@ -432,10 +438,8 @@ def frontier_to_csv_text(frontier: Frontier) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FRONTIER_CSV_HEADER)
     for p in frontier.points:
-        row = [*p.weights.as_tuple(), *p.design.as_tuple(),
-               *p.noise.as_tuple(), *p.objectives.as_tuple(),
-               p.aggregate_value]
-        writer.writerow([repr(v) for v in row] + [p.seed])
+        *values, seed = p.row()
+        writer.writerow([repr(v) for v in values] + [seed])
     return buf.getvalue()
 
 

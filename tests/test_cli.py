@@ -4,7 +4,7 @@ import os
 import pytest
 
 import solarswarm as ss
-from solarswarm import climate, fuzzy
+from solarswarm import cli, climate, fuzzy
 from solarswarm.cli import RunConfig, main
 from solarswarm.errors import ValidationError
 from solarswarm.pareto import metrics_json_text, read_frontier_csv
@@ -147,6 +147,35 @@ class TestOptimize:
     def test_self_test_passes(self, capsys):
         assert main(["optimize", "--self-test"]) == 0
         assert "self-test: PASS" in capsys.readouterr().out
+
+    def test_self_test_counts_every_evaluation(self, capsys, monkeypatch):
+        # the final elimination-dispersal's evaluations count too
+        calls = []
+        sphere = ss.sphere_function()
+
+        def counting_sphere():
+            return ss.BoxFunction(
+                dimension=sphere.dimension, bounds=sphere.bounds,
+                fn=lambda p: calls.append(1) or sphere.fn(p))
+
+        monkeypatch.setattr(cli, "sphere_function", counting_sphere)
+        assert main(["optimize", "--self-test"]) == 0
+        assert f" after {len(calls)} evaluations " in capsys.readouterr().out
+
+    def test_counts_every_evaluation(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        class CountingFitness(ss.IrrigationFitness):
+            def evaluate(self, position):
+                calls.append(1)
+                return super().evaluate(position)
+
+        monkeypatch.setattr(cli, "IrrigationFitness", CountingFitness)
+        config = write_config(tmp_path, bfa={
+            **tiny_bfa_dict(), "elimination_prob": 1.0})
+        assert main(["optimize", "--config", config, "--out",
+                     str(tmp_path / "run"), "--weights", "0.1,0.1,0.8"]) == 0
+        assert f"evaluations: {len(calls)}, " in capsys.readouterr().out
 
 
 class TestFrontier:

@@ -1,15 +1,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import solarswarm as ss
+from solarswarm import fuzzy
 from solarswarm.errors import (
     DegenerateRange,
-    EmptyCut,
     GradeOutOfSmoothRange,
-    MonthOutOfRange,
     TooFewPlanes,
     ValidationError,
 )
@@ -26,6 +26,25 @@ def test_grade_branches(unit_curve):
     assert ss.scurve_grade(1.5, unit_curve) == 0.0
     assert ss.scurve_grade(0.5, unit_curve) == pytest.approx(
         MIDPOINT_GRADE, rel=1e-12)
+
+
+def test_grade_of_array_matches_scalar_calls(unit_curve, temp_model):
+    for curve in (unit_curve, temp_model.annual, *temp_model.monthly):
+        width = curve.b_hi - curve.b_lo
+        values = np.concatenate([
+            [curve.b_lo - width, curve.b_lo, curve.b_hi, curve.b_hi + width,
+             np.nextafter(curve.b_lo, math.inf),
+             np.nextafter(curve.b_hi, -math.inf)],
+            np.linspace(curve.b_lo - 0.1 * width, curve.b_hi + 0.1 * width,
+                        257)])
+        grades = ss.scurve_grade(values, curve)
+        assert isinstance(grades, np.ndarray) and grades.shape == values.shape
+        scalar = [ss.scurve_grade(float(v), curve) for v in values]
+        assert all(type(g) is float for g in scalar)
+        assert grades.tobytes() == np.array(scalar).tobytes()
+        assert list(grades[:4]) == [1.0, 1.0, 0.0, 0.0]
+        assert ss.scurve_grade(values.reshape(-1, 1), curve).shape \
+            == (len(values), 1)
 
 
 def test_smooth_limits(unit_curve):
@@ -107,26 +126,16 @@ def test_constant_factor_rejected(table):
         ss.build_type2_model(flat, "temperature")
 
 
-def test_grade_pair(temp_model):
-    primary, secondary = ss.grade_pair(temp_model, 280.0, 1)
-    assert primary == ss.scurve_grade(280.0, temp_model.monthly[0])
-    assert secondary == ss.scurve_grade(280.0, temp_model.annual)
-    assert ss.grade_pair(temp_model, 200.0, 3) == (1.0, 1.0)
-    assert ss.grade_pair(temp_model, 400.0, 3) == (0.0, 0.0)
-    with pytest.raises(MonthOutOfRange):
-        ss.grade_pair(temp_model, 280.0, 0)
-    with pytest.raises(MonthOutOfRange):
-        ss.grade_pair(temp_model, 280.0, 13)
-
-
 def test_fou_bounds_saturation(temp_model):
-    assert ss.fou_bounds(temp_model, 265.2) == (1.0, 1.0)
-    assert ss.fou_bounds(temp_model, 309.1) == (0.0, 0.0)
-    lower, upper = ss.fou_bounds(temp_model, 280.0)
-    grades = [ss.scurve_grade(280.0, c) for c in temp_model.monthly]
-    assert lower == min(grades)
-    assert upper == max(grades)
-    assert 0.0 <= lower < upper <= 1.0
+    fou = ss.sample_fou(temp_model, n_points=512)
+    assert fou.grid[0] == 265.2 and fou.grid[-1] == 309.1
+    assert (fou.lower[0], fou.upper[0]) == (1.0, 1.0)
+    assert (fou.lower[-1], fou.upper[-1]) == (0.0, 0.0)
+    for x, lower, upper in zip(fou.grid, fou.lower, fou.upper):
+        grades = [ss.scurve_grade(float(x), c) for c in temp_model.monthly]
+        assert lower == min(grades)
+        assert upper == max(grades)
+    assert np.all(fou.lower <= fou.upper)
 
 
 def test_fou_envelope_contains_every_month(temp_model, insol_model):
@@ -146,23 +155,23 @@ def test_fou_summary_stats(temp_model):
 
 
 def test_alpha_plane_extremes(temp_model):
-    full = ss.alpha_plane_cut(temp_model, 0.0)
-    assert full.interval == temp_model.domain
-    tip = ss.alpha_plane_cut(temp_model, 1.0)
-    assert tip.interval == (265.2, 265.2)
-    mid = ss.alpha_plane_cut(temp_model, 0.5)
+    full = fuzzy.alpha_plane_cut(temp_model, 0.0)
+    assert (full.lo, full.hi) == temp_model.domain
+    tip = fuzzy.alpha_plane_cut(temp_model, 1.0)
+    assert (tip.lo, tip.hi) == (265.2, 265.2)
+    mid = fuzzy.alpha_plane_cut(temp_model, 0.5)
     assert mid.lo == 265.2
     assert mid.hi == pytest.approx(
         ss.scurve_invert(0.5, temp_model.annual), rel=1e-12)
     with pytest.raises(ValidationError):
-        ss.alpha_plane_cut(temp_model, 1.5)
+        fuzzy.alpha_plane_cut(temp_model, 1.5)
     with pytest.raises(ValidationError):
-        ss.alpha_plane_cut(temp_model, -0.1)
+        fuzzy.alpha_plane_cut(temp_model, -0.1)
 
 
 def test_alpha_plane_below_smooth_branch(temp_model):
-    low = ss.alpha_plane_cut(temp_model, temp_model.annual.smooth_inf / 2)
-    assert low.interval == temp_model.domain
+    low = fuzzy.alpha_plane_cut(temp_model, temp_model.annual.smooth_inf / 2)
+    assert (low.lo, low.hi) == temp_model.domain
 
 
 def test_type_reduce_nesting(temp_model):
@@ -177,39 +186,15 @@ def test_type_reduce_nesting(temp_model):
         ss.type_reduce(temp_model, n_planes=1)
 
 
-def test_defuzzify_picks_tightest_plane(temp_model):
-    planes = ss.type_reduce(temp_model, n_planes=11)
-    assert ss.defuzzify_interval(planes, 0.45) == planes[5].interval
-    assert ss.defuzzify_interval(planes, 0.5) == planes[5].interval
-    assert ss.defuzzify_interval(planes, 1.0) == planes[10].interval
-    assert ss.defuzzify_interval(
-        planes, ss.CredibilityLevel(0.45)) == planes[5].interval
-
-
 def test_defuzzify_interval_inside_domain(temp_model):
-    planes = ss.type_reduce(temp_model, n_planes=21)
     lo_dom, hi_dom = temp_model.domain
+    for plane in ss.type_reduce(temp_model, n_planes=21):
+        assert lo_dom <= plane.lo <= plane.hi <= hi_dom
     for eps in (0.01, 0.25, 0.5, 0.75, 0.99):
-        lo, hi = ss.defuzzify_interval(planes, eps)
-        assert lo_dom <= lo <= hi <= hi_dom
-
-
-def test_defuzzify_empty_cut(temp_model):
-    planes = ss.type_reduce(temp_model, n_planes=11)[:5]  # levels <= 0.4
-    with pytest.raises(EmptyCut):
-        ss.defuzzify_interval(planes, 0.5)
-    with pytest.raises(EmptyCut):
-        ss.defuzzify_interval([], 0.5)
-
-
-def test_credibility_level_validation(unit_curve):
-    with pytest.raises(ValidationError):
-        ss.CredibilityLevel(0.0)
-    with pytest.raises(ValidationError):
-        ss.CredibilityLevel(1.0)
-    with pytest.raises(ValidationError):
-        ss.CredibilityLevel.for_curve(0.9995, unit_curve)
-    assert ss.CredibilityLevel.for_curve(0.5, unit_curve).epsilon == 0.5
+        for grades in (eps, (eps / 2, eps)):
+            lo, hi = ss.noise_interval_from_grades(temp_model, grades,
+                                                   pad=0.5)
+            assert lo_dom <= lo <= hi <= hi_dom
 
 
 def test_model_json_roundtrip(tmp_path, temp_model):

@@ -47,6 +47,7 @@ def assert_same_run(got, want):
     assert got.best_fitness == want.best_fitness
     assert got.trace.best_fitness == want.trace.best_fitness
     assert got.trace.evaluations == want.trace.evaluations
+    assert got.evaluations == want.evaluations
 
 
 @pytest.mark.parametrize("cells", [SINGLE, MIXED], ids=["R1", "mixed"])
