@@ -179,17 +179,31 @@ def chemotaxis_move(position: np.ndarray, direction: np.ndarray,
 
 
 def _kernel_rates(cfg: BfaConfig) -> np.ndarray:
-    """Exponent rates of the attraction and repulsion kernels, a (2, 1)
-    column, so one exp call computes both kernels."""
-    return np.array([[-cfg.attract_width], [-cfg.repel_width]])
+    """Exponent rates of the attraction and repulsion kernels, shaped
+    (2, 1, 1) so one exp call over (rows, members) distances computes both
+    kernels."""
+    return np.array([-cfg.attract_width, -cfg.repel_width])[:, None, None]
 
 
-def _signal(position: np.ndarray, matrix: np.ndarray, cfg: BfaConfig,
-            rates: np.ndarray) -> float:
-    diff = matrix - position
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    # each kernel row sums over the same contiguous values as a 1-d sum
-    attract, repel = np.exp(rates * d2).sum(axis=1).tolist()
+# exp(x) rounds to 0.0 below this; numpy's exp is several times slower on
+# such inputs than on others, and far-apart bacteria give many of them
+_EXP_ZERO_BELOW = -746.0
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x), skipping the entries whose result is exactly 0.0."""
+    return np.exp(x, out=np.zeros(x.shape), where=x > _EXP_ZERO_BELOW)
+
+
+def _signal_rows(points: np.ndarray, members: np.ndarray, cfg: BfaConfig,
+                 rates: np.ndarray) -> np.ndarray:
+    """Swarming signal of points[k] against the swarm members[k], for
+    every k: the one signal kernel of both engines."""
+    diff = members - points[:, None, :]
+    d2 = np.einsum("rij,rij->ri", diff, diff)
+    # each kernel row sums over the same contiguous values whatever the
+    # number of rows
+    attract, repel = _exp(rates * d2).sum(-1)
     return -cfg.attract_depth * attract + cfg.repel_height * repel
 
 
@@ -198,49 +212,94 @@ def cell_to_cell_signal(position, swarm: Swarm, cfg: BfaConfig) -> float:
     attraction well and a repulsion bump, including a member sitting at
     `position` itself (its contribution is the constant
     -attract_depth + repel_height)."""
-    return _signal(np.asarray(position, dtype=float), swarm.positions, cfg,
-                   _kernel_rates(cfg))
+    point = np.asarray(position, dtype=float)[None]
+    return float(_signal_rows(point, swarm.positions[None], cfg,
+                              _kernel_rates(cfg))[0])
+
+
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of every row, computed as `row @ row` is.
+
+    Stacked matmul of (1, d) by (d, 1) goes through the same dot kernel as
+    a 1-d `@`; einsum or a sum of squares can differ in the last bit.
+    """
+    return (rows[..., None, :] @ rows[..., :, None])[..., 0, 0]
+
+
+def _tumble_round(rng: np.random.Generator, count: int,
+                  dimensions: int) -> np.ndarray:
+    """(count, dims) unit tumbles: the draws, and the vectors, of `count`
+    successive tumble_direction calls.
+
+    A zero row is dropped and the next draws move up to take its place, as
+    tumble_direction redraws it, so a block of several chemotaxis rounds
+    equals one call per round.
+    """
+    deltas = rng.uniform(-1.0, 1.0, (count, dimensions))
+    norm_sq = _row_dots(deltas)
+    while not norm_sq.all():
+        keep = norm_sq > 0.0
+        extra = rng.uniform(-1.0, 1.0,
+                            (count - np.count_nonzero(keep), dimensions))
+        deltas = np.concatenate([deltas[keep], extra])
+        norm_sq = np.concatenate([norm_sq[keep], _row_dots(extra)])
+    return deltas / np.sqrt(norm_sq)[:, None]
 
 
 def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
-              rng: np.random.Generator, *, steps: np.ndarray | None = None,
-              lower: np.ndarray | None = None,
+              displacement: np.ndarray, *, lower: np.ndarray | None = None,
               upper: np.ndarray | None = None) -> float:
-    """One tumble plus up to swim_limit repeats for one bacterium.
+    """One tumble by `displacement` plus up to swim_limit repeats of it for
+    one bacterium.
 
     The tumble move is always kept; repeats continue while effective
     fitness strictly improves. Health accumulates the effective fitness of
     every accepted move. Mutates the swarm in place and returns the final
     effective fitness.
+
+    The swim_limit + 1 candidate points are laid out first, after the
+    start point: the tumble point clamped into the box, then running sums
+    of `displacement` from it, each clamped once. That equals clamping move
+    by move, since each coordinate moves one way from a point inside the
+    box. One signal call covers the start point and every candidate; raw
+    fitness is evaluated in order and only up to the move where the swim
+    stops.
     """
-    if steps is None or lower is None or upper is None:
-        lower, upper, steps = _box(f.bounds, f.dimension, cfg)
+    if lower is None or upper is None:
+        lower, upper, _ = _box(f.bounds, f.dimension, cfg)
     positions = swarm.positions
-    current = positions[index]
     raw = swarm.raw_fitness[index]
     if not math.isfinite(raw):
-        raw = float(f.evaluate(current))
+        raw = float(f.evaluate(positions[index]))
         swarm.raw_fitness[index] = raw
-    swarming = cfg.swarming
-    rates = _kernel_rates(cfg) if swarming else None
-    prev_eff = raw + (_signal(current, positions, cfg, rates)
-                      if swarming else 0.0)
-
-    displacement = steps * tumble_direction(positions.shape[1], rng)
-    swims = 0  # moves after the tumble
-    while True:
-        moved = np.minimum(np.maximum(positions[index] + displacement, lower),
-                           upper)
-        positions[index] = moved
-        raw = float(f.evaluate(moved))
-        swarm.raw_fitness[index] = raw
-        eff = raw + (_signal(moved, positions, cfg, rates)
-                     if swarming else 0.0)
-        swarm.health[index] += eff
-        if not (eff > prev_eff and swims < cfg.swim_limit):
-            return eff
+    chain = np.empty((cfg.swim_limit + 2, positions.shape[1]))
+    chain[0] = positions[index]
+    chain[1] = chain[0] + displacement
+    chain[2:] = displacement
+    np.minimum(np.maximum(chain[1], lower), upper, out=chain[1])
+    np.add.accumulate(chain[1:], out=chain[1:])
+    np.minimum(np.maximum(chain[2:], lower), upper, out=chain[2:])
+    if cfg.swarming:
+        swarms = np.repeat(positions[None], len(chain), axis=0)
+        swarms[:, index] = chain
+        signal = _signal_rows(chain, swarms, cfg,
+                              _kernel_rates(cfg)).tolist()
+    else:
+        signal = [0.0] * len(chain)
+    # nothing below reads the swarm, so it is written once, after the swim
+    prev_eff = raw + signal[0]
+    health = float(swarm.health[index])
+    for move in range(1, len(chain)):
+        raw = float(f.evaluate(chain[move]))
+        eff = raw + signal[move]
+        health += eff
+        if not (eff > prev_eff and move <= cfg.swim_limit):
+            break
         prev_eff = eff
-        swims += 1
+    positions[index] = chain[move]
+    swarm.raw_fitness[index] = raw
+    swarm.health[index] = health
+    return eff
 
 
 def reproduce(swarm: Swarm) -> Swarm:
@@ -354,16 +413,22 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
     for i in range(swarm.size):
         swarm.raw_fitness[i] = recorder.evaluate(swarm.positions[i])
 
+    # between dispersals the stream draws only tumbles, so one draw per
+    # reproduction cycle gives every tumble the draws it would take alone
+    size, dims = swarm.size, swarm.dimensions
+    cycle_shape = (cfg.chemotaxis_steps, size, dims)
     trace_fitness = [recorder.best_fitness]
     trace_count = [recorder.count]
     for _ in range(cfg.total_passes):
         for _ in range(cfg.elimination_cycles):
             for _ in range(cfg.reproduction_cycles):
                 swarm.health[:] = 0.0
-                for _ in range(cfg.chemotaxis_steps):
-                    for i in range(swarm.size):
-                        swim_loop(swarm, i, recorder, cfg, rng,
-                                  steps=steps, lower=lower, upper=upper)
+                moves = steps * _tumble_round(rng, size * cfg.chemotaxis_steps,
+                                              dims).reshape(cycle_shape)
+                for round_moves in moves:
+                    for i in range(size):
+                        swim_loop(swarm, i, recorder, cfg, round_moves[i],
+                                  lower=lower, upper=upper)
                     trace_fitness.append(recorder.best_fitness)
                     trace_count.append(recorder.count)
                 swarm = reproduce(swarm)
@@ -381,57 +446,6 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
 # order are those of run_bfa, operation for operation, so every run
 # reproduces its run_bfa result bit for bit; only the numpy call overhead is
 # shared across runs.
-
-def _row_dots(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of every row, computed as `row @ row` is.
-
-    Stacked matmul of (1, d) by (d, 1) goes through the same dot kernel as
-    a 1-d `@`; einsum or a sum of squares can differ in the last bit.
-    """
-    return (rows[..., None, :] @ rows[..., :, None])[..., 0, 0]
-
-
-def _tumble_round(rngs: Sequence[np.random.Generator], population: int,
-                  dimensions: int) -> np.ndarray:
-    """(runs, population, dims) unit tumbles for one chemotaxis round.
-
-    Per run this draws the stream, and returns the vectors, of `population`
-    successive tumble_direction calls: a zero row is dropped and the next
-    draws move up to take its place, as tumble_direction redraws it.
-    """
-    deltas = np.stack([rng.uniform(-1.0, 1.0, (population, dimensions))
-                       for rng in rngs])
-    norm_sq = _row_dots(deltas)
-    for run in np.flatnonzero((norm_sq == 0.0).any(axis=1)):
-        rows, sq = deltas[run], norm_sq[run]
-        while not sq.all():
-            extra = rngs[run].uniform(-1.0, 1.0,
-                                      (population - np.count_nonzero(sq),
-                                       dimensions))
-            rows = np.concatenate([rows[sq > 0.0], extra])
-            sq = np.concatenate([sq[sq > 0.0], _row_dots(extra)])
-        deltas[run], norm_sq[run] = rows, sq
-    return deltas / np.sqrt(norm_sq)[..., None]
-
-
-# exp(x) rounds to 0.0 below this; numpy's exp is several times slower on
-# such inputs than on others, and far-apart bacteria give many of them
-_EXP_ZERO_BELOW = -746.0
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    """np.exp(x), skipping the entries whose result is exactly 0.0."""
-    return np.exp(x, out=np.zeros_like(x), where=x > _EXP_ZERO_BELOW)
-
-
-def _signal_rows(points: np.ndarray, members: np.ndarray, cfg: BfaConfig,
-                 rates: np.ndarray) -> np.ndarray:
-    """_signal of points[k] against the swarm members[k], for every k."""
-    diff = members - points[:, None, :]
-    d2 = np.einsum("rij,rij->ri", diff, diff)
-    attract, repel = _exp(rates[..., None] * d2).sum(-1)
-    return -cfg.attract_depth * attract + cfg.repel_height * repel
-
 
 def _take_first_best(best_fitness: np.ndarray, best_position: np.ndarray,
                      runs: np.ndarray, values: np.ndarray,
@@ -509,11 +523,21 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
             _take_first_best(best_fitness, best_position, runs, found,
                              positions[runs])
 
+    # one reproduction cycle of moves per run, drawn as run_bfa draws them
+    moves = np.empty((n_runs, per_cycle * size, dims))
+
+    def draw_moves(runs: np.ndarray) -> None:
+        for run in runs:
+            np.multiply(steps,
+                        _tumble_round(rngs[run], per_cycle * size, dims),
+                        out=moves[run])
+
     rates = _kernel_rates(cfg)
     health = np.zeros((n_runs, size))
-    moves = steps * _tumble_round(rngs, size, dims)
+    draw_moves(everyone)
     done = np.zeros(n_runs, dtype=np.intp)  # finished chemotaxis rounds
     current = np.zeros(n_runs, dtype=np.intp)  # bacterium moving now
+    tumble = np.zeros(n_runs, dtype=np.intp)  # its row in moves
     swims = np.zeros(n_runs, dtype=np.intp)  # 0: current bacterium tumbles
     prev = np.empty(n_runs)  # effective fitness before the move
     active = everyone
@@ -523,8 +547,8 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
         points = positions[starting, first]  # before this step's move
         prev[starting] = raw[starting, first]  # the signal is added below
         i = current[active]
-        moved = np.minimum(np.maximum(positions[active, i] + moves[active, i],
-                                      lower), upper)
+        moved = positions[active, i] + moves[active, tumble[active]]
+        moved = np.minimum(np.maximum(moved, lower), upper)
         positions[active, i] = moved
         values = evaluate(active, moved)
         count[active] += 1
@@ -551,6 +575,7 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
         swims[active] = np.where(swim_on, swims[active] + 1, 0)
         stopped = active[~swim_on]
         current[stopped] += 1
+        tumble[stopped] += 1
         ended = stopped[current[stopped] == size]
         if len(ended):
             done[ended] += 1
@@ -566,8 +591,9 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
                 disperse_runs(dispersal)
             again = ended[row < rounds]
             if len(again):
-                moves[again] = steps * _tumble_round(
-                    [rngs[run] for run in again], size, dims)
+                drawn = again[done[again] % per_cycle == 0]
+                draw_moves(drawn)
+                tumble[drawn] = 0
                 current[again] = 0
             active = active[current[active] < size]
 

@@ -7,7 +7,6 @@ import pytest
 import solarswarm as ss
 from solarswarm.bfa import (
     _kernel_rates,
-    _signal,
     _signal_rows,
     cell_to_cell_signal,
     chemotaxis_move,
@@ -25,11 +24,12 @@ TWO_MEMBER_SIGNAL = -0.16373707062964388
 
 
 class CountingFunction:
-    """Linear fitness with an evaluation counter; huge box, no clamping."""
+    """Linear fitness with an evaluation counter; by default a huge box,
+    where no move is clamped."""
 
-    def __init__(self, sign=1.0, dimensions=3):
+    def __init__(self, sign=1.0, dimensions=3, bounds=None):
         self.dimension = dimensions
-        self.bounds = tuple((-1e9, 1e9) for _ in range(dimensions))
+        self.bounds = bounds or tuple((-1e9, 1e9) for _ in range(dimensions))
         self.sign = sign
         self.calls = 0
 
@@ -43,6 +43,12 @@ class FixedDirectionRng:
 
     def uniform(self, low, high, size=None):
         return np.ones(size if size is not None else 1)
+
+
+def fixed_tumble(f, cfg):
+    """The displacement of a tumble along +1/sqrt(P) in f's box."""
+    return step_sizes(cfg, f.bounds) * tumble_direction(f.dimension,
+                                                        FixedDirectionRng())
 
 
 def make_swarm(rows, fitness=None):
@@ -174,8 +180,6 @@ def test_fused_signal_matches_two_exp_formula(cfg, size):
         one = _signal_rows(points[k:k + 1], members[k:k + 1], cfg,
                            _kernel_rates(cfg))
         assert one.view(np.int64)[0] == want.view(np.int64)[k]
-        scalar = _signal(points[k], members[k], cfg, _kernel_rates(cfg))
-        assert np.float64(scalar).view(np.int64) == want.view(np.int64)[k]
 
 
 def test_effective_fitness_toggle():
@@ -185,7 +189,7 @@ def test_effective_fitness_toggle():
     on = ss.BfaConfig(attract_depth=0.4, step_fraction=0.01)
     for cfg in (replace(on, swarming=False), on):
         swarm = make_swarm([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], fitness=f)
-        eff = swim_loop(swarm, 0, f, cfg, FixedDirectionRng())
+        eff = swim_loop(swarm, 0, f, cfg, fixed_tumble(f, cfg))
         moved = swarm.positions[0]
         signal = cell_to_cell_signal(moved, swarm, cfg)
         assert eff == f.evaluate(moved) + (signal if cfg.swarming else 0.0)
@@ -197,7 +201,7 @@ def test_swim_loop_full_swim_on_monotone_improvement():
     cfg = ss.BfaConfig(swim_limit=5, step_fraction=0.01, swarming=False)
     swarm = make_swarm([[0.0, 0.0, 0.0]], fitness=f)
     f.calls = 0
-    swim_loop(swarm, 0, f, cfg, FixedDirectionRng())
+    swim_loop(swarm, 0, f, cfg, fixed_tumble(f, cfg))
     # +sum improves along +direction every step: tumble + swim_limit moves
     assert f.calls == 1 + cfg.swim_limit
     step = 0.01 * 2e9 / math.sqrt(3.0)
@@ -213,7 +217,7 @@ def test_swim_loop_keeps_worsening_tumble_without_swimming():
     cfg = ss.BfaConfig(swim_limit=5, step_fraction=0.01, swarming=False)
     swarm = make_swarm([[0.0, 0.0, 0.0]], fitness=f)
     f.calls = 0
-    swim_loop(swarm, 0, f, cfg, FixedDirectionRng())
+    swim_loop(swarm, 0, f, cfg, fixed_tumble(f, cfg))
     # -sum worsens along +direction: the tumble sticks, no swims follow
     assert f.calls == 1
     step = 0.01 * 2e9 / math.sqrt(3.0)
@@ -225,8 +229,76 @@ def test_swim_loop_evaluates_stale_baseline():
     cfg = ss.BfaConfig(swim_limit=5, step_fraction=0.01, swarming=False)
     swarm = make_swarm([[0.0, 0.0, 0.0]])  # raw_fitness nan
     f.calls = 0
-    swim_loop(swarm, 0, f, cfg, FixedDirectionRng())
+    swim_loop(swarm, 0, f, cfg, fixed_tumble(f, cfg))
     assert f.calls == 2  # baseline refresh plus the tumble
+
+
+def swim_by_moves(swarm, index, f, cfg, direction):
+    """swim_loop move by move: each move clamped by chemotaxis_move and the
+    signal taken against the swarm after it."""
+    raw = swarm.raw_fitness[index]
+    if not math.isfinite(raw):
+        raw = float(f.evaluate(swarm.positions[index]))
+        swarm.raw_fitness[index] = raw
+    signal = (lambda p: cell_to_cell_signal(p, swarm, cfg)) if cfg.swarming \
+        else (lambda p: 0.0)
+    prev_eff = raw + signal(swarm.positions[index])
+    for swims in range(cfg.swim_limit + 1):
+        moved = chemotaxis_move(swarm.positions[index], direction,
+                                step_sizes(cfg, f.bounds), f.bounds)
+        swarm.positions[index] = moved
+        raw = float(f.evaluate(moved))
+        swarm.raw_fitness[index] = raw
+        eff = raw + signal(moved)
+        swarm.health[index] += eff
+        if not (eff > prev_eff and swims < cfg.swim_limit):
+            return eff
+        prev_eff = eff
+
+
+BOX = ((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0))
+UP = np.ones(3) / math.sqrt(3.0)
+# (fitness sign, moving member's start, direction, stale baseline): the
+# moving member is row 0 of a swarm whose other members sit nearby
+EDGE_SWIMS = {
+    # x and y reach their upper bounds on moves 4 and 5, z never does
+    "bound_mid_swim": (1.0, [0.8, 1.5, 0.0], UP, False),
+    # x and y start on their upper bounds and stay there
+    "starts_on_upper_bound": (1.0, [1.0, 2.0, 0.3], UP, False),
+    # x and z start on their lower bounds, y reaches its own on move 5
+    "starts_on_lower_bound": (-1.0, [0.0, 0.5, -1.0], -UP, True),
+    # mixed signs: y falls to 0 and z climbs to 1 on move 2, x climbs on
+    "mixed_directions": (1.0, [0.5, 0.2, 0.9], np.array([0.8, -0.6, 0.3]),
+                         False),
+}
+
+
+@pytest.mark.parametrize("swarming", [False, True], ids=["plain", "swarm"])
+@pytest.mark.parametrize("case", sorted(EDGE_SWIMS))
+def test_swim_loop_chain_equals_move_by_move_clamping(case, swarming):
+    sign, start, direction, stale = EDGE_SWIMS[case]
+    cfg = ss.BfaConfig(step_fraction=0.1, swarming=swarming,
+                       attract_depth=0.01)
+    displacement = step_sizes(cfg, BOX) * direction
+    rows = [start, [0.5, 1.0, 0.0], [0.9, 1.9, 0.5], [0.2, 0.4, -0.6]]
+    swarms, effs, calls = [], [], []
+    for swim, move in ((swim_loop, displacement), (swim_by_moves, direction)):
+        f = CountingFunction(sign=sign, bounds=BOX)
+        swarm = make_swarm(rows, fitness=None if stale else f)
+        swarm.health[:] = [0.5, 1.0, 2.0, 3.0]
+        f.calls = 0
+        effs.append(swim(swarm, 0, f, cfg, move))
+        swarms.append(swarm)
+        calls.append(f.calls)
+    got, want = swarms
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.raw_fitness, want.raw_fitness, equal_nan=True)
+    assert np.array_equal(got.health, want.health)
+    assert effs[0] == effs[1] and calls[0] == calls[1]
+    # every case ends with the moving member on a bound
+    box = np.array(BOX)
+    assert np.any((got.positions[0] == box[:, 0])
+                  | (got.positions[0] == box[:, 1]))
 
 
 def test_reproduce_duplicates_healthiest():

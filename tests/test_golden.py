@@ -1,10 +1,12 @@
-"""Pinned bytes of a reduced frontier sweep and of the fuzzify models.
+"""Pinned bytes of a reduced frontier sweep, of one optimize call and of
+the fuzzify models.
 
 The sweep runs 6 weight vectors (step 0.5, minimum 0) x 2 replicates with a
 short optimizer at master seed 0, so it also checks which replicate each
-cell keeps. The models are fitted to the packaged climate table. A digest
-that moves is a change of output bytes: it must be declared, never silently
-refreshed.
+cell keeps; it goes through the lockstep engine. The optimize call runs the
+same short optimizer through run_bfa. The models are fitted to the packaged
+climate table. A digest that moves is a change of output bytes: it must be
+declared, never silently refreshed.
 """
 
 import hashlib
@@ -58,6 +60,26 @@ def test_reduced_sweep_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in DIGESTS}
     assert got == DIGESTS
+
+
+OPTIMIZE_DIGESTS = {
+    "solution.csv":
+        "95933bacd89d6707951d20efa211a7a5f0e37f0e27469881d429d080f2691240",
+    "trace.csv":
+        "214644711ff17f0efdec2ad3bf439c6c7275d655618329684679882dcd439e46",
+}
+
+
+def test_optimize_bytes_are_pinned(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bfa": SHORT_BFA}))
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(config), "--weights",
+                 "0.1,0.1,0.8", "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in OPTIMIZE_DIGESTS}
+    assert got == OPTIMIZE_DIGESTS
 
 
 MODEL_DIGESTS = {

@@ -141,13 +141,32 @@ def test_tumble_round_redraws_zero_rows_like_tumble_direction():
     want = np.array([tumble_direction(dims, scalar_rng)
                      for _ in range(population)])
     batch_rng = ScriptedRng(script)
-    plain = np.random.default_rng(9)
-    got = _tumble_round([plain, batch_rng], population, dims)
-    assert np.array_equal(got[1], want)
+    got = _tumble_round(batch_rng, population, dims)
+    assert np.array_equal(got, want)
     assert batch_rng.used == scalar_rng.used
-    plain_again = np.random.default_rng(9)
-    assert np.array_equal(got[0], np.array(
+    plain, plain_again = np.random.default_rng(9), np.random.default_rng(9)
+    assert np.array_equal(_tumble_round(plain, population, dims), np.array(
         [tumble_direction(dims, plain_again) for _ in range(population)]))
+
+
+def test_tumble_block_equals_one_call_per_round():
+    # one reproduction cycle's tumbles in one call, as both engines draw
+    # them, against one call per chemotaxis round; zero rows sit on the
+    # last row of round 0 and the first row of round 1 of the block
+    rng = np.random.default_rng(6)
+    dims, population, rounds = 2, 3, 3
+    chunks = [rng.uniform(-1, 1, dims) for _ in range(rounds * population)]
+    zero = np.zeros(dims)
+    script = np.concatenate(chunks[:2] + [zero, zero] + chunks[2:])
+    per_round = ScriptedRng(script)
+    want = np.concatenate([_tumble_round(per_round, population, dims)
+                           for _ in range(rounds)])
+    block = ScriptedRng(script)
+    got = _tumble_round(block, rounds * population, dims)
+    assert np.array_equal(got, want)
+    assert block.used == per_round.used == len(script)
+    assert np.array_equal(got, np.array(
+        [tumble_direction(dims, ScriptedRng(c)) for c in chunks]))
 
 
 def test_lockstep_validation():
