@@ -280,6 +280,10 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
     np.add.accumulate(chain[1:], out=chain[1:])
     np.minimum(np.maximum(chain[2:], lower), upper, out=chain[2:])
     if cfg.swarming:
+        # one call for the whole chain, though a swim uses about half of
+        # its rows: a second call for the swim rows, made only when the
+        # tumble improves, takes 1.4 calls per tumble, and for one run the
+        # per-call cost outweighs the rows saved
         swarms = np.repeat(positions[None], len(chain), axis=0)
         swarms[:, index] = chain
         signal = _signal_rows(chain, swarms, cfg,
@@ -471,11 +475,15 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     seed=seeds[r])) bit for bit, trace included, when evaluate computes
     f_r.evaluate elementwise with the same operations.
 
-    Runs are not kept in phase: each step moves the current bacterium of
-    every unfinished run once (its tumble or its next swim), and a run
-    whose bacterium stops swimming goes on to its next bacterium, round,
-    reproduction or dispersal while other runs still swim. Runs share no
-    state, so this changes only how many numpy calls the batch takes.
+    Runs stay in phase: one step takes bacterium i of every run through
+    its whole tumble chain, laid out as swim_loop lays it out. A round's
+    chains, and the raw fitness of its tumble points, are computed when
+    the round starts: a bacterium moves only itself, so its start point
+    is then what it is at its turn. Each step has two stages: the start
+    and tumble rows of every run share one signal call, and only the runs
+    whose tumble improved evaluate and signal their swim_limit swim rows.
+    A run keeps its chain up to its first move that does not improve;
+    rows past that move are evaluated but never counted.
     """
     lower, upper, steps = _box(bounds, len(bounds), cfg)
     n_runs, size, dims = len(seeds), cfg.population_size, len(lower)
@@ -492,110 +500,100 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     best_position = np.zeros((n_runs, dims))
     _take_first_best(best_fitness, best_position, everyone, raw, positions)
 
-    per_cycle = cfg.chemotaxis_steps
+    per_cycle, swims = cfg.chemotaxis_steps, cfg.swim_limit
     per_dispersal = per_cycle * cfg.reproduction_cycles
     rounds = cfg.total_passes * cfg.elimination_cycles * per_dispersal
     trace_fitness = np.empty((rounds + 1, n_runs))
     trace_count = np.empty((rounds + 1, n_runs), dtype=np.int64)
     trace_fitness[0], trace_count[0] = best_fitness, count
-
-    def reproduce_runs(runs: np.ndarray) -> None:
-        order = np.argsort(-health[runs], axis=1, kind="stable")
-        top = order[:, : size // 2]
-        positions[runs] = np.repeat(np.take_along_axis(
-            positions[runs], top[..., None], axis=1), 2, axis=1)
-        raw[runs] = np.repeat(np.take_along_axis(raw[runs], top, axis=1),
-                              2, axis=1)
-
-    def disperse_runs(runs: np.ndarray) -> None:
-        relocate = np.stack([rngs[run].random(size) for run in runs]) \
-            < cfg.elimination_prob
-        for k in np.flatnonzero(relocate.any(axis=1)):
-            positions[runs[k], relocate[k]] = rngs[runs[k]].uniform(
-                lower, upper, (np.count_nonzero(relocate[k]), dims))
-        row, member = np.nonzero(relocate)
-        if len(row):
-            values = evaluate(runs[row], positions[runs[row], member])
-            raw[runs[row], member] = values
-            count[runs] += relocate.sum(axis=1)
-            found = np.full(relocate.shape, -math.inf)
-            found[row, member] = values
-            _take_first_best(best_fitness, best_position, runs, found,
-                             positions[runs])
-
-    # one reproduction cycle of moves per run, drawn as run_bfa draws them
-    moves = np.empty((n_runs, per_cycle * size, dims))
-
-    def draw_moves(runs: np.ndarray) -> None:
-        for run in runs:
-            np.multiply(steps,
-                        _tumble_round(rngs[run], per_cycle * size, dims),
-                        out=moves[run])
-
     rates = _kernel_rates(cfg)
-    health = np.zeros((n_runs, size))
-    draw_moves(everyone)
-    done = np.zeros(n_runs, dtype=np.intp)  # finished chemotaxis rounds
-    current = np.zeros(n_runs, dtype=np.intp)  # bacterium moving now
-    tumble = np.zeros(n_runs, dtype=np.intp)  # its row in moves
-    swims = np.zeros(n_runs, dtype=np.intp)  # 0: current bacterium tumbles
-    prev = np.empty(n_runs)  # effective fitness before the move
-    active = everyone
-    while len(active):
-        starting = active[swims[active] == 0]
-        first = current[starting]
-        points = positions[starting, first]  # before this step's move
-        prev[starting] = raw[starting, first]  # the signal is added below
-        i = current[active]
-        moved = positions[active, i] + moves[active, tumble[active]]
-        moved = np.minimum(np.maximum(moved, lower), upper)
-        positions[active, i] = moved
-        values = evaluate(active, moved)
-        count[active] += 1
-        better = values > best_fitness[active]
-        if better.any():
-            best_fitness[active[better]] = values[better]
-            best_position[active[better]] = moved[better]
-        raw[active, i] = values
-        if cfg.swarming:
-            # one signal call: the starting rows against their swarms before
-            # the move (the moved member put back), then the moved rows
-            # against the swarms after it
-            swarms = positions[np.concatenate([starting, active])]
-            swarms[np.arange(len(starting)), first] = points
-            signals = _signal_rows(np.concatenate([points, moved]), swarms,
-                                   cfg, rates)
-            prev[starting] += signals[:len(starting)]
-            eff = values + signals[len(starting):]
-        else:
-            eff = values + 0.0
-        health[active, i] += eff
-        swim_on = (eff > prev[active]) & (swims[active] < cfg.swim_limit)
-        prev[active[swim_on]] = eff[swim_on]
-        swims[active] = np.where(swim_on, swims[active] + 1, 0)
-        stopped = active[~swim_on]
-        current[stopped] += 1
-        tumble[stopped] += 1
-        ended = stopped[current[stopped] == size]
-        if len(ended):
-            done[ended] += 1
-            row = done[ended]
-            trace_fitness[row, ended] = best_fitness[ended]
-            trace_count[row, ended] = count[ended]
-            cycle_end = ended[row % per_cycle == 0]
-            if len(cycle_end):
-                reproduce_runs(cycle_end)
-                health[cycle_end] = 0.0
-            dispersal = ended[row % per_dispersal == 0]
-            if len(dispersal):
-                disperse_runs(dispersal)
-            again = ended[row < rounds]
-            if len(again):
-                drawn = again[done[again] % per_cycle == 0]
-                draw_moves(drawn)
-                tumble[drawn] = 0
-                current[again] = 0
-            active = active[current[active] < size]
+
+    def moved_signal(points: np.ndarray, swarms: np.ndarray,
+                     i: int) -> np.ndarray:
+        # signal of points[k] against swarms[k] with bacterium i moved to it
+        if not cfg.swarming:
+            return np.zeros(len(points))
+        swarms[:, i] = points
+        return _signal_rows(points, swarms, cfg, rates)
+
+    health = np.empty((n_runs, size))
+    # a reproduction cycle's moves per run, drawn as run_bfa draws them,
+    # and a round's tumble chains, both filled in place
+    moves = np.empty((n_runs, per_cycle, size, dims))
+    chains = np.empty((n_runs, size, swims + 2, dims))
+    for row in range(1, rounds + 1):
+        cycle_round = (row - 1) % per_cycle
+        if cycle_round == 0:
+            health[:] = 0.0
+            for run, rng in enumerate(rngs):
+                np.multiply(steps, _tumble_round(rng, per_cycle * size, dims)
+                            .reshape(moves.shape[1:]), out=moves[run])
+        round_moves = moves[:, cycle_round]
+        chains[:, :, 0] = positions
+        np.add(positions, round_moves, out=chains[:, :, 1])
+        chains[:, :, 2:] = round_moves[:, :, None]
+        np.minimum(np.maximum(chains[:, :, 1], lower), upper,
+                   out=chains[:, :, 1])
+        np.add.accumulate(chains[:, :, 1:], axis=2, out=chains[:, :, 1:])
+        np.minimum(np.maximum(chains[:, :, 2:], lower), upper,
+                   out=chains[:, :, 2:])
+        tumble_raw = evaluate(np.repeat(everyone, size), chains[:, :, 1]
+                              .reshape(-1, dims)).reshape(n_runs, size)
+        for i in range(size):
+            chain = chains[:, i]
+            # eff[:, 0] is the health before the step, eff[:, m] the
+            # effective fitness after move m, eff[:, 1] the tumble's
+            eff = np.zeros((n_runs, swims + 2))
+            eff[:, 0] = health[:, i]
+            found = np.full((n_runs, swims + 1), -math.inf)
+            found[:, 0] = tumble_raw[:, i]
+            signal = moved_signal(chain[:, :2].reshape(-1, dims),
+                                  np.repeat(positions, 2, axis=0), i)
+            start = raw[:, i] + signal[::2]
+            eff[:, 1] = found[:, 0] + signal[1::2]
+            stop = np.ones(n_runs, dtype=np.intp)
+            go = np.flatnonzero(eff[:, 1] > start)
+            if len(go):
+                points = chain[go, 2:].reshape(-1, dims)
+                values = evaluate(np.repeat(go, swims),
+                                  points).reshape(len(go), swims)
+                eff[go, 2:] = values + moved_signal(
+                    points, np.repeat(positions[go], swims, axis=0),
+                    i).reshape(len(go), swims)
+                improving = eff[go, 2:] > eff[go, 1:-1]
+                improving[:, -1] = False  # move swim_limit + 1 always stops
+                stop[go] = 2 + improving.argmin(axis=1)
+                found[go, 1:] = np.where(
+                    np.arange(swims) < stop[go, None] - 1, values, -math.inf)
+            # health adds the effective fitness of every kept move in turn
+            np.add.accumulate(eff, axis=1, out=eff)
+            positions[:, i] = chain[everyone, stop]
+            raw[:, i] = found[everyone, stop - 1]
+            health[:, i] = eff[everyone, stop]
+            count += stop
+            _take_first_best(best_fitness, best_position, everyone, found,
+                             chain[:, 1:])
+        trace_fitness[row], trace_count[row] = best_fitness, count
+        if row % per_cycle == 0:
+            order = np.argsort(-health, axis=1, kind="stable")[:, : size // 2]
+            positions = np.repeat(np.take_along_axis(
+                positions, order[..., None], axis=1), 2, axis=1)
+            raw = np.repeat(np.take_along_axis(raw, order, axis=1), 2, axis=1)
+        if row % per_dispersal == 0:
+            relocate = np.stack([rng.random(size) for rng in rngs]) \
+                < cfg.elimination_prob
+            for run in np.flatnonzero(relocate.any(axis=1)):
+                positions[run, relocate[run]] = rngs[run].uniform(
+                    lower, upper, (np.count_nonzero(relocate[run]), dims))
+            runs, members = np.nonzero(relocate)
+            if len(runs):
+                values = evaluate(runs, positions[runs, members])
+                raw[runs, members] = values
+                count += relocate.sum(axis=1)
+                found = np.full(relocate.shape, -math.inf)
+                found[runs, members] = values
+                _take_first_best(best_fitness, best_position, everyone,
+                                 found, positions)
 
     results = []
     for run in range(n_runs):

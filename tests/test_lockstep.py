@@ -91,6 +91,55 @@ def test_lockstep_breaks_ties_like_run_bfa():
         assert_same_run(got, ss.run_bfa(f, replace(cfg, seed=seed)))
 
 
+class RowLog:
+    """Lockstep evaluate callback that records every row it is given."""
+
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
+        self.rows = []
+
+    def __call__(self, runs, positions):
+        self.rows.append(np.array(positions))
+        return self.evaluate(runs, positions)
+
+    def seen(self):
+        return np.concatenate(self.rows)
+
+
+def test_lockstep_without_improving_tumbles_never_swims():
+    # swarming off and a constant fitness: no tumble improves, so no run
+    # reaches the second stage and every evaluated row is counted
+    box = ((-1.0, 1.0),) * 3
+    f = ss.BoxFunction(dimension=3, bounds=box, fn=lambda p: 2.5)
+    cfg = replace(SMALL, swarming=False)
+    seeds = [0, 1, 2]
+    log = RowLog(lambda runs, positions: np.full(len(positions), 2.5))
+    results = run_bfa_lockstep(log, box, cfg, seeds)
+    for seed, got in zip(seeds, results):
+        assert_same_run(got, ss.run_bfa(f, replace(cfg, seed=seed)))
+    assert len(log.seen()) == sum(got.evaluations for got in results)
+
+
+def test_lockstep_evaluates_swims_past_the_stop_inside_the_box():
+    # the second stage evaluates every swim row of an improving tumble,
+    # also rows past the move where the run stops; they are not counted,
+    # and like every other evaluated point they lie inside the box
+    spec, cfg = SETTINGS["coded"]
+    table = np.array([w.as_tuple() for w, _ in MIXED])
+    seeds = [ss.derive_seed(cfg.seed, w, rep) for w, rep in MIXED]
+    log = RowLog(lambda runs, positions: evaluate_rows(spec, table[runs],
+                                                       positions))
+    box = np.array(spec.design_bounds + spec.noise_bounds)
+    results = run_bfa_lockstep(log, box, cfg, seeds)
+    seen = log.seen()
+    assert np.all((seen >= box[:, 0]) & (seen <= box[:, 1]))
+    for (weights, _), seed, got in zip(MIXED, seeds, results):
+        want = ss.run_bfa(ss.IrrigationFitness(spec, weights),
+                          replace(cfg, seed=seed))
+        assert got.evaluations == want.evaluations
+    assert len(seen) > sum(got.evaluations for got in results)
+
+
 def test_evaluate_rows_matches_scalar_evaluator():
     spec = ss.ProblemSpec(variable_mode="raw")
     rng = np.random.default_rng(3)
