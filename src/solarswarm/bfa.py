@@ -26,7 +26,16 @@ from .errors import OddPopulation, ValidationError
 
 
 class FitnessFunction(Protocol):
-    """What the optimizer needs from a problem: a box and an evaluator."""
+    """What the optimizer needs from a problem: a box and an evaluator.
+
+    A fitness function may also offer evaluate_rows(positions), an (m,)
+    array of raw fitness for an (m, dims) array of positions; run_bfa then
+    scores each chemotaxis round's chain rows in one call. It must be pure,
+    and row k must equal evaluate(positions[k]) bit for bit: it may be given
+    rows the optimizer discards, so it must not count or record them.
+    Without it (or with it set to None) run_bfa calls evaluate point by
+    point.
+    """
 
     dimension: int
     bounds: Sequence[tuple[float, float]]
@@ -246,39 +255,39 @@ def _tumble_round(rng: np.random.Generator, count: int,
     return deltas / np.sqrt(norm_sq)[:, None]
 
 
-def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
-              displacement: np.ndarray, *, lower: np.ndarray | None = None,
-              upper: np.ndarray | None = None) -> float:
-    """One tumble by `displacement` plus up to swim_limit repeats of it for
-    one bacterium.
+def _lay_chains(starts: np.ndarray, moves: np.ndarray, lower: np.ndarray,
+                upper: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill `out`, shaped (..., swim_limit + 2, dims), with the tumble
+    chains from `starts` by `moves`, and return it.
+
+    Row 0 is the start point, row 1 the tumble point clamped into the box,
+    and each later row the running sum of the move from row 1, clamped
+    once. That equals clamping move by move, since each coordinate moves
+    one way from a point inside the box, so a coordinate that reaches a
+    bound stays on it.
+    """
+    out[..., 0, :] = starts
+    tumble = out[..., 1, :]
+    np.add(starts, moves, out=tumble)
+    np.minimum(np.maximum(tumble, lower), upper, out=tumble)
+    out[..., 2:, :] = moves[..., None, :]
+    np.add.accumulate(out[..., 1:, :], axis=-2, out=out[..., 1:, :])
+    np.minimum(np.maximum(out[..., 2:, :], lower), upper, out=out[..., 2:, :])
+    return out
+
+
+def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raw_at,
+                cfg: BfaConfig, rates: np.ndarray) -> float:
+    """Walk bacterium `index` along its laid-out chain.
 
     The tumble move is always kept; repeats continue while effective
-    fitness strictly improves. Health accumulates the effective fitness of
-    every accepted move. Mutates the swarm in place and returns the final
-    effective fitness.
-
-    The swim_limit + 1 candidate points are laid out first, after the
-    start point: the tumble point clamped into the box, then running sums
-    of `displacement` from it, each clamped once. That equals clamping move
-    by move, since each coordinate moves one way from a point inside the
-    box. One signal call covers the start point and every candidate; raw
-    fitness is evaluated in order and only up to the move where the swim
-    stops.
+    fitness strictly improves, up to swim_limit of them. raw_at(m) gives
+    the raw fitness of chain[m]; it is called in move order, and only up
+    to the move where the swim stops. Health accumulates the effective
+    fitness of every kept move. Mutates the swarm in place and returns the
+    final effective fitness.
     """
-    if lower is None or upper is None:
-        lower, upper, _ = _box(f.bounds, f.dimension, cfg)
     positions = swarm.positions
-    raw = swarm.raw_fitness[index]
-    if not math.isfinite(raw):
-        raw = float(f.evaluate(positions[index]))
-        swarm.raw_fitness[index] = raw
-    chain = np.empty((cfg.swim_limit + 2, positions.shape[1]))
-    chain[0] = positions[index]
-    chain[1] = chain[0] + displacement
-    chain[2:] = displacement
-    np.minimum(np.maximum(chain[1], lower), upper, out=chain[1])
-    np.add.accumulate(chain[1:], out=chain[1:])
-    np.minimum(np.maximum(chain[2:], lower), upper, out=chain[2:])
     if cfg.swarming:
         # one call for the whole chain, though a swim uses about half of
         # its rows: a second call for the swim rows, made only when the
@@ -286,15 +295,14 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
         # per-call cost outweighs the rows saved
         swarms = np.repeat(positions[None], len(chain), axis=0)
         swarms[:, index] = chain
-        signal = _signal_rows(chain, swarms, cfg,
-                              _kernel_rates(cfg)).tolist()
+        signal = _signal_rows(chain, swarms, cfg, rates).tolist()
     else:
         signal = [0.0] * len(chain)
     # nothing below reads the swarm, so it is written once, after the swim
-    prev_eff = raw + signal[0]
+    prev_eff = float(swarm.raw_fitness[index]) + signal[0]
     health = float(swarm.health[index])
     for move in range(1, len(chain)):
-        raw = float(f.evaluate(chain[move]))
+        raw = raw_at(move)
         eff = raw + signal[move]
         health += eff
         if not (eff > prev_eff and move <= cfg.swim_limit):
@@ -304,6 +312,27 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
     swarm.raw_fitness[index] = raw
     swarm.health[index] = health
     return eff
+
+
+def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
+              displacement: np.ndarray) -> float:
+    """One tumble by `displacement` plus up to swim_limit repeats of it for
+    one bacterium, scored point by point with f.evaluate.
+
+    A stale (nan) raw fitness at the start point is evaluated first. The
+    chain is laid out by _lay_chains and walked by _swim_chain, as run_bfa
+    does for every bacterium of a round. Mutates the swarm in place and
+    returns the final effective fitness.
+    """
+    lower, upper, _ = _box(f.bounds, f.dimension, cfg)
+    positions = swarm.positions
+    if not math.isfinite(swarm.raw_fitness[index]):
+        swarm.raw_fitness[index] = float(f.evaluate(positions[index]))
+    chain = _lay_chains(positions[index], displacement, lower, upper,
+                        np.empty((cfg.swim_limit + 2, swarm.dimensions)))
+    return _swim_chain(swarm, index, chain,
+                       lambda move: float(f.evaluate(chain[move])), cfg,
+                       _kernel_rates(cfg))
 
 
 def reproduce(swarm: Swarm) -> Swarm:
@@ -384,7 +413,10 @@ class _Recorder:
         self.best_position = None
 
     def evaluate(self, position: np.ndarray) -> float:
-        value = float(self.inner.evaluate(position))
+        return self.record(float(self.inner.evaluate(position)), position)
+
+    def record(self, value: float, position: np.ndarray) -> float:
+        """Counts one evaluation that gave `value` at `position`."""
         self.count += 1
         if value > self.best_fitness:
             self.best_fitness = value
@@ -408,7 +440,16 @@ def _box(bounds, dimension: int, cfg: BfaConfig
 
 
 def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
-    """Full optimizer run; deterministic in (f, cfg) including cfg.seed."""
+    """Full optimizer run; deterministic in (f, cfg) including cfg.seed.
+
+    Each chemotaxis round lays out every bacterium's tumble chain when it
+    starts: a bacterium moves only itself, so its start point at its turn
+    is the one the round started with. If f has evaluate_rows, one call
+    scores all of the round's chain rows, rows past a swim's stop
+    included; otherwise f.evaluate scores each move as the walk reaches it.
+    Either way only the moves the walk makes are counted, in order, so the
+    evaluation count and the incumbent are those of scoring move by move.
+    """
     lower, upper, steps = _box(f.bounds, f.dimension, cfg)
 
     rng = np.random.default_rng(cfg.seed)
@@ -417,10 +458,22 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
     for i in range(swarm.size):
         swarm.raw_fitness[i] = recorder.evaluate(swarm.positions[i])
 
+    evaluate_rows = getattr(f, "evaluate_rows", None)
+
+    def raw_at(move: int) -> float:
+        # raw fitness of chain[move], for the chain and row of the
+        # bacterium the round loop below is walking
+        if row is None:
+            return recorder.evaluate(chain[move])
+        return recorder.record(row[move - 1], chain[move])
+
     # between dispersals the stream draws only tumbles, so one draw per
     # reproduction cycle gives every tumble the draws it would take alone
     size, dims = swarm.size, swarm.dimensions
     cycle_shape = (cfg.chemotaxis_steps, size, dims)
+    chains = np.empty((size, cfg.swim_limit + 2, dims))
+    rows = [None] * size
+    rates = _kernel_rates(cfg)
     trace_fitness = [recorder.best_fitness]
     trace_count = [recorder.count]
     for _ in range(cfg.total_passes):
@@ -430,9 +483,13 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
                 moves = steps * _tumble_round(rng, size * cfg.chemotaxis_steps,
                                               dims).reshape(cycle_shape)
                 for round_moves in moves:
-                    for i in range(size):
-                        swim_loop(swarm, i, recorder, cfg, round_moves[i],
-                                  lower=lower, upper=upper)
+                    _lay_chains(swarm.positions, round_moves, lower, upper,
+                                chains)
+                    if evaluate_rows is not None:
+                        rows = evaluate_rows(chains[:, 1:].reshape(
+                            -1, dims)).reshape(size, -1).tolist()
+                    for i, (chain, row) in enumerate(zip(chains, rows)):
+                        _swim_chain(swarm, i, chain, raw_at, cfg, rates)
                     trace_fitness.append(recorder.best_fitness)
                     trace_count.append(recorder.count)
                 swarm = reproduce(swarm)
@@ -476,12 +533,12 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     f_r.evaluate elementwise with the same operations.
 
     Runs stay in phase: one step takes bacterium i of every run through
-    its whole tumble chain, laid out as swim_loop lays it out. A round's
-    chains, and the raw fitness of its tumble points, are computed when
-    the round starts: a bacterium moves only itself, so its start point
-    is then what it is at its turn. Each step has two stages: the start
-    and tumble rows of every run share one signal call, and only the runs
-    whose tumble improved evaluate and signal their swim_limit swim rows.
+    its whole tumble chain (_lay_chains). A round's chains, and the raw
+    fitness of its tumble points, are computed when the round starts, as
+    in run_bfa: a bacterium moves only itself, so its start point is then
+    what it is at its turn. Each step has two stages: the start and tumble
+    rows of every run share one signal call, and only the runs whose
+    tumble improved evaluate and signal their swim_limit swim rows.
     A run keeps its chain up to its first move that does not improve;
     rows past that move are evaluated but never counted.
     """
@@ -528,15 +585,7 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
             for run, rng in enumerate(rngs):
                 np.multiply(steps, _tumble_round(rng, per_cycle * size, dims)
                             .reshape(moves.shape[1:]), out=moves[run])
-        round_moves = moves[:, cycle_round]
-        chains[:, :, 0] = positions
-        np.add(positions, round_moves, out=chains[:, :, 1])
-        chains[:, :, 2:] = round_moves[:, :, None]
-        np.minimum(np.maximum(chains[:, :, 1], lower), upper,
-                   out=chains[:, :, 1])
-        np.add.accumulate(chains[:, :, 1:], axis=2, out=chains[:, :, 1:])
-        np.minimum(np.maximum(chains[:, :, 2:], lower), upper,
-                   out=chains[:, :, 2:])
+        _lay_chains(positions, moves[:, cycle_round], lower, upper, chains)
         tumble_raw = evaluate(np.repeat(everyone, size), chains[:, :, 1]
                               .reshape(-1, dims)).reshape(n_runs, size)
         for i in range(size):

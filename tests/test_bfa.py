@@ -425,6 +425,67 @@ def test_run_bfa_respects_bounds():
     assert np.all(positions >= -1.5) and np.all(positions <= 1.5)
 
 
+class PointByPoint(ss.IrrigationFitness):
+    """IrrigationFitness without evaluate_rows: run_bfa scores each move
+    with evaluate as its walk reaches it."""
+
+    evaluate_rows = None
+
+
+class RowLog(ss.IrrigationFitness):
+    """IrrigationFitness that records every row run_bfa gives
+    evaluate_rows."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.rows = []
+
+    def evaluate_rows(self, positions):
+        self.rows.append(np.array(positions))
+        return super().evaluate_rows(positions)
+
+
+ROW_PATH_SETTINGS = {
+    "coded": (ss.ProblemSpec(), quick_config(swim_limit=5)),
+    "raw": (ss.ProblemSpec(variable_mode="raw"), quick_config(swim_limit=5)),
+    "no_swarming": (ss.ProblemSpec(), quick_config(swarming=False)),
+    "swim_limit_one": (ss.ProblemSpec(), quick_config(swim_limit=1)),
+    "full_dispersal": (ss.ProblemSpec(), quick_config(elimination_prob=1.0)),
+    "population_two": (ss.ProblemSpec(), quick_config(population_size=2)),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("setting", sorted(ROW_PATH_SETTINGS))
+def test_run_bfa_row_path_equals_point_path(setting, seed):
+    spec, cfg = ROW_PATH_SETTINGS[setting]
+    cfg = replace(cfg, seed=seed)
+    weights = ss.WeightVector(0.1, 0.1, 0.8)
+    got = ss.run_bfa(ss.IrrigationFitness(spec, weights), cfg)
+    want = ss.run_bfa(PointByPoint(spec, weights), cfg)
+    assert np.array_equal(got.best_position, want.best_position)
+    assert got.best_fitness == want.best_fitness
+    assert got.trace.best_fitness == want.trace.best_fitness
+    assert got.trace.evaluations == want.trace.evaluations
+    assert got.evaluations == want.evaluations
+
+
+def test_run_bfa_row_path_scores_rows_past_the_stop_inside_the_box():
+    # every round's chains are scored in one call, swim rows past a stop
+    # included; those rows are not counted, and like every other scored
+    # point they lie inside the box
+    spec, cfg = ROW_PATH_SETTINGS["coded"]
+    weights = ss.WeightVector(0.1, 0.1, 0.8)
+    f = RowLog(spec, weights)
+    got = ss.run_bfa(f, cfg)
+    seen = np.concatenate(f.rows)
+    box = np.array(f.bounds)
+    assert np.all((seen >= box[:, 0]) & (seen <= box[:, 1]))
+    assert got.evaluations == ss.run_bfa(PointByPoint(spec, weights),
+                                         cfg).evaluations
+    assert len(seen) > got.evaluations
+
+
 def test_run_bfa_validates_problem():
     f = ss.BoxFunction(dimension=2, bounds=((0.0, 1.0), (0.0, 1.0)),
                        fn=lambda p: 0.0)

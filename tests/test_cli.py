@@ -166,16 +166,27 @@ class TestOptimize:
         calls = []
 
         class CountingFitness(ss.IrrigationFitness):
+            # without evaluate_rows run_bfa scores every move through
+            # evaluate, so every evaluation it counts passes through here
+            evaluate_rows = None
+
             def evaluate(self, position):
                 calls.append(1)
                 return super().evaluate(position)
 
-        monkeypatch.setattr(cli, "IrrigationFitness", CountingFitness)
         config = write_config(tmp_path, bfa={
             **tiny_bfa_dict(), "elimination_prob": 1.0})
-        assert main(["optimize", "--config", config, "--out",
-                     str(tmp_path / "run"), "--weights", "0.1,0.1,0.8"]) == 0
-        assert f"evaluations: {len(calls)}, " in capsys.readouterr().out
+        argv = ["optimize", "--config", config, "--out",
+                str(tmp_path / "run"), "--weights", "0.1,0.1,0.8"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "IrrigationFitness", CountingFitness)
+            assert main(argv) == 0
+        counted = f"evaluations: {len(calls)}, "
+        assert counted in capsys.readouterr().out
+        # the row path, which scores whole chains at once, prints the same
+        # count
+        assert main(argv) == 0
+        assert counted in capsys.readouterr().out
 
 
 class TestFrontier:
