@@ -22,25 +22,25 @@ from typing import NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .codec import ConfigCodec
-from .errors import OddPopulation, ValidationError
+from .errors import NonFiniteResult, OddPopulation, ValidationError
 
 
 class FitnessFunction(Protocol):
-    """What the optimizer needs from a problem: a box and an evaluator.
+    """What the optimizer needs from a problem: a box and its evaluators.
 
-    A fitness function may also offer evaluate_rows(positions), an (m,)
-    array of raw fitness for an (m, dims) array of positions; run_bfa then
-    scores each chemotaxis round's chain rows in one call. It must be pure,
-    and row k must equal evaluate(positions[k]) bit for bit: it may be given
-    rows the optimizer discards, so it must not count or record them.
-    Without it (or with it set to None) run_bfa calls evaluate point by
-    point.
+    evaluate_rows(positions) returns an (m,) array of raw fitness for an
+    (m, dims) array of positions, as finite floats; the optimizer scores
+    every point through it. It must be pure, and row k must equal
+    evaluate(positions[k]) bit for bit: it may be given rows the optimizer
+    discards, so it must not count or record them.
     """
 
     dimension: int
     bounds: Sequence[tuple[float, float]]
 
     def evaluate(self, position: np.ndarray) -> float: ...
+
+    def evaluate_rows(self, positions: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass
@@ -63,6 +63,17 @@ class BoxFunction:
 
     def evaluate(self, position: np.ndarray) -> float:
         return float(self.fn(position))
+
+    def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
+        """evaluate for every row of an (m, dims) array. A nan or inf value
+        raises NonFiniteResult: the optimizer's argmax would stop at a nan
+        and miss a larger value after it."""
+        values = np.array([self.evaluate(p) for p in positions])
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = positions[finite.argmin()].tolist()
+            raise NonFiniteResult(f"fitness not finite at position {bad!r}")
+        return values
 
 
 def sphere_function(dimensions: int = 4, half_width: float = 5.0) -> BoxFunction:
@@ -207,7 +218,7 @@ def _exp(x: np.ndarray) -> np.ndarray:
 def _signal_rows(points: np.ndarray, members: np.ndarray, cfg: BfaConfig,
                  rates: np.ndarray) -> np.ndarray:
     """Swarming signal of points[k] against the swarm members[k], for
-    every k: the one signal kernel of both engines."""
+    every k: the one signal kernel of both walks and of swim_loop."""
     diff = members - points[:, None, :]
     d2 = np.einsum("rij,rij->ri", diff, diff)
     # each kernel row sums over the same contiguous values whatever the
@@ -276,16 +287,17 @@ def _lay_chains(starts: np.ndarray, moves: np.ndarray, lower: np.ndarray,
     return out
 
 
-def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raw_at,
-                cfg: BfaConfig, rates: np.ndarray) -> float:
+def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raws,
+                cfg: BfaConfig, rates: np.ndarray) -> tuple[float, int]:
     """Walk bacterium `index` along its laid-out chain.
 
     The tumble move is always kept; repeats continue while effective
-    fitness strictly improves, up to swim_limit of them. raw_at(m) gives
-    the raw fitness of chain[m]; it is called in move order, and only up
-    to the move where the swim stops. Health accumulates the effective
-    fitness of every kept move. Mutates the swarm in place and returns the
-    final effective fitness.
+    fitness strictly improves, up to swim_limit of them. `raws` yields the
+    raw fitness of chain[1], chain[2], ... in move order, and is read only
+    up to the move where the swim stops, so a lazy iterable scores no
+    further. Health accumulates the effective fitness of every kept move.
+    Mutates the swarm in place and returns the final effective fitness and
+    the number of moves made.
     """
     positions = swarm.positions
     if cfg.swarming:
@@ -301,8 +313,7 @@ def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raw_at,
     # nothing below reads the swarm, so it is written once, after the swim
     prev_eff = float(swarm.raw_fitness[index]) + signal[0]
     health = float(swarm.health[index])
-    for move in range(1, len(chain)):
-        raw = raw_at(move)
+    for move, raw in enumerate(raws, 1):
         eff = raw + signal[move]
         health += eff
         if not (eff > prev_eff and move <= cfg.swim_limit):
@@ -311,18 +322,20 @@ def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raw_at,
     positions[index] = chain[move]
     swarm.raw_fitness[index] = raw
     swarm.health[index] = health
-    return eff
+    return eff, move
 
 
 def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
               displacement: np.ndarray) -> float:
     """One tumble by `displacement` plus up to swim_limit repeats of it for
-    one bacterium, scored point by point with f.evaluate.
+    one bacterium, scored move by move with f.evaluate.
 
     A stale (nan) raw fitness at the start point is evaluated first. The
-    chain is laid out by _lay_chains and walked by _swim_chain, as run_bfa
-    does for every bacterium of a round. Mutates the swarm in place and
-    returns the final effective fitness.
+    chain is laid out by _lay_chains and walked by _swim_chain, as
+    run_bfa_lockstep walks a single run, but each move is scored only when
+    the walk reaches it: the building block of a move-by-move reference run
+    to check the optimizer against. Mutates the swarm in place and returns
+    the final effective fitness.
     """
     lower, upper, _ = _box(f.bounds, f.dimension, cfg)
     positions = swarm.positions
@@ -331,8 +344,8 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
     chain = _lay_chains(positions[index], displacement, lower, upper,
                         np.empty((cfg.swim_limit + 2, swarm.dimensions)))
     return _swim_chain(swarm, index, chain,
-                       lambda move: float(f.evaluate(chain[move])), cfg,
-                       _kernel_rates(cfg))
+                       (float(f.evaluate(point)) for point in chain[1:]),
+                       cfg, _kernel_rates(cfg))[0]
 
 
 def reproduce(swarm: Swarm) -> Swarm:
@@ -352,22 +365,17 @@ def reproduce(swarm: Swarm) -> Swarm:
 
 
 def eliminate_disperse(swarm: Swarm, cfg: BfaConfig,
-                       rng: np.random.Generator, bounds,
-                       f=None) -> Swarm:
+                       rng: np.random.Generator, bounds) -> Swarm:
     """Each bacterium relocates uniformly inside the box of (lo, hi) pairs
-    with probability elimination_prob. Swarm size never changes. If a
-    fitness function is given, relocated members are re-evaluated;
-    otherwise their cached raw fitness goes stale (nan) until someone
-    evaluates them."""
+    with probability elimination_prob. Swarm size never changes. A relocated
+    member's cached raw fitness goes stale (nan) until someone evaluates
+    it."""
     b = np.asarray(bounds, dtype=float)
     lower, upper = b[:, 0], b[:, 1]
     mask = rng.random(swarm.size) < cfg.elimination_prob
     for i in np.flatnonzero(mask):
         swarm.positions[i] = rng.uniform(lower, upper)
-        if f is not None:
-            swarm.raw_fitness[i] = float(f.evaluate(swarm.positions[i]))
-        else:
-            swarm.raw_fitness[i] = math.nan
+        swarm.raw_fitness[i] = math.nan
     return swarm
 
 
@@ -401,29 +409,6 @@ class RunResult(NamedTuple):
     evaluations: int  # every evaluation, the final dispersal's included
 
 
-class _Recorder:
-    """Counts evaluations and tracks the raw-fitness incumbent."""
-
-    __slots__ = ("inner", "count", "best_fitness", "best_position")
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.count = 0
-        self.best_fitness = -math.inf
-        self.best_position = None
-
-    def evaluate(self, position: np.ndarray) -> float:
-        return self.record(float(self.inner.evaluate(position)), position)
-
-    def record(self, value: float, position: np.ndarray) -> float:
-        """Counts one evaluation that gave `value` at `position`."""
-        self.count += 1
-        if value > self.best_fitness:
-            self.best_fitness = value
-            self.best_position = np.array(position, dtype=float)
-        return value
-
-
 def _box(bounds, dimension: int, cfg: BfaConfig
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (lower, upper, steps) arrays of a search box."""
@@ -442,105 +427,57 @@ def _box(bounds, dimension: int, cfg: BfaConfig
 def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
     """Full optimizer run; deterministic in (f, cfg) including cfg.seed.
 
-    Each chemotaxis round lays out every bacterium's tumble chain when it
-    starts: a bacterium moves only itself, so its start point at its turn
-    is the one the round started with. If f has evaluate_rows, one call
-    scores all of the round's chain rows, rows past a swim's stop
-    included; otherwise f.evaluate scores each move as the walk reaches it.
-    Either way only the moves the walk makes are counted, in order, so the
-    evaluation count and the incumbent are those of scoring move by move.
+    The run is run_bfa_lockstep's loop nest at the one seed cfg.seed, with
+    f.evaluate_rows scoring every point.
     """
-    lower, upper, steps = _box(f.bounds, f.dimension, cfg)
-
-    rng = np.random.default_rng(cfg.seed)
-    recorder = _Recorder(f)
-    swarm = Swarm.random(cfg.population_size, lower, upper, rng)
-    for i in range(swarm.size):
-        swarm.raw_fitness[i] = recorder.evaluate(swarm.positions[i])
-
-    evaluate_rows = getattr(f, "evaluate_rows", None)
-
-    def raw_at(move: int) -> float:
-        # raw fitness of chain[move], for the chain and row of the
-        # bacterium the round loop below is walking
-        if row is None:
-            return recorder.evaluate(chain[move])
-        return recorder.record(row[move - 1], chain[move])
-
-    # between dispersals the stream draws only tumbles, so one draw per
-    # reproduction cycle gives every tumble the draws it would take alone
-    size, dims = swarm.size, swarm.dimensions
-    cycle_shape = (cfg.chemotaxis_steps, size, dims)
-    chains = np.empty((size, cfg.swim_limit + 2, dims))
-    rows = [None] * size
-    rates = _kernel_rates(cfg)
-    trace_fitness = [recorder.best_fitness]
-    trace_count = [recorder.count]
-    for _ in range(cfg.total_passes):
-        for _ in range(cfg.elimination_cycles):
-            for _ in range(cfg.reproduction_cycles):
-                swarm.health[:] = 0.0
-                moves = steps * _tumble_round(rng, size * cfg.chemotaxis_steps,
-                                              dims).reshape(cycle_shape)
-                for round_moves in moves:
-                    _lay_chains(swarm.positions, round_moves, lower, upper,
-                                chains)
-                    if evaluate_rows is not None:
-                        rows = evaluate_rows(chains[:, 1:].reshape(
-                            -1, dims)).reshape(size, -1).tolist()
-                    for i, (chain, row) in enumerate(zip(chains, rows)):
-                        _swim_chain(swarm, i, chain, raw_at, cfg, rates)
-                    trace_fitness.append(recorder.best_fitness)
-                    trace_count.append(recorder.count)
-                swarm = reproduce(swarm)
-            swarm = eliminate_disperse(swarm, cfg, rng, f.bounds,
-                                       f=recorder)
-    return RunResult(best_position=recorder.best_position.copy(),
-                     best_fitness=recorder.best_fitness,
-                     trace=RunTrace(best_fitness=trace_fitness,
-                                    evaluations=trace_count),
-                     evaluations=recorder.count)
+    _box(f.bounds, f.dimension, cfg)  # checks f.dimension against the bounds
+    return run_bfa_lockstep(lambda _, positions: f.evaluate_rows(positions),
+                            f.bounds, cfg, [cfg.seed])[0]
 
 
-# Lockstep engine: many independent runs stepped together on
-# (runs, bacteria, dims) arrays. Within a run the arithmetic and the draw
-# order are those of run_bfa, operation for operation, so every run
-# reproduces its run_bfa result bit for bit; only the numpy call overhead is
-# shared across runs.
+# Lockstep engine: independent runs stepped together on (runs, bacteria,
+# dims) arrays. Each run keeps its own random stream, and its arithmetic
+# and draw order do not depend on how many runs share the batch, so a run
+# gives the same bytes alone or among others; only the numpy call overhead
+# is shared across runs.
 
 def _take_first_best(best_fitness: np.ndarray, best_position: np.ndarray,
-                     runs: np.ndarray, values: np.ndarray,
-                     swarms: np.ndarray) -> None:
-    """Incumbent update after run runs[k] evaluated values[k] in index order
-    at the positions swarms[k]: the first maximum replaces the incumbent if
-    it is strictly greater. Entries a run did not evaluate hold -inf."""
+                     values: np.ndarray, points: np.ndarray) -> None:
+    """Incumbent update after run k evaluated values[k] in index order at
+    the positions points[k]: the first maximum replaces the incumbent if it
+    is strictly greater. Entries a run did not evaluate hold -inf."""
     first = values.argmax(axis=1)
-    rows = np.arange(len(runs))
-    top = values[rows, first]
-    better = top > best_fitness[runs]
-    best_fitness[runs[better]] = top[better]
-    best_position[runs[better]] = swarms[rows[better], first[better]]
+    top = values[np.arange(len(values)), first]
+    better = top > best_fitness
+    best_fitness[better] = top[better]
+    best_position[better] = points[better, first[better]]
 
 
 def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
                      seeds: Sequence[int]) -> list[RunResult]:
-    """One optimizer run per seed, all stepped together.
+    """One optimizer run per seed, all stepped together: the package's one
+    loop nest, which run_bfa runs at a single seed.
 
     evaluate(runs, positions) returns the raw fitness of positions[k]
     (an (m, dims) array) under the fitness function of run runs[k], as
-    finite floats. Result r equals run_bfa(f_r, replace(cfg,
-    seed=seeds[r])) bit for bit, trace included, when evaluate computes
-    f_r.evaluate elementwise with the same operations.
+    finite floats.
 
-    Runs stay in phase: one step takes bacterium i of every run through
-    its whole tumble chain (_lay_chains). A round's chains, and the raw
-    fitness of its tumble points, are computed when the round starts, as
-    in run_bfa: a bacterium moves only itself, so its start point is then
-    what it is at its turn. Each step has two stages: the start and tumble
-    rows of every run share one signal call, and only the runs whose
-    tumble improved evaluate and signal their swim_limit swim rows.
-    A run keeps its chain up to its first move that does not improve;
-    rows past that move are evaluated but never counted.
+    Each chemotaxis round lays out every bacterium's tumble chain when it
+    starts (_lay_chains): a bacterium moves only itself, so its start point
+    at its turn is the one the round started with. The bacteria then take
+    their turns in index order, walked one of two ways, chosen by the
+    number of runs:
+
+    - one run: one call scores all of the round's chain rows, and
+      _swim_chain walks each bacterium over them with one signal call;
+    - several runs: one step takes bacterium i of every run through its
+      chain in two stages. The start and tumble rows of every run share one
+      signal call, and only the runs whose tumble improved evaluate and
+      signal their swim_limit swim rows.
+
+    Either way a run keeps its chain up to its first move that does not
+    improve; rows past that move are evaluated but never counted. The
+    incumbent is the first strictly greater raw fitness in move order.
     """
     lower, upper, steps = _box(bounds, len(bounds), cfg)
     n_runs, size, dims = len(seeds), cfg.population_size, len(lower)
@@ -555,7 +492,7 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     count = np.full(n_runs, size)
     best_fitness = np.full(n_runs, -math.inf)
     best_position = np.zeros((n_runs, dims))
-    _take_first_best(best_fitness, best_position, everyone, raw, positions)
+    _take_first_best(best_fitness, best_position, raw, positions)
 
     per_cycle, swims = cfg.chemotaxis_steps, cfg.swim_limit
     per_dispersal = per_cycle * cfg.reproduction_cycles
@@ -574,10 +511,16 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
         return _signal_rows(points, swarms, cfg, rates)
 
     health = np.empty((n_runs, size))
-    # a reproduction cycle's moves per run, drawn as run_bfa draws them,
-    # and a round's tumble chains, both filled in place
+    # between dispersals a run's stream draws only tumbles, so one draw per
+    # reproduction cycle gives every tumble the draws it would take alone.
+    # That cycle's moves per run, a round's tumble chains, the raw fitness
+    # of every chain row scored and the moves each bacterium made are all
+    # filled in place
     moves = np.empty((n_runs, per_cycle, size, dims))
     chains = np.empty((n_runs, size, swims + 2, dims))
+    scored = np.empty((n_runs, size, swims + 2))
+    made = np.empty((n_runs, size), dtype=np.intp)
+    chain_index = np.arange(swims + 2)
     for row in range(1, rounds + 1):
         cycle_round = (row - 1) % per_cycle
         if cycle_round == 0:
@@ -586,42 +529,56 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
                 np.multiply(steps, _tumble_round(rng, per_cycle * size, dims)
                             .reshape(moves.shape[1:]), out=moves[run])
         _lay_chains(positions, moves[:, cycle_round], lower, upper, chains)
-        tumble_raw = evaluate(np.repeat(everyone, size), chains[:, :, 1]
-                              .reshape(-1, dims)).reshape(n_runs, size)
-        for i in range(size):
-            chain = chains[:, i]
-            # eff[:, 0] is the health before the step, eff[:, m] the
-            # effective fitness after move m, eff[:, 1] the tumble's
-            eff = np.zeros((n_runs, swims + 2))
-            eff[:, 0] = health[:, i]
-            found = np.full((n_runs, swims + 1), -math.inf)
-            found[:, 0] = tumble_raw[:, i]
-            signal = moved_signal(chain[:, :2].reshape(-1, dims),
-                                  np.repeat(positions, 2, axis=0), i)
-            start = raw[:, i] + signal[::2]
-            eff[:, 1] = found[:, 0] + signal[1::2]
-            stop = np.ones(n_runs, dtype=np.intp)
-            go = np.flatnonzero(eff[:, 1] > start)
-            if len(go):
-                points = chain[go, 2:].reshape(-1, dims)
-                values = evaluate(np.repeat(go, swims),
-                                  points).reshape(len(go), swims)
-                eff[go, 2:] = values + moved_signal(
-                    points, np.repeat(positions[go], swims, axis=0),
-                    i).reshape(len(go), swims)
-                improving = eff[go, 2:] > eff[go, 1:-1]
-                improving[:, -1] = False  # move swim_limit + 1 always stops
-                stop[go] = 2 + improving.argmin(axis=1)
-                found[go, 1:] = np.where(
-                    np.arange(swims) < stop[go, None] - 1, values, -math.inf)
-            # health adds the effective fitness of every kept move in turn
-            np.add.accumulate(eff, axis=1, out=eff)
-            positions[:, i] = chain[everyone, stop]
-            raw[:, i] = found[everyone, stop - 1]
-            health[:, i] = eff[everyone, stop]
-            count += stop
-            _take_first_best(best_fitness, best_position, everyone, found,
-                             chain[:, 1:])
+        if n_runs == 1:
+            rows = chains[0, :, 1:].reshape(-1, dims)
+            scored[0, :, 1:] = evaluate(everyone.repeat(len(rows)),
+                                        rows).reshape(size, swims + 1)
+            swarm = Swarm(positions[0], raw[0], health[0])
+            for i, (chain, values) in enumerate(zip(
+                    chains[0], scored[0, :, 1:].tolist())):
+                made[0, i] = _swim_chain(swarm, i, chain, values, cfg,
+                                         rates)[1]
+        else:
+            rows = chains[:, :, 1].reshape(-1, dims)
+            scored[:, :, 1] = evaluate(np.repeat(everyone, size),
+                                       rows).reshape(n_runs, size)
+            for i in range(size):
+                chain = chains[:, i]
+                # eff[:, 0] is the health before the step, eff[:, m] the
+                # effective fitness after move m, eff[:, 1] the tumble's
+                eff = np.zeros((n_runs, swims + 2))
+                eff[:, 0] = health[:, i]
+                signal = moved_signal(chain[:, :2].reshape(-1, dims),
+                                      np.repeat(positions, 2, axis=0), i)
+                start = raw[:, i] + signal[::2]
+                eff[:, 1] = scored[:, i, 1] + signal[1::2]
+                stop = made[:, i]
+                stop[:] = 1
+                go = np.flatnonzero(eff[:, 1] > start)
+                if len(go):
+                    points = chain[go, 2:].reshape(-1, dims)
+                    values = evaluate(np.repeat(go, swims),
+                                      points).reshape(len(go), swims)
+                    scored[go, i, 2:] = values
+                    eff[go, 2:] = values + moved_signal(
+                        points, np.repeat(positions[go], swims, axis=0),
+                        i).reshape(len(go), swims)
+                    improving = eff[go, 2:] > eff[go, 1:-1]
+                    improving[:, -1] = False  # move swim_limit + 1 stops
+                    stop[go] = 2 + improving.argmin(axis=1)
+                # health adds every kept move's effective fitness in turn
+                np.add.accumulate(eff, axis=1, out=eff)
+                positions[:, i] = chain[everyone, stop]
+                raw[:, i] = scored[everyone, i, stop]
+                health[:, i] = eff[everyone, stop]
+        # the raw fitness of the moves made, in walk order, and -inf
+        # elsewhere: one update keeps the first strictly greater value, as
+        # one update per move would
+        walked = (chain_index > 0) & (chain_index <= made[..., None])
+        found = np.where(walked, scored, -math.inf).reshape(n_runs, -1)
+        _take_first_best(best_fitness, best_position, found,
+                         chains.reshape(n_runs, -1, dims))
+        count += made.sum(axis=1)
         trace_fitness[row], trace_count[row] = best_fitness, count
         if row % per_cycle == 0:
             order = np.argsort(-health, axis=1, kind="stable")[:, : size // 2]
@@ -641,8 +598,8 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
                 count += relocate.sum(axis=1)
                 found = np.full(relocate.shape, -math.inf)
                 found[runs, members] = values
-                _take_first_best(best_fitness, best_position, everyone,
-                                 found, positions)
+                _take_first_best(best_fitness, best_position, found,
+                                 positions)
 
     results = []
     for run in range(n_runs):

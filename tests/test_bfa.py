@@ -16,7 +16,7 @@ from solarswarm.bfa import (
     swim_loop,
     tumble_direction,
 )
-from solarswarm.errors import OddPopulation, ValidationError
+from solarswarm.errors import NonFiniteResult, OddPopulation, ValidationError
 
 # probe equidistant from two members at squared distance 1, table defaults:
 # -0.1*exp(-0.2)*2 + 0.1*exp(-10)*2, frozen before this module was built
@@ -336,11 +336,11 @@ def test_eliminate_disperse_probability_extremes():
     f = CountingFunction(dimensions=1)
     f.bounds = bounds
     swarm = make_swarm([[0.5], [1.5]], fitness=f)
-    eliminate_disperse(swarm, scatter, np.random.default_rng(1), bounds, f=f)
+    eliminate_disperse(swarm, scatter, np.random.default_rng(1), bounds)
     assert not np.array_equal(swarm.positions, before)
     for row, raw in zip(swarm.positions, swarm.raw_fitness):
         assert -2.0 <= row[0] <= 2.0
-        assert raw == row[0]  # re-evaluated at the new spot
+        assert math.isnan(raw)  # stale until the optimizer scores it
     assert swarm.size == 2
 
 
@@ -409,8 +409,9 @@ def test_run_bfa_incumbent_monotone_and_consistent():
         -float(result.best_position @ result.best_position), rel=1e-12)
 
 
-def test_run_bfa_respects_bounds():
-    # every position the optimizer evaluates, not only the incumbents
+def test_run_bfa_respects_bounds(reference):
+    # every position the optimizer scores, not only the incumbents, and
+    # also the chain rows past a swim's stop that it scores but discards
     seen = []
 
     def fn(p):
@@ -419,17 +420,35 @@ def test_run_bfa_respects_bounds():
 
     f = ss.BoxFunction(dimension=2, bounds=((-1.5, 1.5),) * 2, fn=fn)
     result = ss.run_bfa(f, quick_config())
-    # the trace's last count precedes the final dispersal's evaluations
-    assert len(seen) == result.evaluations > result.trace.evaluations[-1]
+    # the count is that of the points a move-by-move run scores, and the
+    # trace's last count precedes the final dispersal's evaluations
+    want = reference(ss.sphere_function(2, 1.5), quick_config())
+    assert result.evaluations == want.evaluations \
+        > result.trace.evaluations[-1]
     positions = np.array(seen)
     assert np.all(positions >= -1.5) and np.all(positions <= 1.5)
 
 
-class PointByPoint(ss.IrrigationFitness):
-    """IrrigationFitness without evaluate_rows: run_bfa scores each move
-    with evaluate as its walk reaches it."""
+def test_box_function_rows_are_scalar_values_and_finite():
+    f = ss.sphere_function(3)
+    rows = np.random.default_rng(4).uniform(-5.0, 5.0, (7, 3))
+    got = f.evaluate_rows(rows)
+    assert got.shape == (7,)
+    assert [float(v) for v in got] == [f.evaluate(p) for p in rows]
+    for bad in (math.nan, math.inf):
+        g = ss.BoxFunction(dimension=3, bounds=f.bounds,
+                           fn=lambda p, bad=bad: bad if p[0] > 0 else 0.0)
+        with pytest.raises(NonFiniteResult, match=r"\[1.0, 2.0, 3.0\]"):
+            g.evaluate_rows(np.array([[-1.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
 
-    evaluate_rows = None
+
+class PointByPoint(ss.IrrigationFitness):
+    """IrrigationFitness whose evaluate_rows scores row by row with the
+    scalar evaluate, so a whole run checks the vectorized evaluator
+    against the scalar one."""
+
+    def evaluate_rows(self, positions):
+        return np.array([self.evaluate(p) for p in positions])
 
 
 class RowLog(ss.IrrigationFitness):
@@ -452,25 +471,31 @@ ROW_PATH_SETTINGS = {
     "swim_limit_one": (ss.ProblemSpec(), quick_config(swim_limit=1)),
     "full_dispersal": (ss.ProblemSpec(), quick_config(elimination_prob=1.0)),
     "population_two": (ss.ProblemSpec(), quick_config(population_size=2)),
+    "two_passes": (ss.ProblemSpec(), quick_config(total_passes=2)),
+    # the benchmark's optimize workload: 1 x 2 x 30 rounds, defaults else
+    "optimize": (ss.ProblemSpec(),
+                 ss.BfaConfig(elimination_cycles=1, reproduction_cycles=2)),
 }
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("setting", sorted(ROW_PATH_SETTINGS))
-def test_run_bfa_row_path_equals_point_path(setting, seed):
+def test_run_bfa_row_path_equals_point_path(setting, seed, reference):
     spec, cfg = ROW_PATH_SETTINGS[setting]
     cfg = replace(cfg, seed=seed)
     weights = ss.WeightVector(0.1, 0.1, 0.8)
     got = ss.run_bfa(ss.IrrigationFitness(spec, weights), cfg)
-    want = ss.run_bfa(PointByPoint(spec, weights), cfg)
-    assert np.array_equal(got.best_position, want.best_position)
-    assert got.best_fitness == want.best_fitness
-    assert got.trace.best_fitness == want.trace.best_fitness
-    assert got.trace.evaluations == want.trace.evaluations
-    assert got.evaluations == want.evaluations
+    for want in (ss.run_bfa(PointByPoint(spec, weights), cfg),
+                 reference(ss.IrrigationFitness(spec, weights), cfg)):
+        assert np.array_equal(got.best_position, want.best_position)
+        assert got.best_fitness == want.best_fitness
+        assert got.trace.best_fitness == want.trace.best_fitness
+        assert got.trace.evaluations == want.trace.evaluations
+        assert got.evaluations == want.evaluations
 
 
-def test_run_bfa_row_path_scores_rows_past_the_stop_inside_the_box():
+def test_run_bfa_row_path_scores_rows_past_the_stop_inside_the_box(
+        reference):
     # every round's chains are scored in one call, swim rows past a stop
     # included; those rows are not counted, and like every other scored
     # point they lie inside the box
@@ -481,8 +506,8 @@ def test_run_bfa_row_path_scores_rows_past_the_stop_inside_the_box():
     seen = np.concatenate(f.rows)
     box = np.array(f.bounds)
     assert np.all((seen >= box[:, 0]) & (seen <= box[:, 1]))
-    assert got.evaluations == ss.run_bfa(PointByPoint(spec, weights),
-                                         cfg).evaluations
+    assert got.evaluations == reference(ss.IrrigationFitness(spec, weights),
+                                        cfg).evaluations
     assert len(seen) > got.evaluations
 
 

@@ -4,7 +4,7 @@ import os
 import pytest
 
 import solarswarm as ss
-from solarswarm import cli, climate, fuzzy
+from solarswarm import climate, fuzzy
 from solarswarm.cli import RunConfig, main
 from solarswarm.errors import ValidationError
 from solarswarm.pareto import metrics_json_text, read_frontier_csv
@@ -148,45 +148,28 @@ class TestOptimize:
         assert main(["optimize", "--self-test"]) == 0
         assert "self-test: PASS" in capsys.readouterr().out
 
-    def test_self_test_counts_every_evaluation(self, capsys, monkeypatch):
-        # the final elimination-dispersal's evaluations count too
-        calls = []
-        sphere = ss.sphere_function()
-
-        def counting_sphere():
-            return ss.BoxFunction(
-                dimension=sphere.dimension, bounds=sphere.bounds,
-                fn=lambda p: calls.append(1) or sphere.fn(p))
-
-        monkeypatch.setattr(cli, "sphere_function", counting_sphere)
+    def test_self_test_counts_every_evaluation(self, capsys, reference):
+        # the count is that of the points a move-by-move run scores, the
+        # final elimination-dispersal's included
+        want = reference(ss.sphere_function(),
+                         ss.BfaConfig(step_fraction=0.01, seed=0))
         assert main(["optimize", "--self-test"]) == 0
-        assert f" after {len(calls)} evaluations " in capsys.readouterr().out
+        assert f" after {want.evaluations} evaluations " \
+            in capsys.readouterr().out
 
-    def test_counts_every_evaluation(self, tmp_path, capsys, monkeypatch):
-        calls = []
-
-        class CountingFitness(ss.IrrigationFitness):
-            # without evaluate_rows run_bfa scores every move through
-            # evaluate, so every evaluation it counts passes through here
-            evaluate_rows = None
-
-            def evaluate(self, position):
-                calls.append(1)
-                return super().evaluate(position)
-
-        config = write_config(tmp_path, bfa={
-            **tiny_bfa_dict(), "elimination_prob": 1.0})
-        argv = ["optimize", "--config", config, "--out",
-                str(tmp_path / "run"), "--weights", "0.1,0.1,0.8"]
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "IrrigationFitness", CountingFitness)
-            assert main(argv) == 0
-        counted = f"evaluations: {len(calls)}, "
-        assert counted in capsys.readouterr().out
-        # the row path, which scores whole chains at once, prints the same
-        # count
-        assert main(argv) == 0
-        assert counted in capsys.readouterr().out
+    def test_counts_every_evaluation(self, tmp_path, capsys, reference):
+        bfa = {**tiny_bfa_dict(), "elimination_prob": 1.0}
+        config = write_config(tmp_path, bfa=bfa)
+        assert main(["optimize", "--config", config, "--out",
+                     str(tmp_path / "run"), "--weights", "0.1,0.1,0.8"]) == 0
+        # the count is that of the points a move-by-move run scores, every
+        # member's re-scoring after the final dispersal included
+        weights = ss.WeightVector(0.1, 0.1, 0.8)
+        cfg = ss.BfaConfig.from_dict({**bfa,
+                                      "seed": ss.derive_seed(0, weights, 0)})
+        want = reference(ss.IrrigationFitness(ss.ProblemSpec(), weights), cfg)
+        assert f"evaluations: {want.evaluations}, " \
+            in capsys.readouterr().out
 
 
 class TestFrontier:

@@ -1,4 +1,6 @@
-"""The lockstep engine against run_bfa, run by run and bit for bit."""
+"""The lockstep engine and run_bfa against a move-by-move reference run,
+run by run and bit for bit: one run takes the single-run walk, several runs
+the two-stage step."""
 
 from dataclasses import replace
 
@@ -50,19 +52,26 @@ def assert_same_run(got, want):
     assert got.evaluations == want.evaluations
 
 
+def assert_both_match_reference(got, f, cfg, reference):
+    """The lockstep result and run_bfa's both equal the reference run."""
+    want = reference(f, cfg)
+    assert_same_run(got, want)
+    assert_same_run(ss.run_bfa(f, cfg), want)
+
+
 @pytest.mark.parametrize("cells", [SINGLE, MIXED], ids=["R1", "mixed"])
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
-def test_lockstep_equals_run_bfa(setting, cells):
+def test_lockstep_equals_run_bfa(setting, cells, reference):
     spec, cfg = SETTINGS[setting]
     seeds, results = lockstep(spec, cfg, cells)
     assert len(results) == len(cells)
     for (weights, _), seed, got in zip(cells, seeds, results):
-        assert_same_run(got, ss.run_bfa(ss.IrrigationFitness(spec, weights),
-                                        replace(cfg, seed=seed)))
+        assert_both_match_reference(got, ss.IrrigationFitness(spec, weights),
+                                    replace(cfg, seed=seed), reference)
 
 
 @pytest.mark.parametrize("dimensions", [1, 2, 3])
-def test_lockstep_equals_run_bfa_on_sphere(dimensions):
+def test_lockstep_equals_run_bfa_on_sphere(dimensions, reference):
     # every bacterium disperses, so a box read the wrong way shows; a
     # 2-d box is the one whose (lo, hi) pairs form a square array
     f = ss.sphere_function(dimensions)
@@ -71,10 +80,11 @@ def test_lockstep_equals_run_bfa_on_sphere(dimensions):
     results = run_bfa_lockstep(lambda runs, positions: -_row_dots(positions),
                                f.bounds, cfg, seeds)
     for seed, got in zip(seeds, results):
-        assert_same_run(got, ss.run_bfa(f, replace(cfg, seed=seed)))
+        assert_both_match_reference(got, f, replace(cfg, seed=seed),
+                                    reference)
 
 
-def test_lockstep_breaks_ties_like_run_bfa():
+def test_lockstep_breaks_ties_like_run_bfa(reference):
     # a stepped fitness makes equal healths, equal evaluations and equal
     # incumbents common; 40 bacteria take numpy's sort past its small-array
     # path, where an unstable sort would reorder equal healths
@@ -88,7 +98,8 @@ def test_lockstep_breaks_ties_like_run_bfa():
         lambda runs, positions: np.floor(positions.sum(axis=1) / 4.0), box,
         cfg, seeds)
     for seed, got in zip(seeds, results):
-        assert_same_run(got, ss.run_bfa(f, replace(cfg, seed=seed)))
+        assert_both_match_reference(got, f, replace(cfg, seed=seed),
+                                    reference)
 
 
 class RowLog:
@@ -106,7 +117,7 @@ class RowLog:
         return np.concatenate(self.rows)
 
 
-def test_lockstep_without_improving_tumbles_never_swims():
+def test_lockstep_without_improving_tumbles_never_swims(reference):
     # swarming off and a constant fitness: no tumble improves, so no run
     # reaches the second stage and every evaluated row is counted
     box = ((-1.0, 1.0),) * 3
@@ -116,11 +127,12 @@ def test_lockstep_without_improving_tumbles_never_swims():
     log = RowLog(lambda runs, positions: np.full(len(positions), 2.5))
     results = run_bfa_lockstep(log, box, cfg, seeds)
     for seed, got in zip(seeds, results):
-        assert_same_run(got, ss.run_bfa(f, replace(cfg, seed=seed)))
+        assert_both_match_reference(got, f, replace(cfg, seed=seed),
+                                    reference)
     assert len(log.seen()) == sum(got.evaluations for got in results)
 
 
-def test_lockstep_evaluates_swims_past_the_stop_inside_the_box():
+def test_lockstep_evaluates_swims_past_the_stop_inside_the_box(reference):
     # the second stage evaluates every swim row of an improving tumble,
     # also rows past the move where the run stops; they are not counted,
     # and like every other evaluated point they lie inside the box
@@ -134,8 +146,8 @@ def test_lockstep_evaluates_swims_past_the_stop_inside_the_box():
     seen = log.seen()
     assert np.all((seen >= box[:, 0]) & (seen <= box[:, 1]))
     for (weights, _), seed, got in zip(MIXED, seeds, results):
-        want = ss.run_bfa(ss.IrrigationFitness(spec, weights),
-                          replace(cfg, seed=seed))
+        want = reference(ss.IrrigationFitness(spec, weights),
+                         replace(cfg, seed=seed))
         assert got.evaluations == want.evaluations
     assert len(seen) > sum(got.evaluations for got in results)
 
