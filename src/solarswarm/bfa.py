@@ -68,19 +68,31 @@ class BoxFunction:
         """evaluate for every row of an (m, dims) array. A nan or inf value
         raises NonFiniteResult: the optimizer's argmax would stop at a nan
         and miss a larger value after it."""
-        values = np.array([self.evaluate(p) for p in positions])
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = positions[finite.argmin()].tolist()
-            raise NonFiniteResult(f"fitness not finite at position {bad!r}")
-        return values
+        return _finite(positions,
+                       np.array([self.evaluate(p) for p in positions]))
+
+
+def _finite(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values, the fitness of positions row by row, once checked finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = positions[finite.argmin()].tolist()
+        raise NonFiniteResult(f"fitness not finite at position {bad!r}")
+    return values
+
+
+class _Sphere(BoxFunction):
+    """The negated sphere, its rows scored in one call."""
+
+    def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
+        return _finite(positions, -_row_dots(positions))
 
 
 def sphere_function(dimensions: int = 4, half_width: float = 5.0) -> BoxFunction:
     """Negated sphere benchmark: maximum 0 at the origin."""
     bounds = tuple((-half_width, half_width) for _ in range(dimensions))
-    return BoxFunction(dimension=dimensions, bounds=bounds,
-                       fn=lambda p: -float(p @ p))
+    return _Sphere(dimension=dimensions, bounds=bounds,
+                   fn=lambda p: -float(p @ p))
 
 
 @dataclass(frozen=True)
@@ -218,13 +230,28 @@ def _exp(x: np.ndarray) -> np.ndarray:
 def _signal_rows(points: np.ndarray, members: np.ndarray, cfg: BfaConfig,
                  rates: np.ndarray) -> np.ndarray:
     """Swarming signal of points[k] against the swarm members[k], for
-    every k: the one signal kernel of both walks and of swim_loop."""
+    every k: the one signal kernel of run_bfa_lockstep and swim_loop."""
     diff = members - points[:, None, :]
     d2 = np.einsum("rij,rij->ri", diff, diff)
     # each kernel row sums over the same contiguous values whatever the
     # number of rows
     attract, repel = _exp(rates * d2).sum(-1)
     return -cfg.attract_depth * attract + cfg.repel_height * repel
+
+
+def _signal_bounds(cfg: BfaConfig) -> tuple[float, float]:
+    """(lo, hi) with lo <= _signal_rows(...) <= hi for every swarm of
+    population_size members, both 0 with swarming off.
+
+    Every kernel value is the exp of a non-positive number, so each of the
+    two kernel sums over P members lies in [0, P], and so the signal in
+    [-attract_depth*P, repel_height*P]; the factor 1 + 1e-9 covers the
+    rounding of the products.
+    """
+    if not cfg.swarming:
+        return 0.0, 0.0
+    members = cfg.population_size * (1.0 + 1e-9)
+    return -cfg.attract_depth * members, cfg.repel_height * members
 
 
 def cell_to_cell_signal(position, swarm: Swarm, cfg: BfaConfig) -> float:
@@ -289,7 +316,9 @@ def _lay_chains(starts: np.ndarray, moves: np.ndarray, lower: np.ndarray,
 
 def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raws,
                 cfg: BfaConfig, rates: np.ndarray) -> tuple[float, int]:
-    """Walk bacterium `index` along its laid-out chain.
+    """Walk bacterium `index` along its laid-out chain, against the swarm
+    as it stands: the exact walk, for the turns whose swim decisions the
+    signal bounds leave open, and for swim_loop.
 
     The tumble move is always kept; repeats continue while effective
     fitness strictly improves, up to swim_limit of them. `raws` yields the
@@ -301,10 +330,8 @@ def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raws,
     """
     positions = swarm.positions
     if cfg.swarming:
-        # one call for the whole chain, though a swim uses about half of
-        # its rows: a second call for the swim rows, made only when the
-        # tumble improves, takes 1.4 calls per tumble, and for one run the
-        # per-call cost outweighs the rows saved
+        # the stop depends on the signals, so one call signals every row of
+        # the chain, rows past the stop included
         swarms = np.repeat(positions[None], len(chain), axis=0)
         swarms[:, index] = chain
         signal = _signal_rows(chain, swarms, cfg, rates).tolist()
@@ -332,10 +359,10 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
 
     A stale (nan) raw fitness at the start point is evaluated first. The
     chain is laid out by _lay_chains and walked by _swim_chain, as
-    run_bfa_lockstep walks a single run, but each move is scored only when
-    the walk reaches it: the building block of a move-by-move reference run
-    to check the optimizer against. Mutates the swarm in place and returns
-    the final effective fitness.
+    run_bfa_lockstep walks the turns the signal bounds leave open, but each
+    move is scored only when the walk reaches it: the building block of a
+    move-by-move reference run to check the optimizer against. Mutates the
+    swarm in place and returns the final effective fitness.
     """
     lower, upper, _ = _box(f.bounds, f.dimension, cfg)
     positions = swarm.positions
@@ -441,6 +468,37 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
 # gives the same bytes alone or among others; only the numpy call overhead
 # is shared across runs.
 
+# rows per _signal_rows call in _turn_signals: each call's temporaries hold
+# this many swarms
+_SIGNAL_BLOCK = 128
+
+
+def _turn_signals(chains: np.ndarray, finals: np.ndarray, runs: np.ndarray,
+                  bacteria: np.ndarray, moves: np.ndarray, cfg: BfaConfig,
+                  rates: np.ndarray) -> np.ndarray:
+    """Swarming signal of every point chains[runs[k], bacteria[k],
+    moves[k]] against its run's swarm at that bacterium's turn: the final
+    points `finals` of the bacteria before it, the start points of the
+    rest, and the point itself in its own place. All zeros with swarming
+    off."""
+    signal = np.zeros(len(runs))
+    if not cfg.swarming:
+        return signal
+    _, size, dims = finals.shape
+    # each run's start points, then its final points, one row per member;
+    # row i of `turn` indexes bacterium i's swarm in its run's rows
+    snapshot = np.stack([chains[:, :, 0], finals], axis=1).reshape(-1, dims)
+    turn = np.tri(size, k=-1, dtype=np.intp) * size + np.arange(size)
+    for block in range(0, len(runs), _SIGNAL_BLOCK):
+        rows = slice(block, block + _SIGNAL_BLOCK)
+        r, i = runs[rows], bacteria[rows]
+        points = chains[r, i, moves[rows]]
+        swarms = np.take(snapshot, (2 * size * r)[:, None] + turn[i], axis=0)
+        swarms[np.arange(len(r)), i] = points
+        signal[rows] = _signal_rows(points, swarms, cfg, rates)
+    return signal
+
+
 def _take_first_best(best_fitness: np.ndarray, best_position: np.ndarray,
                      values: np.ndarray, points: np.ndarray) -> None:
     """Incumbent update after run k evaluated values[k] in index order at
@@ -464,19 +522,21 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
 
     Each chemotaxis round lays out every bacterium's tumble chain when it
     starts (_lay_chains): a bacterium moves only itself, so its start point
-    at its turn is the one the round started with. The bacteria then take
-    their turns in index order, walked one of two ways, chosen by the
-    number of runs:
+    at its turn is the one the round started with. The bacteria take their
+    turns in index order, each against its run's swarm as it stands then,
+    and one walk serves any number of runs:
 
-    - one run: one call scores all of the round's chain rows, and
-      _swim_chain walks each bacterium over them with one signal call;
-    - several runs: one step takes bacterium i of every run through its
-      chain in two stages. The start and tumble rows of every run share one
-      signal call, and only the runs whose tumble improved evaluate and
-      signal their swim_limit swim rows.
+    - one call scores every tumble row, and a second the swim rows of the
+      bacteria whose tumble may improve;
+    - the signal bounds of _signal_bounds settle most swim decisions from
+      raw fitness alone. A bacterium with a decision left open before its
+      stop is walked exactly by _swim_chain, in index order;
+    - the moves made by every other bacterium are then signalled against
+      the swarm at its turn (_turn_signals), and health is summed in move
+      order.
 
-    Either way a run keeps its chain up to its first move that does not
-    improve; rows past that move are evaluated but never counted. The
+    A run keeps its chain up to its first move that does not improve;
+    rows past that move may be evaluated but are never counted. The
     incumbent is the first strictly greater raw fitness in move order.
     """
     lower, upper, steps = _box(bounds, len(bounds), cfg)
@@ -501,26 +561,21 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     trace_count = np.empty((rounds + 1, n_runs), dtype=np.int64)
     trace_fitness[0], trace_count[0] = best_fitness, count
     rates = _kernel_rates(cfg)
-
-    def moved_signal(points: np.ndarray, swarms: np.ndarray,
-                     i: int) -> np.ndarray:
-        # signal of points[k] against swarms[k] with bacterium i moved to it
-        if not cfg.swarming:
-            return np.zeros(len(points))
-        swarms[:, i] = points
-        return _signal_rows(points, swarms, cfg, rates)
+    lo, hi = _signal_bounds(cfg)
 
     health = np.empty((n_runs, size))
     # between dispersals a run's stream draws only tumbles, so one draw per
     # reproduction cycle gives every tumble the draws it would take alone.
     # That cycle's moves per run, a round's tumble chains, the raw fitness
-    # of every chain row scored and the moves each bacterium made are all
-    # filled in place
+    # of every chain row (row 0 the start's), the effective fitness of the
+    # moves made and the moves each bacterium made are all filled in place
     moves = np.empty((n_runs, per_cycle, size, dims))
     chains = np.empty((n_runs, size, swims + 2, dims))
-    scored = np.empty((n_runs, size, swims + 2))
+    scored = np.zeros((n_runs, size, swims + 2))
+    eff = np.empty((n_runs, size, swims + 2))
     made = np.empty((n_runs, size), dtype=np.intp)
     chain_index = np.arange(swims + 2)
+    each_run, bacteria = everyone[:, None], np.arange(size)
     for row in range(1, rounds + 1):
         cycle_round = (row - 1) % per_cycle
         if cycle_round == 0:
@@ -529,52 +584,57 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
                 np.multiply(steps, _tumble_round(rng, per_cycle * size, dims)
                             .reshape(moves.shape[1:]), out=moves[run])
         _lay_chains(positions, moves[:, cycle_round], lower, upper, chains)
-        if n_runs == 1:
-            rows = chains[0, :, 1:].reshape(-1, dims)
-            scored[0, :, 1:] = evaluate(everyone.repeat(len(rows)),
-                                        rows).reshape(size, swims + 1)
-            swarm = Swarm(positions[0], raw[0], health[0])
-            for i, (chain, values) in enumerate(zip(
-                    chains[0], scored[0, :, 1:].tolist())):
-                made[0, i] = _swim_chain(swarm, i, chain, values, cfg,
-                                         rates)[1]
-        else:
-            rows = chains[:, :, 1].reshape(-1, dims)
-            scored[:, :, 1] = evaluate(np.repeat(everyone, size),
-                                       rows).reshape(n_runs, size)
-            for i in range(size):
-                chain = chains[:, i]
-                # eff[:, 0] is the health before the step, eff[:, m] the
-                # effective fitness after move m, eff[:, 1] the tumble's
-                eff = np.zeros((n_runs, swims + 2))
-                eff[:, 0] = health[:, i]
-                signal = moved_signal(chain[:, :2].reshape(-1, dims),
-                                      np.repeat(positions, 2, axis=0), i)
-                start = raw[:, i] + signal[::2]
-                eff[:, 1] = scored[:, i, 1] + signal[1::2]
-                stop = made[:, i]
-                stop[:] = 1
-                go = np.flatnonzero(eff[:, 1] > start)
-                if len(go):
-                    points = chain[go, 2:].reshape(-1, dims)
-                    values = evaluate(np.repeat(go, swims),
-                                      points).reshape(len(go), swims)
-                    scored[go, i, 2:] = values
-                    eff[go, 2:] = values + moved_signal(
-                        points, np.repeat(positions[go], swims, axis=0),
-                        i).reshape(len(go), swims)
-                    improving = eff[go, 2:] > eff[go, 1:-1]
-                    improving[:, -1] = False  # move swim_limit + 1 stops
-                    stop[go] = 2 + improving.argmin(axis=1)
-                # health adds every kept move's effective fitness in turn
-                np.add.accumulate(eff, axis=1, out=eff)
-                positions[:, i] = chain[everyone, stop]
-                raw[:, i] = scored[everyone, i, stop]
-                health[:, i] = eff[everyone, stop]
+        scored[..., 0] = raw
+        scored[..., 1] = evaluate(np.repeat(everyone, size),
+                                  chains[:, :, 1].reshape(-1, dims)
+                                  ).reshape(n_runs, size)
+        # swim rows are scored only where the tumble may improve
+        runs, tumbling = np.nonzero(scored[..., 1] + hi > raw + lo)
+        if len(runs):
+            scored[runs, tumbling, 2:] = evaluate(
+                np.repeat(runs, swims),
+                chains[runs, tumbling, 2:].reshape(-1, dims)
+            ).reshape(len(runs), swims)
+        # move m surely improves, or surely does not, whatever the signals
+        # (_signal_bounds). A walk goes on while its moves surely improve,
+        # so it never reaches the rows left unscored past a tumble that
+        # surely does not
+        improves = scored[..., 1:] + lo > scored[..., :-1] + hi
+        worsens = scored[..., 1:] + hi <= scored[..., :-1] + lo
+        improves[..., -1] = False  # move swim_limit + 1 stops
+        worsens[..., -1] = True
+        made[:] = improves.argmin(axis=-1) + 1
+        unsettled = ~worsens[each_run, bacteria, made - 1]
+        finals = chains[each_run, bacteria, made]
+        # a bacterium whose stop the bounds leave open is walked exactly,
+        # in index order, against its run's swarm at its turn: the final
+        # points of the bacteria before it and the start points of the rest
+        for run in np.flatnonzero(unsettled.any(axis=1)).tolist():
+            # positions[run] still holds the round's start points
+            turn, done = Swarm(positions[run], raw[run], health[run]), 0
+            values, stops = scored[run, :, 1:].tolist(), made[run]
+            for i in np.flatnonzero(unsettled[run]).tolist():
+                turn.positions[done:i] = finals[run, done:i]
+                stops[i] = _swim_chain(turn, i, chains[run, i], values[i],
+                                       cfg, rates)[1]
+                done = i + 1
+            finals[run] = chains[run, bacteria, stops]
+        walked = (chain_index > 0) & (chain_index <= made[..., None])
+        # every other bacterium's moves made are signalled once the round's
+        # stops are known, each against the swarm at its turn
+        runs, settled, kept = np.nonzero(walked & ~unsettled[..., None])
+        eff.fill(0.0)
+        eff[..., 0] = health
+        eff[runs, settled, kept] = scored[runs, settled, kept] + _turn_signals(
+            chains, finals, runs, settled, kept, cfg, rates)
+        # health adds every kept move's effective fitness in turn
+        np.add.accumulate(eff, axis=-1, out=eff)
+        np.copyto(health, eff[each_run, bacteria, made], where=~unsettled)
+        positions = finals
+        raw = scored[each_run, bacteria, made]
         # the raw fitness of the moves made, in walk order, and -inf
         # elsewhere: one update keeps the first strictly greater value, as
         # one update per move would
-        walked = (chain_index > 0) & (chain_index <= made[..., None])
         found = np.where(walked, scored, -math.inf).reshape(n_runs, -1)
         _take_first_best(best_fitness, best_position, found,
                          chains.reshape(n_runs, -1, dims))

@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import solarswarm as ss
 from solarswarm.bfa import (
     _kernel_rates,
+    _signal_bounds,
     _signal_rows,
     cell_to_cell_signal,
     chemotaxis_move,
@@ -180,6 +182,50 @@ def test_fused_signal_matches_two_exp_formula(cfg, size):
         one = _signal_rows(points[k:k + 1], members[k:k + 1], cfg,
                            _kernel_rates(cfg))
         assert one.view(np.int64)[0] == want.view(np.int64)[k]
+
+
+@st.composite
+def swarms_and_kernels(draw):
+    """(points, members, cfg): a few probe points, each with a swarm of
+    population_size members drawn from a small grid, so members often sit
+    on each other and on the point, and kernel settings with zero widths
+    and unequal depths among them."""
+    size = draw(st.sampled_from([2, 4, 6, 26]))
+    dims, rows = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    grid = st.sampled_from([0.0, 0.25, 1.0, 30.0])
+    members = np.array(draw(st.lists(grid, min_size=rows * size * dims,
+                                     max_size=rows * size * dims)))
+    members = members.reshape(rows, size, dims)
+    points = members[:, draw(st.integers(0, size - 1))].copy()
+    scale = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    cfg = ss.BfaConfig(population_size=size,
+                       attract_depth=draw(scale), attract_width=draw(scale),
+                       repel_height=draw(scale), repel_width=draw(scale))
+    return points, members, cfg
+
+
+@given(swarms_and_kernels())
+def test_signal_lies_within_its_bounds(case):
+    # the bounds run_bfa_lockstep settles swim decisions with: each kernel
+    # sum over population_size members lies in [0, population_size]
+    points, members, cfg = case
+    lo, hi = _signal_bounds(cfg)
+    signal = _signal_rows(points, members, cfg, _kernel_rates(cfg))
+    assert np.all((lo <= signal) & (signal <= hi))
+    assert _signal_bounds(replace(cfg, swarming=False)) == (0.0, 0.0)
+
+
+def test_signal_bounds_are_reached_up_to_rounding():
+    # every member on the point and zero widths: each kernel sums to
+    # population_size exactly, so the bounds are tight
+    for size in (2, 26):
+        cfg = ss.BfaConfig(population_size=size, attract_depth=0.3,
+                           attract_width=0.0, repel_height=0.0)
+        lo, hi = _signal_bounds(cfg)
+        signal = _signal_rows(np.zeros((1, 2)), np.zeros((1, size, 2)), cfg,
+                              _kernel_rates(cfg))[0]
+        assert hi == 0.0 and signal == -0.3 * size
+        assert lo < signal and lo / signal < 1 + 2e-9
 
 
 def test_effective_fitness_toggle():
@@ -496,9 +542,9 @@ def test_run_bfa_row_path_equals_point_path(setting, seed, reference):
 
 def test_run_bfa_row_path_scores_rows_past_the_stop_inside_the_box(
         reference):
-    # every round's chains are scored in one call, swim rows past a stop
-    # included; those rows are not counted, and like every other scored
-    # point they lie inside the box
+    # every swim row of a tumble that may improve is scored, rows past a
+    # stop included; those rows are not counted, and like every other
+    # scored point they lie inside the box
     spec, cfg = ROW_PATH_SETTINGS["coded"]
     weights = ss.WeightVector(0.1, 0.1, 0.8)
     f = RowLog(spec, weights)

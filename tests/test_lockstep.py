@@ -1,6 +1,6 @@
 """The lockstep engine and run_bfa against a move-by-move reference run,
-run by run and bit for bit: one run takes the single-run walk, several runs
-the two-stage step."""
+run by run and bit for bit, for one run and for several: with turns whose
+swim decisions the signal bounds settle, turns they leave open, and both."""
 
 from dataclasses import replace
 
@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 import solarswarm as ss
+from solarswarm import bfa
 from solarswarm.bfa import (
     _row_dots,
     _tumble_round,
+    _turn_signals,
+    cell_to_cell_signal,
     run_bfa_lockstep,
     tumble_direction,
 )
@@ -102,6 +105,97 @@ def test_lockstep_breaks_ties_like_run_bfa(reference):
                                     reference)
 
 
+@pytest.fixture()
+def walks(monkeypatch):
+    """A list that gains the index of every bacterium walked by
+    _swim_chain: the turns whose swim decisions the signal bounds leave
+    open, and every swim_loop call."""
+    walked = []
+    walk = bfa._swim_chain
+
+    def logged(swarm, index, *rest):
+        walked.append(index)
+        return walk(swarm, index, *rest)
+
+    monkeypatch.setattr(bfa, "_swim_chain", logged)
+    return walked
+
+
+def turns(cfg, runs):
+    """Bacterium turns in `runs` runs of cfg."""
+    return runs * cfg.population_size * cfg.total_passes \
+        * cfg.elimination_cycles * cfg.reproduction_cycles \
+        * cfg.chemotaxis_steps
+
+
+@pytest.mark.parametrize("seeds", [[4], [4, 5, 6]], ids=["R1", "R3"])
+def test_lockstep_walks_every_turn_of_a_constant_fitness(seeds, walks,
+                                                         reference):
+    # raw fitness never changes, so no bound settles a swim decision: the
+    # signal alone decides, and every bacterium walks against the swarm
+    # its predecessors left
+    box = ((-1.0, 1.0),) * 3
+    f = ss.BoxFunction(dimension=3, bounds=box, fn=lambda p: 2.5)
+    cfg = replace(SMALL, attract_depth=0.3, repel_width=0.5)
+    results = run_bfa_lockstep(
+        lambda runs, positions: np.full(len(positions), 2.5), box, cfg, seeds)
+    assert len(walks) == turns(cfg, len(seeds))
+    assert walks[:cfg.population_size] == list(range(cfg.population_size))
+    for seed, got in zip(seeds, results):
+        assert_both_match_reference(got, f, replace(cfg, seed=seed),
+                                    reference)
+
+
+@pytest.mark.parametrize("cells", [SINGLE, MIXED], ids=["R1", "mixed"])
+def test_lockstep_mixes_settled_and_walked_turns(cells, walks, reference):
+    # deep attraction wells and high repulsion bumps widen the signal
+    # bounds to the size of many raw fitness steps: some swim decisions
+    # are settled from raw fitness, the rest are walked
+    spec = ss.ProblemSpec()
+    cfg = replace(SMALL, attract_depth=1e5, repel_height=5e4)
+    seeds, results = lockstep(spec, cfg, cells)
+    assert 0 < len(walks) < turns(cfg, len(cells))
+    for (weights, _), seed, got in zip(cells, seeds, results):
+        assert_both_match_reference(got, ss.IrrigationFitness(spec, weights),
+                                    replace(cfg, seed=seed), reference)
+
+
+def test_lockstep_without_swarming_settles_every_turn(walks):
+    # with swarming off the bounds are 0, so raw fitness decides every
+    # swim exactly, ties included
+    spec, cfg = SETTINGS["no_swarming_full_dispersal"]
+    lockstep(spec, cfg, MIXED)
+    box = ((0.0, 4.0),) * 3
+    run_bfa_lockstep(lambda runs, positions: np.floor(positions.sum(axis=1)),
+                     box, replace(cfg, population_size=40), [3, 4])
+    assert walks == []
+
+
+def test_turn_signals_see_the_swarm_at_each_turn():
+    # bacterium i's moves are signalled against its run's final points
+    # before i and start points after it, as a move-by-move walk sees
+    # them; three runs of 26 give more rows than one signal call takes
+    rng = np.random.default_rng(8)
+    n_runs, size, length, dims = 3, 26, 4, 2
+    cfg = replace(SMALL, population_size=size, attract_width=0.05)
+    chains = rng.uniform(0.0, 5.0, (n_runs, size, length, dims))
+    made = rng.integers(1, length, (n_runs, size))
+    finals = chains[np.arange(n_runs)[:, None], np.arange(size), made]
+    runs, bacteria, moves = np.nonzero(np.ones((n_runs, size, length - 1)))
+    moves += 1
+    got = _turn_signals(chains, finals, runs, bacteria, moves, cfg,
+                        bfa._kernel_rates(cfg))
+    assert len(got) > bfa._SIGNAL_BLOCK
+    for k, (run, i, move) in enumerate(zip(runs, bacteria, moves)):
+        swarm = np.concatenate([finals[run, :i], chains[run, i:, 0]])
+        swarm[i] = chains[run, i, move]
+        want = cell_to_cell_signal(swarm[i], ss.Swarm(
+            swarm, np.zeros(size), np.zeros(size)), cfg)
+        assert got[k] == want
+    assert not _turn_signals(chains, finals, runs, bacteria, moves,
+                             replace(cfg, swarming=False), None).any()
+
+
 class RowLog:
     """Lockstep evaluate callback that records every row it is given."""
 
@@ -118,8 +212,8 @@ class RowLog:
 
 
 def test_lockstep_without_improving_tumbles_never_swims(reference):
-    # swarming off and a constant fitness: no tumble improves, so no run
-    # reaches the second stage and every evaluated row is counted
+    # swarming off and a constant fitness: no tumble improves, so no swim
+    # row is scored and every evaluated row is counted
     box = ((-1.0, 1.0),) * 3
     f = ss.BoxFunction(dimension=3, bounds=box, fn=lambda p: 2.5)
     cfg = replace(SMALL, swarming=False)
@@ -133,9 +227,9 @@ def test_lockstep_without_improving_tumbles_never_swims(reference):
 
 
 def test_lockstep_evaluates_swims_past_the_stop_inside_the_box(reference):
-    # the second stage evaluates every swim row of an improving tumble,
-    # also rows past the move where the run stops; they are not counted,
-    # and like every other evaluated point they lie inside the box
+    # every swim row of a tumble that may improve is evaluated, also rows
+    # past the move where the run stops; they are not counted, and like
+    # every other evaluated point they lie inside the box
     spec, cfg = SETTINGS["coded"]
     table = np.array([w.as_tuple() for w, _ in MIXED])
     seeds = [ss.derive_seed(cfg.seed, w, rep) for w, rep in MIXED]
