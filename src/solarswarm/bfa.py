@@ -499,6 +499,94 @@ def _turn_signals(chains: np.ndarray, finals: np.ndarray, runs: np.ndarray,
     return signal
 
 
+# unit roundoff of a float64 operation
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _health_radius(unsignalled: np.ndarray, moved: np.ndarray,
+                   magnitude: np.ndarray, bound: float) -> np.ndarray:
+    """Error radius of health summed without the signal of `unsignalled`
+    of a bacterium's `moved` moves this cycle, elementwise.
+
+    Exact health H is the float sum from 0.0, in move order, of
+    a_k = fl(raw_k + s_k) over the cycle's n moves. The signal-free health
+    m adds raw_k in place of a_k for the U moves left unsignalled, and a_k
+    for the rest. With |s_k| <= bound = B (_signal_bounds), u = 2**-53 and
+    S = sum(|raw_k| + B) (`magnitude` is the sum of |raw_k|):
+
+    - each unsignalled move changes a term by at most B + u(|raw_k| + B);
+    - a float sum of n terms from 0.0 lies within gamma_(n-1) * sum|term|
+      of the real sum (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., section 4.2), and both sums' terms are at most
+      (1 + u)(|raw_k| + B);
+
+    so |H - m| <= U*B + (2n - 1)u(1 + O(nu))S. The radius
+    U*B + 4(n + 1)uS leaves over (2n + 4)uS for the rounding of S itself,
+    of the radius and of the comparisons m - r > m' + r' made with it.
+    It is 0 when U = 0 or B = 0: every term of m is then a_k itself, or
+    raw_k + (+-0.0), which sums to the same value.
+    """
+    total = magnitude + moved * bound
+    radius = unsignalled * bound + 4.0 * (moved + 1) * _UNIT_ROUNDOFF * total
+    return np.where(unsignalled * bound > 0.0, radius, 0.0)
+
+
+def _order_settled(health: np.ndarray, radius: np.ndarray,
+                   order: np.ndarray) -> np.ndarray:
+    """Per run: whether the top half of its bacteria, sorted by `order`
+    (the stable descending sort of `health`), holds the same members in
+    the same order under the stable descending sort of any healths within
+    `radius` of `health`.
+
+    Member k of the sorted top half must surely come before member k + 1,
+    and the last of the top half before every member after it: their
+    intervals health +- radius are disjoint, or both radii are 0, where
+    the healths are exact and the sort already orders them, ties by index.
+    """
+    health = np.take_along_axis(health, order, axis=1)
+    radius = np.take_along_axis(radius, order, axis=1)
+    behind = np.arange(1, health.shape[1])
+    ahead = np.minimum(behind, health.shape[1] // 2) - 1
+    sure = ((health[:, ahead] - radius[:, ahead]
+             > health[:, behind] + radius[:, behind])
+            | ((radius[:, ahead] == 0.0) & (radius[:, behind] == 0.0)))
+    return sure.all(axis=1)
+
+
+def _exact_health(evaluate, runs: np.ndarray, starts: np.ndarray,
+                  moves: np.ndarray, made: np.ndarray, lower: np.ndarray,
+                  upper: np.ndarray, cfg: BfaConfig, rates: np.ndarray,
+                  chains: np.ndarray) -> np.ndarray:
+    """Exact health of every bacterium of the runs `runs` over one
+    reproduction cycle, replayed from its start: raw fitness plus signal
+    of every move made, summed in move order.
+
+    starts[k] holds run runs[k]'s positions when the cycle started,
+    moves[k] its tumbles of the cycle (chemotaxis_steps, bacteria, dims)
+    and made[:, k] the moves each bacterium made in each round. The moves
+    made are scored again and signalled against the swarm at each turn
+    (_turn_signals); nothing is drawn, walked or counted. `chains` is a
+    (len(runs), bacteria, swim_limit + 2, dims) buffer.
+    """
+    each, bacteria = np.arange(len(runs))[:, None], np.arange(starts.shape[1])
+    chain_index = np.arange(chains.shape[-2])
+    health, positions = np.zeros(starts.shape[:2]), starts
+    eff = np.empty(chains.shape[:-1])
+    for cycle_round, stops in enumerate(made):
+        _lay_chains(positions, moves[:, cycle_round], lower, upper, chains)
+        positions = chains[each, bacteria, stops]
+        replayed, turn, kept = np.nonzero(
+            (chain_index > 0) & (chain_index <= stops[..., None]))
+        eff.fill(0.0)
+        eff[..., 0] = health
+        eff[replayed, turn, kept] = evaluate(
+            runs[replayed], chains[replayed, turn, kept]) + _turn_signals(
+            chains, positions, replayed, turn, kept, cfg, rates)
+        np.add.accumulate(eff, axis=-1, out=eff)
+        health = eff[each, bacteria, stops]
+    return health
+
+
 def _take_first_best(best_fitness: np.ndarray, best_position: np.ndarray,
                      values: np.ndarray, points: np.ndarray) -> None:
     """Incumbent update after run k evaluated values[k] in index order at
@@ -531,9 +619,17 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     - the signal bounds of _signal_bounds settle most swim decisions from
       raw fitness alone. A bacterium with a decision left open before its
       stop is walked exactly by _swim_chain, in index order;
-    - the moves made by every other bacterium are then signalled against
-      the swarm at its turn (_turn_signals), and health is summed in move
-      order.
+    - every other bacterium's moves made go unsignalled: its health adds
+      their raw fitness, in move order.
+
+    Health only ranks the bacteria at reproduction. Each one's signal-free
+    health lies within an error radius of its exact health
+    (_health_radius: the bound times its unsignalled moves, plus a
+    rounding term; 0 when every signal is known). A run whose ranking the
+    radii leave open (_order_settled) replays its cycle from the start
+    points with every move signalled (_exact_health, through
+    _turn_signals), and is ranked by that exact health; the replay draws,
+    walks and counts nothing.
 
     A run keeps its chain up to its first move that does not improve;
     rows past that move may be evaluated but are never counted. The
@@ -563,26 +659,36 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     rates = _kernel_rates(cfg)
     lo, hi = _signal_bounds(cfg)
 
+    # per bacterium over a reproduction cycle: its health, summed without
+    # the signal of the moves the bounds settle, and for its error radius
+    # (_health_radius) the moves left unsignalled and the sum of |raw
+    # fitness| over the moves made
     health = np.empty((n_runs, size))
+    unsignalled = np.empty((n_runs, size), dtype=np.intp)
+    magnitude = np.empty((n_runs, size))
     # between dispersals a run's stream draws only tumbles, so one draw per
     # reproduction cycle gives every tumble the draws it would take alone.
-    # That cycle's moves per run, a round's tumble chains, the raw fitness
-    # of every chain row (row 0 the start's), the effective fitness of the
-    # moves made and the moves each bacterium made are all filled in place
+    # That cycle's start points and moves per run, a round's tumble chains,
+    # the raw fitness of every chain row (row 0 the start's), the health
+    # terms of the moves made and the moves each bacterium made in each
+    # round of the cycle are all filled in place
+    starts = np.empty((n_runs, size, dims))
     moves = np.empty((n_runs, per_cycle, size, dims))
     chains = np.empty((n_runs, size, swims + 2, dims))
     scored = np.zeros((n_runs, size, swims + 2))
     eff = np.empty((n_runs, size, swims + 2))
-    made = np.empty((n_runs, size), dtype=np.intp)
+    made_in = np.empty((per_cycle, n_runs, size), dtype=np.intp)
     chain_index = np.arange(swims + 2)
     each_run, bacteria = everyone[:, None], np.arange(size)
     for row in range(1, rounds + 1):
         cycle_round = (row - 1) % per_cycle
         if cycle_round == 0:
-            health[:] = 0.0
+            health[:], unsignalled[:], magnitude[:] = 0.0, 0, 0.0
+            starts[:] = positions
             for run, rng in enumerate(rngs):
                 np.multiply(steps, _tumble_round(rng, per_cycle * size, dims)
                             .reshape(moves.shape[1:]), out=moves[run])
+        made = made_in[cycle_round]
         _lay_chains(positions, moves[:, cycle_round], lower, upper, chains)
         scored[..., 0] = raw
         scored[..., 1] = evaluate(np.repeat(everyone, size),
@@ -620,14 +726,14 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
                 done = i + 1
             finals[run] = chains[run, bacteria, stops]
         walked = (chain_index > 0) & (chain_index <= made[..., None])
-        # every other bacterium's moves made are signalled once the round's
-        # stops are known, each against the swarm at its turn
-        runs, settled, kept = np.nonzero(walked & ~unsettled[..., None])
+        # every other bacterium's health adds the raw fitness of its moves
+        # made, in turn, and no signal: health only ranks the bacteria at
+        # reproduction, where its error radius settles the ranking
         eff.fill(0.0)
+        np.copyto(eff, scored, where=walked)
+        magnitude += np.abs(eff).sum(axis=-1)
+        unsignalled += np.where(unsettled, 0, made)
         eff[..., 0] = health
-        eff[runs, settled, kept] = scored[runs, settled, kept] + _turn_signals(
-            chains, finals, runs, settled, kept, cfg, rates)
-        # health adds every kept move's effective fitness in turn
         np.add.accumulate(eff, axis=-1, out=eff)
         np.copyto(health, eff[each_run, bacteria, made], where=~unsettled)
         positions = finals
@@ -641,7 +747,20 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
         count += made.sum(axis=1)
         trace_fitness[row], trace_count[row] = best_fitness, count
         if row % per_cycle == 0:
-            order = np.argsort(-health, axis=1, kind="stable")[:, : size // 2]
+            order = np.argsort(-health, axis=1, kind="stable")
+            # a run whose ranking the radii leave open replays its cycle
+            # with every signal, for its exact health
+            radius = _health_radius(unsignalled, made_in.sum(axis=0),
+                                    magnitude, max(-lo, hi))
+            replay = np.flatnonzero(~_order_settled(health, radius, order))
+            if len(replay):
+                health[replay] = _exact_health(
+                    evaluate, replay, starts[replay], moves[replay],
+                    made_in[:, replay], lower, upper, cfg, rates,
+                    chains[: len(replay)])
+                order[replay] = np.argsort(-health[replay], axis=1,
+                                           kind="stable")
+            order = order[:, : size // 2]
             positions = np.repeat(np.take_along_axis(
                 positions, order[..., None], axis=1), 2, axis=1)
             raw = np.repeat(np.take_along_axis(raw, order, axis=1), 2, axis=1)

@@ -16,6 +16,7 @@ seed reproduces every file byte for byte; runtime goes to stdout only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -391,6 +392,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+# built once per process: parse_args reads the parser and leaves it as it
+# was, and each subcommand's handler is bound when it is built
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solarswarm",

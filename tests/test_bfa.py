@@ -1,12 +1,14 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import solarswarm as ss
 from solarswarm.bfa import (
+    _health_radius,
     _kernel_rates,
     _signal_bounds,
     _signal_rows,
@@ -226,6 +228,51 @@ def test_signal_bounds_are_reached_up_to_rounding():
                               _kernel_rates(cfg))[0]
         assert hi == 0.0 and signal == -0.3 * size
         assert lo < signal and lo / signal < 1 + 2e-9
+
+
+@st.composite
+def health_terms(draw):
+    """(raws, signals, known, bound): one bacterium's raw fitness over a
+    cycle's moves, a signal in the bounds for each and whether it was
+    computed, with magnitudes from far below to far above the bound, so
+    rounding and cancellation both show."""
+    n = draw(st.integers(1, 60))
+    size = draw(st.sampled_from([2, 26]))
+    scale = st.one_of(st.just(0.0), st.floats(1e-3, 1e5))
+    cfg = ss.BfaConfig(population_size=size, attract_depth=draw(scale),
+                       repel_height=draw(scale), swarming=draw(st.booleans()))
+    lo, hi = _signal_bounds(cfg)
+    raw = st.one_of(st.floats(-1e16, 1e16), st.floats(-10.0, 10.0),
+                    st.sampled_from([0.0, 1.0, 2.0 ** 53, -3e5]))
+    raws = draw(st.lists(raw, min_size=n, max_size=n))
+    signals = draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+    known = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return raws, signals, known, max(-lo, hi)
+
+
+@given(health_terms())
+@example(([2.0 ** 53, 1.0], [0.0, 1e-3], [True, False], 2e-3))
+def test_signal_free_health_lies_within_its_radius(case):
+    # the bound run_bfa_lockstep ranks the bacteria with at reproduction:
+    # health summed with raw fitness alone for the moves whose signal is
+    # not known lies within the radius of the exact health, and is the
+    # exact health when every signal is known. In the example 2**53 + 1
+    # is a tie that rounds down, and 2**53 + 1.001 rounds up, so the two
+    # healths differ by 2, far more than the signal: the rounding term of
+    # the radius covers it
+    raws, signals, known, bound = case
+    exact = signal_free = magnitude = 0.0
+    for raw, signal, computed in zip(raws, signals, known):
+        exact += raw + signal
+        signal_free += raw + signal if computed else raw
+        magnitude += abs(raw)
+    unsignalled = len(raws) - sum(known)
+    radius = _health_radius(np.array([unsignalled]), np.array([len(raws)]),
+                            np.array([magnitude]), bound)[0]
+    assert abs(Fraction(exact) - Fraction(signal_free)) <= Fraction(radius)
+    assert (radius == 0.0) == (unsignalled * bound == 0.0)
+    if radius == 0.0:
+        assert signal_free == exact
 
 
 def test_effective_fitness_toggle():

@@ -10,6 +10,7 @@ import pytest
 import solarswarm as ss
 from solarswarm import bfa
 from solarswarm.bfa import (
+    _order_settled,
     _row_dots,
     _tumble_round,
     _turn_signals,
@@ -158,6 +159,89 @@ def test_lockstep_mixes_settled_and_walked_turns(cells, walks, reference):
     for (weights, _), seed, got in zip(cells, seeds, results):
         assert_both_match_reference(got, ss.IrrigationFitness(spec, weights),
                                     replace(cfg, seed=seed), reference)
+
+
+@pytest.fixture()
+def signal_calls(monkeypatch):
+    """A list that gains the number of rows of every _turn_signals call:
+    only a replayed reproduction cycle makes one."""
+    calls = []
+    signals = bfa._turn_signals
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return signals(*args)
+
+    monkeypatch.setattr(bfa, "_turn_signals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cells", [[(SINGLE[0][0], 3)], MIXED],
+                         ids=["R1", "mixed"])
+def test_lockstep_replays_the_rankings_its_radii_leave_open(
+        cells, signal_calls, reference):
+    # signal bounds the size of many raw fitness steps leave wide health
+    # radii, so some reproductions cannot be ranked from the signal-free
+    # health, and their cycles are replayed with every signal (twice in
+    # the one run, once among the mixed ones)
+    spec = ss.ProblemSpec()
+    cfg = replace(SMALL, attract_depth=1e5, repel_height=5e4)
+    seeds, results = lockstep(spec, cfg, cells)
+    assert signal_calls
+    for (weights, _), seed, got in zip(cells, seeds, results):
+        assert_both_match_reference(got, ss.IrrigationFitness(spec, weights),
+                                    replace(cfg, seed=seed), reference)
+
+
+def test_lockstep_ranks_the_benchmark_sweep_without_signals(signal_calls,
+                                                            reference):
+    # the benchmark's sweep batch (36 weights, one replicate, the
+    # shortened optimizer): every ranking is settled from the signal-free
+    # health, so no move is signalled outside the walks. A run gives the
+    # same bytes alone or in a batch, so every seventh run is checked
+    spec = ss.ProblemSpec()
+    cfg = replace(ss.BfaConfig(), elimination_cycles=1, reproduction_cycles=2)
+    cells = [(w, 0) for w in ss.weight_grid()]
+    seeds, results = lockstep(spec, cfg, cells)
+    assert signal_calls == []
+    for (weights, _), seed, got in list(zip(cells, seeds, results))[::7]:
+        assert_same_run(got, reference(ss.IrrigationFitness(spec, weights),
+                                       replace(cfg, seed=seed)))
+
+
+def test_lockstep_ranks_tied_exact_healths_without_replay(signal_calls,
+                                                          reference):
+    # swarming off and a constant fitness: every health is exact (radius 0)
+    # and all of them tie, so the stable sort ranks them by index and
+    # nothing is replayed; 40 bacteria take numpy's sort past its
+    # small-array path
+    box = ((-1.0, 1.0),) * 3
+    f = ss.BoxFunction(dimension=3, bounds=box, fn=lambda p: 2.5)
+    cfg = replace(SMALL, population_size=40, swarming=False)
+    seeds = [0, 1]
+    results = run_bfa_lockstep(
+        lambda runs, positions: np.full(len(positions), 2.5), box, cfg, seeds)
+    assert signal_calls == []
+    for seed, got in zip(seeds, results):
+        assert_both_match_reference(got, f, replace(cfg, seed=seed),
+                                    reference)
+
+
+def test_order_settled_needs_the_top_half_before_every_member_after_it():
+    # four bacteria, top half of two: the second must surely come before
+    # every member after it, not only the third; the order of the bottom
+    # half does not matter, and exact healths rank ties by index
+    health = np.array([[10.0, 5.0, 4.9, 4.8]] * 4
+                      + [[10.0, 9.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+    radius = np.array([[0.0, 0.0, 0.0, 100.0],
+                       [0.0, 0.0, 0.0, 0.01],
+                       [0.0, 0.06, 0.06, 0.0],
+                       [0.0, 0.0, 0.0, 0.0],
+                       [0.0, 0.0, 5.0, 5.0],
+                       [0.0, 0.0, 0.0, 0.0]])
+    order = np.argsort(-health, axis=1, kind="stable")
+    assert _order_settled(health, radius, order).tolist() == [
+        False, True, False, True, True, True]
 
 
 def test_lockstep_without_swarming_settles_every_turn(walks):
