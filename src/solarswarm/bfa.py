@@ -318,7 +318,8 @@ def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raws,
                 cfg: BfaConfig, rates: np.ndarray) -> tuple[float, int]:
     """Walk bacterium `index` along its laid-out chain, against the swarm
     as it stands: the exact walk, for the turns whose swim decisions the
-    signal bounds leave open, and for swim_loop.
+    signal bounds leave open, for every turn of a replayed cycle
+    (_exact_health), and for swim_loop.
 
     The tumble move is always kept; repeats continue while effective
     fitness strictly improves, up to swim_limit of them. `raws` yields the
@@ -468,37 +469,6 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
 # gives the same bytes alone or among others; only the numpy call overhead
 # is shared across runs.
 
-# rows per _signal_rows call in _turn_signals: each call's temporaries hold
-# this many swarms
-_SIGNAL_BLOCK = 128
-
-
-def _turn_signals(chains: np.ndarray, finals: np.ndarray, runs: np.ndarray,
-                  bacteria: np.ndarray, moves: np.ndarray, cfg: BfaConfig,
-                  rates: np.ndarray) -> np.ndarray:
-    """Swarming signal of every point chains[runs[k], bacteria[k],
-    moves[k]] against its run's swarm at that bacterium's turn: the final
-    points `finals` of the bacteria before it, the start points of the
-    rest, and the point itself in its own place. All zeros with swarming
-    off."""
-    signal = np.zeros(len(runs))
-    if not cfg.swarming:
-        return signal
-    _, size, dims = finals.shape
-    # each run's start points, then its final points, one row per member;
-    # row i of `turn` indexes bacterium i's swarm in its run's rows
-    snapshot = np.stack([chains[:, :, 0], finals], axis=1).reshape(-1, dims)
-    turn = np.tri(size, k=-1, dtype=np.intp) * size + np.arange(size)
-    for block in range(0, len(runs), _SIGNAL_BLOCK):
-        rows = slice(block, block + _SIGNAL_BLOCK)
-        r, i = runs[rows], bacteria[rows]
-        points = chains[r, i, moves[rows]]
-        swarms = np.take(snapshot, (2 * size * r)[:, None] + turn[i], axis=0)
-        swarms[np.arange(len(r)), i] = points
-        signal[rows] = _signal_rows(points, swarms, cfg, rates)
-    return signal
-
-
 # unit roundoff of a float64 operation
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -554,36 +524,41 @@ def _order_settled(health: np.ndarray, radius: np.ndarray,
 
 
 def _exact_health(evaluate, runs: np.ndarray, starts: np.ndarray,
-                  moves: np.ndarray, made: np.ndarray, lower: np.ndarray,
-                  upper: np.ndarray, cfg: BfaConfig, rates: np.ndarray,
-                  chains: np.ndarray) -> np.ndarray:
+                  start_raw: np.ndarray, moves: np.ndarray, made: np.ndarray,
+                  lower: np.ndarray, upper: np.ndarray, cfg: BfaConfig,
+                  rates: np.ndarray, chains: np.ndarray) -> np.ndarray:
     """Exact health of every bacterium of the runs `runs` over one
     reproduction cycle, replayed from its start: raw fitness plus signal
     of every move made, summed in move order.
 
-    starts[k] holds run runs[k]'s positions when the cycle started,
-    moves[k] its tumbles of the cycle (chemotaxis_steps, bacteria, dims)
-    and made[:, k] the moves each bacterium made in each round. The moves
-    made are scored again and signalled against the swarm at each turn
-    (_turn_signals); nothing is drawn, walked or counted. `chains` is a
-    (len(runs), bacteria, swim_limit + 2, dims) buffer.
+    starts[k] and start_raw[k] hold run runs[k]'s positions and their raw
+    fitness when the cycle started, moves[k] its tumbles of the cycle
+    (chemotaxis_steps, bacteria, dims) and made[:, k] the moves each
+    bacterium made in each round. Each round scores the moves made again,
+    and only those, in one call; then every bacterium is walked by
+    _swim_chain, in index order, against its run's swarm at its turn.
+    Nothing is drawn or counted. `chains` is a (len(runs), bacteria,
+    swim_limit + 2, dims) buffer.
     """
-    each, bacteria = np.arange(len(runs))[:, None], np.arange(starts.shape[1])
+    positions, raw = starts.copy(), start_raw.copy()
+    health = np.zeros(raw.shape)
+    # each Swarm's arrays are views into positions, raw and health, so a
+    # walk updates them in place
+    swarms = [Swarm(*run) for run in zip(positions, raw, health)]
     chain_index = np.arange(chains.shape[-2])
-    health, positions = np.zeros(starts.shape[:2]), starts
-    eff = np.empty(chains.shape[:-1])
     for cycle_round, stops in enumerate(made):
         _lay_chains(positions, moves[:, cycle_round], lower, upper, chains)
-        positions = chains[each, bacteria, stops]
         replayed, turn, kept = np.nonzero(
             (chain_index > 0) & (chain_index <= stops[..., None]))
-        eff.fill(0.0)
-        eff[..., 0] = health
-        eff[replayed, turn, kept] = evaluate(
-            runs[replayed], chains[replayed, turn, kept]) + _turn_signals(
-            chains, positions, replayed, turn, kept, cfg, rates)
-        np.add.accumulate(eff, axis=-1, out=eff)
-        health = eff[each, bacteria, stops]
+        # in run, bacterium, move order: each walk reads its moves made
+        values = evaluate(runs[replayed],
+                          chains[replayed, turn, kept]).tolist()
+        done = 0
+        for k, swarm in enumerate(swarms):
+            for i, stop in enumerate(stops[k].tolist()):
+                _swim_chain(swarm, i, chains[k, i], values[done:done + stop],
+                            cfg, rates)
+                done += stop
     return health
 
 
@@ -627,9 +602,9 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     (_health_radius: the bound times its unsignalled moves, plus a
     rounding term; 0 when every signal is known). A run whose ranking the
     radii leave open (_order_settled) replays its cycle from the start
-    points with every move signalled (_exact_health, through
-    _turn_signals), and is ranked by that exact health; the replay draws,
-    walks and counts nothing.
+    points, walking every bacterium's moves made with _swim_chain
+    (_exact_health), and is ranked by that exact health; the replay draws
+    and counts nothing.
 
     A run keeps its chain up to its first move that does not improve;
     rows past that move may be evaluated but are never counted. The
@@ -668,11 +643,12 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     magnitude = np.empty((n_runs, size))
     # between dispersals a run's stream draws only tumbles, so one draw per
     # reproduction cycle gives every tumble the draws it would take alone.
-    # That cycle's start points and moves per run, a round's tumble chains,
-    # the raw fitness of every chain row (row 0 the start's), the health
-    # terms of the moves made and the moves each bacterium made in each
-    # round of the cycle are all filled in place
+    # That cycle's start points, their raw fitness and moves per run, a
+    # round's tumble chains, the raw fitness of every chain row (row 0 the
+    # start's), the health terms of the moves made and the moves each
+    # bacterium made in each round of the cycle are all filled in place
     starts = np.empty((n_runs, size, dims))
+    start_raw = np.empty((n_runs, size))
     moves = np.empty((n_runs, per_cycle, size, dims))
     chains = np.empty((n_runs, size, swims + 2, dims))
     scored = np.zeros((n_runs, size, swims + 2))
@@ -684,7 +660,7 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
         cycle_round = (row - 1) % per_cycle
         if cycle_round == 0:
             health[:], unsignalled[:], magnitude[:] = 0.0, 0, 0.0
-            starts[:] = positions
+            starts[:], start_raw[:] = positions, raw
             for run, rng in enumerate(rngs):
                 np.multiply(steps, _tumble_round(rng, per_cycle * size, dims)
                             .reshape(moves.shape[1:]), out=moves[run])
@@ -755,9 +731,9 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
             replay = np.flatnonzero(~_order_settled(health, radius, order))
             if len(replay):
                 health[replay] = _exact_health(
-                    evaluate, replay, starts[replay], moves[replay],
-                    made_in[:, replay], lower, upper, cfg, rates,
-                    chains[: len(replay)])
+                    evaluate, replay, starts[replay], start_raw[replay],
+                    moves[replay], made_in[:, replay], lower, upper, cfg,
+                    rates, chains[: len(replay)])
                 order[replay] = np.argsort(-health[replay], axis=1,
                                            kind="stable")
             order = order[:, : size // 2]

@@ -221,28 +221,26 @@ def coefficient_table(spec: ProblemSpec
 
 
 class _Surfaces:
-    """coefficient_table(spec) and the variable coding, laid out once for
-    the scalar evaluator (Python floats) and for evaluate_rows (arrays)."""
+    """coefficient_table(spec) and the variable coding, laid out once as
+    arrays for _objective_rows."""
 
     def __init__(self, spec: ProblemSpec) -> None:
-        self.table = coefficient_table(spec)
+        table = coefficient_table(spec)
         self.coded = spec.variable_mode == "coded"
         bounds = spec.design_bounds + CRISP_NOISE_BOUNDS
-        self.lo = tuple(lo for lo, _ in bounds)
-        self.width = tuple(hi - lo for lo, hi in bounds)
-        # evaluate_rows sums every objective over the same number of terms;
-        # the shorter ones are padded with -0.0 * 1 * 1, and x + -0.0 == x
+        # every objective is summed over the same number of terms; the
+        # shorter ones are padded with -0.0 * 1 * 1, and x + -0.0 == x
         # holds bit for bit for every x, so padding changes no sum
-        size = max(len(terms) for _, terms in self.table)
+        size = max(len(terms) for _, terms in table)
         padded = [terms + ((-0.0, _ONE, _ONE),) * (size - len(terms))
-                  for _, terms in self.table]
+                  for _, terms in table]
         self.coef = np.array([[c for c, _, _ in terms] for terms in padded]
                              )[..., None]
         self.first = np.array([[i for _, i, _ in terms] for terms in padded])
         self.second = np.array([[j for _, _, j in terms] for terms in padded])
-        self.factor = np.array([factor for factor, _ in self.table])[:, None]
-        self.lo_row = np.array(self.lo)
-        self.width_row = np.array(self.width)
+        self.factor = np.array([factor for factor, _ in table])[:, None]
+        self.lo_row = np.array([lo for lo, _ in bounds])
+        self.width_row = np.array([hi - lo for lo, hi in bounds])
         # one instance serves every caller with an equal spec (_surfaces)
         for array in (self.coef, self.first, self.second, self.factor,
                       self.lo_row, self.width_row):
@@ -252,44 +250,36 @@ class _Surfaces:
 _surfaces = functools.lru_cache(maxsize=16)(_Surfaces)
 
 
-def _objective_values(values: Sequence[float], surfaces: _Surfaces
-                      ) -> tuple[float, float, float]:
-    """(power, efficiency, savings) at the six raw values, in Python floats.
-
-    The terms are added one by one from -0.0 (the exact additive identity),
-    never with sum(), whose summation differs between Python versions.
-    """
-    if surfaces.coded:
-        x = [2.0 * (v - lo) / w - 1.0
-             for v, lo, w in zip(values, surfaces.lo, surfaces.width)]
-    else:
-        x = list(values)
-    x.append(1.0)
-    out = []
-    for factor, terms in surfaces.table:
-        total = -0.0
-        for coef, i, j in terms:
-            total += coef * x[i] * x[j]
-        out.append(total * factor)
-    return tuple(out)
-
-
-def _finite_objectives(values: Sequence[float], surfaces: _Surfaces
-                       ) -> tuple[float, float, float]:
-    """_objective_values at one point, rejecting inf and nan."""
-    power, efficiency, savings = _objective_values(values, surfaces)
-    if not (math.isfinite(power) and math.isfinite(efficiency)
-            and math.isfinite(savings)):
-        raise NonFiniteResult(
-            f"objectives not finite at {tuple(values)}: "
-            f"({power}, {efficiency}, {savings})")
-    return power, efficiency, savings
-
-
-# evaluate_rows works through at most this many rows at a time: its
+# _objective_rows works through at most this many rows at a time: its
 # temporaries hold 39 floats per row, so a sweep's first evaluation (every
 # bacterium of every run) would otherwise raise the peak memory
 _ROW_BLOCK = 256
+
+
+def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
+    """(power, efficiency, savings) of every row of an (m, 6) array of
+    positions (x_a..x_d, Z_a, Z_b), as a (3, m) array: the one evaluator.
+
+    Each objective is factor * (t_1 + t_2 + ...) over coefficient_table's
+    terms. np.add.accumulate adds the terms strictly left to right (a
+    reduce may sum pairwise), so a row's values do not depend on the rows
+    beside it. A row with an objective that is inf or nan raises
+    NonFiniteResult.
+    """
+    if len(positions) > _ROW_BLOCK:
+        return np.concatenate([
+            _objective_rows(spec, positions[k:k + _ROW_BLOCK])
+            for k in range(0, len(positions), _ROW_BLOCK)], axis=1)
+    s = _surfaces(spec)
+    x = np.ones((7, len(positions)))
+    x[:6] = (2.0 * (positions - s.lo_row) / s.width_row - 1.0).T \
+        if s.coded else positions.T
+    terms = s.coef * x[s.first] * x[s.second]
+    objectives = np.add.accumulate(terms, axis=1)[:, -1] * s.factor
+    if not np.isfinite(objectives).all():
+        bad = positions[np.isfinite(objectives).all(axis=0).argmin()].tolist()
+        raise NonFiniteResult(f"objectives not finite at position {bad!r}")
+    return objectives
 
 
 def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
@@ -297,27 +287,10 @@ def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
     """IrrigationFitness.evaluate for many rows at once.
 
     Row k scores positions[k] (x_a..x_d, Z_a, Z_b) with the weights
-    weights[k] = (w1, w2, w3). Every term is the same product as in the
-    scalar evaluator and np.add.accumulate adds them strictly left to right
-    (a reduce may sum pairwise), so every value is bit-identical to
-    IrrigationFitness(spec, WeightVector(*weights[k])).evaluate.
+    weights[k] = (w1, w2, w3): w1 * power + w2 * efficiency + w3 * savings,
+    added left to right.
     """
-    if len(positions) > _ROW_BLOCK:
-        return np.concatenate([
-            evaluate_rows(spec, weights[k:k + _ROW_BLOCK],
-                          positions[k:k + _ROW_BLOCK])
-            for k in range(0, len(positions), _ROW_BLOCK)])
-    s = _surfaces(spec)
-    x = np.ones((7, len(positions)))
-    x[:6] = (2.0 * (positions - s.lo_row) / s.width_row - 1.0).T \
-        if s.coded else positions.T
-    terms = s.coef * x[s.first] * x[s.second]
-    objectives = np.add.accumulate(terms, axis=1)[:, -1] * s.factor
-    finite = np.isfinite(objectives).all(axis=0)
-    if not finite.all():
-        bad = positions[np.argmin(finite)]
-        raise NonFiniteResult(f"objectives not finite at position {bad!r}")
-    return np.add.accumulate(weights.T * objectives)[-1]
+    return np.add.accumulate(weights.T * _objective_rows(spec, positions))[-1]
 
 
 def _as_design(design) -> tuple[float, float, float, float]:
@@ -340,8 +313,8 @@ def _as_noise(noise) -> tuple[float, float]:
 
 def eval_objectives(design, noise, spec: ProblemSpec) -> ObjectiveTriple:
     """Evaluate all three response surfaces at one (design, noise) point."""
-    power, efficiency, savings = _finite_objectives(
-        _as_design(design) + _as_noise(noise), _surfaces(spec))
+    power, efficiency, savings = _objective_rows(
+        spec, np.array([_as_design(design) + _as_noise(noise)]))[:, 0].tolist()
     return ObjectiveTriple(power=power, efficiency=efficiency, savings=savings)
 
 
@@ -375,19 +348,15 @@ class IrrigationFitness:
 
     def __post_init__(self) -> None:
         self.bounds = self.spec.design_bounds + self.spec.noise_bounds
-        self._w1, self._w2, self._w3 = self.weights.as_tuple()
         self._weight_row = np.array(self.weights.as_tuple())
-        self._surfaces = _surfaces(self.spec)
 
     def evaluate(self, position) -> float:
-        values = position.tolist() if hasattr(position, "tolist") else [
-            float(v) for v in position]
-        if len(values) != 6:
+        row = np.asarray(position, dtype=float)
+        if row.shape != (6,):
             raise ValidationError(
-                f"position needs 6 values, got {len(values)}")
-        power, efficiency, savings = _finite_objectives(values,
-                                                        self._surfaces)
-        return self._w1 * power + self._w2 * efficiency + self._w3 * savings
+                f"position needs one row of 6 values, got shape {row.shape}")
+        return float(evaluate_rows(self.spec, self._weight_row[None],
+                                   row[None])[0])
 
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
         """evaluate for every row of an (m, 6) array, bit for bit, in one

@@ -536,9 +536,9 @@ def test_box_function_rows_are_scalar_values_and_finite():
 
 
 class PointByPoint(ss.IrrigationFitness):
-    """IrrigationFitness whose evaluate_rows scores row by row with the
-    scalar evaluate, so a whole run checks the vectorized evaluator
-    against the scalar one."""
+    """IrrigationFitness whose evaluate_rows scores row by row with
+    evaluate, so a whole run checks the many-row evaluation against
+    one-row calls."""
 
     def evaluate_rows(self, positions):
         return np.array([self.evaluate(p) for p in positions])

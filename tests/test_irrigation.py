@@ -102,8 +102,11 @@ def test_vector_type_coercion():
 
 def test_non_finite_result():
     spec = ss.ProblemSpec(variable_mode="raw", power_scale_exp=6000.0)
-    with pytest.raises(NonFiniteResult):
+    with pytest.raises(NonFiniteResult) as raised:
         ss.eval_objectives(*RAW_POINT, spec)
+    # the scalar and the row path name the position alike
+    assert str(raised.value) == ("objectives not finite at position "
+                                 "[1.0, 500.0, 600.0, 0.1, 300.0, 900.0]")
 
 
 def test_weight_vector_validation():
@@ -347,6 +350,8 @@ def test_coefficient_table_flags():
 def test_fitness_rejects_wrong_length_position():
     fitness = ss.IrrigationFitness(ss.ProblemSpec(),
                                    ss.WeightVector(0.2, 0.3, 0.5))
-    for position in ([1.0] * 5, [1.0] * 7):
+    # a (2, 3) array holds 6 values, but not as one row
+    for position in ([1.0] * 5, [1.0] * 7, np.ones((2, 3)), np.ones((1, 6)),
+                     1.0):
         with pytest.raises(ValidationError):
             fitness.evaluate(position)

@@ -13,8 +13,6 @@ from solarswarm.bfa import (
     _order_settled,
     _row_dots,
     _tumble_round,
-    _turn_signals,
-    cell_to_cell_signal,
     run_bfa_lockstep,
     tumble_direction,
 )
@@ -109,16 +107,26 @@ def test_lockstep_breaks_ties_like_run_bfa(reference):
 @pytest.fixture()
 def walks(monkeypatch):
     """A list that gains the index of every bacterium walked by
-    _swim_chain: the turns whose swim decisions the signal bounds leave
-    open, and every swim_loop call."""
-    walked = []
-    walk = bfa._swim_chain
+    _swim_chain outside a replay: the turns whose swim decisions the
+    signal bounds leave open, and every swim_loop call. The walks of a
+    replayed cycle (_exact_health) are not logged."""
+    walked, replaying = [], []
+    walk, replay = bfa._swim_chain, bfa._exact_health
 
     def logged(swarm, index, *rest):
-        walked.append(index)
+        if not replaying:
+            walked.append(index)
         return walk(swarm, index, *rest)
 
+    def unlogged(*args):
+        replaying.append(True)
+        try:
+            return replay(*args)
+        finally:
+            replaying.pop()
+
     monkeypatch.setattr(bfa, "_swim_chain", logged)
+    monkeypatch.setattr(bfa, "_exact_health", unlogged)
     return walked
 
 
@@ -162,24 +170,24 @@ def test_lockstep_mixes_settled_and_walked_turns(cells, walks, reference):
 
 
 @pytest.fixture()
-def signal_calls(monkeypatch):
-    """A list that gains the number of rows of every _turn_signals call:
-    only a replayed reproduction cycle makes one."""
+def replays(monkeypatch):
+    """A list that gains the number of runs of every _exact_health call:
+    the runs whose reproduction cycle is replayed."""
     calls = []
-    signals = bfa._turn_signals
+    replay = bfa._exact_health
 
-    def counted(*args):
-        calls.append(len(args[2]))
-        return signals(*args)
+    def counted(evaluate, runs, *rest):
+        calls.append(len(runs))
+        return replay(evaluate, runs, *rest)
 
-    monkeypatch.setattr(bfa, "_turn_signals", counted)
+    monkeypatch.setattr(bfa, "_exact_health", counted)
     return calls
 
 
 @pytest.mark.parametrize("cells", [[(SINGLE[0][0], 3)], MIXED],
                          ids=["R1", "mixed"])
 def test_lockstep_replays_the_rankings_its_radii_leave_open(
-        cells, signal_calls, reference):
+        cells, replays, reference):
     # signal bounds the size of many raw fitness steps leave wide health
     # radii, so some reproductions cannot be ranked from the signal-free
     # health, and their cycles are replayed with every signal (twice in
@@ -187,29 +195,29 @@ def test_lockstep_replays_the_rankings_its_radii_leave_open(
     spec = ss.ProblemSpec()
     cfg = replace(SMALL, attract_depth=1e5, repel_height=5e4)
     seeds, results = lockstep(spec, cfg, cells)
-    assert signal_calls
+    assert replays
     for (weights, _), seed, got in zip(cells, seeds, results):
         assert_both_match_reference(got, ss.IrrigationFitness(spec, weights),
                                     replace(cfg, seed=seed), reference)
 
 
-def test_lockstep_ranks_the_benchmark_sweep_without_signals(signal_calls,
+def test_lockstep_ranks_the_benchmark_sweep_without_signals(replays,
                                                             reference):
     # the benchmark's sweep batch (36 weights, one replicate, the
     # shortened optimizer): every ranking is settled from the signal-free
-    # health, so no move is signalled outside the walks. A run gives the
-    # same bytes alone or in a batch, so every seventh run is checked
+    # health, so no cycle is replayed. A run gives the same bytes alone or
+    # in a batch, so every seventh run is checked
     spec = ss.ProblemSpec()
     cfg = replace(ss.BfaConfig(), elimination_cycles=1, reproduction_cycles=2)
     cells = [(w, 0) for w in ss.weight_grid()]
     seeds, results = lockstep(spec, cfg, cells)
-    assert signal_calls == []
+    assert replays == []
     for (weights, _), seed, got in list(zip(cells, seeds, results))[::7]:
         assert_same_run(got, reference(ss.IrrigationFitness(spec, weights),
                                        replace(cfg, seed=seed)))
 
 
-def test_lockstep_ranks_tied_exact_healths_without_replay(signal_calls,
+def test_lockstep_ranks_tied_exact_healths_without_replay(replays,
                                                           reference):
     # swarming off and a constant fitness: every health is exact (radius 0)
     # and all of them tie, so the stable sort ranks them by index and
@@ -221,7 +229,7 @@ def test_lockstep_ranks_tied_exact_healths_without_replay(signal_calls,
     seeds = [0, 1]
     results = run_bfa_lockstep(
         lambda runs, positions: np.full(len(positions), 2.5), box, cfg, seeds)
-    assert signal_calls == []
+    assert replays == []
     for seed, got in zip(seeds, results):
         assert_both_match_reference(got, f, replace(cfg, seed=seed),
                                     reference)
@@ -255,44 +263,66 @@ def test_lockstep_without_swarming_settles_every_turn(walks):
     assert walks == []
 
 
-def test_turn_signals_see_the_swarm_at_each_turn():
-    # bacterium i's moves are signalled against its run's final points
-    # before i and start points after it, as a move-by-move walk sees
-    # them; three runs of 26 give more rows than one signal call takes
-    rng = np.random.default_rng(8)
-    n_runs, size, length, dims = 3, 26, 4, 2
-    cfg = replace(SMALL, population_size=size, attract_width=0.05)
-    chains = rng.uniform(0.0, 5.0, (n_runs, size, length, dims))
-    made = rng.integers(1, length, (n_runs, size))
-    finals = chains[np.arange(n_runs)[:, None], np.arange(size), made]
-    runs, bacteria, moves = np.nonzero(np.ones((n_runs, size, length - 1)))
-    moves += 1
-    got = _turn_signals(chains, finals, runs, bacteria, moves, cfg,
-                        bfa._kernel_rates(cfg))
-    assert len(got) > bfa._SIGNAL_BLOCK
-    for k, (run, i, move) in enumerate(zip(runs, bacteria, moves)):
-        swarm = np.concatenate([finals[run, :i], chains[run, i:, 0]])
-        swarm[i] = chains[run, i, move]
-        want = cell_to_cell_signal(swarm[i], ss.Swarm(
-            swarm, np.zeros(size), np.zeros(size)), cfg)
-        assert got[k] == want
-    assert not _turn_signals(chains, finals, runs, bacteria, moves,
-                             replace(cfg, swarming=False), None).any()
-
-
 class RowLog:
-    """Lockstep evaluate callback that records every row it is given."""
+    """Lockstep evaluate callback that records every row it is given, and
+    the run of each."""
 
     def __init__(self, evaluate):
         self.evaluate = evaluate
-        self.rows = []
+        self.rows, self.runs = [], []
 
     def __call__(self, runs, positions):
         self.rows.append(np.array(positions))
+        self.runs.append(np.array(runs))
         return self.evaluate(runs, positions)
 
     def seen(self):
         return np.concatenate(self.rows)
+
+
+class PointLog:
+    """A fitness that records every point it scores, in order."""
+
+    def __init__(self, f):
+        self.f, self.dimension, self.bounds = f, f.dimension, f.bounds
+        self.points = []
+
+    def evaluate(self, position):
+        self.points.append(np.array(position))
+        return self.f.evaluate(position)
+
+
+@pytest.mark.parametrize("cells", [[(SINGLE[0][0], 3)], MIXED],
+                         ids=["R1", "mixed"])
+def test_replay_scores_exactly_the_moves_made(cells, monkeypatch, reference):
+    # a replayed cycle scores its moves made again, one call a round, and
+    # no row past a stop: each replayed run's rows are, in order, the
+    # points the move-by-move reference scores up to the end of a cycle
+    spec = ss.ProblemSpec()
+    cfg = replace(SMALL, attract_depth=1e5, repel_height=5e4)
+    logs = []
+    replay = bfa._exact_health
+
+    def logged(evaluate, *rest):
+        logs.append(RowLog(evaluate))
+        return replay(logs[-1], *rest)
+
+    monkeypatch.setattr(bfa, "_exact_health", logged)
+    seeds, _ = lockstep(spec, cfg, cells)
+    assert logs
+    for log in logs:
+        assert len(log.rows) == cfg.chemotaxis_steps
+        runs, rows = np.concatenate(log.runs), log.seen()
+        for run in np.unique(runs).tolist():
+            scored = PointLog(ss.IrrigationFitness(spec, cells[run][0]))
+            want = reference(scored, replace(cfg, seed=seeds[run]))
+            points, mine = np.array(scored.points), rows[runs == run]
+            start = np.flatnonzero((points == mine[0]).all(axis=1))
+            assert len(start) == 1
+            end = start[0] + len(mine)
+            assert np.array_equal(points[start[0]:end], mine)
+            assert end in want.trace.evaluations[cfg.chemotaxis_steps::
+                                                 cfg.chemotaxis_steps]
 
 
 def test_lockstep_without_improving_tumbles_never_swims(reference):
