@@ -317,9 +317,9 @@ def _lay_chains(starts: np.ndarray, moves: np.ndarray, lower: np.ndarray,
 def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raws,
                 cfg: BfaConfig, rates: np.ndarray) -> tuple[float, int]:
     """Walk bacterium `index` along its laid-out chain, against the swarm
-    as it stands: the exact walk, for the turns whose swim decisions the
-    signal bounds leave open, for every turn of a replayed cycle
-    (_exact_health), and for swim_loop.
+    as it stands: the exact walk of _chemotaxis_round, for the turns whose
+    swim decisions its signal bounds leave open (every turn of a replayed
+    cycle), and of swim_loop.
 
     The tumble move is always kept; repeats continue while effective
     fitness strictly improves, up to swim_limit of them. `raws` yields the
@@ -360,7 +360,7 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
 
     A stale (nan) raw fitness at the start point is evaluated first. The
     chain is laid out by _lay_chains and walked by _swim_chain, as
-    run_bfa_lockstep walks the turns the signal bounds leave open, but each
+    _chemotaxis_round walks the turns the signal bounds leave open, but each
     move is scored only when the walk reaches it: the building block of a
     move-by-move reference run to check the optimizer against. Mutates the
     swarm in place and returns the final effective fitness.
@@ -397,13 +397,17 @@ def eliminate_disperse(swarm: Swarm, cfg: BfaConfig,
     """Each bacterium relocates uniformly inside the box of (lo, hi) pairs
     with probability elimination_prob. Swarm size never changes. A relocated
     member's cached raw fitness goes stale (nan) until someone evaluates
-    it."""
+    it. Mutates the swarm in place and returns it.
+
+    One (k, dims) draw relocates the k members, in index order: the stream
+    of one rng.uniform(lo, hi) call per member, and no draw at all when
+    k = 0.
+    """
     b = np.asarray(bounds, dtype=float)
-    lower, upper = b[:, 0], b[:, 1]
     mask = rng.random(swarm.size) < cfg.elimination_prob
-    for i in np.flatnonzero(mask):
-        swarm.positions[i] = rng.uniform(lower, upper)
-        swarm.raw_fitness[i] = math.nan
+    swarm.positions[mask] = rng.uniform(
+        b[:, 0], b[:, 1], (np.count_nonzero(mask), swarm.dimensions))
+    swarm.raw_fitness[mask] = math.nan
     return swarm
 
 
@@ -501,11 +505,10 @@ def _health_radius(unsignalled: np.ndarray, moved: np.ndarray,
     return np.where(unsignalled * bound > 0.0, radius, 0.0)
 
 
-def _order_settled(health: np.ndarray, radius: np.ndarray,
-                   order: np.ndarray) -> np.ndarray:
-    """Per run: whether the top half of its bacteria, sorted by `order`
-    (the stable descending sort of `health`), holds the same members in
-    the same order under the stable descending sort of any healths within
+def _order_settled(health: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Per run: whether the top half of its bacteria under the stable
+    descending sort of `health`, reproduce's ranking, holds the same
+    members in the same order under that sort of any healths within
     `radius` of `health`.
 
     Member k of the sorted top half must surely come before member k + 1,
@@ -513,6 +516,7 @@ def _order_settled(health: np.ndarray, radius: np.ndarray,
     intervals health +- radius are disjoint, or both radii are 0, where
     the healths are exact and the sort already orders them, ties by index.
     """
+    order = np.argsort(-health, axis=1, kind="stable")
     health = np.take_along_axis(health, order, axis=1)
     radius = np.take_along_axis(radius, order, axis=1)
     behind = np.arange(1, health.shape[1])
@@ -523,43 +527,109 @@ def _order_settled(health: np.ndarray, radius: np.ndarray,
     return sure.all(axis=1)
 
 
-def _exact_health(evaluate, runs: np.ndarray, starts: np.ndarray,
-                  start_raw: np.ndarray, moves: np.ndarray, made: np.ndarray,
-                  lower: np.ndarray, upper: np.ndarray, cfg: BfaConfig,
-                  rates: np.ndarray, chains: np.ndarray) -> np.ndarray:
-    """Exact health of every bacterium of the runs `runs` over one
-    reproduction cycle, replayed from its start: raw fitness plus signal
-    of every move made, summed in move order.
+def _chemotaxis_round(evaluate, runs: np.ndarray, positions: np.ndarray,
+                      raw: np.ndarray, moves: np.ndarray, tally: np.ndarray,
+                      lower: np.ndarray, upper: np.ndarray, cfg: BfaConfig,
+                      bounds: tuple[float, float], chains: np.ndarray,
+                      scored: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chemotaxis round of the runs `runs`: run runs[k] starts from
+    positions[k] with raw fitness raw[k], and its bacteria tumble by
+    moves[k]. Returns the positions and raw fitness the round ends with,
+    and the mask of the chain rows of the moves made.
 
-    starts[k] and start_raw[k] hold run runs[k]'s positions and their raw
-    fitness when the cycle started, moves[k] its tumbles of the cycle
-    (chemotaxis_steps, bacteria, dims) and made[:, k] the moves each
-    bacterium made in each round. Each round scores the moves made again,
-    and only those, in one call; then every bacterium is walked by
-    _swim_chain, in index order, against its run's swarm at its turn.
-    Nothing is drawn or counted. `chains` is a (len(runs), bacteria,
-    swim_limit + 2, dims) buffer.
+    Every bacterium's tumble chain is laid out when the round starts
+    (_lay_chains, into `chains`): a bacterium moves only itself, so its
+    start point at its turn is the one the round started with. One call
+    scores every tumble row, and a second the swim rows of the bacteria
+    whose tumble may improve (into `scored`, whose row 0 is the start's
+    raw fitness). The signal lies in bounds = (lo, hi), so raw fitness
+    alone settles most swim decisions. A bacterium with a decision left
+    open before its stop is walked exactly by _swim_chain, in index order,
+    against its run's swarm at its turn, and overwrites its entries of
+    positions and raw. Every other bacterium's moves made go unsignalled:
+    its health adds their raw fitness, in move order. At bounds
+    (-inf, inf) nothing settles and every bacterium is walked.
+
+    tally[:, k] holds run k's cycle so far, per bacterium: its health, and
+    for _health_radius its unsignalled moves, its moves made and the sum
+    of |raw fitness| over them. The round adds its own.
     """
-    positions, raw = starts.copy(), start_raw.copy()
-    health = np.zeros(raw.shape)
-    # each Swarm's arrays are views into positions, raw and health, so a
-    # walk updates them in place
-    swarms = [Swarm(*run) for run in zip(positions, raw, health)]
-    chain_index = np.arange(chains.shape[-2])
-    for cycle_round, stops in enumerate(made):
-        _lay_chains(positions, moves[:, cycle_round], lower, upper, chains)
-        replayed, turn, kept = np.nonzero(
-            (chain_index > 0) & (chain_index <= stops[..., None]))
-        # in run, bacterium, move order: each walk reads its moves made
-        values = evaluate(runs[replayed],
-                          chains[replayed, turn, kept]).tolist()
-        done = 0
-        for k, swarm in enumerate(swarms):
-            for i, stop in enumerate(stops[k].tolist()):
-                _swim_chain(swarm, i, chains[k, i], values[done:done + stop],
-                            cfg, rates)
-                done += stop
-    return health
+    n_runs, size, dims = positions.shape
+    health, unsignalled, moved, magnitude = tally
+    each_run, bacteria = np.arange(n_runs)[:, None], np.arange(size)
+    lo, hi = bounds
+    swims = cfg.swim_limit
+    _lay_chains(positions, moves, lower, upper, chains)
+    scored[..., 0] = raw
+    scored[..., 1] = evaluate(np.repeat(runs, size),
+                              chains[:, :, 1].reshape(-1, dims)
+                              ).reshape(n_runs, size)
+    # swim rows are scored only where the tumble may improve
+    turns, tumbling = np.nonzero(scored[..., 1] + hi > raw + lo)
+    if len(turns):
+        scored[turns, tumbling, 2:] = evaluate(
+            np.repeat(runs[turns], swims),
+            chains[turns, tumbling, 2:].reshape(-1, dims)
+        ).reshape(len(turns), swims)
+    # move m surely improves, or surely does not, whatever the signals. A
+    # walk goes on while its moves surely improve, so it never reaches the
+    # rows left unscored past a tumble that surely does not
+    improves = scored[..., 1:] + lo > scored[..., :-1] + hi
+    worsens = scored[..., 1:] + hi <= scored[..., :-1] + lo
+    improves[..., -1] = False  # move swim_limit + 1 stops
+    worsens[..., -1] = True
+    made = improves.argmin(axis=-1) + 1
+    unsettled = ~worsens[each_run, bacteria, made - 1]
+    finals = chains[each_run, bacteria, made]
+    # the swarm at a walked bacterium's turn: the final points of the
+    # bacteria before it and the start points of the rest
+    rates = _kernel_rates(cfg)
+    for run in np.flatnonzero(unsettled.any(axis=1)).tolist():
+        # positions[run] still holds the round's start points
+        turn, done = Swarm(positions[run], raw[run], health[run]), 0
+        values, stops = scored[run, :, 1:].tolist(), made[run]
+        for i in np.flatnonzero(unsettled[run]).tolist():
+            turn.positions[done:i] = finals[run, done:i]
+            stops[i] = _swim_chain(turn, i, chains[run, i], values[i],
+                                   cfg, rates)[1]
+            done = i + 1
+        finals[run] = chains[run, bacteria, stops]
+    chain_index = np.arange(swims + 2)
+    walked = (chain_index > 0) & (chain_index <= made[..., None])
+    # every other bacterium's health adds the raw fitness of its moves
+    # made, and no signal: health only ranks the bacteria at reproduction,
+    # where its error radius settles the ranking
+    eff = np.where(walked, scored, 0.0)
+    magnitude += np.abs(eff).sum(axis=-1)
+    unsignalled += np.where(unsettled, 0, made)
+    moved += made
+    eff[..., 0] = health
+    np.add.accumulate(eff, axis=-1, out=eff)
+    np.copyto(health, eff[each_run, bacteria, made], where=~unsettled)
+    return finals, scored[each_run, bacteria, made], walked
+
+
+def _exact_health(evaluate, runs: np.ndarray, starts: np.ndarray,
+                  start_raw: np.ndarray, moves: np.ndarray,
+                  lower: np.ndarray, upper: np.ndarray, cfg: BfaConfig,
+                  chains: np.ndarray, scored: np.ndarray) -> np.ndarray:
+    """Exact health of every bacterium of the runs `runs` over one
+    reproduction cycle: the cycle's chemotaxis rounds run again, from
+    starts[k] and start_raw[k] (run runs[k]'s positions and their raw
+    fitness when the cycle started, both overwritten) with its tumbles
+    moves[k], at signal bounds (-inf, inf). No swim decision settles
+    there, so _swim_chain walks every bacterium and sums its health
+    exactly. Nothing is drawn or counted; `chains` and `scored` are
+    buffers of at least len(runs) runs.
+    """
+    tally, k = np.zeros((4,) + start_raw.shape), len(runs)
+    positions, raw = starts, start_raw
+    for cycle_round in range(moves.shape[1]):
+        positions, raw, _ = _chemotaxis_round(
+            evaluate, runs, positions, raw, moves[:, cycle_round], tally,
+            lower, upper, cfg, (-math.inf, math.inf), chains[:k], scored[:k])
+    return tally[0]
 
 
 def _take_first_best(best_fitness: np.ndarray, best_position: np.ndarray,
@@ -583,28 +653,19 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     (an (m, dims) array) under the fitness function of run runs[k], as
     finite floats.
 
-    Each chemotaxis round lays out every bacterium's tumble chain when it
-    starts (_lay_chains): a bacterium moves only itself, so its start point
-    at its turn is the one the round started with. The bacteria take their
-    turns in index order, each against its run's swarm as it stands then,
-    and one walk serves any number of runs:
-
-    - one call scores every tumble row, and a second the swim rows of the
-      bacteria whose tumble may improve;
-    - the signal bounds of _signal_bounds settle most swim decisions from
-      raw fitness alone. A bacterium with a decision left open before its
-      stop is walked exactly by _swim_chain, in index order;
-    - every other bacterium's moves made go unsignalled: its health adds
-      their raw fitness, in move order.
+    Each run starts from Swarm.random. Every chemotaxis round of every run
+    is one _chemotaxis_round call at the bounds of _signal_bounds: raw
+    fitness alone settles most swim decisions, the bacteria left open are
+    walked exactly in index order, and the settled moves go unsignalled.
 
     Health only ranks the bacteria at reproduction. Each one's signal-free
     health lies within an error radius of its exact health
     (_health_radius: the bound times its unsignalled moves, plus a
     rounding term; 0 when every signal is known). A run whose ranking the
-    radii leave open (_order_settled) replays its cycle from the start
-    points, walking every bacterium's moves made with _swim_chain
-    (_exact_health), and is ranked by that exact health; the replay draws
-    and counts nothing.
+    radii leave open (_order_settled) replays its cycle (_exact_health) and
+    is ranked by that exact health. Each run then reproduces through
+    reproduce, and disperses through eliminate_disperse, called on a Swarm
+    view of its rows of the batch arrays.
 
     A run keeps its chain up to its first move that does not improve;
     rows past that move may be evaluated but are never counted. The
@@ -616,7 +677,7 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
         raise ValidationError("need at least one seed")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     everyone = np.arange(n_runs)
-    positions = np.stack([rng.uniform(lower, upper, size=(size, dims))
+    positions = np.stack([Swarm.random(size, lower, upper, rng).positions
                           for rng in rngs])
     raw = evaluate(np.repeat(everyone, size),
                    positions.reshape(-1, dims)).reshape(n_runs, size)
@@ -625,133 +686,67 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     best_position = np.zeros((n_runs, dims))
     _take_first_best(best_fitness, best_position, raw, positions)
 
-    per_cycle, swims = cfg.chemotaxis_steps, cfg.swim_limit
+    per_cycle = cfg.chemotaxis_steps
     per_dispersal = per_cycle * cfg.reproduction_cycles
     rounds = cfg.total_passes * cfg.elimination_cycles * per_dispersal
     trace_fitness = np.empty((rounds + 1, n_runs))
     trace_count = np.empty((rounds + 1, n_runs), dtype=np.int64)
     trace_fitness[0], trace_count[0] = best_fitness, count
-    rates = _kernel_rates(cfg)
     lo, hi = _signal_bounds(cfg)
-
-    # per bacterium over a reproduction cycle: its health, summed without
-    # the signal of the moves the bounds settle, and for its error radius
-    # (_health_radius) the moves left unsignalled and the sum of |raw
-    # fitness| over the moves made
-    health = np.empty((n_runs, size))
-    unsignalled = np.empty((n_runs, size), dtype=np.intp)
-    magnitude = np.empty((n_runs, size))
     # between dispersals a run's stream draws only tumbles, so one draw per
     # reproduction cycle gives every tumble the draws it would take alone.
-    # That cycle's start points, their raw fitness and moves per run, a
-    # round's tumble chains, the raw fitness of every chain row (row 0 the
-    # start's), the health terms of the moves made and the moves each
-    # bacterium made in each round of the cycle are all filled in place
+    # That cycle's start points, their raw fitness and moves per run, its
+    # tallies (_chemotaxis_round), a round's tumble chains and the raw
+    # fitness of every chain row are all filled in place
     starts = np.empty((n_runs, size, dims))
     start_raw = np.empty((n_runs, size))
     moves = np.empty((n_runs, per_cycle, size, dims))
-    chains = np.empty((n_runs, size, swims + 2, dims))
-    scored = np.zeros((n_runs, size, swims + 2))
-    eff = np.empty((n_runs, size, swims + 2))
-    made_in = np.empty((per_cycle, n_runs, size), dtype=np.intp)
-    chain_index = np.arange(swims + 2)
-    each_run, bacteria = everyone[:, None], np.arange(size)
+    tally = np.empty((4, n_runs, size))
+    health = tally[0]
+    chains = np.empty((n_runs, size, cfg.swim_limit + 2, dims))
+    scored = np.zeros((n_runs, size, cfg.swim_limit + 2))
     for row in range(1, rounds + 1):
         cycle_round = (row - 1) % per_cycle
         if cycle_round == 0:
-            health[:], unsignalled[:], magnitude[:] = 0.0, 0, 0.0
+            tally.fill(0.0)
             starts[:], start_raw[:] = positions, raw
             for run, rng in enumerate(rngs):
                 np.multiply(steps, _tumble_round(rng, per_cycle * size, dims)
                             .reshape(moves.shape[1:]), out=moves[run])
-        made = made_in[cycle_round]
-        _lay_chains(positions, moves[:, cycle_round], lower, upper, chains)
-        scored[..., 0] = raw
-        scored[..., 1] = evaluate(np.repeat(everyone, size),
-                                  chains[:, :, 1].reshape(-1, dims)
-                                  ).reshape(n_runs, size)
-        # swim rows are scored only where the tumble may improve
-        runs, tumbling = np.nonzero(scored[..., 1] + hi > raw + lo)
-        if len(runs):
-            scored[runs, tumbling, 2:] = evaluate(
-                np.repeat(runs, swims),
-                chains[runs, tumbling, 2:].reshape(-1, dims)
-            ).reshape(len(runs), swims)
-        # move m surely improves, or surely does not, whatever the signals
-        # (_signal_bounds). A walk goes on while its moves surely improve,
-        # so it never reaches the rows left unscored past a tumble that
-        # surely does not
-        improves = scored[..., 1:] + lo > scored[..., :-1] + hi
-        worsens = scored[..., 1:] + hi <= scored[..., :-1] + lo
-        improves[..., -1] = False  # move swim_limit + 1 stops
-        worsens[..., -1] = True
-        made[:] = improves.argmin(axis=-1) + 1
-        unsettled = ~worsens[each_run, bacteria, made - 1]
-        finals = chains[each_run, bacteria, made]
-        # a bacterium whose stop the bounds leave open is walked exactly,
-        # in index order, against its run's swarm at its turn: the final
-        # points of the bacteria before it and the start points of the rest
-        for run in np.flatnonzero(unsettled.any(axis=1)).tolist():
-            # positions[run] still holds the round's start points
-            turn, done = Swarm(positions[run], raw[run], health[run]), 0
-            values, stops = scored[run, :, 1:].tolist(), made[run]
-            for i in np.flatnonzero(unsettled[run]).tolist():
-                turn.positions[done:i] = finals[run, done:i]
-                stops[i] = _swim_chain(turn, i, chains[run, i], values[i],
-                                       cfg, rates)[1]
-                done = i + 1
-            finals[run] = chains[run, bacteria, stops]
-        walked = (chain_index > 0) & (chain_index <= made[..., None])
-        # every other bacterium's health adds the raw fitness of its moves
-        # made, in turn, and no signal: health only ranks the bacteria at
-        # reproduction, where its error radius settles the ranking
-        eff.fill(0.0)
-        np.copyto(eff, scored, where=walked)
-        magnitude += np.abs(eff).sum(axis=-1)
-        unsignalled += np.where(unsettled, 0, made)
-        eff[..., 0] = health
-        np.add.accumulate(eff, axis=-1, out=eff)
-        np.copyto(health, eff[each_run, bacteria, made], where=~unsettled)
-        positions = finals
-        raw = scored[each_run, bacteria, made]
+        positions, raw, walked = _chemotaxis_round(
+            evaluate, everyone, positions, raw, moves[:, cycle_round], tally,
+            lower, upper, cfg, (lo, hi), chains, scored)
         # the raw fitness of the moves made, in walk order, and -inf
         # elsewhere: one update keeps the first strictly greater value, as
         # one update per move would
         found = np.where(walked, scored, -math.inf).reshape(n_runs, -1)
         _take_first_best(best_fitness, best_position, found,
                          chains.reshape(n_runs, -1, dims))
-        count += made.sum(axis=1)
+        count += walked.sum(axis=(1, 2))
         trace_fitness[row], trace_count[row] = best_fitness, count
         if row % per_cycle == 0:
-            order = np.argsort(-health, axis=1, kind="stable")
             # a run whose ranking the radii leave open replays its cycle
             # with every signal, for its exact health
-            radius = _health_radius(unsignalled, made_in.sum(axis=0),
-                                    magnitude, max(-lo, hi))
-            replay = np.flatnonzero(~_order_settled(health, radius, order))
+            radius = _health_radius(*tally[1:], max(-lo, hi))
+            replay = np.flatnonzero(~_order_settled(health, radius))
             if len(replay):
                 health[replay] = _exact_health(
                     evaluate, replay, starts[replay], start_raw[replay],
-                    moves[replay], made_in[:, replay], lower, upper, cfg,
-                    rates, chains[: len(replay)])
-                order[replay] = np.argsort(-health[replay], axis=1,
-                                           kind="stable")
-            order = order[:, : size // 2]
-            positions = np.repeat(np.take_along_axis(
-                positions, order[..., None], axis=1), 2, axis=1)
-            raw = np.repeat(np.take_along_axis(raw, order, axis=1), 2, axis=1)
+                    moves[replay], lower, upper, cfg, chains, scored)
+            for run in range(n_runs):
+                child = reproduce(Swarm(positions[run], raw[run],
+                                        health[run]))
+                positions[run], raw[run] = child.positions, child.raw_fitness
         if row % per_dispersal == 0:
-            relocate = np.stack([rng.random(size) for rng in rngs]) \
-                < cfg.elimination_prob
-            for run in np.flatnonzero(relocate.any(axis=1)):
-                positions[run, relocate[run]] = rngs[run].uniform(
-                    lower, upper, (np.count_nonzero(relocate[run]), dims))
-            runs, members = np.nonzero(relocate)
+            for run, rng in enumerate(rngs):
+                eliminate_disperse(Swarm(positions[run], raw[run],
+                                         health[run]), cfg, rng, bounds)
+            runs, members = np.nonzero(np.isnan(raw))
             if len(runs):
                 values = evaluate(runs, positions[runs, members])
                 raw[runs, members] = values
-                count += relocate.sum(axis=1)
-                found = np.full(relocate.shape, -math.inf)
+                count += np.bincount(runs, minlength=n_runs)
+                found = np.full(raw.shape, -math.inf)
                 found[runs, members] = values
                 _take_first_best(best_fitness, best_position, found,
                                  positions)

@@ -457,6 +457,31 @@ def test_eliminate_disperse_marks_stale_without_fitness():
     assert np.isnan(swarm.raw_fitness).all()
 
 
+@pytest.mark.parametrize("prob", [0.0, 0.25, 1.0])
+def test_eliminate_disperse_draws_one_uniform_call_per_member(prob):
+    # the one (k, dims) relocation draw takes the stream of one
+    # rng.uniform(lo, hi) call per relocated member, in index order, and
+    # with nobody relocated it draws nothing
+    box = np.array([(-1.0, 2.0), (0.0, 5.0), (3.0, 3.5)])
+    start = np.random.default_rng(7).uniform(box[:, 0], box[:, 1], (20, 3))
+    swarm = make_swarm(start)
+    swarm.raw_fitness[:] = 1.0
+    rng, mine = np.random.default_rng(11), np.random.default_rng(11)
+    eliminate_disperse(swarm, ss.BfaConfig(elimination_prob=prob), rng, box)
+    want = start.copy()
+    relocated = mine.random(20) < prob
+    masked = mine.bit_generator.state
+    for i in np.flatnonzero(relocated):
+        want[i] = mine.uniform(box[:, 0], box[:, 1])
+    assert np.array_equal(swarm.positions, want)
+    assert rng.bit_generator.state == mine.bit_generator.state
+    assert np.array_equal(np.isnan(swarm.raw_fitness), relocated)
+    assert relocated.any() == (prob > 0.0)
+    assert relocated.all() == (prob == 1.0)
+    if prob == 0.0:
+        assert rng.bit_generator.state == masked
+
+
 def test_eliminate_disperse_deterministic():
     cfg = ss.BfaConfig(elimination_prob=0.5)
     outcomes = []

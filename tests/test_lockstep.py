@@ -2,6 +2,7 @@
 run by run and bit for bit, for one run and for several: with turns whose
 swim decisions the signal bounds settle, turns they leave open, and both."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -247,8 +248,7 @@ def test_order_settled_needs_the_top_half_before_every_member_after_it():
                        [0.0, 0.0, 0.0, 0.0],
                        [0.0, 0.0, 5.0, 5.0],
                        [0.0, 0.0, 0.0, 0.0]])
-    order = np.argsort(-health, axis=1, kind="stable")
-    assert _order_settled(health, radius, order).tolist() == [
+    assert _order_settled(health, radius).tolist() == [
         False, True, False, True, True, True]
 
 
@@ -280,49 +280,64 @@ class RowLog:
         return np.concatenate(self.rows)
 
 
-class PointLog:
-    """A fitness that records every point it scores, in order."""
-
-    def __init__(self, f):
-        self.f, self.dimension, self.bounds = f, f.dimension, f.bounds
-        self.points = []
-
-    def evaluate(self, position):
-        self.points.append(np.array(position))
-        return self.f.evaluate(position)
-
-
 @pytest.mark.parametrize("cells", [[(SINGLE[0][0], 3)], MIXED],
                          ids=["R1", "mixed"])
-def test_replay_scores_exactly_the_moves_made(cells, monkeypatch, reference):
-    # a replayed cycle scores its moves made again, one call a round, and
-    # no row past a stop: each replayed run's rows are, in order, the
-    # points the move-by-move reference scores up to the end of a cycle
+def test_replay_health_equals_the_reference_health(cells, monkeypatch,
+                                                   reference):
+    # a replayed cycle runs its chemotaxis rounds again with no signal
+    # bound, so every bacterium is walked exactly: the health it ranks by
+    # is, bit for bit, the health the move-by-move reference ranks by at
+    # that reproduction
     spec = ss.ProblemSpec()
     cfg = replace(SMALL, attract_depth=1e5, repel_height=5e4)
-    logs = []
-    replay = bfa._exact_health
+    ranked, replayed = [], {}
+    replay, rank = bfa._exact_health, bfa.reproduce
 
-    def logged(evaluate, *rest):
-        logs.append(RowLog(evaluate))
-        return replay(logs[-1], *rest)
+    def logged_rank(swarm):
+        ranked.append(swarm.health.copy())
+        return rank(swarm)
 
+    def logged(evaluate, runs, *rest):
+        health = replay(evaluate, runs, *rest)
+        # the engine ranks every run once a reproduction, after its replay
+        for run, exact in zip(runs.tolist(), health):
+            replayed[run, len(ranked) // len(cells)] = exact.copy()
+        return health
+
+    monkeypatch.setattr(bfa, "reproduce", logged_rank)
     monkeypatch.setattr(bfa, "_exact_health", logged)
     seeds, _ = lockstep(spec, cfg, cells)
-    assert logs
-    for log in logs:
-        assert len(log.rows) == cfg.chemotaxis_steps
-        runs, rows = np.concatenate(log.runs), log.seen()
-        for run in np.unique(runs).tolist():
-            scored = PointLog(ss.IrrigationFitness(spec, cells[run][0]))
-            want = reference(scored, replace(cfg, seed=seeds[run]))
-            points, mine = np.array(scored.points), rows[runs == run]
-            start = np.flatnonzero((points == mine[0]).all(axis=1))
-            assert len(start) == 1
-            end = start[0] + len(mine)
-            assert np.array_equal(points[start[0]:end], mine)
-            assert end in want.trace.evaluations[cfg.chemotaxis_steps::
-                                                 cfg.chemotaxis_steps]
+    assert replayed
+    monkeypatch.setattr(sys.modules[reference.__module__], "reproduce",
+                        logged_rank)
+    for run in sorted({run for run, _ in replayed}):
+        ranked.clear()
+        reference(ss.IrrigationFitness(spec, cells[run][0]),
+                  replace(cfg, seed=seeds[run]))
+        for (replayed_run, cycle), exact in replayed.items():
+            if replayed_run == run:
+                assert exact.tobytes() == ranked[cycle].tobytes()
+
+
+def test_lockstep_reproduces_and_disperses_through_the_gate_helpers(
+        monkeypatch):
+    # every run of a batch reproduces through reproduce and disperses
+    # through eliminate_disperse, once a reproduction and once a
+    # dispersal
+    calls = {"reproduce": 0, "eliminate_disperse": 0}
+    for name in calls:
+        helper = getattr(bfa, name)
+
+        def counted(*args, name=name, helper=helper):
+            calls[name] += 1
+            return helper(*args)
+
+        monkeypatch.setattr(bfa, name, counted)
+    spec, cfg = SETTINGS["raw_two_passes"]
+    lockstep(spec, cfg, MIXED)
+    dispersals = len(MIXED) * cfg.total_passes * cfg.elimination_cycles
+    assert calls == {"reproduce": dispersals * cfg.reproduction_cycles,
+                     "eliminate_disperse": dispersals}
 
 
 def test_lockstep_without_improving_tumbles_never_swims(reference):
