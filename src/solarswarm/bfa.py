@@ -302,15 +302,16 @@ def _lay_chains(starts: np.ndarray, moves: np.ndarray, lower: np.ndarray,
     and each later row the running sum of the move from row 1, clamped
     once. That equals clamping move by move, since each coordinate moves
     one way from a point inside the box, so a coordinate that reaches a
-    bound stays on it.
+    bound stays on it. The running sum is one contiguous point per chain,
+    to which each row adds the move in place, in move order.
     """
     out[..., 0, :] = starts
-    tumble = out[..., 1, :]
-    np.add(starts, moves, out=tumble)
-    np.minimum(np.maximum(tumble, lower), upper, out=tumble)
-    out[..., 2:, :] = moves[..., None, :]
-    np.add.accumulate(out[..., 1:, :], axis=-2, out=out[..., 1:, :])
-    np.minimum(np.maximum(out[..., 2:, :], lower), upper, out=out[..., 2:, :])
+    walk = starts + moves
+    np.minimum(np.maximum(walk, lower, out=walk), upper, out=walk)
+    out[..., 1, :] = walk
+    for row in range(2, out.shape[-2]):
+        walk += moves
+        np.minimum(np.maximum(walk, lower), upper, out=out[..., row, :])
     return out
 
 

@@ -230,14 +230,17 @@ class _Surfaces:
         bounds = spec.design_bounds + CRISP_NOISE_BOUNDS
         # every objective is summed over the same number of terms; the
         # shorter ones are padded with -0.0 * 1 * 1, and x + -0.0 == x
-        # holds bit for bit for every x, so padding changes no sum
+        # holds bit for bit for every x, so padding changes no sum. The
+        # arrays are term-major, (terms, 3), so that term k of all three
+        # objectives is one contiguous slice of _objective_rows' terms
         size = max(len(terms) for _, terms in table)
         padded = [terms + ((-0.0, _ONE, _ONE),) * (size - len(terms))
                   for _, terms in table]
-        self.coef = np.array([[c for c, _, _ in terms] for terms in padded]
+        by_term = list(zip(*padded))
+        self.coef = np.array([[c for c, _, _ in term] for term in by_term]
                              )[..., None]
-        self.first = np.array([[i for _, i, _ in terms] for terms in padded])
-        self.second = np.array([[j for _, _, j in terms] for terms in padded])
+        self.first = np.array([[i for _, i, _ in term] for term in by_term])
+        self.second = np.array([[j for _, _, j in term] for term in by_term])
         self.factor = np.array([factor for factor, _ in table])[:, None]
         self.lo_row = np.array([lo for lo, _ in bounds])
         self.width_row = np.array([hi - lo for lo, hi in bounds])
@@ -251,9 +254,10 @@ _surfaces = functools.lru_cache(maxsize=16)(_Surfaces)
 
 
 # _objective_rows works through at most this many rows at a time: its
-# temporaries hold 39 floats per row, so a sweep's first evaluation (every
-# bacterium of every run) would otherwise raise the peak memory
-_ROW_BLOCK = 256
+# temporaries hold 85 floats per row, so a sweep's first evaluation (every
+# bacterium of every run) would otherwise raise the peak memory. In smaller
+# blocks the fixed cost of each block's numpy calls outweighs the work
+_ROW_BLOCK = 1024
 
 
 def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
@@ -261,10 +265,12 @@ def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
     positions (x_a..x_d, Z_a, Z_b), as a (3, m) array: the one evaluator.
 
     Each objective is factor * (t_1 + t_2 + ...) over coefficient_table's
-    terms. np.add.accumulate adds the terms strictly left to right (a
-    reduce may sum pairwise), so a row's values do not depend on the rows
-    beside it. A row with an objective that is inf or nan raises
-    NonFiniteResult.
+    terms, term (coef, i, j) computed as (coef * X[i]) * X[j]. The terms
+    are laid out term-major, (terms, 3, m), and added in place one
+    contiguous (3, m) slice at a time, strictly left to right in table
+    order (a sum or reduce may add pairwise), so a row's values do not
+    depend on the rows beside it. A row with an objective that is inf or
+    nan raises NonFiniteResult.
     """
     if len(positions) > _ROW_BLOCK:
         return np.concatenate([
@@ -274,8 +280,14 @@ def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
     x = np.ones((7, len(positions)))
     x[:6] = (2.0 * (positions - s.lo_row) / s.width_row - 1.0).T \
         if s.coded else positions.T
-    terms = s.coef * x[s.first] * x[s.second]
-    objectives = np.add.accumulate(terms, axis=1)[:, -1] * s.factor
+    terms = x[s.first]
+    terms *= s.coef
+    terms *= x[s.second]
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    # a new array, so the blocks' term arrays are freed as they are done
+    objectives = total * s.factor
     if not np.isfinite(objectives).all():
         bad = positions[np.isfinite(objectives).all(axis=0).argmin()].tolist()
         raise NonFiniteResult(f"objectives not finite at position {bad!r}")
@@ -288,9 +300,12 @@ def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
 
     Row k scores positions[k] (x_a..x_d, Z_a, Z_b) with the weights
     weights[k] = (w1, w2, w3): w1 * power + w2 * efficiency + w3 * savings,
-    added left to right.
+    added left to right. A (1, 3) array of weights serves every row.
     """
-    return np.add.accumulate(weights.T * _objective_rows(spec, positions))[-1]
+    weighted = weights.T * _objective_rows(spec, positions)
+    total = weighted[0] + weighted[1]
+    total += weighted[2]
+    return total
 
 
 def _as_design(design) -> tuple[float, float, float, float]:
@@ -361,5 +376,4 @@ class IrrigationFitness:
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
         """evaluate for every row of an (m, 6) array, bit for bit, in one
         call: the module's evaluate_rows with this fitness's weights."""
-        return evaluate_rows(self.spec, np.broadcast_to(
-            self._weight_row, (len(positions), 3)), positions)
+        return evaluate_rows(self.spec, self._weight_row[None], positions)

@@ -10,6 +10,7 @@ import solarswarm as ss
 from solarswarm.bfa import (
     _health_radius,
     _kernel_rates,
+    _lay_chains,
     _signal_bounds,
     _signal_rows,
     cell_to_cell_signal,
@@ -392,6 +393,43 @@ def test_swim_loop_chain_equals_move_by_move_clamping(case, swarming):
     box = np.array(BOX)
     assert np.any((got.positions[0] == box[:, 0])
                   | (got.positions[0] == box[:, 1]))
+
+
+def lay_chain_by_moves(start, direction, steps, bounds, swim_limit):
+    """One tumble chain move by move: the tumble row is chemotaxis_move
+    from the start, and each later row is the unclamped running sum of the
+    move from the clamped tumble point, clamped once."""
+    box = np.asarray(bounds)
+    tumble = chemotaxis_move(start, direction, steps, bounds)
+    rows, walk = [start, tumble], tumble
+    for _ in range(swim_limit):
+        walk = walk + steps * direction
+        rows.append(np.minimum(np.maximum(walk, box[:, 0]), box[:, 1]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("swim_limit", [1, 5])
+@pytest.mark.parametrize("runs", [1, 36])
+def test_lay_chains_equals_move_by_move_chains(runs, swim_limit):
+    bounds = ss.ProblemSpec().design_bounds + ss.ProblemSpec().noise_bounds
+    box = np.array(bounds)
+    # steps of 0.3 box widths pin most coordinates on a bound by the last
+    # row, from either side
+    steps = step_sizes(ss.BfaConfig(step_fraction=0.3), bounds)
+    rng = np.random.default_rng(runs + swim_limit)
+    starts = rng.uniform(box[:, 0], box[:, 1], (runs, 26, 6))
+    directions = rng.normal(size=(runs, 26, 6))
+    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    out = np.full((runs, 26, swim_limit + 2, 6), np.nan)
+    got = _lay_chains(starts, steps * directions, box[:, 0], box[:, 1], out)
+    assert got is out
+    want = np.array([[lay_chain_by_moves(start, direction, steps, bounds,
+                                         swim_limit)
+                      for start, direction in zip(*run)]
+                     for run in zip(starts, directions)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.any(got[..., -1, :] == box[:, 0])
+    assert np.any(got[..., -1, :] == box[:, 1])
 
 
 def test_reproduce_duplicates_healthiest():

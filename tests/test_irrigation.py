@@ -13,6 +13,7 @@ from solarswarm.errors import (
     ValidationError,
 )
 from solarswarm.irrigation import (
+    _ROW_BLOCK,
     CRISP_NOISE_BOUNDS,
     DEFAULT_DESIGN_BOUNDS,
     coefficient_table,
@@ -300,8 +301,12 @@ SPEC_FLAGS = [dict(variable_mode=mode, fix_efficiency_intercept=fix_e,
               for fix_s in (True, False) for maximize in (True, False)]
 
 
-# 600 rows take evaluate_rows through two full blocks and a partial one
-@pytest.mark.parametrize("m", [1, 2, 7, 36, 180, 600])
+# the row counts from _ROW_BLOCK - 1 on sit on each side of a block
+# boundary, and the last takes evaluate_rows through two full blocks and a
+# partial one
+@pytest.mark.parametrize("m", [1, 2, 7, 36, 180, 600, _ROW_BLOCK - 1,
+                               _ROW_BLOCK, _ROW_BLOCK + 1,
+                               2 * _ROW_BLOCK + 88])
 @pytest.mark.parametrize("flags", SPEC_FLAGS,
                          ids=lambda f: "-".join(str(v) for v in f.values()))
 def test_table_matches_literal(flags, m):
@@ -322,7 +327,16 @@ def test_table_matches_literal(flags, m):
     want = (weights[:, 0] * power + weights[:, 1] * efficiency
             + weights[:, 2] * savings)
     assert same_bits(evaluate_rows(spec, weights, positions), want)
-    for k in range(m):
+    # one weight row serves every row as its m copies do
+    one = weights[m // 2]
+    assert same_bits(
+        ss.IrrigationFitness(spec, ss.WeightVector(*one)).evaluate_rows(
+            positions),
+        evaluate_rows(spec, np.repeat(one[None], m, axis=0), positions))
+    # the one-row entry points score every row of the smaller counts, and
+    # about 200 rows, the last among them, of the block-sized ones
+    stride = 1 if m < _ROW_BLOCK - 1 else m // 200
+    for k in sorted({*range(0, m, stride), m - 1}):
         literal = literal_objectives(*positions[k].tolist(), spec)
         assert same_bits(literal, (power[k], efficiency[k], savings[k]))
         assert same_bits(ss.eval_objectives(positions[k, :4],
