@@ -14,14 +14,13 @@ bit-for-bit across runs and processes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .codec import ConfigCodec
+from .codec import ConfigCodec, write_text
 from .errors import NonFiniteResult, OddPopulation, ValidationError
 
 
@@ -32,7 +31,10 @@ class FitnessFunction(Protocol):
     (m, dims) array of positions, as finite floats; the optimizer scores
     every point through it. It must be pure, and row k must equal
     evaluate(positions[k]) bit for bit: it may be given rows the optimizer
-    discards, so it must not count or record them.
+    discards, so it must not count or record them. The optimizer's state
+    is coordinate-major, so the rows it passes are usually the column-
+    ordered (Fortran-order) transpose of a (dims, m) array; a value must
+    not depend on the memory layout of its row.
     """
 
     dimension: int
@@ -67,7 +69,10 @@ class BoxFunction:
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
         """evaluate for every row of an (m, dims) array. A nan or inf value
         raises NonFiniteResult: the optimizer's argmax would stop at a nan
-        and miss a larger value after it."""
+        and miss a larger value after it. Each row is passed to evaluate as
+        a contiguous array, whatever the layout of `positions`: a dot
+        product can round differently on strided input."""
+        positions = np.ascontiguousarray(positions)
         return _finite(positions,
                        np.array([self.evaluate(p) for p in positions]))
 
@@ -265,11 +270,14 @@ def cell_to_cell_signal(position, swarm: Swarm, cfg: BfaConfig) -> float:
 
 
 def _row_dots(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of every row, computed as `row @ row` is.
+    """Squared norm of every row, computed as `row @ row` is on a
+    contiguous row, whatever the layout of `rows`.
 
     Stacked matmul of (1, d) by (d, 1) goes through the same dot kernel as
-    a 1-d `@`; einsum or a sum of squares can differ in the last bit.
+    a 1-d `@`; einsum or a sum of squares can differ in the last bit, and
+    so can the matmul of column-ordered rows from 4 coordinates on.
     """
+    rows = np.ascontiguousarray(rows)
     return (rows[..., None, :] @ rows[..., :, None])[..., 0, 0]
 
 
@@ -295,9 +303,12 @@ def _tumble_round(rng: np.random.Generator, count: int,
 
 def _lay_chains(starts: np.ndarray, moves: np.ndarray, lower: np.ndarray,
                 upper: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill `out`, shaped (..., swim_limit + 2, dims), with the tumble
-    chains from `starts` by `moves`, and return it.
+    """Fill `out`, shaped (dims, swim_limit + 2, ...), with the tumble
+    chains from `starts` by `moves`, both shaped (dims, ...), and return it.
+    The box's `lower` and `upper` bounds broadcast against `starts`.
 
+    The layout is coordinate-major: out[:, r] holds row r of every chain,
+    so each coordinate of a row is one contiguous block over the chains.
     Row 0 is the start point, row 1 the tumble point clamped into the box,
     and each later row the running sum of the move from row 1, clamped
     once. That equals clamping move by move, since each coordinate moves
@@ -305,22 +316,24 @@ def _lay_chains(starts: np.ndarray, moves: np.ndarray, lower: np.ndarray,
     bound stays on it. The running sum is one contiguous point per chain,
     to which each row adds the move in place, in move order.
     """
-    out[..., 0, :] = starts
+    out[:, 0] = starts
     walk = starts + moves
     np.minimum(np.maximum(walk, lower, out=walk), upper, out=walk)
-    out[..., 1, :] = walk
-    for row in range(2, out.shape[-2]):
+    out[:, 1] = walk
+    for row in range(2, out.shape[1]):
         walk += moves
-        np.minimum(np.maximum(walk, lower), upper, out=out[..., row, :])
+        np.minimum(np.maximum(walk, lower, out=out[:, row]), upper,
+                   out=out[:, row])
     return out
 
 
 def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raws,
                 cfg: BfaConfig, rates: np.ndarray) -> tuple[float, int]:
-    """Walk bacterium `index` along its laid-out chain, against the swarm
-    as it stands: the exact walk of _chemotaxis_round, for the turns whose
-    swim decisions its signal bounds leave open (every turn of a replayed
-    cycle), and of swim_loop.
+    """Walk bacterium `index` along its laid-out chain, a row-major
+    (swim_limit + 2, dims) array, against the swarm as it stands: the exact
+    walk of _chemotaxis_round, for the turns whose swim decisions its
+    signal bounds leave open (every turn of a replayed cycle), and of
+    swim_loop.
 
     The tumble move is always kept; repeats continue while effective
     fitness strictly improves, up to swim_limit of them. `raws` yields the
@@ -370,8 +383,11 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
     positions = swarm.positions
     if not math.isfinite(swarm.raw_fitness[index]):
         swarm.raw_fitness[index] = float(f.evaluate(positions[index]))
-    chain = _lay_chains(positions[index], displacement, lower, upper,
-                        np.empty((cfg.swim_limit + 2, swarm.dimensions)))
+    # a one-bacterium batch, transposed to the row-major chain of one row
+    # per move
+    chain = np.ascontiguousarray(_lay_chains(
+        positions[index], displacement, lower, upper,
+        np.empty((swarm.dimensions, cfg.swim_limit + 2))).T)
     return _swim_chain(swarm, index, chain,
                        (float(f.evaluate(point)) for point in chain[1:]),
                        cfg, _kernel_rates(cfg))[0]
@@ -427,12 +443,13 @@ class RunTrace:
         return len(self.best_fitness)
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.CSV_HEADER)
-            for it, (fit, ev) in enumerate(zip(self.best_fitness,
-                                               self.evaluations)):
-                writer.writerow([it, repr(fit), ev])
+        """One row per round: its index, repr of its best fitness, and its
+        evaluation count, comma-separated, "\n"-terminated, under the
+        CSV_HEADER row."""
+        rows = [",".join(self.CSV_HEADER) + "\n"]
+        rows += [f"{it},{fit!r},{ev}\n" for it, (fit, ev) in
+                 enumerate(zip(self.best_fitness, self.evaluations))]
+        write_text(path, "".join(rows), newline="")
 
 
 class RunResult(NamedTuple):
@@ -534,10 +551,16 @@ def _chemotaxis_round(evaluate, runs: np.ndarray, positions: np.ndarray,
                       bounds: tuple[float, float], chains: np.ndarray,
                       scored: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One chemotaxis round of the runs `runs`: run runs[k] starts from
-    positions[k] with raw fitness raw[k], and its bacteria tumble by
-    moves[k]. Returns the positions and raw fitness the round ends with,
-    and the mask of the chain rows of the moves made.
+    """One chemotaxis round of the runs `runs`: run runs[k]'s bacterium i
+    starts from positions[:, k, i] with raw fitness raw[k, i], and tumbles
+    by moves[:, k, i]. Returns the positions and raw fitness the round ends
+    with, and the mask of the chain rows of the moves made.
+
+    The state is coordinate-major, so the bacteria are the contiguous inner
+    axis: positions, moves and the box bounds `lower` and `upper` are
+    (dims, runs, size), `chains` is (dims, swim_limit + 2, runs, size), and
+    `scored` and the returned mask are (swim_limit + 2, runs, size).
+    evaluate gets the (m, dims) transpose of (dims, m) rows, with no copy.
 
     Every bacterium's tumble chain is laid out when the round starts
     (_lay_chains, into `chains`): a bacterium moves only itself, so its
@@ -547,102 +570,120 @@ def _chemotaxis_round(evaluate, runs: np.ndarray, positions: np.ndarray,
     raw fitness). The signal lies in bounds = (lo, hi), so raw fitness
     alone settles most swim decisions. A bacterium with a decision left
     open before its stop is walked exactly by _swim_chain, in index order,
-    against its run's swarm at its turn, and overwrites its entries of
-    positions and raw. Every other bacterium's moves made go unsignalled:
-    its health adds their raw fitness, in move order. At bounds
-    (-inf, inf) nothing settles and every bacterium is walked.
+    against its run's swarm at its turn, and overwrites its entry of raw.
+    Every other bacterium's moves made go unsignalled: its health adds
+    their raw fitness, in move order. At bounds (-inf, inf) nothing
+    settles and every bacterium is walked.
 
     tally[:, k] holds run k's cycle so far, per bacterium: its health, and
     for _health_radius its unsignalled moves, its moves made and the sum
     of |raw fitness| over them. The round adds its own.
     """
-    n_runs, size, dims = positions.shape
+    dims, n_runs, size = positions.shape
     health, unsignalled, moved, magnitude = tally
-    each_run, bacteria = np.arange(n_runs)[:, None], np.arange(size)
+    # cells[k, i] is run k's bacterium i in a flat (runs, size) block, and
+    # row r of it in a flat (rows, runs, size) array is r * block + cells
+    cells = np.arange(n_runs * size).reshape(n_runs, size)
+    block = cells.size
     lo, hi = bounds
     swims = cfg.swim_limit
     _lay_chains(positions, moves, lower, upper, chains)
-    scored[..., 0] = raw
-    scored[..., 1] = evaluate(np.repeat(runs, size),
-                              chains[:, :, 1].reshape(-1, dims)
-                              ).reshape(n_runs, size)
+    scored[0] = raw
+    scored[1] = evaluate(np.repeat(runs, size),
+                         chains[:, 1].reshape(dims, -1).T
+                         ).reshape(n_runs, size)
     # swim rows are scored only where the tumble may improve
-    turns, tumbling = np.nonzero(scored[..., 1] + hi > raw + lo)
+    turns, tumbling = np.nonzero(scored[1] + hi > raw + lo)
     if len(turns):
-        scored[turns, tumbling, 2:] = evaluate(
-            np.repeat(runs[turns], swims),
-            chains[turns, tumbling, 2:].reshape(-1, dims)
-        ).reshape(len(turns), swims)
+        swim_rows = chains[:, 2:].reshape(dims, swims, -1).take(
+            turns * size + tumbling, axis=2)
+        scored[2:, turns, tumbling] = evaluate(
+            runs[turns][None].repeat(swims, axis=0).ravel(),
+            swim_rows.reshape(dims, -1).T).reshape(swims, len(turns))
     # move m surely improves, or surely does not, whatever the signals. A
     # walk goes on while its moves surely improve, so it never reaches the
     # rows left unscored past a tumble that surely does not
-    improves = scored[..., 1:] + lo > scored[..., :-1] + hi
-    worsens = scored[..., 1:] + hi <= scored[..., :-1] + lo
-    improves[..., -1] = False  # move swim_limit + 1 stops
-    worsens[..., -1] = True
-    made = improves.argmin(axis=-1) + 1
-    unsettled = ~worsens[each_run, bacteria, made - 1]
-    finals = chains[each_run, bacteria, made]
+    improves = scored[1:] + lo > scored[:-1] + hi
+    worsens = scored[1:] + hi <= scored[:-1] + lo
+    improves[-1] = False  # move swim_limit + 1 stops
+    worsens[-1] = True
+    made = improves.argmin(axis=0) + 1
+    unsettled = ~worsens.ravel()[(made - 1) * block + cells]
+    finals = chains.reshape(dims, -1).take(made * block + cells, axis=1)
     # the swarm at a walked bacterium's turn: the final points of the
     # bacteria before it and the start points of the rest
     rates = _kernel_rates(cfg)
     for run in np.flatnonzero(unsettled.any(axis=1)).tolist():
-        # positions[run] still holds the round's start points
-        turn, done = Swarm(positions[run], raw[run], health[run]), 0
-        values, stops = scored[run, :, 1:].tolist(), made[run]
+        # row-major copies: _signal_rows reduces over the coordinates
+        turn = Swarm(positions[:, run].T.copy(), raw[run], health[run])
+        walks = chains[:, :, run].transpose(2, 1, 0).copy()
+        values, stops, done = scored[1:, run].T.tolist(), made[run], 0
         for i in np.flatnonzero(unsettled[run]).tolist():
-            turn.positions[done:i] = finals[run, done:i]
-            stops[i] = _swim_chain(turn, i, chains[run, i], values[i],
-                                   cfg, rates)[1]
+            turn.positions[done:i] = finals[:, run, done:i].T
+            stops[i] = _swim_chain(turn, i, walks[i], values[i], cfg,
+                                   rates)[1]
             done = i + 1
-        finals[run] = chains[run, bacteria, stops]
-    chain_index = np.arange(swims + 2)
-    walked = (chain_index > 0) & (chain_index <= made[..., None])
+        finals[:, run] = walks[np.arange(size), stops].T
+    walked = np.arange(swims + 2)[:, None, None] <= made
+    walked[0] = False
     # every other bacterium's health adds the raw fitness of its moves
     # made, and no signal: health only ranks the bacteria at reproduction,
     # where its error radius settles the ranking
     eff = np.where(walked, scored, 0.0)
-    magnitude += np.abs(eff).sum(axis=-1)
+    magnitude += np.abs(eff).sum(axis=0)
     unsignalled += np.where(unsettled, 0, made)
     moved += made
-    eff[..., 0] = health
-    np.add.accumulate(eff, axis=-1, out=eff)
-    np.copyto(health, eff[each_run, bacteria, made], where=~unsettled)
-    return finals, scored[each_run, bacteria, made], walked
+    # health's running sum in move order, as the walk adds it: one add per
+    # contiguous move row, where add.accumulate over the move axis runs
+    # one short strided loop per bacterium, several times slower in a batch
+    eff[0] = health
+    for move in range(1, swims + 2):
+        eff[move] += eff[move - 1]
+    at_made = made * block + cells
+    np.copyto(health, eff.ravel()[at_made], where=~unsettled)
+    return finals, scored.ravel()[at_made], walked
 
 
 def _exact_health(evaluate, runs: np.ndarray, starts: np.ndarray,
                   start_raw: np.ndarray, moves: np.ndarray,
-                  lower: np.ndarray, upper: np.ndarray, cfg: BfaConfig,
-                  chains: np.ndarray, scored: np.ndarray) -> np.ndarray:
+                  lower: np.ndarray, upper: np.ndarray,
+                  cfg: BfaConfig) -> np.ndarray:
     """Exact health of every bacterium of the runs `runs` over one
     reproduction cycle: the cycle's chemotaxis rounds run again, from
-    starts[k] and start_raw[k] (run runs[k]'s positions and their raw
-    fitness when the cycle started, both overwritten) with its tumbles
-    moves[k], at signal bounds (-inf, inf). No swim decision settles
-    there, so _swim_chain walks every bacterium and sums its health
-    exactly. Nothing is drawn or counted; `chains` and `scored` are
-    buffers of at least len(runs) runs.
+    starts[:, k] and start_raw[k] (run runs[k]'s positions and their raw
+    fitness when the cycle started; start_raw is overwritten) with its
+    tumbles moves[:, :, k], in the box of lower[:, k] and upper[:, k], at
+    signal bounds (-inf, inf). No swim decision settles there, so
+    _swim_chain walks every bacterium and sums its health exactly. Nothing
+    is drawn or counted.
     """
-    tally, k = np.zeros((4,) + start_raw.shape), len(runs)
+    dims, k, size = starts.shape
+    tally = np.zeros((4, k, size))
+    chains = np.empty((dims, cfg.swim_limit + 2, k, size))
+    scored = np.zeros((cfg.swim_limit + 2, k, size))
     positions, raw = starts, start_raw
-    for cycle_round in range(moves.shape[1]):
+    for cycle_moves in moves:
         positions, raw, _ = _chemotaxis_round(
-            evaluate, runs, positions, raw, moves[:, cycle_round], tally,
-            lower, upper, cfg, (-math.inf, math.inf), chains[:k], scored[:k])
+            evaluate, runs, positions, raw, cycle_moves, tally, lower, upper,
+            cfg, (-math.inf, math.inf), chains, scored)
     return tally[0]
 
 
 def _take_first_best(best_fitness: np.ndarray, best_position: np.ndarray,
                      values: np.ndarray, points: np.ndarray) -> None:
-    """Incumbent update after run k evaluated values[k] in index order at
-    the positions points[k]: the first maximum replaces the incumbent if it
-    is strictly greater. Entries a run did not evaluate hold -inf."""
-    first = values.argmax(axis=1)
-    top = values[np.arange(len(values)), first]
-    better = top > best_fitness
-    best_fitness[better] = top[better]
-    best_position[better] = points[better, first[better]]
+    """Incumbent update after run k evaluated values[m, k, i] at the
+    position points[:, m, k, i], in (bacterium i, move m) order: the first
+    maximum replaces the incumbent if it is strictly greater. That is the
+    first bacterium whose best value is the largest, at its first move of
+    that value. Entries a run did not evaluate hold -inf."""
+    tops = values.max(axis=0)
+    top = tops.max(axis=1)
+    better = np.flatnonzero(top > best_fitness)
+    if len(better):
+        first = tops[better].argmax(axis=1)
+        move = values[:, better, first].argmax(axis=0)
+        best_fitness[better] = top[better]
+        best_position[better] = points[:, move, better, first].T
 
 
 def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
@@ -678,14 +719,21 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
         raise ValidationError("need at least one seed")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     everyone = np.arange(n_runs)
-    positions = np.stack([Swarm.random(size, lower, upper, rng).positions
-                          for rng in rngs])
+    # coordinate-major state: positions[:, k, i] is run k's bacterium i
+    positions = np.empty((dims, n_runs, size))
+    for run, rng in enumerate(rngs):
+        positions[:, run] = Swarm.random(size, lower, upper, rng).positions.T
+    # the box's bounds at every bacterium: clamping against whole arrays
+    # is faster than against (dims, 1, 1) columns
+    box_lower, box_upper = (np.broadcast_to(b[:, None, None], positions.shape)
+                            .copy() for b in (lower, upper))
     raw = evaluate(np.repeat(everyone, size),
-                   positions.reshape(-1, dims)).reshape(n_runs, size)
+                   positions.reshape(dims, -1).T).reshape(n_runs, size)
     count = np.full(n_runs, size)
     best_fitness = np.full(n_runs, -math.inf)
     best_position = np.zeros((n_runs, dims))
-    _take_first_best(best_fitness, best_position, raw, positions)
+    _take_first_best(best_fitness, best_position, raw[None],
+                     positions[:, None])
 
     per_cycle = cfg.chemotaxis_steps
     per_dispersal = per_cycle * cfg.reproduction_cycles
@@ -696,34 +744,35 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     lo, hi = _signal_bounds(cfg)
     # between dispersals a run's stream draws only tumbles, so one draw per
     # reproduction cycle gives every tumble the draws it would take alone.
-    # That cycle's start points, their raw fitness and moves per run, its
+    # That cycle's start points, their raw fitness and moves per round, its
     # tallies (_chemotaxis_round), a round's tumble chains and the raw
     # fitness of every chain row are all filled in place
-    starts = np.empty((n_runs, size, dims))
+    starts = np.empty((dims, n_runs, size))
     start_raw = np.empty((n_runs, size))
-    moves = np.empty((n_runs, per_cycle, size, dims))
+    moves = np.empty((per_cycle, dims, n_runs, size))
     tally = np.empty((4, n_runs, size))
     health = tally[0]
-    chains = np.empty((n_runs, size, cfg.swim_limit + 2, dims))
-    scored = np.zeros((n_runs, size, cfg.swim_limit + 2))
+    chains = np.empty((dims, cfg.swim_limit + 2, n_runs, size))
+    scored = np.zeros((cfg.swim_limit + 2, n_runs, size))
     for row in range(1, rounds + 1):
         cycle_round = (row - 1) % per_cycle
         if cycle_round == 0:
             tally.fill(0.0)
             starts[:], start_raw[:] = positions, raw
             for run, rng in enumerate(rngs):
-                np.multiply(steps, _tumble_round(rng, per_cycle * size, dims)
-                            .reshape(moves.shape[1:]), out=moves[run])
+                tumbles = _tumble_round(rng, per_cycle * size, dims)
+                np.multiply(steps[:, None], tumbles.reshape(
+                    per_cycle, size, dims).transpose(0, 2, 1),
+                    out=moves[:, :, run])
         positions, raw, walked = _chemotaxis_round(
-            evaluate, everyone, positions, raw, moves[:, cycle_round], tally,
-            lower, upper, cfg, (lo, hi), chains, scored)
+            evaluate, everyone, positions, raw, moves[cycle_round], tally,
+            box_lower, box_upper, cfg, (lo, hi), chains, scored)
         # the raw fitness of the moves made, in walk order, and -inf
         # elsewhere: one update keeps the first strictly greater value, as
         # one update per move would
-        found = np.where(walked, scored, -math.inf).reshape(n_runs, -1)
-        _take_first_best(best_fitness, best_position, found,
-                         chains.reshape(n_runs, -1, dims))
-        count += walked.sum(axis=(1, 2))
+        _take_first_best(best_fitness, best_position,
+                         np.where(walked, scored, -math.inf), chains)
+        count += walked.sum(axis=(0, 2))
         trace_fitness[row], trace_count[row] = best_fitness, count
         if row % per_cycle == 0:
             # a run whose ranking the radii leave open replays its cycle
@@ -732,25 +781,27 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
             replay = np.flatnonzero(~_order_settled(health, radius))
             if len(replay):
                 health[replay] = _exact_health(
-                    evaluate, replay, starts[replay], start_raw[replay],
-                    moves[replay], lower, upper, cfg, chains, scored)
+                    evaluate, replay, starts[:, replay], start_raw[replay],
+                    moves[:, :, replay], box_lower[:, replay],
+                    box_upper[:, replay], cfg)
             for run in range(n_runs):
-                child = reproduce(Swarm(positions[run], raw[run],
+                child = reproduce(Swarm(positions[:, run].T, raw[run],
                                         health[run]))
-                positions[run], raw[run] = child.positions, child.raw_fitness
+                positions[:, run], raw[run] = (child.positions.T,
+                                               child.raw_fitness)
         if row % per_dispersal == 0:
             for run, rng in enumerate(rngs):
-                eliminate_disperse(Swarm(positions[run], raw[run],
+                eliminate_disperse(Swarm(positions[:, run].T, raw[run],
                                          health[run]), cfg, rng, bounds)
             runs, members = np.nonzero(np.isnan(raw))
             if len(runs):
-                values = evaluate(runs, positions[runs, members])
+                values = evaluate(runs, positions[:, runs, members].T)
                 raw[runs, members] = values
                 count += np.bincount(runs, minlength=n_runs)
                 found = np.full(raw.shape, -math.inf)
                 found[runs, members] = values
-                _take_first_best(best_fitness, best_position, found,
-                                 positions)
+                _take_first_best(best_fitness, best_position, found[None],
+                                 positions[:, None])
 
     results = []
     for run in range(n_runs):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 from . import climate, fuzzy
 from .bfa import BfaConfig, run_bfa, sphere_function
-from .codec import ConfigCodec, json_text, read_json
+from .codec import ConfigCodec, json_text, read_json, write_text
 from .errors import (
     IncompleteBundle,
     SolarswarmError,
@@ -81,11 +81,6 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as err:
         raise ValidationError(f"cannot read {path}: {err}") from None
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _load_config(args) -> RunConfig:
@@ -308,11 +303,11 @@ def cmd_frontier(args) -> int:
         print(line)
     metrics = compute_metrics(frontier)
     write_frontier_csv(frontier, os.path.join(out_dir, "frontier.csv"))
-    _write_text(os.path.join(out_dir, "metrics.json"), json_text(metrics))
-    _write_text(os.path.join(out_dir, "summary.txt"),
-                _summary_text(frontier, metrics, config, problem))
+    write_text(os.path.join(out_dir, "metrics.json"), json_text(metrics))
+    write_text(os.path.join(out_dir, "summary.txt"),
+               _summary_text(frontier, metrics, config, problem))
     # echo what ran: the resolved noise bounds and the master seed
-    _write_text(os.path.join(out_dir, "config.json"), json_text(
+    write_text(os.path.join(out_dir, "config.json"), json_text(
         replace(config, problem=problem, bfa=cfg).to_dict()))
     print(f"frontier: {len(frontier)} points, dominance "
           f"{_fmt(metrics['dominance_mean_F'])}, diversity "
@@ -331,7 +326,7 @@ def cmd_metrics(args) -> int:
                                       grade_context=context)
     text = json_text(compute_metrics(frontier))
     if args.out:
-        _write_text(args.out, text)
+        write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")

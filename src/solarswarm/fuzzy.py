@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import climate
-from .codec import ConfigCodec, json_text, read_json
+from .codec import ConfigCodec, json_text, read_json, write_text
 from .errors import (
     DegenerateRange,
     EmptyInterval,
@@ -280,8 +280,7 @@ def noise_interval_from_grades(model: Type2FuzzyVariable,
 
 
 def save_model(model: Type2FuzzyVariable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(model.to_dict()))
+    write_text(path, json_text(model.to_dict()))
 
 
 def load_model(path: str) -> Type2FuzzyVariable:

@@ -242,11 +242,11 @@ class _Surfaces:
         self.first = np.array([[i for _, i, _ in term] for term in by_term])
         self.second = np.array([[j for _, _, j in term] for term in by_term])
         self.factor = np.array([factor for factor, _ in table])[:, None]
-        self.lo_row = np.array([lo for lo, _ in bounds])
-        self.width_row = np.array([hi - lo for lo, hi in bounds])
+        self.lo_column = np.array([lo for lo, _ in bounds])[:, None]
+        self.width_column = np.array([hi - lo for lo, hi in bounds])[:, None]
         # one instance serves every caller with an equal spec (_surfaces)
         for array in (self.coef, self.first, self.second, self.factor,
-                      self.lo_row, self.width_row):
+                      self.lo_column, self.width_column):
             array.flags.writeable = False
 
 
@@ -263,6 +263,10 @@ _ROW_BLOCK = 1024
 def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
     """(power, efficiency, savings) of every row of an (m, 6) array of
     positions (x_a..x_d, Z_a, Z_b), as a (3, m) array: the one evaluator.
+    The optimizer passes the transpose of a (6, m) array, which is copied
+    into the coordinate rows as one contiguous block; every operation
+    below is elementwise or adds whole rows, so the values do not depend
+    on the layout of `positions`.
 
     Each objective is factor * (t_1 + t_2 + ...) over coefficient_table's
     terms, term (coef, i, j) computed as (coef * X[i]) * X[j]. The terms
@@ -278,8 +282,14 @@ def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
             for k in range(0, len(positions), _ROW_BLOCK)], axis=1)
     s = _surfaces(spec)
     x = np.ones((7, len(positions)))
-    x[:6] = (2.0 * (positions - s.lo_row) / s.width_row - 1.0).T \
-        if s.coded else positions.T
+    coords = x[:6]
+    coords[:] = positions.T
+    if s.coded:
+        # ((p - lo) * 2.0) / width - 1.0, one operation at a time in place
+        coords -= s.lo_column
+        coords *= 2.0
+        coords /= s.width_column
+        coords -= 1.0
     terms = x[s.first]
     terms *= s.coef
     terms *= x[s.second]

@@ -25,7 +25,7 @@ from .bfa import BfaConfig, RunResult, run_bfa_lockstep
 # run_bfa is no longer called here, but stays bound under this module's
 # name: the benchmark's span tracer wraps pareto.run_bfa
 from .bfa import run_bfa  # noqa: F401
-from .codec import ConfigCodec
+from .codec import ConfigCodec, write_text
 # the shared writer, also bound under its earlier name here: the
 # benchmark's input generator imports pareto.metrics_json_text
 from .codec import json_text as metrics_json_text  # noqa: F401
@@ -476,8 +476,7 @@ def frontier_from_csv_text(text: str,
 
 
 def write_frontier_csv(frontier: Frontier, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(frontier_to_csv_text(frontier))
+    write_text(path, frontier_to_csv_text(frontier), newline="")
 
 
 def read_frontier_csv(path: str,

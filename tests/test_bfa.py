@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -420,13 +422,18 @@ def test_lay_chains_equals_move_by_move_chains(runs, swim_limit):
     starts = rng.uniform(box[:, 0], box[:, 1], (runs, 26, 6))
     directions = rng.normal(size=(runs, 26, 6))
     directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
-    out = np.full((runs, 26, swim_limit + 2, 6), np.nan)
-    got = _lay_chains(starts, steps * directions, box[:, 0], box[:, 1], out)
+    # the engine's coordinate-major layout: (dims, swim_limit + 2, runs,
+    # bacteria) chains from (dims, runs, bacteria) starts and moves
+    out = np.full((6, swim_limit + 2, runs, 26), np.nan)
+    got = _lay_chains(starts.transpose(2, 0, 1),
+                      (steps * directions).transpose(2, 0, 1),
+                      box[:, 0, None, None], box[:, 1, None, None], out)
     assert got is out
     want = np.array([[lay_chain_by_moves(start, direction, steps, bounds,
                                          swim_limit)
                       for start, direction in zip(*run)]
                      for run in zip(starts, directions)])
+    got = got.transpose(2, 3, 1, 0)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.any(got[..., -1, :] == box[:, 0])
     assert np.any(got[..., -1, :] == box[:, 1])
@@ -694,3 +701,20 @@ def test_trace_csv_roundtrip(tmp_path):
         assert int(cells[0]) == it
         assert float(cells[1]) == fit  # repr round-trips exactly
         assert int(cells[2]) == ev
+
+
+def test_trace_csv_rewrites_a_longer_file_as_the_csv_module_writes(tmp_path):
+    # the trace is written in place over an existing file: a longer old
+    # file must keep none of its bytes past the new text
+    trace = ss.RunTrace(best_fitness=[-math.inf, -1.5, 0.1 + 0.2, 1e300],
+                        evaluations=[26, 40, 51, 77])
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"x" * 5000 + b"\r\n")
+    trace.write_csv(str(path))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(trace.CSV_HEADER)
+    for it, (fit, ev) in enumerate(zip(trace.best_fitness,
+                                       trace.evaluations)):
+        writer.writerow([it, repr(fit), ev])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")

@@ -6,6 +6,7 @@ import pytest
 import solarswarm as ss
 from solarswarm import climate, fuzzy
 from solarswarm.cli import RunConfig, main
+from solarswarm.codec import write_text
 from solarswarm.errors import ValidationError
 from solarswarm.pareto import metrics_json_text, read_frontier_csv
 
@@ -286,6 +287,24 @@ class TestMetrics:
         assert open(target).read() \
             == open(os.path.join(bundle, "metrics.json")).read()
 
+    def test_out_flag_rewrites_a_longer_file_exactly(self, bundle, tmp_path,
+                                                      capsys):
+        # files are rewritten in place, then cut at the end of the text
+        target = tmp_path / "metrics.json"
+        target.write_text("{}\n" * 4000)
+        assert main(["metrics", "--frontier",
+                     os.path.join(bundle, "frontier.csv"),
+                     "--out", str(target)]) == 0
+        with open(os.path.join(bundle, "metrics.json"), "rb") as fh:
+            assert target.read_bytes() == fh.read()
+
+    def test_out_flag_writes_to_dev_null(self, bundle, capsys):
+        # only a regular file is cut: truncate on /dev/null raises EINVAL
+        assert main(["metrics", "--frontier",
+                     os.path.join(bundle, "frontier.csv"),
+                     "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == f"wrote {os.devnull}\n"
+
     def test_row_order_does_not_matter(self, bundle, tmp_path, capsys):
         lines = open(os.path.join(bundle, "frontier.csv")).read().strip() \
             .split("\n")
@@ -384,6 +403,22 @@ class TestReport:
         empty.mkdir()
         assert main(["report", str(empty)]) == 1
         assert "IncompleteBundle" in capsys.readouterr().err
+
+
+class TestWriteText:
+    @pytest.mark.parametrize("newline", [None, ""])
+    def test_shorter_text_replaces_a_longer_file(self, newline, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old,contents\r\n" * 300)
+        write_text(str(path), "a,b\n\u00e9,2\n", newline=newline)
+        assert path.read_bytes() == "a,b\n\u00e9,2\n".encode("utf-8")
+        write_text(str(path), "")
+        assert path.read_bytes() == b""
+
+    def test_creates_a_missing_file(self, tmp_path):
+        path = tmp_path / "new.json"
+        write_text(str(path), "{}\n")
+        assert path.read_bytes() == b"{}\n"
 
 
 class TestRunConfig:

@@ -13,6 +13,7 @@ from solarswarm import bfa
 from solarswarm.bfa import (
     _order_settled,
     _row_dots,
+    _take_first_best,
     _tumble_round,
     run_bfa_lockstep,
     tumble_direction,
@@ -73,10 +74,11 @@ def test_lockstep_equals_run_bfa(setting, cells, reference):
                                     replace(cfg, seed=seed), reference)
 
 
-@pytest.mark.parametrize("dimensions", [1, 2, 3])
+@pytest.mark.parametrize("dimensions", [1, 2, 3, 4])
 def test_lockstep_equals_run_bfa_on_sphere(dimensions, reference):
     # every bacterium disperses, so a box read the wrong way shows; a
-    # 2-d box is the one whose (lo, hi) pairs form a square array
+    # 2-d box is the one whose (lo, hi) pairs form a square array. From 4
+    # coordinates on, the row dots of column-ordered rows round otherwise
     f = ss.sphere_function(dimensions)
     cfg = replace(SMALL, elimination_prob=1.0)
     seeds = [0, 1, 2]
@@ -236,6 +238,29 @@ def test_lockstep_ranks_tied_exact_healths_without_replay(replays,
                                     reference)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_take_first_best_keeps_the_first_maximum_in_walk_order(seed):
+    # values[m, k, i] is run k's bacterium i's move m, laid move-major; the
+    # walk takes bacterium by bacterium, each one's moves in order, and
+    # small integer values tie across bacteria and across moves
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 4, (7, 3, 5)).astype(float)
+    values[rng.random(values.shape) < 0.3] = -np.inf
+    points = rng.normal(size=(2,) + values.shape)
+    best_fitness = np.array([-np.inf, 1.0, 2.0])
+    best_position = np.zeros((3, 2))
+    want_fitness, want_position = best_fitness.copy(), best_position.copy()
+    for k in range(3):
+        for i in range(5):
+            for m in range(7):
+                if values[m, k, i] > want_fitness[k]:
+                    want_fitness[k] = values[m, k, i]
+                    want_position[k] = points[:, m, k, i]
+    _take_first_best(best_fitness, best_position, values, points)
+    assert np.array_equal(best_fitness, want_fitness)
+    assert np.array_equal(best_position, want_position)
+
+
 def test_order_settled_needs_the_top_half_before_every_member_after_it():
     # four bacteria, top half of two: the second must surely come before
     # every member after it, not only the third; the order of the bottom
@@ -386,6 +411,29 @@ def test_evaluate_rows_matches_scalar_evaluator():
                          positions)
     for value, w, p in zip(rows, weights, positions):
         assert value == ss.IrrigationFitness(spec, w).evaluate(p)
+
+
+LAYOUT_FITNESSES = {
+    **{f"sphere_{d}": ss.sphere_function(d) for d in range(1, 7)},
+    "box_function_5": ss.BoxFunction(dimension=5,
+                                      bounds=((-5.0, 5.0),) * 5,
+                                      fn=lambda p: -float(p @ p)),
+    "irrigation": ss.IrrigationFitness(ss.ProblemSpec(),
+                                       ss.WeightVector(0.2, 0.3, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_FITNESSES))
+def test_evaluate_rows_ignores_the_layout_of_its_rows(name):
+    # the engine passes the column-ordered transpose of (dims, m) arrays
+    f = LAYOUT_FITNESSES[name]
+    box = np.array(f.bounds)
+    rows = np.random.default_rng(len(name)).uniform(
+        box[:, 0], box[:, 1], (936, f.dimension))
+    want = f.evaluate_rows(np.ascontiguousarray(rows))
+    for got in (f.evaluate_rows(np.asfortranarray(rows)),
+                f.evaluate_rows(np.ascontiguousarray(rows.T).T)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
