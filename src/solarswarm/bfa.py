@@ -31,10 +31,8 @@ class FitnessFunction(Protocol):
     (m, dims) array of positions, as finite floats; the optimizer scores
     every point through it. It must be pure, and row k must equal
     evaluate(positions[k]) bit for bit: it may be given rows the optimizer
-    discards, so it must not count or record them. The optimizer's state
-    is coordinate-major, so the rows it passes are usually the column-
-    ordered (Fortran-order) transpose of a (dims, m) array; a value must
-    not depend on the memory layout of its row.
+    discards, so it must not count or record them. run_bfa passes it
+    C-contiguous rows.
     """
 
     dimension: int
@@ -69,10 +67,7 @@ class BoxFunction:
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
         """evaluate for every row of an (m, dims) array. A nan or inf value
         raises NonFiniteResult: the optimizer's argmax would stop at a nan
-        and miss a larger value after it. Each row is passed to evaluate as
-        a contiguous array, whatever the layout of `positions`: a dot
-        product can round differently on strided input."""
-        positions = np.ascontiguousarray(positions)
+        and miss a larger value after it."""
         return _finite(positions,
                        np.array([self.evaluate(p) for p in positions]))
 
@@ -270,14 +265,13 @@ def cell_to_cell_signal(position, swarm: Swarm, cfg: BfaConfig) -> float:
 
 
 def _row_dots(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of every row, computed as `row @ row` is on a
-    contiguous row, whatever the layout of `rows`.
+    """Squared norm of every row, computed as `row @ row` is.
 
     Stacked matmul of (1, d) by (d, 1) goes through the same dot kernel as
-    a 1-d `@`; einsum or a sum of squares can differ in the last bit, and
-    so can the matmul of column-ordered rows from 4 coordinates on.
+    a 1-d `@`; einsum or a sum of squares can differ in the last bit.
+    Column-ordered rows can differ too, from 4 coordinates on: pass rows
+    row-major.
     """
-    rows = np.ascontiguousarray(rows)
     return (rows[..., None, :] @ rows[..., :, None])[..., 0, 0]
 
 
@@ -478,18 +472,22 @@ def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
     """Full optimizer run; deterministic in (f, cfg) including cfg.seed.
 
     The run is run_bfa_lockstep's loop nest at the one seed cfg.seed, with
-    f.evaluate_rows scoring every point.
+    f.evaluate_rows scoring every point. The engine's rows are column-
+    ordered views; f gets them as one C-contiguous copy per call, since a
+    dot product over a strided row can round otherwise.
     """
     _box(f.bounds, f.dimension, cfg)  # checks f.dimension against the bounds
-    return run_bfa_lockstep(lambda _, positions: f.evaluate_rows(positions),
-                            f.bounds, cfg, [cfg.seed])[0]
+    return run_bfa_lockstep(
+        lambda _, positions: f.evaluate_rows(np.ascontiguousarray(positions)),
+        f.bounds, cfg, [cfg.seed])[0]
 
 
-# Lockstep engine: independent runs stepped together on (runs, bacteria,
-# dims) arrays. Each run keeps its own random stream, and its arithmetic
-# and draw order do not depend on how many runs share the batch, so a run
-# gives the same bytes alone or among others; only the numpy call overhead
-# is shared across runs.
+# Lockstep engine: independent runs stepped together on coordinate-major
+# (dims, runs, bacteria) arrays, the bacteria the contiguous inner axis.
+# Each run keeps its own random stream, and its arithmetic and draw order
+# do not depend on how many runs share the batch, so a run gives the same
+# bytes alone or among others; only the numpy call overhead is shared
+# across runs.
 
 # unit roundoff of a float64 operation
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -693,7 +691,8 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
 
     evaluate(runs, positions) returns the raw fitness of positions[k]
     (an (m, dims) array) under the fitness function of run runs[k], as
-    finite floats.
+    finite floats. positions is usually the column-ordered transpose of a
+    (dims, m) array.
 
     Each run starts from Swarm.random. Every chemotaxis round of every run
     is one _chemotaxis_round call at the bounds of _signal_bounds: raw

@@ -3,10 +3,11 @@
 Each criterion checks the package against its reference values and
 tolerances. Run with `pytest tests/test_acceptance.py -rA` (or `-s`) to see
 every verdict line; a criterion that fails both prints FAIL and fails its
-test. Criterion 9 sweeps the full default frontier twice and is the slow
-one (several minutes); everything else finishes in seconds.
+test. Criterion 9 sweeps the full default frontier twice, serially and
+with two workers, and is the slow one; everything else finishes in seconds.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -270,12 +271,13 @@ def test_criterion_8_metric_oracles():
 
 def test_criterion_9_end_to_end_frontier(tmp_path):
     with criterion(9, "default frontier sweep emits 36 feasible points, "
-                      "reruns byte for byte, and metrics/report round-trip "
-                      "it, in under 15 min"):
+                      "matches its 39 reference digests serially and with "
+                      "2 workers, and metrics/report round-trip it, in "
+                      "under 15 min"):
         started = time.perf_counter()
-        out_dirs = [str(tmp_path / name) for name in ("first", "second")]
-        for out in out_dirs:
-            assert main(["frontier", "--out", out]) == 0
+        out_dirs = [str(tmp_path / name) for name in ("serial", "pooled")]
+        assert main(["frontier", "--out", out_dirs[0]]) == 0
+        assert main(["frontier", "--workers", "2", "--out", out_dirs[1]]) == 0
 
         frontier = read_frontier_csv(os.path.join(out_dirs[0],
                                                   "frontier.csv"))
@@ -292,12 +294,18 @@ def test_criterion_9_end_to_end_frontier(tmp_path):
                                             problem)
             assert recomputed.as_tuple() == point.objectives.as_tuple()
 
-        for name in ("frontier.csv", "metrics.json", "summary.txt",
-                     os.path.join("traces", "trace_w000.csv"),
-                     os.path.join("traces", "trace_w035.csv")):
-            first = open(os.path.join(out_dirs[0], name), "rb").read()
-            second = open(os.path.join(out_dirs[1], name), "rb").read()
-            assert first == second, f"{name} differs between reruns"
+        # every file of the bundle, against the digests the benchmark's
+        # golden file records for this sweep
+        golden = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "perfbench", "golden.json")
+        with open(golden) as fh:
+            want = json.load(fh)["reference_default_sweep"]["files"]
+        assert len(want) == 39
+        for out in out_dirs:
+            for name, digest in sorted(want.items()):
+                with open(os.path.join(out, name), "rb") as fh:
+                    got = hashlib.sha256(fh.read()).hexdigest()
+                assert got == digest, f"{out}/{name} differs from its digest"
 
         metrics_path = str(tmp_path / "recomputed.json")
         assert main(["metrics", "--frontier",

@@ -704,8 +704,8 @@ def test_trace_csv_roundtrip(tmp_path):
 
 
 def test_trace_csv_rewrites_a_longer_file_as_the_csv_module_writes(tmp_path):
-    # the trace is written in place over an existing file: a longer old
-    # file must keep none of its bytes past the new text
+    # a longer old file must keep none of its bytes past the new text, and
+    # the rows are the bytes csv.writer writes
     trace = ss.RunTrace(best_fitness=[-math.inf, -1.5, 0.1 + 0.2, 1e300],
                         evaluations=[26, 40, 51, 77])
     path = tmp_path / "trace.csv"

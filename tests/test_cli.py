@@ -289,7 +289,7 @@ class TestMetrics:
 
     def test_out_flag_rewrites_a_longer_file_exactly(self, bundle, tmp_path,
                                                       capsys):
-        # files are rewritten in place, then cut at the end of the text
+        # a longer old file keeps none of its bytes past the new text
         target = tmp_path / "metrics.json"
         target.write_text("{}\n" * 4000)
         assert main(["metrics", "--frontier",
@@ -299,7 +299,7 @@ class TestMetrics:
             assert target.read_bytes() == fh.read()
 
     def test_out_flag_writes_to_dev_null(self, bundle, capsys):
-        # only a regular file is cut: truncate on /dev/null raises EINVAL
+        # --out takes any writable path, a device included
         assert main(["metrics", "--frontier",
                      os.path.join(bundle, "frontier.csv"),
                      "--out", os.devnull]) == 0

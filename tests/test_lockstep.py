@@ -78,12 +78,14 @@ def test_lockstep_equals_run_bfa(setting, cells, reference):
 def test_lockstep_equals_run_bfa_on_sphere(dimensions, reference):
     # every bacterium disperses, so a box read the wrong way shows; a
     # 2-d box is the one whose (lo, hi) pairs form a square array. From 4
-    # coordinates on, the row dots of column-ordered rows round otherwise
+    # coordinates on, the row dots of column-ordered rows round otherwise,
+    # so the rows are made contiguous as run_bfa makes them
     f = ss.sphere_function(dimensions)
     cfg = replace(SMALL, elimination_prob=1.0)
     seeds = [0, 1, 2]
-    results = run_bfa_lockstep(lambda runs, positions: -_row_dots(positions),
-                               f.bounds, cfg, seeds)
+    results = run_bfa_lockstep(
+        lambda runs, positions: -_row_dots(np.ascontiguousarray(positions)),
+        f.bounds, cfg, seeds)
     for seed, got in zip(seeds, results):
         assert_both_match_reference(got, f, replace(cfg, seed=seed),
                                     reference)
@@ -413,27 +415,32 @@ def test_evaluate_rows_matches_scalar_evaluator():
         assert value == ss.IrrigationFitness(spec, w).evaluate(p)
 
 
-LAYOUT_FITNESSES = {
-    **{f"sphere_{d}": ss.sphere_function(d) for d in range(1, 7)},
-    "box_function_5": ss.BoxFunction(dimension=5,
-                                      bounds=((-5.0, 5.0),) * 5,
-                                      fn=lambda p: -float(p @ p)),
-    "irrigation": ss.IrrigationFitness(ss.ProblemSpec(),
-                                       ss.WeightVector(0.2, 0.3, 0.5)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(LAYOUT_FITNESSES))
-def test_evaluate_rows_ignores_the_layout_of_its_rows(name):
-    # the engine passes the column-ordered transpose of (dims, m) arrays
-    f = LAYOUT_FITNESSES[name]
+def test_irrigation_evaluate_rows_ignores_the_layout_of_its_rows():
+    # the sweep's engine passes the column-ordered transpose of (dims, m)
+    # arrays, with no copy
+    f = ss.IrrigationFitness(ss.ProblemSpec(), ss.WeightVector(0.2, 0.3, 0.5))
     box = np.array(f.bounds)
-    rows = np.random.default_rng(len(name)).uniform(
-        box[:, 0], box[:, 1], (936, f.dimension))
+    rows = np.random.default_rng(10).uniform(box[:, 0], box[:, 1], (936, 6))
     want = f.evaluate_rows(np.ascontiguousarray(rows))
     for got in (f.evaluate_rows(np.asfortranarray(rows)),
                 f.evaluate_rows(np.ascontiguousarray(rows.T).T)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("dimensions", [4, 6])
+def test_run_bfa_hands_evaluate_rows_contiguous_rows(dimensions):
+    # a row dot of a column-ordered row rounds otherwise from 4 coordinates
+    # on, so a fitness's row k would stop matching evaluate(positions[k])
+    f = ss.sphere_function(dimensions)
+    score, layouts = f.evaluate_rows, []
+
+    def evaluate_rows(positions):
+        layouts.append(positions.flags.c_contiguous)
+        return score(positions)
+
+    f.evaluate_rows = evaluate_rows
+    ss.run_bfa(f, SMALL)
+    assert layouts and all(layouts)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
