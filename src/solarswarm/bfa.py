@@ -299,7 +299,8 @@ def _lay_chains(starts: np.ndarray, moves: np.ndarray, lower: np.ndarray,
                 upper: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill `out`, shaped (dims, swim_limit + 2, ...), with the tumble
     chains from `starts` by `moves`, both shaped (dims, ...), and return it.
-    The box's `lower` and `upper` bounds broadcast against `starts`.
+    The box's `lower` and `upper` bounds, shaped (dims, ...), broadcast
+    against `starts`.
 
     The layout is coordinate-major: out[:, r] holds row r of every chain,
     so each coordinate of a row is one contiguous block over the chains.
@@ -308,7 +309,11 @@ def _lay_chains(starts: np.ndarray, moves: np.ndarray, lower: np.ndarray,
     once. That equals clamping move by move, since each coordinate moves
     one way from a point inside the box, so a coordinate that reaches a
     bound stays on it. The running sum is one contiguous point per chain,
-    to which each row adds the move in place, in move order.
+    to which each row adds the move in place, in move order, and which
+    each swim row copies unclamped; one maximum and one minimum then clamp
+    all the swim rows. (Adding each row to the row before inside `out` is
+    slower: a ufunc over those non-contiguous rows costs about three
+    contiguous adds, while copying into one costs about one.)
     """
     out[:, 0] = starts
     walk = starts + moves
@@ -316,8 +321,10 @@ def _lay_chains(starts: np.ndarray, moves: np.ndarray, lower: np.ndarray,
     out[:, 1] = walk
     for row in range(2, out.shape[1]):
         walk += moves
-        np.minimum(np.maximum(walk, lower, out=out[:, row]), upper,
-                   out=out[:, row])
+        out[:, row] = walk
+    swims = out[:, 2:]
+    lower, upper = lower[:, None], upper[:, None]
+    np.minimum(np.maximum(swims, lower, out=swims), upper, out=swims)
     return out
 
 
@@ -543,28 +550,56 @@ def _order_settled(health: np.ndarray, radius: np.ndarray) -> np.ndarray:
     return sure.all(axis=1)
 
 
-def _chemotaxis_round(evaluate, runs: np.ndarray, positions: np.ndarray,
+class _Batch(NamedTuple):
+    """What every chemotaxis round of a batch of runs shares, made once
+    per batch by _batch: the runs' ids, the run id of every tumble row,
+    cells[k, i] = k * size + i (run k's bacterium i in a flat (runs,
+    size) block), the (swim_limit + 2, 1, 1) column of move indices, the
+    kernel rates, and the round's buffers: the tumble chains, (dims,
+    swim_limit + 2, runs, size), and the raw fitness of their rows,
+    (swim_limit + 2, runs, size)."""
+
+    runs: np.ndarray
+    tumble_runs: np.ndarray
+    cells: np.ndarray
+    move_index: np.ndarray
+    rates: np.ndarray
+    chains: np.ndarray
+    scored: np.ndarray
+
+
+def _batch(runs: np.ndarray, size: int, dims: int, cfg: BfaConfig) -> _Batch:
+    rows = cfg.swim_limit + 2
+    return _Batch(runs=runs, tumble_runs=np.repeat(runs, size),
+                  cells=np.arange(len(runs) * size).reshape(len(runs), size),
+                  move_index=np.arange(rows)[:, None, None],
+                  rates=_kernel_rates(cfg),
+                  chains=np.empty((dims, rows, len(runs), size)),
+                  scored=np.zeros((rows, len(runs), size)))
+
+
+def _chemotaxis_round(evaluate, batch: _Batch, positions: np.ndarray,
                       raw: np.ndarray, moves: np.ndarray, tally: np.ndarray,
                       lower: np.ndarray, upper: np.ndarray, cfg: BfaConfig,
-                      bounds: tuple[float, float], chains: np.ndarray,
-                      scored: np.ndarray
+                      bounds: tuple[float, float]
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One chemotaxis round of the runs `runs`: run runs[k]'s bacterium i
-    starts from positions[:, k, i] with raw fitness raw[k, i], and tumbles
-    by moves[:, k, i]. Returns the positions and raw fitness the round ends
-    with, and the mask of the chain rows of the moves made.
+    """One chemotaxis round of the runs batch.runs: run runs[k]'s bacterium
+    i starts from positions[:, k, i] with raw fitness raw[k, i], and
+    tumbles by moves[:, k, i]. Returns the positions and raw fitness the
+    round ends with, and the mask of the chain rows of the moves made.
 
     The state is coordinate-major, so the bacteria are the contiguous inner
     axis: positions, moves and the box bounds `lower` and `upper` are
-    (dims, runs, size), `chains` is (dims, swim_limit + 2, runs, size), and
-    `scored` and the returned mask are (swim_limit + 2, runs, size).
-    evaluate gets the (m, dims) transpose of (dims, m) rows, with no copy.
+    (dims, runs, size), batch.chains is (dims, swim_limit + 2, runs, size),
+    and batch.scored and the returned mask are (swim_limit + 2, runs,
+    size). evaluate gets the (m, dims) transpose of (dims, m) rows, with
+    no copy.
 
     Every bacterium's tumble chain is laid out when the round starts
-    (_lay_chains, into `chains`): a bacterium moves only itself, so its
+    (_lay_chains, into batch.chains): a bacterium moves only itself, so its
     start point at its turn is the one the round started with. One call
     scores every tumble row, and a second the swim rows of the bacteria
-    whose tumble may improve (into `scored`, whose row 0 is the start's
+    whose tumble may improve (into batch.scored, whose row 0 is the start's
     raw fitness). The signal lies in bounds = (lo, hi), so raw fitness
     alone settles most swim decisions. A bacterium with a decision left
     open before its stop is walked exactly by _swim_chain, in index order,
@@ -579,15 +614,16 @@ def _chemotaxis_round(evaluate, runs: np.ndarray, positions: np.ndarray,
     """
     dims, n_runs, size = positions.shape
     health, unsignalled, moved, magnitude = tally
-    # cells[k, i] is run k's bacterium i in a flat (runs, size) block, and
-    # row r of it in a flat (rows, runs, size) array is r * block + cells
-    cells = np.arange(n_runs * size).reshape(n_runs, size)
+    runs, chains, scored = batch.runs, batch.chains, batch.scored
+    # row r of run k's bacterium i in a flat (rows, runs, size) array is
+    # r * block + cells[k, i]
+    cells = batch.cells
     block = cells.size
     lo, hi = bounds
     swims = cfg.swim_limit
     _lay_chains(positions, moves, lower, upper, chains)
     scored[0] = raw
-    scored[1] = evaluate(np.repeat(runs, size),
+    scored[1] = evaluate(batch.tumble_runs,
                          chains[:, 1].reshape(dims, -1).T
                          ).reshape(n_runs, size)
     # swim rows are scored only where the tumble may improve
@@ -601,8 +637,9 @@ def _chemotaxis_round(evaluate, runs: np.ndarray, positions: np.ndarray,
     # move m surely improves, or surely does not, whatever the signals. A
     # walk goes on while its moves surely improve, so it never reaches the
     # rows left unscored past a tumble that surely does not
-    improves = scored[1:] + lo > scored[:-1] + hi
-    worsens = scored[1:] + hi <= scored[:-1] + lo
+    low, high = scored + lo, scored + hi
+    improves = low[1:] > high[:-1]
+    worsens = high[1:] <= low[:-1]
     improves[-1] = False  # move swim_limit + 1 stops
     worsens[-1] = True
     made = improves.argmin(axis=0) + 1
@@ -610,7 +647,6 @@ def _chemotaxis_round(evaluate, runs: np.ndarray, positions: np.ndarray,
     finals = chains.reshape(dims, -1).take(made * block + cells, axis=1)
     # the swarm at a walked bacterium's turn: the final points of the
     # bacteria before it and the start points of the rest
-    rates = _kernel_rates(cfg)
     for run in np.flatnonzero(unsettled.any(axis=1)).tolist():
         # row-major copies: _signal_rows reduces over the coordinates
         turn = Swarm(positions[:, run].T.copy(), raw[run], health[run])
@@ -619,10 +655,10 @@ def _chemotaxis_round(evaluate, runs: np.ndarray, positions: np.ndarray,
         for i in np.flatnonzero(unsettled[run]).tolist():
             turn.positions[done:i] = finals[:, run, done:i].T
             stops[i] = _swim_chain(turn, i, walks[i], values[i], cfg,
-                                   rates)[1]
+                                   batch.rates)[1]
             done = i + 1
         finals[:, run] = walks[np.arange(size), stops].T
-    walked = np.arange(swims + 2)[:, None, None] <= made
+    walked = batch.move_index <= made
     walked[0] = False
     # every other bacterium's health adds the raw fitness of its moves
     # made, and no signal: health only ranks the bacteria at reproduction,
@@ -657,13 +693,12 @@ def _exact_health(evaluate, runs: np.ndarray, starts: np.ndarray,
     """
     dims, k, size = starts.shape
     tally = np.zeros((4, k, size))
-    chains = np.empty((dims, cfg.swim_limit + 2, k, size))
-    scored = np.zeros((cfg.swim_limit + 2, k, size))
+    batch = _batch(runs, size, dims, cfg)
     positions, raw = starts, start_raw
     for cycle_moves in moves:
         positions, raw, _ = _chemotaxis_round(
-            evaluate, runs, positions, raw, cycle_moves, tally, lower, upper,
-            cfg, (-math.inf, math.inf), chains, scored)
+            evaluate, batch, positions, raw, cycle_moves, tally, lower,
+            upper, cfg, (-math.inf, math.inf))
     return tally[0]
 
 
@@ -745,14 +780,13 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     # reproduction cycle gives every tumble the draws it would take alone.
     # That cycle's start points, their raw fitness and moves per round, its
     # tallies (_chemotaxis_round), a round's tumble chains and the raw
-    # fitness of every chain row are all filled in place
+    # fitness of every chain row (in `batch`) are all filled in place
     starts = np.empty((dims, n_runs, size))
     start_raw = np.empty((n_runs, size))
     moves = np.empty((per_cycle, dims, n_runs, size))
     tally = np.empty((4, n_runs, size))
     health = tally[0]
-    chains = np.empty((dims, cfg.swim_limit + 2, n_runs, size))
-    scored = np.zeros((cfg.swim_limit + 2, n_runs, size))
+    batch = _batch(everyone, size, dims, cfg)
     for row in range(1, rounds + 1):
         cycle_round = (row - 1) % per_cycle
         if cycle_round == 0:
@@ -764,13 +798,14 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
                     per_cycle, size, dims).transpose(0, 2, 1),
                     out=moves[:, :, run])
         positions, raw, walked = _chemotaxis_round(
-            evaluate, everyone, positions, raw, moves[cycle_round], tally,
-            box_lower, box_upper, cfg, (lo, hi), chains, scored)
+            evaluate, batch, positions, raw, moves[cycle_round], tally,
+            box_lower, box_upper, cfg, (lo, hi))
         # the raw fitness of the moves made, in walk order, and -inf
         # elsewhere: one update keeps the first strictly greater value, as
         # one update per move would
         _take_first_best(best_fitness, best_position,
-                         np.where(walked, scored, -math.inf), chains)
+                         np.where(walked, batch.scored, -math.inf),
+                         batch.chains)
         count += walked.sum(axis=(0, 2))
         trace_fitness[row], trace_count[row] = best_fitness, count
         if row % per_cycle == 0:

@@ -9,6 +9,7 @@ writes, JSON or CSV or text, goes through write_text.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import fields
 from types import UnionType
@@ -74,7 +75,7 @@ def _decode(cls, data, label: str):
     unknown = set(data) - set(known)
     if unknown:
         raise ValidationError(f"unknown {label} keys: {sorted(unknown)}")
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for name, value in data.items():
         hint = hints[name]
@@ -95,6 +96,11 @@ def _decode(cls, data, label: str):
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
         raise ValidationError(f"bad {label}: {err}") from None
+
+
+# a config class's resolved field annotations, evaluated once per class
+# rather than on every decode; callers only read the dict
+_type_hints = functools.lru_cache(maxsize=64)(get_type_hints)
 
 
 def _json_kind(value) -> str:

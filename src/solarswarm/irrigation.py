@@ -263,41 +263,44 @@ _ROW_BLOCK = 1024
 def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
     """(power, efficiency, savings) of every row of an (m, 6) array of
     positions (x_a..x_d, Z_a, Z_b), as a (3, m) array: the one evaluator.
-    The optimizer passes the transpose of a (6, m) array, which is copied
-    into the coordinate rows as one contiguous block; every operation
-    below is elementwise or adds whole rows, so the values do not depend
-    on the layout of `positions`.
+    The optimizer passes the transpose of a (6, m) array, which is read
+    straight into the coordinate rows; every operation below is elementwise
+    or adds whole rows, so the values do not depend on the layout of
+    `positions`.
 
     Each objective is factor * (t_1 + t_2 + ...) over coefficient_table's
     terms, term (coef, i, j) computed as (coef * X[i]) * X[j]. The terms
-    are laid out term-major, (terms, 3, m), and added in place one
-    contiguous (3, m) slice at a time, strictly left to right in table
-    order (a sum or reduce may add pairwise), so a row's values do not
-    depend on the rows beside it. A row with an objective that is inf or
-    nan raises NonFiniteResult.
+    are laid out term-major, as a C-ordered (terms, 3, m) array, and one
+    np.add.reduce over the term axis sums them. numpy adds pairwise only
+    along the fastest memory axis, and the term axis is the slowest here,
+    with 3 * m >= 3 elements beside it: so the reduce adds each element's
+    terms strictly left to right in table order, one whole (3, m) slice at
+    a time, and a row's values do not depend on the rows beside it. A row
+    with an objective that is inf or nan raises NonFiniteResult.
     """
     if len(positions) > _ROW_BLOCK:
         return np.concatenate([
             _objective_rows(spec, positions[k:k + _ROW_BLOCK])
             for k in range(0, len(positions), _ROW_BLOCK)], axis=1)
     s = _surfaces(spec)
-    x = np.ones((7, len(positions)))
-    coords = x[:6]
-    coords[:] = positions.T
+    x = np.empty((7, len(positions)))
+    x[_ONE] = 1.0
+    coords = x[:_ONE]
     if s.coded:
-        # ((p - lo) * 2.0) / width - 1.0, one operation at a time in place
-        coords -= s.lo_column
+        # ((p - lo) * 2.0) / width - 1.0, one operation at a time into
+        # the coordinate rows
+        np.subtract(positions.T, s.lo_column, out=coords)
         coords *= 2.0
         coords /= s.width_column
         coords -= 1.0
+    else:
+        coords[:] = positions.T
     terms = x[s.first]
     terms *= s.coef
     terms *= x[s.second]
-    total = terms[0]
-    for term in terms[1:]:
-        total += term
     # a new array, so the blocks' term arrays are freed as they are done
-    objectives = total * s.factor
+    objectives = np.add.reduce(terms, axis=0)
+    objectives *= s.factor
     if not np.isfinite(objectives).all():
         bad = positions[np.isfinite(objectives).all(axis=0).argmin()].tolist()
         raise NonFiniteResult(f"objectives not finite at position {bad!r}")
@@ -311,8 +314,11 @@ def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
     Row k scores positions[k] (x_a..x_d, Z_a, Z_b) with the weights
     weights[k] = (w1, w2, w3): w1 * power + w2 * efficiency + w3 * savings,
     added left to right. A (1, 3) array of weights serves every row.
+    weights.T is read as it is, so the transpose of contiguous (3, m)
+    weight columns is the fastest form.
     """
-    weighted = weights.T * _objective_rows(spec, positions)
+    weighted = _objective_rows(spec, positions)
+    weighted *= weights.T
     total = weighted[0] + weighted[1]
     total += weighted[2]
     return total

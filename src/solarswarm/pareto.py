@@ -188,10 +188,18 @@ def solution_from_position(problem: ProblemSpec, weights: WeightVector,
 
 def _run_batch(problem: ProblemSpec, cfg: BfaConfig, weights: np.ndarray,
                seeds: list[int]) -> list[RunResult]:
-    """One lockstep batch: run k maximizes weights[k] . f from seeds[k]."""
+    """One lockstep batch: run k maximizes weights[k] . f from seeds[k].
+
+    The evaluate callback weights row i by the weights of run runs[i]:
+    one take along the run axis of the table's contiguous (3, runs)
+    columns gives contiguous (3, m) columns, which evaluate_rows
+    multiplies the (3, m) objectives by, with no strided (m, 3) gather,
+    before it adds the three weighted objectives left to right.
+    """
+    columns = np.ascontiguousarray(weights.T)
     return run_bfa_lockstep(
-        lambda runs, positions: evaluate_rows(problem, weights[runs],
-                                              positions),
+        lambda runs, positions: evaluate_rows(
+            problem, columns.take(runs, axis=1).T, positions),
         problem.design_bounds + problem.noise_bounds, cfg, seeds)
 
 

@@ -460,3 +460,18 @@ class TestRunConfig:
                          {"grade_context": {"temperature_primary": "a"}}):
             with pytest.raises(ValidationError):
                 RunConfig.from_dict(document)
+
+    def test_decoding_twice_gives_the_same_config_and_errors(self):
+        # the codec resolves a class's annotations once and reuses them
+        document = {"weight_step": 0.5, "bfa": {"swim_limit": 3},
+                    "grade_context": {"temperature_primary": [0.2, 0.4]}}
+        assert RunConfig.from_dict(document) == RunConfig.from_dict(document)
+        for bad in ({"weight_step": "x"}, {"bfa": {"swarming": "no"}},
+                    {"grade_context": {"pad": None}}):
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ValidationError) as err:
+                    RunConfig.from_dict(bad)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+        assert messages[0] == "bad grade_context: pad must be float, got null"

@@ -253,43 +253,6 @@ def test_with_noise_bounds():
     assert spec.noise_bounds == CRISP_NOISE_BOUNDS
 
 
-def literal_objectives(xa, xb, xc, xd, za, zb, spec):
-    """The response surfaces as the printed polynomials, term by term.
-
-    A frozen oracle for the coefficient table: the same expression runs on
-    Python floats or on numpy columns, so it scores one point or many.
-    """
-    if spec.variable_mode == "coded":
-        def code(value, lo, hi):
-            return 2.0 * (value - lo) / (hi - lo) - 1.0
-        (alo, ahi), (blo, bhi), (clo, chi), (dlo, dhi) = spec.design_bounds
-        (zalo, zahi), (zblo, zbhi) = CRISP_NOISE_BOUNDS
-        xa, xb = code(xa, alo, ahi), code(xb, blo, bhi)
-        xc, xd = code(xc, clo, chi), code(xd, dlo, dhi)
-        za, zb = code(za, zalo, zahi), code(zb, zblo, zbhi)
-
-    power_inner = (24.947 + 16.011 * xd + 1.306 * xb + 0.820 * xb * xd
-                   - 0.785 * za - 0.497 * xd * za + 0.228 * xa * xb
-                   + 0.212 * xa - 0.15 * xb * xb + 0.13 * xa * xd
-                   - 0.11 * xa * xa - 0.034 * xb * za + 0.002 * xa * za)
-
-    intercept = 0.18507 if spec.fix_efficiency_intercept else 18507.0
-    efficiency = 43.4783 * (intercept + 0.01041 * xc + 0.0038 * zb
-                            - 0.00366 * za - 0.0035 * xc - 0.00157 * xb)
-
-    flow_coeff = 112114.69 if spec.fix_savings_flow_term else 0.0
-    savings_inner = (174695.73 + flow_coeff * xd + 9133.8 * xb
-                     + 5733.05 * xb * xd - 5487.76 * za - 3478.84 * xd * za
-                     + 1586.48 * xa * xb + 1486.84 * xa - 1067.42 * xb * xb
-                     + 916.26 * xa * xd - 768.9 * xa * xa - 242.88 * xb * za
-                     + 152.4 * xa * za)
-
-    sign = 1.0 if spec.maximize else -1.0
-    power = sign * power_inner * 10.0 ** spec.power_scale_exp
-    savings = sign * savings_inner * 10.0 ** spec.savings_scale_exp
-    return (power, efficiency, savings)
-
-
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -309,7 +272,7 @@ SPEC_FLAGS = [dict(variable_mode=mode, fix_efficiency_intercept=fix_e,
                                2 * _ROW_BLOCK + 88])
 @pytest.mark.parametrize("flags", SPEC_FLAGS,
                          ids=lambda f: "-".join(str(v) for v in f.values()))
-def test_table_matches_literal(flags, m):
+def test_table_matches_literal(flags, m, literal_objectives):
     spec = ss.ProblemSpec(**flags)
     rng = np.random.default_rng(m)
     box = np.array(spec.design_bounds + spec.noise_bounds)

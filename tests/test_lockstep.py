@@ -18,7 +18,7 @@ from solarswarm.bfa import (
     run_bfa_lockstep,
     tumble_direction,
 )
-from solarswarm.irrigation import evaluate_rows
+from solarswarm.irrigation import _ROW_BLOCK, evaluate_rows
 
 SMALL = ss.BfaConfig(population_size=10, chemotaxis_steps=5,
                      reproduction_cycles=2, elimination_cycles=2)
@@ -415,16 +415,25 @@ def test_evaluate_rows_matches_scalar_evaluator():
         assert value == ss.IrrigationFitness(spec, w).evaluate(p)
 
 
-def test_irrigation_evaluate_rows_ignores_the_layout_of_its_rows():
+def test_irrigation_evaluate_rows_ignores_the_layout_of_its_rows(
+        literal_objectives):
     # the sweep's engine passes the column-ordered transpose of (dims, m)
-    # arrays, with no copy
-    f = ss.IrrigationFitness(ss.ProblemSpec(), ss.WeightVector(0.2, 0.3, 0.5))
+    # arrays, with no copy. Every layout must give the printed polynomials
+    # summed left to right, bit for bit, at the sizes where the evaluator's
+    # one reduce over the terms has the fewest elements beside the term
+    # axis, and on each side of a block boundary
+    spec = ss.ProblemSpec()
+    f = ss.IrrigationFitness(spec, ss.WeightVector(0.2, 0.3, 0.5))
     box = np.array(f.bounds)
-    rows = np.random.default_rng(10).uniform(box[:, 0], box[:, 1], (936, 6))
-    want = f.evaluate_rows(np.ascontiguousarray(rows))
-    for got in (f.evaluate_rows(np.asfortranarray(rows)),
-                f.evaluate_rows(np.ascontiguousarray(rows.T).T)):
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for m in (1, 2, _ROW_BLOCK, _ROW_BLOCK + 1):
+        rows = np.random.default_rng(m).uniform(box[:, 0], box[:, 1], (m, 6))
+        power, efficiency, savings = literal_objectives(*rows.T, spec)
+        want = 0.2 * power + 0.3 * efficiency + 0.5 * savings
+        for layout in (np.ascontiguousarray(rows), np.asfortranarray(rows),
+                       np.ascontiguousarray(rows.T).T,
+                       np.repeat(rows, 2, axis=0)[::2]):
+            got = f.evaluate_rows(layout)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
 
 
 @pytest.mark.parametrize("dimensions", [4, 6])

@@ -12,6 +12,7 @@ from solarswarm.errors import (
     ValidationError,
     ZeroVector,
 )
+from solarswarm.irrigation import _ROW_BLOCK, evaluate_rows
 from solarswarm.pareto import (
     FRONTIER_CSV_HEADER,
     frontier_from_csv_text,
@@ -369,6 +370,28 @@ class TestBuildFrontier:
         # the benchmark's span tracer wraps pareto.run_bfa by that name
         from solarswarm import bfa, pareto
         assert pareto.run_bfa is bfa.run_bfa
+
+    @pytest.mark.parametrize("m", [1, 26, _ROW_BLOCK + 1])
+    def test_run_batch_weights_each_row_by_its_run(self, monkeypatch, m):
+        # the batch's evaluate callback, as the engine calls it: run ids
+        # shuffled and repeated, and the column-ordered transpose of
+        # (dims, m) rows
+        from solarswarm import pareto
+        problem = ss.ProblemSpec()
+        table = np.array([w.as_tuple() for w in ss.weight_grid()])
+        callbacks = []
+        monkeypatch.setattr(pareto, "run_bfa_lockstep",
+                            lambda evaluate, *_: callbacks.append(evaluate))
+        pareto._run_batch(problem, tiny_bfa(), table, list(range(len(table))))
+        evaluate, = callbacks
+        rng = np.random.default_rng(m)
+        runs = rng.integers(0, len(table), m)
+        assert m == 1 or len(set(runs.tolist())) < m
+        box = np.array(problem.design_bounds + problem.noise_bounds)
+        positions = rng.uniform(box[:, 0, None], box[:, 1, None], (6, m)).T
+        want = evaluate_rows(problem, table[runs], positions)
+        assert np.array_equal(evaluate(runs, positions).view(np.int64),
+                              want.view(np.int64))
 
     def test_cell_results_survive_grid_edits(self, tiny_frontier):
         problem = ss.ProblemSpec()
