@@ -25,74 +25,53 @@ from .errors import NonFiniteResult, OddPopulation, ValidationError
 
 
 class FitnessFunction(Protocol):
-    """What the optimizer needs from a problem: a box and its evaluators.
+    """What the optimizer needs from a problem: a box and a row scorer.
 
-    evaluate_rows(positions) returns an (m,) array of raw fitness for an
-    (m, dims) array of positions, as finite floats; the optimizer scores
-    every point through it. It must be pure, and row k must equal
-    evaluate(positions[k]) bit for bit: it may be given rows the optimizer
-    discards, so it must not count or record them. run_bfa passes it
-    C-contiguous rows.
+    bounds holds one (lo, hi) pair per dimension. evaluate_rows(positions)
+    returns an (m,) array of raw fitness for an (m, dims) array of
+    positions, as finite floats; the optimizer scores every point through
+    it. It must be pure, and row k's value must depend only on
+    positions[k], bit for bit, whatever the other rows of the call: it may
+    be given rows the optimizer discards, so it must not count or record
+    them. run_bfa passes it C-contiguous rows.
     """
 
-    dimension: int
     bounds: Sequence[tuple[float, float]]
-
-    def evaluate(self, position: np.ndarray) -> float: ...
 
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass
 class BoxFunction:
-    """Plain fitness function over an axis-aligned box."""
+    """Plain fitness function over an axis-aligned box: `rows` maps an
+    (m, dims) array of positions to their m values."""
 
-    dimension: int
     bounds: tuple[tuple[float, float], ...]
-    fn: object
+    rows: object
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValidationError("dimension must be >= 1")
-        if len(self.bounds) != self.dimension:
-            raise ValidationError(
-                f"need {self.dimension} bounds, got {len(self.bounds)}")
+        if not self.bounds:
+            raise ValidationError("need at least one bound")
         for lo, hi in self.bounds:
             if lo > hi:
                 raise ValidationError(f"bound [{lo}, {hi}] is empty")
 
-    def evaluate(self, position: np.ndarray) -> float:
-        return float(self.fn(position))
-
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
-        """evaluate for every row of an (m, dims) array. A nan or inf value
-        raises NonFiniteResult: the optimizer's argmax would stop at a nan
-        and miss a larger value after it."""
-        return _finite(positions,
-                       np.array([self.evaluate(p) for p in positions]))
-
-
-def _finite(positions: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values, the fitness of positions row by row, once checked finite."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = positions[finite.argmin()].tolist()
-        raise NonFiniteResult(f"fitness not finite at position {bad!r}")
-    return values
-
-
-class _Sphere(BoxFunction):
-    """The negated sphere, its rows scored in one call."""
-
-    def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
-        return _finite(positions, -_row_dots(positions))
+        """rows(positions), as an array. A nan or inf value raises
+        NonFiniteResult: the optimizer's argmax would stop at a nan and
+        miss a larger value after it."""
+        values = np.asarray(self.rows(positions), dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = positions[finite.argmin()].tolist()
+            raise NonFiniteResult(f"fitness not finite at position {bad!r}")
+        return values
 
 
 def sphere_function(dimensions: int = 4, half_width: float = 5.0) -> BoxFunction:
     """Negated sphere benchmark: maximum 0 at the origin."""
     bounds = tuple((-half_width, half_width) for _ in range(dimensions))
-    return _Sphere(dimension=dimensions, bounds=bounds,
-                   fn=lambda p: -float(p @ p))
+    return BoxFunction(bounds, rows=lambda r: -_row_dots(r))
 
 
 @dataclass(frozen=True)
@@ -371,26 +350,28 @@ def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raws,
 def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
               displacement: np.ndarray) -> float:
     """One tumble by `displacement` plus up to swim_limit repeats of it for
-    one bacterium, scored move by move with f.evaluate.
+    one bacterium, scored move by move, one row per f.evaluate_rows call.
 
-    A stale (nan) raw fitness at the start point is evaluated first. The
+    A stale (nan) raw fitness at the start point is scored first. The
     chain is laid out by _lay_chains and walked by _swim_chain, as
     _chemotaxis_round walks the turns the signal bounds leave open, but each
     move is scored only when the walk reaches it: the building block of a
     move-by-move reference run to check the optimizer against. Mutates the
     swarm in place and returns the final effective fitness.
     """
-    lower, upper, _ = _box(f.bounds, f.dimension, cfg)
+    lower, upper, _ = _box(f.bounds, cfg)
     positions = swarm.positions
     if not math.isfinite(swarm.raw_fitness[index]):
-        swarm.raw_fitness[index] = float(f.evaluate(positions[index]))
+        swarm.raw_fitness[index] = float(
+            f.evaluate_rows(positions[index:index + 1])[0])
     # a one-bacterium batch, transposed to the row-major chain of one row
     # per move
     chain = np.ascontiguousarray(_lay_chains(
         positions[index], displacement, lower, upper,
         np.empty((swarm.dimensions, cfg.swim_limit + 2))).T)
     return _swim_chain(swarm, index, chain,
-                       (float(f.evaluate(point)) for point in chain[1:]),
+                       (float(f.evaluate_rows(chain[k:k + 1])[0])
+                        for k in range(1, len(chain))),
                        cfg, _kernel_rates(cfg))[0]
 
 
@@ -460,16 +441,11 @@ class RunResult(NamedTuple):
     evaluations: int  # every evaluation, the final dispersal's included
 
 
-def _box(bounds, dimension: int, cfg: BfaConfig
-         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _box(bounds, cfg: BfaConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (lower, upper, steps) arrays of a search box."""
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim != 2 or bounds.shape[1] != 2:
         raise ValidationError("fitness bounds must be (lo, hi) pairs")
-    if bounds.shape[0] != dimension:
-        raise ValidationError(
-            f"fitness declares {dimension} dimensions but "
-            f"{bounds.shape[0]} bounds")
     if np.any(bounds[:, 0] > bounds[:, 1]):
         raise ValidationError("fitness bounds contain an empty interval")
     return bounds[:, 0].copy(), bounds[:, 1].copy(), step_sizes(cfg, bounds)
@@ -478,12 +454,12 @@ def _box(bounds, dimension: int, cfg: BfaConfig
 def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
     """Full optimizer run; deterministic in (f, cfg) including cfg.seed.
 
-    The run is run_bfa_lockstep's loop nest at the one seed cfg.seed, with
-    f.evaluate_rows scoring every point. The engine's rows are column-
-    ordered views; f gets them as one C-contiguous copy per call, since a
-    dot product over a strided row can round otherwise.
+    The run is run_bfa_lockstep's loop nest at the one seed cfg.seed, which
+    validates f.bounds, with f.evaluate_rows scoring every point. The
+    engine's rows are column-ordered views; f gets them as one C-contiguous
+    copy per call, since a dot product over a strided row can round
+    otherwise.
     """
-    _box(f.bounds, f.dimension, cfg)  # checks f.dimension against the bounds
     return run_bfa_lockstep(
         lambda _, positions: f.evaluate_rows(np.ascontiguousarray(positions)),
         f.bounds, cfg, [cfg.seed])[0]
@@ -747,7 +723,7 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     rows past that move may be evaluated but are never counted. The
     incumbent is the first strictly greater raw fitness in move order.
     """
-    lower, upper, steps = _box(bounds, len(bounds), cfg)
+    lower, upper, steps = _box(bounds, cfg)
     n_runs, size, dims = len(seeds), cfg.population_size, len(lower)
     if n_runs < 1:
         raise ValidationError("need at least one seed")

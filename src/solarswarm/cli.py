@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 from . import climate, fuzzy
 from .bfa import BfaConfig, run_bfa, sphere_function
-from .codec import ConfigCodec, json_text, read_json, write_text
+from .codec import ConfigCodec, json_text, read_json, read_text, write_text
 from .errors import (
     IncompleteBundle,
     SolarswarmError,
@@ -75,14 +75,6 @@ class RunConfig(ConfigCodec):
             raise ValidationError("master_seed must be nonnegative")
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as err:
-        raise ValidationError(f"cannot read {path}: {err}") from None
-
-
 def _load_config(args) -> RunConfig:
     config = (RunConfig.from_dict(read_json(args.config))
               if getattr(args, "config", None) else RunConfig())
@@ -99,7 +91,7 @@ def _load_table(config: RunConfig, args) -> climate.ClimateTable:
     path = getattr(args, "climate", None) or config.climate_csv
     if path is None:
         return climate.builtin_table()
-    return climate.parse_climate_csv(_read_text(path))
+    return climate.parse_climate_csv(read_text(path))
 
 
 def _resolve_problem(config: RunConfig, args) -> ProblemSpec:
@@ -322,7 +314,7 @@ def cmd_metrics(args) -> int:
     context = None
     if args.grade_context is not None:
         context = GradeContext.from_dict(read_json(args.grade_context))
-    frontier = frontier_from_csv_text(_read_text(args.frontier),
+    frontier = frontier_from_csv_text(read_text(args.frontier),
                                       grade_context=context)
     text = json_text(compute_metrics(frontier))
     if args.out:

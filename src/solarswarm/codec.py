@@ -1,10 +1,11 @@
-"""Files of the package: one field-driven JSON codec, one JSON reader, one
+"""Files of the package: one field-driven JSON codec, one text reader, one
 text writer.
 
 Run configs, the grade context and the fuzzy model files all encode and
 decode through ConfigCodec; every JSON file the package writes goes through
 json_text and every one it reads through read_json. Every file the package
-writes, JSON or CSV or text, goes through write_text.
+reads, JSON or CSV, goes through read_text, and every file it writes, JSON
+or CSV or text, through write_text.
 """
 
 from __future__ import annotations
@@ -18,14 +19,22 @@ from typing import Union, get_args, get_origin, get_type_hints
 from .errors import ValidationError
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; a file that cannot be opened or is not
+    UTF-8 is a one-line ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValidationError(f"cannot read {path}: {err}") from None
+
+
 def read_json(path: str):
     """The JSON document in a file; an unreadable file or bad JSON is a
     one-line ValidationError."""
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as err:
-        raise ValidationError(f"cannot read {path}: {err}") from None
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ValidationError(f"{path} is not valid JSON: {err}") from None
 

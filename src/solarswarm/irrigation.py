@@ -309,7 +309,7 @@ def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
 
 def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
                   positions: np.ndarray) -> np.ndarray:
-    """IrrigationFitness.evaluate for many rows at once.
+    """The weighted aggregate of many rows at once.
 
     Row k scores positions[k] (x_a..x_d, Z_a, Z_b) with the weights
     weights[k] = (w1, w2, w3): w1 * power + w2 * efficiency + w3 * savings,
@@ -374,7 +374,6 @@ class IrrigationFitness:
 
     spec: ProblemSpec
     weights: WeightVector
-    dimension: int = field(init=False, default=6)
     bounds: tuple[tuple[float, float], ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -382,6 +381,10 @@ class IrrigationFitness:
         self._weight_row = np.array(self.weights.as_tuple())
 
     def evaluate(self, position) -> float:
+        """The aggregate at one position: evaluate_rows of that one row,
+        bit for bit. The optimizer never calls it; it stays as a one-row
+        convenience, which the benchmark's span tracer binds and its
+        exact-optimum oracle calls."""
         row = np.asarray(position, dtype=float)
         if row.shape != (6,):
             raise ValidationError(
@@ -390,6 +393,6 @@ class IrrigationFitness:
                                    row[None])[0])
 
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
-        """evaluate for every row of an (m, 6) array, bit for bit, in one
-        call: the module's evaluate_rows with this fitness's weights."""
+        """The aggregate of every row of an (m, 6) array, in one call: the
+        module's evaluate_rows with this fitness's weights."""
         return evaluate_rows(self.spec, self._weight_row[None], positions)

@@ -25,7 +25,7 @@ from .bfa import BfaConfig, RunResult, run_bfa_lockstep
 # run_bfa is no longer called here, but stays bound under this module's
 # name: the benchmark's span tracer wraps pareto.run_bfa
 from .bfa import run_bfa  # noqa: F401
-from .codec import ConfigCodec, write_text
+from .codec import ConfigCodec, read_text, write_text
 # the shared writer, also bound under its earlier name here: the
 # benchmark's input generator imports pareto.metrics_json_text
 from .codec import json_text as metrics_json_text  # noqa: F401
@@ -261,14 +261,12 @@ def _objective_vector(item) -> tuple[float, ...]:
     return tuple(float(v) for v in item)
 
 
-def nondominated_filter(points: list, key=None) -> list:
+def nondominated_filter(points: list) -> list:
     """Maximization Pareto filter, stable order, duplicates all kept.
 
-    `points` may be SolutionPoints, ObjectiveTriples, or plain tuples;
-    `key` overrides how an objective vector is read off an item.
+    `points` may be SolutionPoints, ObjectiveTriples, or plain tuples.
     """
-    extract = key if key is not None else _objective_vector
-    vectors = [tuple(float(v) for v in extract(p)) for p in points]
+    vectors = [tuple(float(v) for v in _objective_vector(p)) for p in points]
     kept = []
     for i, vi in enumerate(vectors):
         dominated = False
@@ -489,5 +487,4 @@ def write_frontier_csv(frontier: Frontier, path: str) -> None:
 
 def read_frontier_csv(path: str,
                       grade_context: GradeContext | None = None) -> Frontier:
-    with open(path, "r", encoding="utf-8") as fh:
-        return frontier_from_csv_text(fh.read(), grade_context=grade_context)
+    return frontier_from_csv_text(read_text(path), grade_context=grade_context)

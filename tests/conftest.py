@@ -39,34 +39,42 @@ def unit_curve():
 
 
 class Recorder:
-    """A fitness function scored point by point: counts every evaluation
-    and keeps the first strictly greater raw fitness as the incumbent."""
+    """A fitness function that counts every row it scores and keeps the
+    first strictly greater raw fitness as the incumbent."""
 
     def __init__(self, f):
-        self.f, self.dimension, self.bounds = f, f.dimension, f.bounds
+        self.f, self.bounds = f, f.bounds
         self.count, self.best_fitness, self.best_position = 0, -math.inf, None
 
-    def evaluate(self, position):
-        value = float(self.f.evaluate(position))
-        self.count += 1
-        if value > self.best_fitness:
-            self.best_fitness, self.best_position = value, np.array(position)
-        return value
+    def evaluate_rows(self, positions):
+        values = self.f.evaluate_rows(positions)
+        self.count += len(values)
+        for position, value in zip(positions, values.tolist()):
+            if value > self.best_fitness:
+                self.best_fitness = value
+                self.best_position = np.array(position)
+        return values
 
 
 def reference_run(f, cfg):
     """One optimizer run, move by move, built only from the helpers the
     acceptance gate imports: one tumble_direction call per tumble,
-    swim_loop per bacterium (each move scored with f.evaluate when the walk
-    reaches it), reproduce, and eliminate_disperse followed by scoring the
-    relocated members in index order."""
+    swim_loop per bacterium (each move scored as one row of
+    f.evaluate_rows when the walk reaches it), reproduce, and
+    eliminate_disperse followed by scoring the relocated members one by
+    one, in index order."""
     rng = np.random.default_rng(cfg.seed)
     box = np.array(f.bounds, dtype=float)
     steps = step_sizes(cfg, box)
     recorder = Recorder(f)
+
+    def score(swarm, i):
+        swarm.raw_fitness[i] = recorder.evaluate_rows(
+            swarm.positions[i:i + 1])[0]
+
     swarm = ss.Swarm.random(cfg.population_size, box[:, 0], box[:, 1], rng)
     for i in range(swarm.size):
-        swarm.raw_fitness[i] = recorder.evaluate(swarm.positions[i])
+        score(swarm, i)
     fitness, counts = [recorder.best_fitness], [recorder.count]
     for _ in range(cfg.total_passes * cfg.elimination_cycles):
         for _ in range(cfg.reproduction_cycles):
@@ -80,7 +88,7 @@ def reference_run(f, cfg):
             swarm = reproduce(swarm)
         swarm = eliminate_disperse(swarm, cfg, rng, f.bounds)
         for i in np.flatnonzero(np.isnan(swarm.raw_fitness)):
-            swarm.raw_fitness[i] = recorder.evaluate(swarm.positions[i])
+            score(swarm, i)
     return ss.RunResult(best_position=recorder.best_position,
                         best_fitness=recorder.best_fitness,
                         trace=ss.RunTrace(fitness, counts),

@@ -13,6 +13,7 @@ from solarswarm.bfa import (
     _health_radius,
     _kernel_rates,
     _lay_chains,
+    _row_dots,
     _signal_bounds,
     _signal_rows,
     cell_to_cell_signal,
@@ -35,14 +36,13 @@ class CountingFunction:
     where no move is clamped."""
 
     def __init__(self, sign=1.0, dimensions=3, bounds=None):
-        self.dimension = dimensions
         self.bounds = bounds or tuple((-1e9, 1e9) for _ in range(dimensions))
         self.sign = sign
         self.calls = 0
 
-    def evaluate(self, position):
-        self.calls += 1
-        return self.sign * float(np.sum(position))
+    def evaluate_rows(self, positions):
+        self.calls += len(positions)
+        return self.sign * positions.sum(axis=1)
 
 
 class FixedDirectionRng:
@@ -54,14 +54,14 @@ class FixedDirectionRng:
 
 def fixed_tumble(f, cfg):
     """The displacement of a tumble along +1/sqrt(P) in f's box."""
-    return step_sizes(cfg, f.bounds) * tumble_direction(f.dimension,
+    return step_sizes(cfg, f.bounds) * tumble_direction(len(f.bounds),
                                                         FixedDirectionRng())
 
 
 def make_swarm(rows, fitness=None):
     positions = np.array(rows, dtype=float)
     raw = (np.full(len(rows), math.nan) if fitness is None else
-           np.array([fitness.evaluate(r) for r in positions]))
+           fitness.evaluate_rows(positions))
     return ss.Swarm(positions=positions, raw_fitness=raw,
                     health=np.zeros(len(rows)))
 
@@ -288,7 +288,8 @@ def test_effective_fitness_toggle():
         eff = swim_loop(swarm, 0, f, cfg, fixed_tumble(f, cfg))
         moved = swarm.positions[0]
         signal = cell_to_cell_signal(moved, swarm, cfg)
-        assert eff == f.evaluate(moved) + (signal if cfg.swarming else 0.0)
+        assert eff == f.evaluate_rows(moved[None])[0] + (
+            signal if cfg.swarming else 0.0)
         assert signal != 0.0
 
 
@@ -334,7 +335,7 @@ def swim_by_moves(swarm, index, f, cfg, direction):
     signal taken against the swarm after it."""
     raw = swarm.raw_fitness[index]
     if not math.isfinite(raw):
-        raw = float(f.evaluate(swarm.positions[index]))
+        raw = float(f.evaluate_rows(swarm.positions[index:index + 1])[0])
         swarm.raw_fitness[index] = raw
     signal = (lambda p: cell_to_cell_signal(p, swarm, cfg)) if cfg.swarming \
         else (lambda p: 0.0)
@@ -343,7 +344,7 @@ def swim_by_moves(swarm, index, f, cfg, direction):
         moved = chemotaxis_move(swarm.positions[index], direction,
                                 step_sizes(cfg, f.bounds), f.bounds)
         swarm.positions[index] = moved
-        raw = float(f.evaluate(moved))
+        raw = float(f.evaluate_rows(moved[None])[0])
         swarm.raw_fitness[index] = raw
         eff = raw + signal(moved)
         swarm.health[index] += eff
@@ -576,31 +577,34 @@ def test_run_bfa_respects_bounds(reference):
     # every position the optimizer scores, not only the incumbents, and
     # also the chain rows past a swim's stop that it scores but discards
     seen = []
+    sphere = ss.sphere_function(2, 1.5)
 
-    def fn(p):
-        seen.append(np.array(p))
-        return -float(p @ p)
+    def rows(r):
+        seen.append(np.array(r))
+        return sphere.evaluate_rows(r)
 
-    f = ss.BoxFunction(dimension=2, bounds=((-1.5, 1.5),) * 2, fn=fn)
+    f = ss.BoxFunction(bounds=sphere.bounds, rows=rows)
     result = ss.run_bfa(f, quick_config())
     # the count is that of the points a move-by-move run scores, and the
     # trace's last count precedes the final dispersal's evaluations
-    want = reference(ss.sphere_function(2, 1.5), quick_config())
+    want = reference(sphere, quick_config())
     assert result.evaluations == want.evaluations \
         > result.trace.evaluations[-1]
-    positions = np.array(seen)
+    positions = np.concatenate(seen)
     assert np.all(positions >= -1.5) and np.all(positions <= 1.5)
 
 
 def test_box_function_rows_are_scalar_values_and_finite():
+    # row k of a 7-row call is the one-row call on that row, bit for bit
     f = ss.sphere_function(3)
     rows = np.random.default_rng(4).uniform(-5.0, 5.0, (7, 3))
     got = f.evaluate_rows(rows)
     assert got.shape == (7,)
-    assert [float(v) for v in got] == [f.evaluate(p) for p in rows]
+    alone = np.concatenate([f.evaluate_rows(rows[k:k + 1]) for k in range(7)])
+    assert np.array_equal(got.view(np.int64), alone.view(np.int64))
     for bad in (math.nan, math.inf):
-        g = ss.BoxFunction(dimension=3, bounds=f.bounds,
-                           fn=lambda p, bad=bad: bad if p[0] > 0 else 0.0)
+        g = ss.BoxFunction(bounds=f.bounds, rows=lambda r, bad=bad:
+                           np.where(r[:, 0] > 0, bad, 0.0))
         with pytest.raises(NonFiniteResult, match=r"\[1.0, 2.0, 3.0\]"):
             g.evaluate_rows(np.array([[-1.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
 
@@ -675,16 +679,47 @@ def test_run_bfa_row_path_scores_rows_past_the_stop_inside_the_box(
 
 
 def test_run_bfa_validates_problem():
-    f = ss.BoxFunction(dimension=2, bounds=((0.0, 1.0), (0.0, 1.0)),
-                       fn=lambda p: 0.0)
+    f = ss.BoxFunction(bounds=((0.0, 1.0), (0.0, 1.0)),
+                       rows=lambda r: np.zeros(len(r)))
     f.bounds = ((1.0, 0.0), (0.0, 1.0))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="empty interval"):
         ss.run_bfa(f, quick_config())
-    g = ss.BoxFunction(dimension=3, bounds=((0.0, 1.0),) * 3,
-                       fn=lambda p: 0.0)
-    g.bounds = ((0.0, 1.0),) * 2
-    with pytest.raises(ValidationError):
-        ss.run_bfa(g, quick_config())
+
+
+def test_box_function_validates_bounds():
+    with pytest.raises(ValidationError, match="at least one bound"):
+        ss.BoxFunction(bounds=(), rows=lambda r: np.zeros(len(r)))
+    with pytest.raises(ValidationError, match="empty"):
+        ss.BoxFunction(bounds=((0.0, 1.0), (2.0, 1.0)),
+                       rows=lambda r: np.zeros(len(r)))
+
+
+class RowsOnly:
+    """A problem with only what the optimizer needs: a box and a row
+    scorer, here the negated sphere."""
+
+    def __init__(self, bounds):
+        self.bounds = bounds
+
+    def evaluate_rows(self, positions):
+        return -_row_dots(positions)
+
+
+def test_rows_only_problem_runs_through_run_bfa_and_the_reference(
+        reference):
+    # a plain class with bounds and evaluate_rows, and no other member,
+    # runs through run_bfa and through the move-by-move reference, and
+    # both give the sphere's run
+    sphere = ss.sphere_function(4, 2.0)
+    f = RowsOnly(sphere.bounds)
+    cfg = quick_config()
+    want = ss.run_bfa(sphere, cfg)
+    for got in (ss.run_bfa(f, cfg), reference(f, cfg)):
+        assert np.array_equal(got.best_position, want.best_position)
+        assert got.best_fitness == want.best_fitness
+        assert got.trace.best_fitness == want.trace.best_fitness
+        assert got.trace.evaluations == want.trace.evaluations
+        assert got.evaluations == want.evaluations
 
 
 def test_trace_csv_roundtrip(tmp_path):

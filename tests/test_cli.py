@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -475,3 +476,39 @@ class TestRunConfig:
                 messages.append(str(err.value))
             assert messages[0] == messages[1]
         assert messages[0] == "bad grade_context: pad must be float, got null"
+
+
+# a file with a byte that no UTF-8 text holds
+NOT_UTF8 = b"\xff,\xfe\n"
+
+
+def non_utf8_argv(entry, bundle, tmp_path):
+    """The command line of `entry` with one of its input files not UTF-8.
+    A report reads a copy of the bundle whose named file is not UTF-8."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(NOT_UTF8)
+    out = str(tmp_path / "out")
+    command, name = entry.split()
+    if command == "report":
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        (copy / name).write_bytes(NOT_UTF8)
+        return ["report", str(copy)]
+    if name == "--grade-context":
+        return ["metrics", "--frontier", os.path.join(bundle, "frontier.csv"),
+                "--grade-context", str(bad)]
+    if command == "metrics":
+        return ["metrics", "--frontier", str(bad)]
+    weights = ["--weights", "0.1,0.1,0.8"] if command == "optimize" else []
+    return [command, name, str(bad), "--out", out, *weights]
+
+
+@pytest.mark.parametrize("entry", [
+    "metrics --frontier", "metrics --grade-context", "report frontier.csv",
+    "report metrics.json", "report config.json", "frontier --config",
+    "optimize --config", "fuzzify --climate", "fuzzify --config"])
+def test_non_utf8_input_is_one_line(entry, bundle, tmp_path, capsys):
+    assert main(non_utf8_argv(entry, bundle, tmp_path)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ValidationError: cannot read ")

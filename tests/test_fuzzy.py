@@ -210,6 +210,9 @@ def test_model_json_roundtrip(tmp_path, temp_model):
             ss.fuzzy.load_model(str(bad))
     with pytest.raises(ValidationError, match="cannot read"):
         ss.fuzzy.load_model(str(tmp_path / "absent.json"))
+    bad.write_bytes(b'{"factor": "\xff"}')
+    with pytest.raises(ValidationError, match="cannot read"):
+        ss.fuzzy.load_model(str(bad))
 
 
 @pytest.mark.parametrize("change, message", [

@@ -237,7 +237,6 @@ def test_fitness_adapter_matches_aggregate():
     spec = ss.ProblemSpec()
     w = ss.WeightVector(0.2, 0.3, 0.5)
     fitness = ss.IrrigationFitness(spec, w)
-    assert fitness.dimension == 6
     assert fitness.bounds == spec.design_bounds + spec.noise_bounds
     position = np.array([*COVER_MID_DESIGN, *COVER_MID_NOISE])
     expected = ss.aggregate(

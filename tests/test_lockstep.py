@@ -96,8 +96,8 @@ def test_lockstep_breaks_ties_like_run_bfa(reference):
     # incumbents common; 40 bacteria take numpy's sort past its small-array
     # path, where an unstable sort would reorder equal healths
     box = ((0.0, 4.0),) * 3
-    f = ss.BoxFunction(dimension=3, bounds=box,
-                       fn=lambda p: float(np.floor(p.sum() / 4.0)))
+    f = ss.BoxFunction(bounds=box,
+                       rows=lambda r: np.floor(r.sum(axis=1) / 4.0))
     cfg = replace(SMALL, population_size=40, elimination_prob=0.5,
                   swarming=False)
     seeds = [3, 4, 5]
@@ -149,7 +149,7 @@ def test_lockstep_walks_every_turn_of_a_constant_fitness(seeds, walks,
     # signal alone decides, and every bacterium walks against the swarm
     # its predecessors left
     box = ((-1.0, 1.0),) * 3
-    f = ss.BoxFunction(dimension=3, bounds=box, fn=lambda p: 2.5)
+    f = ss.BoxFunction(bounds=box, rows=lambda r: np.full(len(r), 2.5))
     cfg = replace(SMALL, attract_depth=0.3, repel_width=0.5)
     results = run_bfa_lockstep(
         lambda runs, positions: np.full(len(positions), 2.5), box, cfg, seeds)
@@ -229,7 +229,7 @@ def test_lockstep_ranks_tied_exact_healths_without_replay(replays,
     # nothing is replayed; 40 bacteria take numpy's sort past its
     # small-array path
     box = ((-1.0, 1.0),) * 3
-    f = ss.BoxFunction(dimension=3, bounds=box, fn=lambda p: 2.5)
+    f = ss.BoxFunction(bounds=box, rows=lambda r: np.full(len(r), 2.5))
     cfg = replace(SMALL, population_size=40, swarming=False)
     seeds = [0, 1]
     results = run_bfa_lockstep(
@@ -371,7 +371,7 @@ def test_lockstep_without_improving_tumbles_never_swims(reference):
     # swarming off and a constant fitness: no tumble improves, so no swim
     # row is scored and every evaluated row is counted
     box = ((-1.0, 1.0),) * 3
-    f = ss.BoxFunction(dimension=3, bounds=box, fn=lambda p: 2.5)
+    f = ss.BoxFunction(bounds=box, rows=lambda r: np.full(len(r), 2.5))
     cfg = replace(SMALL, swarming=False)
     seeds = [0, 1, 2]
     log = RowLog(lambda runs, positions: np.full(len(positions), 2.5))
@@ -439,7 +439,7 @@ def test_irrigation_evaluate_rows_ignores_the_layout_of_its_rows(
 @pytest.mark.parametrize("dimensions", [4, 6])
 def test_run_bfa_hands_evaluate_rows_contiguous_rows(dimensions):
     # a row dot of a column-ordered row rounds otherwise from 4 coordinates
-    # on, so a fitness's row k would stop matching evaluate(positions[k])
+    # on, so a row's value would depend on the layout of the rows it came in
     f = ss.sphere_function(dimensions)
     score, layouts = f.evaluate_rows, []
 

@@ -126,11 +126,6 @@ class TestNondominated:
                     expected.append(a)
             assert ss.nondominated_filter(pts) == expected
 
-    def test_key_override(self):
-        items = [{"f": (1.0, 2.0)}, {"f": (2.0, 1.0)}, {"f": (0.5, 0.5)}]
-        kept = ss.nondominated_filter(items, key=lambda d: d["f"])
-        assert kept == items[:2]
-
     def test_solution_points_pass_through(self):
         hi = make_point(2.0)
         lo = make_point(1.0)
