@@ -52,6 +52,7 @@ class BoxFunction:
     def __post_init__(self) -> None:
         if not self.bounds:
             raise ValidationError("need at least one bound")
+        _bound_pairs(self.bounds)
         for lo, hi in self.bounds:
             if lo > hi:
                 raise ValidationError(f"bound [{lo}, {hi}] is empty")
@@ -441,11 +442,20 @@ class RunResult(NamedTuple):
     evaluations: int  # every evaluation, the final dispersal's included
 
 
+def _bound_pairs(bounds) -> np.ndarray:
+    """bounds as an (n, 2) float array, or ValidationError."""
+    try:
+        pairs = np.asarray(bounds, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numbers
+        pairs = None
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError("fitness bounds must be (lo, hi) pairs")
+    return pairs
+
+
 def _box(bounds, cfg: BfaConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (lower, upper, steps) arrays of a search box."""
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.ndim != 2 or bounds.shape[1] != 2:
-        raise ValidationError("fitness bounds must be (lo, hi) pairs")
+    bounds = _bound_pairs(bounds)
     if np.any(bounds[:, 0] > bounds[:, 1]):
         raise ValidationError("fitness bounds contain an empty interval")
     return bounds[:, 0].copy(), bounds[:, 1].copy(), step_sizes(cfg, bounds)

@@ -49,6 +49,11 @@ from .irrigation import (
 FRONTIER_CSV_HEADER = ("w1", "w2", "w3", "x_a", "x_b", "x_c", "x_d",
                        "Z_a", "Z_b", "f1", "f2", "f3", "F", "seed")
 
+# Frontier.table columns: the weights, the objectives and F
+_WEIGHTS = slice(0, 3)
+_OBJECTIVES = slice(9, 12)
+_AGGREGATE = 12
+
 DEFAULT_REFERENCE_COUNT = 15
 _DIVERSITY_GUARD = 1e-12
 
@@ -116,19 +121,67 @@ class SolutionPoint:
                 self.aggregate_value, self.seed)
 
 
-@dataclass
 class Frontier:
-    """A nonempty set of solution points, one per weight vector swept."""
+    """A nonempty set of solution points, one per weight vector swept.
 
-    points: list[SolutionPoint]
-    grade_context: GradeContext | None = None
+    A frontier is its table: `table` is a read-only (n, 13) float array of
+    the FRONTIER_CSV_HEADER columns but the seed, one row per point, and
+    `seeds` holds the seeds as ints. Dominance, ranking and diversity read
+    the table. A frontier made from points keeps those very objects; one
+    read from CSV builds a point only when asked for it.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: list[SolutionPoint],
+                 grade_context: GradeContext | None = None) -> None:
+        points = list(points)
+        if not points:
             raise ValidationError("frontier must hold at least one point")
+        self.table = np.array([p.row()[:-1] for p in points], dtype=float)
+        self.table.flags.writeable = False
+        self.seeds = [p.seed for p in points]
+        self.grade_context = grade_context
+        self._points = points
+
+    @classmethod
+    def _from_table(cls, table: np.ndarray, seeds: list[int],
+                    grade_context: GradeContext | None) -> "Frontier":
+        """A frontier of rows already checked to make valid points."""
+        if not seeds:
+            raise ValidationError("frontier must hold at least one point")
+        table.flags.writeable = False
+        frontier = cls.__new__(cls)
+        frontier.table = table
+        frontier.seeds = seeds
+        frontier.grade_context = grade_context
+        frontier._points = None
+        return frontier
+
+    @property
+    def points(self) -> list[SolutionPoint]:
+        """Every point, in row order, built from the table once."""
+        if self._points is None:
+            self._points = [_solution_point(row, seed) for row, seed
+                            in zip(self.table.tolist(), self.seeds)]
+        return self._points
+
+    def point(self, k: int) -> SolutionPoint:
+        """Point k, built alone unless every point already is."""
+        if self._points is not None:
+            return self._points[k]
+        return _solution_point(self.table[k].tolist(), self.seeds[k])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.seeds)
+
+
+def _solution_point(values: list[float], seed: int) -> SolutionPoint:
+    """The point of one frontier row, given as 13 floats and a seed; the
+    dataclass constructors reject a row that makes no valid point."""
+    return SolutionPoint(weights=WeightVector(*values[0:3]),
+                         design=DesignVector(*values[3:7]),
+                         noise=NoiseVector(*values[7:9]),
+                         objectives=ObjectiveTriple(*values[9:12]),
+                         aggregate_value=values[12], seed=seed)
 
 
 def weight_grid(step: float = 0.1, minimum: float = 0.1
@@ -353,15 +406,41 @@ def reference_sigma_lines(n_objectives: int, count: int
 def _normalize_columns(matrix: np.ndarray) -> np.ndarray:
     lo = matrix.min(axis=0)
     hi = matrix.max(axis=0)
-    out = np.empty_like(matrix)
-    for col in range(matrix.shape[1]):
-        if hi[col] == lo[col]:
-            # a constant objective carries no spread information; park it
-            # mid-range instead of poisoning the sigma angles
-            out[:, col] = 0.5
-        else:
-            out[:, col] = (matrix[:, col] - lo[col]) / (hi[col] - lo[col])
+    # a constant objective carries no spread information; park it
+    # mid-range instead of poisoning the sigma angles
+    constant = hi == lo
+    out = (matrix - lo) / np.where(constant, 1.0, hi - lo)
+    out[:, constant] = 0.5
     return out
+
+
+def _sigma_rows(unit: np.ndarray) -> np.ndarray:
+    """sigma_components of every row at once, bit for bit, with zero
+    components for an all-zero row.
+
+    The squares of the numerators come from Python's `v ** 2` (libm pow),
+    which differs from `v * v` in the last bit for some doubles; the
+    denominator adds the `v * v` products left to right, as _sum_squares
+    does.
+    """
+    n_rows, n_objectives = unit.shape
+    if n_objectives < 2:
+        raise ValidationError(
+            f"need at least 2 objectives, got {n_objectives}")
+    squares = np.array([v ** 2 for v in unit.ravel().tolist()]
+                       ).reshape(n_rows, n_objectives)
+    products = unit * unit
+    denom = products[:, 0].copy()
+    for col in range(1, n_objectives):
+        denom += products[:, col]
+    zero = ~unit.any(axis=1)
+    if np.any((denom == 0.0) & ~zero):
+        raise ZeroVector("sigma undefined for the all-zero vector")
+    # an all-zero row's numerators are all +0.0, so any nonzero
+    # denominator gives its zero components
+    denom[zero] = 1.0
+    first, second = np.triu_indices(n_objectives, 1)
+    return (squares[:, first] - squares[:, second]) / denom[:, None]
 
 
 def diversity_metric(frontier: Frontier | list,
@@ -373,42 +452,52 @@ def diversity_metric(frontier: Frontier | list,
 
     Objectives are min-max normalized over the frontier first. A solution
     normalizing to the all-zero vector contributes a zero sigma vector
-    (it has no direction to speak of).
+    (it has no direction to speak of). `frontier` is a Frontier or a list
+    of points, objective triples or plain tuples.
     """
-    points = frontier.points if isinstance(frontier, Frontier) else list(frontier)
-    if not points:
-        raise ValidationError("diversity needs at least one point")
+    if isinstance(frontier, Frontier):
+        matrix = frontier.table[:, _OBJECTIVES]
+    else:
+        matrix = np.array([_objective_vector(p) for p in frontier],
+                          dtype=float)
+        if not len(matrix):
+            raise ValidationError("diversity needs at least one point")
     if not references:
         raise ValidationError("diversity needs at least one reference")
     n_pairs = len(references[0].components)
     if any(len(r.components) != n_pairs for r in references):
         raise ValidationError("reference component lengths disagree")
-    matrix = np.array([_objective_vector(p) for p in points], dtype=float)
-    normalized = _normalize_columns(matrix)
-    expected_pairs = math.comb(normalized.shape[1], 2)
+    expected_pairs = math.comb(matrix.shape[1], 2)
     if expected_pairs != n_pairs:
         raise ValidationError(
-            f"references carry {n_pairs} components but {normalized.shape[1]} "
+            f"references carry {n_pairs} components but {matrix.shape[1]} "
             f"objectives give {expected_pairs}")
     ref_matrix = np.array([r.components for r in references], dtype=float)
-    distances = []
-    for row in normalized:
-        if np.all(row == 0.0):
-            comps = np.zeros(n_pairs)
-        else:
-            comps = np.array(
-                sigma_components(row.tolist()).components, dtype=float)
-        gaps = ref_matrix - comps
-        nearest = math.sqrt(float(np.min(np.einsum("ij,ij->i", gaps, gaps))))
-        distances.append(nearest)
-    mean_distance = math.fsum(distances) / len(distances)
+    nearest = _nearest_distances(matrix, ref_matrix)
+    mean_distance = math.fsum(nearest.tolist()) / len(nearest)
     return 1.0 / (mean_distance + _DIVERSITY_GUARD)
+
+
+def _nearest_distances(matrix: np.ndarray,
+                       ref_matrix: np.ndarray) -> np.ndarray:
+    """Per row of an objective matrix, the distance from its normalized
+    sigma vector to the nearest reference sigma vector, for every row in
+    one pass.
+
+    The gaps go into one C-ordered (rows, references, pairs) buffer, so
+    einsum adds each row's squared gaps over one contiguous row of pairs,
+    the same sum it forms for that row's (references, pairs) gaps alone;
+    in another layout it may add them in another order.
+    """
+    components = _sigma_rows(_normalize_columns(matrix))
+    gaps = np.empty((len(components), *ref_matrix.shape))
+    np.subtract(ref_matrix, components[:, None, :], out=gaps)
+    return np.sqrt(np.einsum("rij,rij->ri", gaps, gaps).min(axis=1))
 
 
 def frontier_dominance(frontier: Frontier) -> float:
     """Mean aggregate value over the frontier (order-invariant sum)."""
-    return math.fsum(p.aggregate_value for p in frontier.points) \
-        / len(frontier.points)
+    return math.fsum(frontier.table[:, _AGGREGATE].tolist()) / len(frontier)
 
 
 def rank_solutions(frontier: Frontier
@@ -416,22 +505,26 @@ def rank_solutions(frontier: Frontier
     """(best, median, worst) by aggregate value, descending.
 
     Ties break toward the lexicographically smallest weight vector. The
-    median is entry floor((n-1)/2) of the sorted list.
+    median is entry floor((n-1)/2) of the sorted list. The stable sort
+    runs on the table; only the three points returned are built.
     """
-    ordered = sorted(frontier.points,
-                     key=lambda p: (-p.aggregate_value, p.weights.as_tuple()))
-    return (ordered[0], ordered[(len(ordered) - 1) // 2], ordered[-1])
+    values = frontier.table[:, _AGGREGATE].tolist()
+    weights = [tuple(w) for w in frontier.table[:, _WEIGHTS].tolist()]
+    ordered = sorted(range(len(values)),
+                     key=lambda k: (-values[k], weights[k]))
+    return tuple(frontier.point(ordered[k])
+                 for k in (0, (len(ordered) - 1) // 2, -1))
 
 
 def compute_metrics(frontier: Frontier,
                     reference_count: int = DEFAULT_REFERENCE_COUNT) -> dict:
     """The metrics document for a frontier, ready for JSON."""
-    n_objectives = len(frontier.points[0].objectives.as_tuple())
+    n_objectives = frontier.table[:, _OBJECTIVES].shape[1]
     references = reference_sigma_lines(n_objectives, reference_count)
     return {
         "dominance_mean_F": frontier_dominance(frontier),
         "diversity": diversity_metric(frontier, references),
-        "n_points": len(frontier.points),
+        "n_points": len(frontier),
         "grade_context": (frontier.grade_context.to_dict()
                           if frontier.grade_context is not None else None),
     }
@@ -452,6 +545,15 @@ def frontier_to_csv_text(frontier: Frontier) -> str:
 def frontier_from_csv_text(text: str,
                            grade_context: GradeContext | None = None
                            ) -> Frontier:
+    """Read a frontier CSV into its table, building no points.
+
+    Each row is parsed with float() and int(). The columns are then
+    screened with the arithmetic the point constructors use: finite,
+    nonnegative weights summing to 1, F within 1e-9 relative of w . f,
+    and a nonnegative seed. Only a row the screen flags is built as a
+    point, so the constructors still raise every rejection, and the
+    first bad row in file order decides the error.
+    """
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if not rows:
@@ -460,25 +562,45 @@ def frontier_from_csv_text(text: str,
     if header != FRONTIER_CSV_HEADER:
         raise SchemaMismatch(
             f"bad frontier header {header}; expected {FRONTIER_CSV_HEADER}")
-    points = []
+    values, seeds, unparsed = [], [], None
     for n, row in enumerate(rows[1:], start=1):
         if len(row) != len(FRONTIER_CSV_HEADER):
-            raise SchemaMismatch(
+            unparsed = SchemaMismatch(
                 f"row {n}: expected {len(FRONTIER_CSV_HEADER)} fields, "
                 f"got {len(row)}")
+            break
         try:
-            values = [float(cell) for cell in row[:13]]
+            floats = [float(cell) for cell in row[:13]]
             seed = int(row[13])
         except ValueError as bad:
-            raise SchemaMismatch(f"row {n}: {bad}") from None
-        points.append(SolutionPoint(
-            weights=WeightVector(*values[0:3]),
-            design=DesignVector(*values[3:7]),
-            noise=NoiseVector(*values[7:9]),
-            objectives=ObjectiveTriple(*values[9:12]),
-            aggregate_value=values[12],
-            seed=seed))
-    return Frontier(points=points, grade_context=grade_context)
+            unparsed = SchemaMismatch(f"row {n}: {bad}")
+            break
+        values.append(floats)
+        seeds.append(seed)
+    table = np.array(values, dtype=float).reshape(len(values), 13)
+    for k in np.flatnonzero(_screen(table, seeds)).tolist():
+        _solution_point(values[k], seeds[k])
+    if unparsed is not None:
+        raise unparsed
+    return Frontier._from_table(table, seeds, grade_context)
+
+
+def _screen(table: np.ndarray, seeds: list[int]) -> np.ndarray:
+    """Rows that may make no valid point: every row WeightVector or
+    SolutionPoint would reject is flagged, by the same arithmetic in the
+    same order."""
+    weights = table[:, _WEIGHTS]
+    w1, w2, w3 = weights.T
+    power, efficiency, savings = table[:, _OBJECTIVES].T
+    flagged = ~((weights >= 0.0) & np.isfinite(weights)).all(axis=1)
+    # Python floats overflow to inf and make nan silently; so does this
+    with np.errstate(over="ignore", invalid="ignore"):
+        flagged |= np.abs((w1 + w2) + w3 - 1.0) > 1e-12
+        expected = (w1 * power + w2 * efficiency) + w3 * savings
+        tolerance = 1e-9 * np.maximum(1.0, np.abs(expected))
+        flagged |= ~(np.abs(table[:, _AGGREGATE] - expected) <= tolerance)
+    flagged |= np.array([seed < 0 for seed in seeds], dtype=bool)
+    return flagged
 
 
 def write_frontier_csv(frontier: Frontier, path: str) -> None:

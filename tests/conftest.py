@@ -13,6 +13,7 @@ from solarswarm.bfa import (
     tumble_direction,
 )
 from solarswarm.irrigation import CRISP_NOISE_BOUNDS
+from solarswarm.pareto import sigma_components
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -143,3 +144,57 @@ def literal_objectives():
     """printed_polynomials, the evaluator's frozen oracle, summed left to
     right."""
     return printed_polynomials
+
+
+def row_by_row_distances(vectors, references):
+    """Each objective vector's distance to its nearest reference line,
+    one row at a time: the package's earlier sigma diversity loop, kept
+    as the frozen reference for its one-pass form.
+
+    The columns are min-max normalized one by one. Each row's components
+    come from sigma_components on Python floats, and its squared gaps to
+    the references from one einsum over a C-ordered (references, pairs)
+    array.
+    """
+    matrix = np.array(vectors, dtype=float)
+    lo = matrix.min(axis=0)
+    hi = matrix.max(axis=0)
+    normalized = np.empty_like(matrix)
+    for col in range(matrix.shape[1]):
+        if hi[col] == lo[col]:
+            normalized[:, col] = 0.5
+        else:
+            normalized[:, col] = (matrix[:, col] - lo[col]) / (hi[col] - lo[col])
+    n_pairs = len(references[0].components)
+    ref_matrix = np.array([r.components for r in references], dtype=float)
+    distances = []
+    for row in normalized:
+        if np.all(row == 0.0):
+            comps = np.zeros(n_pairs)
+        else:
+            comps = np.array(
+                sigma_components(row.tolist()).components, dtype=float)
+        gaps = ref_matrix - comps
+        nearest = math.sqrt(float(np.min(np.einsum("ij,ij->i", gaps, gaps))))
+        distances.append(nearest)
+    return distances
+
+
+def row_by_row_diversity(vectors, references):
+    """diversity_metric from row_by_row_distances."""
+    distances = row_by_row_distances(vectors, references)
+    return 1.0 / (math.fsum(distances) / len(distances) + 1e-12)
+
+
+@pytest.fixture(scope="session")
+def reference_distances():
+    """row_by_row_distances, the bit-for-bit reference of
+    pareto._nearest_distances."""
+    return row_by_row_distances
+
+
+@pytest.fixture(scope="session")
+def reference_diversity():
+    """row_by_row_diversity, the bit-for-bit reference of
+    diversity_metric."""
+    return row_by_row_diversity

@@ -694,6 +694,14 @@ def test_box_function_validates_bounds():
                        rows=lambda r: np.zeros(len(r)))
 
 
+@pytest.mark.parametrize("bounds", [((0.0,),), ((0.0, 1.0, 2.0),),
+                                    (1.0, 2.0), ((0.0, 1.0), (2.0,))])
+def test_box_function_rejects_malformed_bounds(bounds):
+    with pytest.raises(ValidationError,
+                       match=r"fitness bounds must be \(lo, hi\) pairs"):
+        ss.BoxFunction(bounds=bounds, rows=lambda r: np.zeros(len(r)))
+
+
 class RowsOnly:
     """A problem with only what the optimizer needs: a box and a row
     scorer, here the negated sphere."""

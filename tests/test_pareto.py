@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import solarswarm as ss
+from solarswarm import pareto
 from solarswarm.errors import (
     EmptyGrid,
     SchemaMismatch,
@@ -20,6 +21,7 @@ from solarswarm.pareto import (
     metrics_json_text,
     reference_sigma_lines,
     sigma_components,
+    solution_from_position,
 )
 
 # sha256-derived cell seeds, frozen from an independent hash computation
@@ -256,6 +258,83 @@ class TestDiversity:
                                 reference_sigma_lines(2, 3))
 
 
+def bits(value):
+    return np.float64(value).view(np.int64)
+
+
+def table_frontier(objectives, order="C"):
+    """A frontier whose table holds these objectives and nothing else,
+    built straight from the table in the given memory order."""
+    table = np.zeros((len(objectives), 13))
+    table[:, 9:12] = objectives
+    return ss.Frontier._from_table(np.asarray(table, order=order),
+                                   [0] * len(objectives), None)
+
+
+class TestDiversityBits:
+    """diversity_metric scores every row in one pass; it must give the
+    row-by-row reference's bits."""
+
+    @pytest.mark.parametrize("n_objectives", [2, 3, 4])
+    def test_random_frontiers(self, n_objectives, reference_distances,
+                              reference_diversity):
+        rng = np.random.default_rng(100 + n_objectives)
+        refs = reference_sigma_lines(n_objectives, 15)
+        sizes = [1, 2, 3, 299, 300] + rng.integers(1, 301, 35).tolist()
+        for n in sizes:
+            scale = 10.0 ** rng.uniform(-6, 6)
+            matrix = rng.uniform(-1.0, 1.0, (n, n_objectives)) * scale
+            count = int(rng.integers(1, 30))
+            for references in (refs, reference_sigma_lines(n_objectives,
+                                                            count)):
+                ref_matrix = np.array([r.components for r in references])
+                got = pareto._nearest_distances(matrix, ref_matrix)
+                want = np.array(reference_distances(matrix, references))
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+                assert bits(ss.diversity_metric(matrix.tolist(), references)) \
+                    == bits(reference_diversity(matrix, references))
+
+    @pytest.mark.parametrize("n_objectives", [2, 3, 4])
+    def test_zero_rows_and_constant_columns(self, n_objectives,
+                                            reference_diversity):
+        rng = np.random.default_rng(200 + n_objectives)
+        refs = reference_sigma_lines(n_objectives, 15)
+        for n in (1, 2, 7, 64, 300):
+            # few distinct values: ties, rows at every column's minimum
+            # (all zero once normalized) and, with one row, all constant
+            matrix = rng.integers(0, 3, (n, n_objectives)).astype(float)
+            matrix[rng.random(n) < 0.3] = 0.0
+            matrix[:, -1] = 7.0
+            assert bits(ss.diversity_metric(matrix.tolist(), refs)) \
+                == bits(reference_diversity(matrix, refs))
+
+    def test_table_layout_and_row_order(self, reference_diversity):
+        rng = np.random.default_rng(300)
+        refs = reference_sigma_lines(3, 15)
+        for n in (1, 5, 36, 288, 300):
+            matrix = rng.uniform(0.0, 1e5, (n, 3))
+            want = bits(reference_diversity(matrix, refs))
+            shuffled = matrix[rng.permutation(n)]
+            for frontier in (table_frontier(matrix),
+                             table_frontier(matrix, order="F"),
+                             table_frontier(shuffled),
+                             table_frontier(shuffled, order="F")):
+                assert bits(ss.diversity_metric(frontier, refs)) == want
+            assert bits(ss.diversity_metric(np.asfortranarray(shuffled),
+                                            refs)) == want
+
+    def test_underflowing_row_raises(self, reference_diversity):
+        # row 2 normalizes to (5e-324, 0, 0): nonzero, but its squares
+        # underflow to 0
+        points = [(0.0, 0.0, 0.0), (5e-324, 0.0, 0.0), (1.0, 1.0, 1.0)]
+        refs = reference_sigma_lines(3, 15)
+        with pytest.raises(ZeroVector):
+            reference_diversity(points, refs)
+        with pytest.raises(ZeroVector):
+            ss.diversity_metric(points, refs)
+
+
 class TestRanking:
     def test_best_median_worst(self):
         pts = [make_point(v) for v in (3.0, 1.0, 4.0, 1.5, 5.0)]
@@ -439,6 +518,96 @@ class TestFrontierCsv:
         corrupt = good.replace(lines[1].split(",")[3], "not-a-number", 1)
         with pytest.raises(SchemaMismatch):
             frontier_from_csv_text(corrupt)
+
+
+# one row: F = (0.5 * 2 + 0.25 * 4) + 0.25 * 8 = 4 exactly
+GOOD_ROW = ["0.5", "0.25", "0.25", "1.0", "500.0", "600.0", "0.1",
+            "298.0", "900.0", "2.0", "4.0", "8.0", "4.0", "7"]
+
+
+def frontier_text(*edits, rows=6):
+    """A valid frontier CSV of copies of GOOD_ROW, with (row, column,
+    cell) edits applied; a cell of None drops the column."""
+    table = [list(GOOD_ROW) for _ in range(rows)]
+    for row, col, cell in edits:
+        if cell is None:
+            del table[row - 1][col]
+        else:
+            table[row - 1][col] = cell
+    return "\n".join(",".join(cells) for cells
+                     in [FRONTIER_CSV_HEADER, *table]) + "\n"
+
+
+class TestFrontierCsvReader:
+    @pytest.mark.parametrize("col, cell, error, message", [
+        (13, None, SchemaMismatch, "row 2: expected 14 fields, got 13"),
+        (3, "oops", SchemaMismatch,
+         "row 2: could not convert string to float: 'oops'"),
+        (13, "1.5", SchemaMismatch,
+         "row 2: invalid literal for int() with base 10: '1.5'"),
+        (1, "-0.25", ValidationError,
+         "weights must be finite and >= 0, got -0.25"),
+        (0, "nan", ValidationError, "weights must be finite and >= 0, got nan"),
+        (2, "inf", ValidationError, "weights must be finite and >= 0, got inf"),
+        (0, "0.75", ValidationError, "weights must sum to 1, got 1.25"),
+        (12, "5.0", ValidationError,
+         "aggregate 5.0 disagrees with weights . objectives = 4.0"),
+        (13, "-1", ValidationError, "seed must be nonnegative"),
+    ], ids=["short_row", "bad_float", "bad_int", "negative_weight",
+            "nan_weight", "inf_weight", "weight_sum", "aggregate",
+            "negative_seed"])
+    def test_each_rejection_keeps_its_type_and_message(self, col, cell,
+                                                       error, message):
+        frontier_from_csv_text(frontier_text())  # unedited, it reads
+        with pytest.raises(error) as caught:
+            frontier_from_csv_text(frontier_text((2, col, cell)))
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_first_bad_row_wins(self):
+        weight_first = frontier_text((2, 0, "-0.5"), (5, 4, "oops"))
+        with pytest.raises(ValidationError, match="got -0.5"):
+            frontier_from_csv_text(weight_first)
+        parse_first = frontier_text((2, 4, "oops"), (5, 0, "-0.5"))
+        with pytest.raises(SchemaMismatch, match="row 2: could not"):
+            frontier_from_csv_text(parse_first)
+        seed_first = frontier_text((3, 13, "-2"), (4, 12, "1.0"))
+        with pytest.raises(ValidationError, match="seed must be"):
+            frontier_from_csv_text(seed_first)
+
+    def test_table_is_read_only(self):
+        frontier = frontier_from_csv_text(frontier_text())
+        assert frontier.table.shape == (6, 13)
+        assert frontier.seeds == [7] * 6
+        with pytest.raises(ValueError):
+            frontier.table[0, 0] = 1.0
+
+    def test_points_are_built_on_demand(self, monkeypatch):
+        problem = ss.ProblemSpec()
+        rng = np.random.default_rng(288)
+        box = np.array(problem.design_bounds + problem.noise_bounds)
+        points = [solution_from_position(
+            problem, w, rng.uniform(box[:, 0], box[:, 1]),
+            int(rng.integers(0, 2 ** 63)))
+            for w in ss.weight_grid() for _ in range(8)]
+        text = frontier_to_csv_text(ss.Frontier(points))
+        built = []
+        post_init = ss.SolutionPoint.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+        monkeypatch.setattr(ss.SolutionPoint, "__post_init__", counting)
+        frontier = frontier_from_csv_text(text)
+        assert len(frontier) == 288
+        ss.compute_metrics(frontier)
+        ranked = ss.rank_solutions(frontier)
+        assert len(built) <= 3
+        assert ranked == ss.rank_solutions(ss.Frontier(points))
+        before = len(built)
+        assert frontier.points == points
+        assert frontier.points is frontier.points
+        assert len(built) == before + 288
 
 
 class TestMetrics:
