@@ -275,24 +275,18 @@ def cmd_frontier(args) -> int:
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
 
-    cell_lines = []
-
-    def on_cell(point, trace):
-        index = len(cell_lines)
-        trace.write_csv(os.path.join(traces_dir, f"trace_w{index:03d}.csv"))
-        w = point.weights
-        cell_lines.append(
-            f"[{index + 1:3d}/{len(weights)}] w=({w.w1:g},{w.w2:g},{w.w3:g}) "
-            f"F={_fmt(point.aggregate_value)} seed={point.seed}")
-
     started = time.perf_counter()
-    frontier = build_frontier(problem, cfg, weights, config.runs_per_weight,
-                              grade_context=config.grade_context,
-                              workers=config.workers, on_cell=on_cell)
+    frontier, traces = build_frontier(
+        problem, cfg, weights, config.runs_per_weight,
+        grade_context=config.grade_context, workers=config.workers)
     elapsed = time.perf_counter() - started
 
-    for line in cell_lines:
-        print(line)
+    for index, trace in enumerate(traces):
+        trace.write_csv(os.path.join(traces_dir, f"trace_w{index:03d}.csv"))
+    for index, ((w1, w2, w3, *_, value), seed) in enumerate(
+            zip(frontier.table.tolist(), frontier.seeds)):
+        print(f"[{index + 1:3d}/{len(frontier)}] w=({w1:g},{w2:g},{w3:g}) "
+              f"F={_fmt(value)} seed={seed}")
     metrics = compute_metrics(frontier)
     write_frontier_csv(frontier, os.path.join(out_dir, "frontier.csv"))
     write_text(os.path.join(out_dir, "metrics.json"), json_text(metrics))

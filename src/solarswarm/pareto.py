@@ -12,6 +12,7 @@ set of reference directions.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -21,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .bfa import BfaConfig, RunResult, run_bfa_lockstep
+from .bfa import BfaConfig, RunResult, RunTrace, run_bfa_lockstep
 # run_bfa is no longer called here, but stays bound under this module's
 # name: the benchmark's span tracer wraps pareto.run_bfa
 from .bfa import run_bfa  # noqa: F401
@@ -41,6 +42,7 @@ from .irrigation import (
     ObjectiveTriple,
     ProblemSpec,
     WeightVector,
+    _objective_rows,
     aggregate,
     eval_objectives,
     evaluate_rows,
@@ -126,52 +128,54 @@ class Frontier:
 
     A frontier is its table: `table` is a read-only (n, 13) float array of
     the FRONTIER_CSV_HEADER columns but the seed, one row per point, and
-    `seeds` holds the seeds as ints. Dominance, ranking and diversity read
-    the table. A frontier made from points keeps those very objects; one
-    read from CSV builds a point only when asked for it.
+    `seeds` holds the seeds as ints. Building, writing, dominance, ranking
+    and diversity work on the table. Frontier(points) only converts the
+    points to the table; a point is built from its row when asked for.
     """
 
     def __init__(self, points: list[SolutionPoint],
                  grade_context: GradeContext | None = None) -> None:
         points = list(points)
-        if not points:
-            raise ValidationError("frontier must hold at least one point")
-        self.table = np.array([p.row()[:-1] for p in points], dtype=float)
-        self.table.flags.writeable = False
-        self.seeds = [p.seed for p in points]
-        self.grade_context = grade_context
-        self._points = points
+        self._hold(np.array([p.row()[:-1] for p in points], dtype=float),
+                   [p.seed for p in points], grade_context)
 
     @classmethod
     def _from_table(cls, table: np.ndarray, seeds: list[int],
                     grade_context: GradeContext | None) -> "Frontier":
         """A frontier of rows already checked to make valid points."""
+        frontier = cls.__new__(cls)
+        frontier._hold(table, seeds, grade_context)
+        return frontier
+
+    def _hold(self, table: np.ndarray, seeds: list[int],
+              grade_context: GradeContext | None) -> None:
         if not seeds:
             raise ValidationError("frontier must hold at least one point")
         table.flags.writeable = False
-        frontier = cls.__new__(cls)
-        frontier.table = table
-        frontier.seeds = seeds
-        frontier.grade_context = grade_context
-        frontier._points = None
-        return frontier
+        self.table = table
+        self.seeds = seeds
+        self.grade_context = grade_context
 
-    @property
+    @functools.cached_property
     def points(self) -> list[SolutionPoint]:
         """Every point, in row order, built from the table once."""
-        if self._points is None:
-            self._points = [_solution_point(row, seed) for row, seed
-                            in zip(self.table.tolist(), self.seeds)]
-        return self._points
+        return [_solution_point(row, seed)
+                for row, seed in zip(self.table.tolist(), self.seeds)]
 
     def point(self, k: int) -> SolutionPoint:
-        """Point k, built alone unless every point already is."""
-        if self._points is not None:
-            return self._points[k]
+        """Point k, built from row k."""
         return _solution_point(self.table[k].tolist(), self.seeds[k])
 
     def __len__(self) -> int:
         return len(self.seeds)
+
+
+def _weighted_sum(weights: np.ndarray, objectives: np.ndarray) -> np.ndarray:
+    """F of every row of a table's (n, 3) weight and objective columns:
+    (w1 * power + w2 * efficiency) + w3 * savings, added left to right as
+    irrigation.aggregate and evaluate_rows add it."""
+    (w1, w2, w3), (power, efficiency, savings) = weights.T, objectives.T
+    return (w1 * power + w2 * efficiency) + w3 * savings
 
 
 def _solution_point(values: list[float], seed: int) -> SolutionPoint:
@@ -259,7 +263,7 @@ def _run_batch(problem: ProblemSpec, cfg: BfaConfig, weights: np.ndarray,
 def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
                    weights: list[WeightVector], runs_per_weight: int,
                    *, grade_context: GradeContext | None = None,
-                   workers: int = 1, on_cell=None) -> Frontier:
+                   workers: int = 1) -> tuple[Frontier, list[RunTrace]]:
     """Sweep the weight list; keep the best-aggregate run per weight.
 
     cfg.seed acts as the master seed. The (weight, replicate) runs of the
@@ -267,8 +271,9 @@ def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
     with workers > 1 each worker process steps its own contiguous share of
     the runs. Runs share no state, so the frontier is identical for any
     worker count. Per weight the first replicate with the highest best
-    fitness wins. on_cell, if given, is called as on_cell(point, trace) per
-    cell in grid order.
+    fitness wins. The winners' best positions are scored in one evaluator
+    call, straight into the frontier's table. Returns the frontier and the
+    winners' traces, both in grid order.
     """
     if runs_per_weight < 1:
         raise ValidationError(
@@ -279,31 +284,31 @@ def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
         raise ValidationError(f"workers must be >= 1, got {workers}")
     seeds = [derive_seed(cfg.seed, w, replicate)
              for w in weights for replicate in range(runs_per_weight)]
-    table = np.repeat([w.as_tuple() for w in weights], runs_per_weight,
-                      axis=0)
+    cell_weights = np.array([w.as_tuple() for w in weights])
+    run_weights = np.repeat(cell_weights, runs_per_weight, axis=0)
     if workers == 1:
-        results = _run_batch(problem, cfg, table, seeds)
+        results = _run_batch(problem, cfg, run_weights, seeds)
     else:
         shares = [share for share in np.array_split(
             np.arange(len(seeds)), workers) if len(share)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_run_batch, repeat(problem), repeat(cfg),
-                             [table[share] for share in shares],
+                             [run_weights[share] for share in shares],
                              [[seeds[k] for k in share] for share in shares])
             results = [result for part in parts for result in part]
-    points = []
-    for cell, w in enumerate(weights):
-        best = cell * runs_per_weight
-        for run in range(best + 1, best + runs_per_weight):
-            if results[run].best_fitness > results[best].best_fitness:
-                best = run
-        point = solution_from_position(problem, w,
-                                       results[best].best_position,
-                                       seeds[best])
-        points.append(point)
-        if on_cell is not None:
-            on_cell(point, results[best].trace)
-    return Frontier(points=points, grade_context=grade_context)
+    # argmax keeps the first of tied maxima: the first replicate wins
+    fitness = np.array([r.best_fitness for r in results]).reshape(
+        len(weights), runs_per_weight)
+    winners = (fitness.argmax(axis=1)
+               + np.arange(0, len(seeds), runs_per_weight)).tolist()
+    positions = np.array([results[k].best_position for k in winners],
+                         dtype=float)
+    objectives = _objective_rows(problem, positions).T
+    table = np.column_stack([cell_weights, positions, objectives,
+                             _weighted_sum(cell_weights, objectives)])
+    frontier = Frontier._from_table(table, [seeds[k] for k in winners],
+                                    grade_context)
+    return frontier, [results[k].trace for k in winners]
 
 
 def _objective_vector(item) -> tuple[float, ...]:
@@ -532,14 +537,11 @@ def compute_metrics(frontier: Frontier,
 
 def frontier_to_csv_text(frontier: Frontier) -> str:
     """Render a frontier as CSV. Floats use shortest round-trip form, so a
-    read-back reproduces every value bit-for-bit."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FRONTIER_CSV_HEADER)
-    for p in frontier.points:
-        *values, seed = p.row()
-        writer.writerow([repr(v) for v in values] + [seed])
-    return buf.getvalue()
+    read-back reproduces every value bit-for-bit; no field needs quoting."""
+    lines = [",".join(FRONTIER_CSV_HEADER)]
+    lines += [",".join([*map(repr, values), str(seed)]) for values, seed
+              in zip(frontier.table.tolist(), frontier.seeds)]
+    return "\n".join(lines) + "\n"
 
 
 def frontier_from_csv_text(text: str,
@@ -591,12 +593,11 @@ def _screen(table: np.ndarray, seeds: list[int]) -> np.ndarray:
     same order."""
     weights = table[:, _WEIGHTS]
     w1, w2, w3 = weights.T
-    power, efficiency, savings = table[:, _OBJECTIVES].T
     flagged = ~((weights >= 0.0) & np.isfinite(weights)).all(axis=1)
     # Python floats overflow to inf and make nan silently; so does this
     with np.errstate(over="ignore", invalid="ignore"):
         flagged |= np.abs((w1 + w2) + w3 - 1.0) > 1e-12
-        expected = (w1 * power + w2 * efficiency) + w3 * savings
+        expected = _weighted_sum(weights, table[:, _OBJECTIVES])
         tolerance = 1e-9 * np.maximum(1.0, np.abs(expected))
         flagged |= ~(np.abs(table[:, _AGGREGATE] - expected) <= tolerance)
     flagged |= np.array([seed < 0 for seed in seeds], dtype=bool)

@@ -1,5 +1,5 @@
-"""Pinned bytes of a reduced frontier sweep, of one optimize call and of
-the fuzzify models.
+"""Pinned bytes of a reduced frontier sweep and its stdout, of one
+optimize call and of the fuzzify models.
 
 The sweep runs 6 weight vectors (step 0.5, minimum 0) x 2 replicates with a
 short optimizer at master seed 0, so it also checks which replicate each
@@ -45,6 +45,19 @@ DIGESTS = {
 }
 
 
+# the sweep's stdout, one line per cell in grid order, then the totals;
+# the runtime line that ends it is not pinned
+STDOUT_LINES = [
+    "[  1/6] w=(1,0,0) F=77693.6 seed=12916768921883370329",
+    "[  2/6] w=(0.5,0.5,0) F=38850.9 seed=18134448204222630620",
+    "[  3/6] w=(0.5,0,0.5) F=2.65719e+08 seed=17686645062660053573",
+    "[  4/6] w=(0,1,0) F=8.73957 seed=11134056572231071924",
+    "[  5/6] w=(0,0.5,0.5) F=2.6568e+08 seed=9103324289190446835",
+    "[  6/6] w=(0,0,1) F=5.31359e+08 seed=7666368723958258137",
+    "frontier: 6 points, dominance 1.77146e+08, diversity 18.7816",
+]
+
+
 def test_reduced_sweep_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "config.json"
@@ -53,7 +66,9 @@ def test_reduced_sweep_bytes_are_pinned(tmp_path, capsys, monkeypatch):
                  "--minimum", "0", "--runs", "2", "--seed", "0",
                  "--out", "bundle"]) == 0
     out = tmp_path / "bundle"
-    capsys.readouterr()
+    *lines, runtime = capsys.readouterr().out.splitlines()
+    assert lines == STDOUT_LINES
+    assert runtime.startswith("bundle written to bundle (runtime ")
     traces = sorted(os.listdir(out / "traces"))
     assert traces == [os.path.basename(n) for n in DIGESTS
                       if n.startswith("traces/")]

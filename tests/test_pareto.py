@@ -1,6 +1,9 @@
+import csv
+import io
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +53,9 @@ def make_point(aggregate, weights=(1.0, 0.0, 0.0), seed=0):
 def tiny_frontier():
     problem = ss.ProblemSpec()
     grid = ss.weight_grid(step=0.5, minimum=0.0)
-    return ss.build_frontier(problem, tiny_bfa(), grid, runs_per_weight=1)
+    frontier, _ = ss.build_frontier(problem, tiny_bfa(), grid,
+                                    runs_per_weight=1)
+    return frontier
 
 
 class TestWeightGrid:
@@ -347,8 +352,8 @@ class TestRanking:
         a = make_point(1.0, weights=(0.2, 0.4, 0.4))
         b = make_point(1.0, weights=(0.1, 0.8, 0.1))
         best, _, worst = ss.rank_solutions(ss.Frontier(points=[a, b]))
-        assert best is b
-        assert worst is a
+        assert best == b
+        assert worst == a
 
     def test_dominance_is_mean_aggregate(self):
         pts = [make_point(v) for v in (2.0, 4.0, 9.0)]
@@ -396,40 +401,40 @@ class TestBuildFrontier:
     def test_deterministic_rebuild(self, tiny_frontier):
         problem = ss.ProblemSpec()
         grid = ss.weight_grid(step=0.5, minimum=0.0)
-        again = ss.build_frontier(problem, tiny_bfa(), grid,
-                                  runs_per_weight=1)
+        again, _ = ss.build_frontier(problem, tiny_bfa(), grid,
+                                     runs_per_weight=1)
         assert frontier_to_csv_text(again) == frontier_to_csv_text(
             tiny_frontier)
 
     def test_workers_do_not_change_bytes(self, tiny_frontier):
         problem = ss.ProblemSpec()
         grid = ss.weight_grid(step=0.5, minimum=0.0)
-        parallel = ss.build_frontier(problem, tiny_bfa(), grid,
-                                     runs_per_weight=1, workers=2)
+        parallel, _ = ss.build_frontier(problem, tiny_bfa(), grid,
+                                        runs_per_weight=1, workers=2)
         assert frontier_to_csv_text(parallel) == frontier_to_csv_text(
             tiny_frontier)
 
-    def test_grid_order_and_on_cell(self):
+    def test_grid_order_and_traces(self):
         problem = ss.ProblemSpec()
         grid = ss.weight_grid(step=0.5, minimum=0.0)
-        seen = []
-        frontier = ss.build_frontier(
-            problem, tiny_bfa(), grid, runs_per_weight=1,
-            on_cell=lambda point, trace: seen.append(
-                (point.weights.as_tuple(), len(trace))))
-        assert [w for w, _ in seen] == [w.as_tuple() for w in grid]
+        frontier, traces = ss.build_frontier(problem, tiny_bfa(), grid,
+                                             runs_per_weight=1)
         assert [p.weights.as_tuple() for p in frontier.points] \
             == [w.as_tuple() for w in grid]
-        assert all(rows == 2 * 1 * 1 + 1 for _, rows in seen)
+        assert len(traces) == len(grid)
+        assert all(len(trace) == 2 * 1 * 1 + 1 for trace in traces)
+        for w, seed, trace in zip(grid, frontier.seeds, traces):
+            alone = ss.run_bfa(ss.IrrigationFitness(problem, w),
+                               replace(tiny_bfa(), seed=seed))
+            assert trace == alone.trace
 
     def test_keeps_best_replicate(self):
         problem = ss.ProblemSpec()
         weights = ss.WeightVector(0.1, 0.1, 0.8)
-        frontier = ss.build_frontier(problem, tiny_bfa(seed=0), [weights],
-                                     runs_per_weight=2)
+        frontier, _ = ss.build_frontier(problem, tiny_bfa(seed=0), [weights],
+                                        runs_per_weight=2)
         point = frontier.points[0]
         fitness = ss.IrrigationFitness(problem, weights)
-        from dataclasses import replace
         runs = {}
         for rep in range(2):
             seed = ss.derive_seed(0, weights, rep)
@@ -439,6 +444,71 @@ class TestBuildFrontier:
         assert point.seed == best_seed
         assert point.aggregate_value == pytest.approx(
             runs[best_seed].best_fitness, rel=1e-12)
+
+    def test_table_matches_per_cell_points(self, monkeypatch):
+        # the reference is the per-cell path: the first replicate with the
+        # highest best fitness, made a point by solution_from_position; no
+        # weight is 0, so F's order of additions shows in its bits
+        problem = ss.ProblemSpec()
+        grid = ss.weight_grid()[::6]
+        batches = []
+        run_batch = pareto._run_batch
+
+        def recording(*args):
+            batches.append(run_batch(*args))
+            return batches[-1]
+        monkeypatch.setattr(pareto, "_run_batch", recording)
+        frontier, traces = ss.build_frontier(problem, tiny_bfa(seed=5), grid,
+                                             runs_per_weight=3)
+        results, = batches
+        rows, winners = [], []
+        for cell, w in enumerate(grid):
+            best = 3 * cell
+            for run in range(best + 1, best + 3):
+                if results[run].best_fitness > results[best].best_fitness:
+                    best = run
+            winners.append(best)
+            rows.append(solution_from_position(
+                problem, w, results[best].best_position,
+                ss.derive_seed(5, w, best - 3 * cell)).row())
+        assert winners != [3 * cell for cell in range(len(grid))]
+        want = np.array([row[:-1] for row in rows])
+        assert np.array_equal(frontier.table.view(np.int64),
+                              want.view(np.int64))
+        assert frontier.seeds == [row[-1] for row in rows]
+        assert traces == [results[k].trace for k in winners]
+
+    def test_first_tied_replicate_wins(self, monkeypatch):
+        problem = ss.ProblemSpec()
+        grid = ss.weight_grid(step=0.5, minimum=0.0)[:3]
+        fitness = [1.0, 5.0, 5.0, 7.0, 7.0, 7.0, 2.0, 3.0, 3.0 + 1e-12]
+        box = np.array(problem.design_bounds + problem.noise_bounds)
+
+        def tied(problem, cfg, weights, seeds):
+            return [ss.RunResult(
+                best_position=box[:, 0] + (box[:, 1] - box[:, 0]) * k / 8,
+                best_fitness=value,
+                trace=ss.RunTrace(best_fitness=[value], evaluations=[k]),
+                evaluations=k) for k, value in enumerate(fitness)]
+        monkeypatch.setattr(pareto, "_run_batch", tied)
+        frontier, traces = ss.build_frontier(problem, tiny_bfa(), grid,
+                                             runs_per_weight=3)
+        assert [trace.evaluations for trace in traces] == [[1], [3], [8]]
+        assert frontier.seeds == [ss.derive_seed(123, w, replicate)
+                                  for w, replicate in zip(grid, (1, 0, 2))]
+
+    def test_builds_no_points(self, monkeypatch):
+        built = []
+        post_init = ss.SolutionPoint.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+        monkeypatch.setattr(ss.SolutionPoint, "__post_init__", counting)
+        ss.build_frontier(ss.ProblemSpec(), tiny_bfa(),
+                          ss.weight_grid(step=0.5, minimum=0.0),
+                          runs_per_weight=2)
+        assert built == []
 
     def test_run_bfa_stays_bound_in_pareto(self):
         # the benchmark's span tracer wraps pareto.run_bfa by that name
@@ -470,8 +540,8 @@ class TestBuildFrontier:
     def test_cell_results_survive_grid_edits(self, tiny_frontier):
         problem = ss.ProblemSpec()
         grid = ss.weight_grid(step=0.5, minimum=0.0)
-        trimmed = ss.build_frontier(problem, tiny_bfa(), grid[1:],
-                                    runs_per_weight=1)
+        trimmed, _ = ss.build_frontier(problem, tiny_bfa(), grid[1:],
+                                       runs_per_weight=1)
         assert trimmed.points == tiny_frontier.points[1:]
 
     def test_validation(self):
@@ -486,12 +556,50 @@ class TestBuildFrontier:
                               workers=0)
 
 
+def reference_csv_text(points):
+    """The frontier CSV as csv.writer renders each point's row: the reprs
+    of its floats, then its seed."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(FRONTIER_CSV_HEADER)
+    for p in points:
+        *values, seed = p.row()
+        writer.writerow([repr(v) for v in values] + [seed])
+    return buf.getvalue()
+
+
+def edge_points():
+    """Points carrying -0.0, the smallest subnormal, the largest double,
+    and the smallest and largest seeds the hash derivation gives."""
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    return [
+        ss.SolutionPoint(
+            weights=ss.WeightVector(1.0, 0.0, 0.0),
+            design=ss.DesignVector(-0.0, tiny, huge, 0.1),
+            noise=ss.NoiseVector(-0.0, huge),
+            objectives=ss.ObjectiveTriple(huge, -0.0, tiny),
+            aggregate_value=huge, seed=0),
+        ss.SolutionPoint(
+            weights=ss.WeightVector(0.0, 0.0, 1.0),
+            design=ss.DesignVector(tiny, -0.0, 0.0, huge),
+            noise=ss.NoiseVector(tiny, -tiny),
+            objectives=ss.ObjectiveTriple(-0.0, tiny, -0.0),
+            aggregate_value=-0.0, seed=2 ** 64 - 1),
+    ]
+
+
 class TestFrontierCsv:
     def test_roundtrip_is_exact(self, tiny_frontier):
-        text = frontier_to_csv_text(tiny_frontier)
-        again = frontier_from_csv_text(text)
-        assert again.points == tiny_frontier.points
-        assert frontier_to_csv_text(again) == text
+        for points in (tiny_frontier.points, edge_points()):
+            frontier = ss.Frontier(points)
+            text = frontier_to_csv_text(frontier)
+            assert text == reference_csv_text(points)
+            again = frontier_from_csv_text(text)
+            assert again.points == points
+            assert np.array_equal(again.table.view(np.int64),
+                                  frontier.table.view(np.int64))
+            assert again.seeds == frontier.seeds
+            assert frontier_to_csv_text(again) == text
 
     def test_header_and_row_shape(self, tiny_frontier):
         lines = frontier_to_csv_text(tiny_frontier).strip().split("\n")
