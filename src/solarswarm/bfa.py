@@ -50,12 +50,7 @@ class BoxFunction:
     rows: object
 
     def __post_init__(self) -> None:
-        if not self.bounds:
-            raise ValidationError("need at least one bound")
         _bound_pairs(self.bounds)
-        for lo, hi in self.bounds:
-            if lo > hi:
-                raise ValidationError(f"bound [{lo}, {hi}] is empty")
 
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
         """rows(positions), as an array. A nan or inf value raises
@@ -385,7 +380,7 @@ def reproduce(swarm: Swarm) -> Swarm:
     size = swarm.size
     if size % 2:
         raise OddPopulation(f"cannot split a swarm of {size}")
-    order = np.lexsort((np.arange(size), -swarm.health))
+    order = np.argsort(-swarm.health, kind="stable")
     top = order[: size // 2]
     return Swarm(positions=np.repeat(swarm.positions[top], 2, axis=0),
                  raw_fitness=np.repeat(swarm.raw_fitness[top], 2),
@@ -443,21 +438,27 @@ class RunResult(NamedTuple):
 
 
 def _bound_pairs(bounds) -> np.ndarray:
-    """bounds as an (n, 2) float array, or ValidationError."""
+    """bounds as a nonempty (n, 2) float array of intervals lo <= hi, or
+    ValidationError: the one check of a search box."""
     try:
         pairs = np.asarray(bounds, dtype=float)
     except (TypeError, ValueError):  # ragged or not numbers
         pairs = None
+    if pairs is not None and pairs.shape[:1] == (0,):
+        raise ValidationError("need at least one bound")
     if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValidationError("fitness bounds must be (lo, hi) pairs")
+    empty = pairs[:, 0] > pairs[:, 1]
+    if empty.any():
+        lo, hi = pairs[empty.argmax()].tolist()
+        raise ValidationError(
+            f"fitness bounds contain an empty interval [{lo}, {hi}]")
     return pairs
 
 
 def _box(bounds, cfg: BfaConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (lower, upper, steps) arrays of a search box."""
     bounds = _bound_pairs(bounds)
-    if np.any(bounds[:, 0] > bounds[:, 1]):
-        raise ValidationError("fitness bounds contain an empty interval")
     return bounds[:, 0].copy(), bounds[:, 1].copy(), step_sizes(cfg, bounds)
 
 

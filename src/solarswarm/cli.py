@@ -439,10 +439,7 @@ def main(argv=None) -> int:
     except ValidationError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    except SolarswarmError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (SolarswarmError, OSError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 

@@ -216,11 +216,10 @@ def alpha_plane_cut(model: Type2FuzzyVariable, level: float) -> AlphaPlane:
     if not 0.0 <= level <= 1.0:
         raise ValidationError(f"level {level} outside [0, 1]")
     curve = model.annual
-    if level == 0.0:
-        hi = curve.b_hi
-    elif level <= curve.smooth_inf:
-        # every interior point clears the level; only the right endpoint
-        # (grade exactly 0) falls out, and closing the interval keeps it
+    if level <= curve.smooth_inf:
+        # every interior point clears the level (smooth_inf >= 0, so level
+        # 0 lands here); only the right endpoint (grade exactly 0) falls
+        # out, and closing the interval keeps it
         hi = curve.b_hi
     elif level >= curve.smooth_sup:
         hi = curve.b_lo
@@ -241,6 +240,17 @@ def type_reduce(model: Type2FuzzyVariable,
     return [alpha_plane_cut(model, float(level)) for level in levels]
 
 
+def _grades(value) -> float | tuple[float, float]:
+    """A single grade as a float, or a grade range as a (lo, hi) pair of
+    floats."""
+    if isinstance(value, (tuple, list)):
+        if len(value) != 2:
+            raise ValidationError(
+                f"grade range needs 2 values, got {len(value)}")
+        return (float(value[0]), float(value[1]))
+    return float(value)
+
+
 def noise_interval_from_grades(model: Type2FuzzyVariable,
                                grades: float | tuple[float, float],
                                pad: float = 0.0) -> tuple[float, float]:
@@ -255,11 +265,9 @@ def noise_interval_from_grades(model: Type2FuzzyVariable,
     if pad < 0.0:
         raise ValidationError(f"pad must be >= 0, got {pad}")
     dom_lo, dom_hi = model.domain
-    if isinstance(grades, (tuple, list)):
-        if len(grades) != 2:
-            raise ValidationError(
-                f"grade range needs 2 values, got {len(grades)}")
-        g_lo, g_hi = float(grades[0]), float(grades[1])
+    grades = _grades(grades)
+    if isinstance(grades, tuple):
+        g_lo, g_hi = grades
         if g_lo > g_hi:
             raise ValidationError(
                 f"grade range out of order: ({g_lo}, {g_hi})")
@@ -268,7 +276,7 @@ def noise_interval_from_grades(model: Type2FuzzyVariable,
         lo = scurve_invert(g_hi, model.annual)
         hi = scurve_invert(g_lo, model.annual)
     else:
-        x = scurve_invert(float(grades), model.annual)
+        x = scurve_invert(grades, model.annual)
         half = pad * (dom_hi - dom_lo)
         lo, hi = x - half, x + half
     lo, hi = max(lo, dom_lo), min(hi, dom_hi)

@@ -312,13 +312,20 @@ def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
     """The weighted aggregate of many rows at once.
 
     Row k scores positions[k] (x_a..x_d, Z_a, Z_b) with the weights
-    weights[k] = (w1, w2, w3): w1 * power + w2 * efficiency + w3 * savings,
-    added left to right. A (1, 3) array of weights serves every row.
+    weights[k] = (w1, w2, w3), F as _weighted_sum adds it. A (1, 3) array
+    of weights serves every row.
     weights.T is read as it is, so the transpose of contiguous (3, m)
     weight columns is the fastest form.
     """
-    weighted = _objective_rows(spec, positions)
-    weighted *= weights.T
+    return _weighted_sum(weights.T, _objective_rows(spec, positions))
+
+
+def _weighted_sum(weights: np.ndarray, objectives: np.ndarray) -> np.ndarray:
+    """F of every column of (3, m) objective rows under (3, m) or (3, 1)
+    weight columns: w1 * power + w2 * efficiency + w3 * savings, added
+    left to right. The one array form of F; aggregate is its scalar form.
+    """
+    weighted = objectives * weights
     total = weighted[0] + weighted[1]
     total += weighted[2]
     return total
@@ -350,7 +357,8 @@ def eval_objectives(design, noise, spec: ProblemSpec) -> ObjectiveTriple:
 
 
 def aggregate(objectives: ObjectiveTriple, weights: WeightVector) -> float:
-    """Weighted sum of the three objectives, in fixed column order."""
+    """Weighted sum of the three objectives, in fixed column order: the
+    scalar form of _weighted_sum."""
     return (weights.w1 * objectives.power
             + weights.w2 * objectives.efficiency
             + weights.w3 * objectives.savings)

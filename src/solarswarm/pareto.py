@@ -36,6 +36,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
+from .fuzzy import _grades
 from .irrigation import (
     DesignVector,
     NoiseVector,
@@ -43,6 +44,7 @@ from .irrigation import (
     ProblemSpec,
     WeightVector,
     _objective_rows,
+    _weighted_sum,
     aggregate,
     eval_objectives,
     evaluate_rows,
@@ -58,17 +60,6 @@ _AGGREGATE = 12
 
 DEFAULT_REFERENCE_COUNT = 15
 _DIVERSITY_GUARD = 1e-12
-
-
-def _point_or_pair(value):
-    if value is None:
-        return None
-    if isinstance(value, (tuple, list)):
-        if len(value) != 2:
-            raise ValidationError(
-                f"grade range needs 2 values, got {len(value)}")
-        return (float(value[0]), float(value[1]))
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -89,8 +80,9 @@ class GradeContext(ConfigCodec):
     def __post_init__(self) -> None:
         for name in ("temperature_primary", "temperature_secondary",
                      "insolation_primary", "insolation_secondary"):
-            object.__setattr__(self, name,
-                               _point_or_pair(getattr(self, name)))
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _grades(value))
         if self.pad < 0.0:
             raise ValidationError(f"pad must be >= 0, got {self.pad}")
 
@@ -168,14 +160,6 @@ class Frontier:
 
     def __len__(self) -> int:
         return len(self.seeds)
-
-
-def _weighted_sum(weights: np.ndarray, objectives: np.ndarray) -> np.ndarray:
-    """F of every row of a table's (n, 3) weight and objective columns:
-    (w1 * power + w2 * efficiency) + w3 * savings, added left to right as
-    irrigation.aggregate and evaluate_rows add it."""
-    (w1, w2, w3), (power, efficiency, savings) = weights.T, objectives.T
-    return (w1 * power + w2 * efficiency) + w3 * savings
 
 
 def _solution_point(values: list[float], seed: int) -> SolutionPoint:
@@ -303,41 +287,32 @@ def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
                + np.arange(0, len(seeds), runs_per_weight)).tolist()
     positions = np.array([results[k].best_position for k in winners],
                          dtype=float)
-    objectives = _objective_rows(problem, positions).T
-    table = np.column_stack([cell_weights, positions, objectives,
-                             _weighted_sum(cell_weights, objectives)])
+    objectives = _objective_rows(problem, positions)
+    table = np.column_stack([cell_weights, positions, objectives.T,
+                             _weighted_sum(cell_weights.T, objectives)])
     frontier = Frontier._from_table(table, [seeds[k] for k in winners],
                                     grade_context)
     return frontier, [results[k].trace for k in winners]
 
 
-def _objective_vector(item) -> tuple[float, ...]:
-    if isinstance(item, SolutionPoint):
-        return item.objectives.as_tuple()
-    if isinstance(item, ObjectiveTriple):
-        return item.as_tuple()
-    return tuple(float(v) for v in item)
+def _objective_matrix(items) -> np.ndarray:
+    """The objective vectors of SolutionPoints, ObjectiveTriples or plain
+    tuples, one float row each."""
+    return np.array([item.objectives.as_tuple()
+                     if isinstance(item, SolutionPoint)
+                     else item.as_tuple() if isinstance(item, ObjectiveTriple)
+                     else item for item in items], dtype=float)
 
 
 def nondominated_filter(points: list) -> list:
     """Maximization Pareto filter, stable order, duplicates all kept.
 
-    `points` may be SolutionPoints, ObjectiveTriples, or plain tuples.
+    `points` may be SolutionPoints, ObjectiveTriples, or plain tuples. A
+    row holding nan is never dominated and dominates no other row.
     """
-    vectors = [tuple(float(v) for v in _objective_vector(p)) for p in points]
-    kept = []
-    for i, vi in enumerate(vectors):
-        dominated = False
-        for j, vj in enumerate(vectors):
-            if j == i:
-                continue
-            if all(a >= b for a, b in zip(vj, vi)) \
-                    and any(a > b for a, b in zip(vj, vi)):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(points[i])
-    return kept
+    v = _objective_matrix(points)
+    return [p for p, row in zip(points, v)
+            if not ((v >= row).all(1) & (v > row).any(1)).any()]
 
 
 @dataclass(frozen=True)
@@ -463,8 +438,7 @@ def diversity_metric(frontier: Frontier | list,
     if isinstance(frontier, Frontier):
         matrix = frontier.table[:, _OBJECTIVES]
     else:
-        matrix = np.array([_objective_vector(p) for p in frontier],
-                          dtype=float)
+        matrix = _objective_matrix(frontier)
         if not len(matrix):
             raise ValidationError("diversity needs at least one point")
     if not references:
@@ -597,7 +571,7 @@ def _screen(table: np.ndarray, seeds: list[int]) -> np.ndarray:
     # Python floats overflow to inf and make nan silently; so does this
     with np.errstate(over="ignore", invalid="ignore"):
         flagged |= np.abs((w1 + w2) + w3 - 1.0) > 1e-12
-        expected = _weighted_sum(weights, table[:, _OBJECTIVES])
+        expected = _weighted_sum(weights.T, table[:, _OBJECTIVES].T)
         tolerance = 1e-9 * np.maximum(1.0, np.abs(expected))
         flagged |= ~(np.abs(table[:, _AGGREGATE] - expected) <= tolerance)
     flagged |= np.array([seed < 0 for seed in seeds], dtype=bool)

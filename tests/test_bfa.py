@@ -458,6 +458,23 @@ def test_reproduce_tie_breaks_on_lowest_index():
     assert child.positions[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
+def test_reproduce_ranks_as_lexsort_bit_for_bit():
+    # the ranking by descending health, ties by lowest index, written as
+    # the lexsort it replaced, on healths with ties, +-0.0 and +-inf
+    rng = np.random.default_rng(5)
+    values = np.array([0.0, -0.0, math.inf, -math.inf, 1.5, -1.5, 2.0])
+    for _ in range(200):
+        n = 2 * int(rng.integers(1, 16))
+        health = rng.choice(values, n)
+        swarm = ss.Swarm(positions=np.arange(n, dtype=float)[:, None],
+                         raw_fitness=np.zeros(n), health=health.copy())
+        top = np.lexsort((np.arange(n), -health))[:n // 2]
+        child = reproduce(swarm)
+        assert child.positions[:, 0].tolist() == np.repeat(top, 2).tolist()
+        assert (child.health.view(np.int64).tolist()
+                == np.repeat(health[top], 2).view(np.int64).tolist())
+
+
 def test_reproduce_rejects_odd_swarm():
     with pytest.raises(OddPopulation):
         reproduce(make_swarm([[0.0], [1.0], [2.0]]))

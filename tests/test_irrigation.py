@@ -16,6 +16,8 @@ from solarswarm.irrigation import (
     _ROW_BLOCK,
     CRISP_NOISE_BOUNDS,
     DEFAULT_DESIGN_BOUNDS,
+    _objective_rows,
+    _weighted_sum,
     coefficient_table,
     evaluate_rows,
 )
@@ -231,6 +233,31 @@ def test_feasible():
     assert ss.feasible((0.3, 450.0, 520.0, 0.01), (293.0, 800.0), spec)
     assert not ss.feasible((5.0, 485.0, 660.0, 0.105), COVER_MID_NOISE, spec)
     assert not ss.feasible(COVER_MID_DESIGN, (298.0, 1100.0), spec)
+
+
+def test_weighted_sum_forms_agree_bit_for_bit():
+    # F in every form: _weighted_sum, evaluate_rows under per-row weights
+    # and under one (1, 3) weight row, and aggregate of eval_objectives
+    spec = ss.ProblemSpec()
+    rng = np.random.default_rng(8)
+    box = np.array(spec.design_bounds + spec.noise_bounds)
+    positions = rng.uniform(box[:, 0], box[:, 1], size=(200, 6))
+    weights = rng.dirichlet(np.ones(3), size=200)
+    expected = np.array([
+        ss.aggregate(ss.eval_objectives(p[:4], p[4:], spec),
+                     ss.WeightVector(*w))
+        for p, w in zip(positions.tolist(), weights.tolist())])
+    bits = expected.view(np.int64).tolist()
+    objectives = _objective_rows(spec, positions)
+    assert _weighted_sum(weights.T, objectives).view(np.int64).tolist() == bits
+    assert evaluate_rows(spec, weights, positions).view(np.int64).tolist() \
+        == bits
+    for w in weights[:5]:
+        one = evaluate_rows(spec, w[None], positions)
+        assert one.view(np.int64).tolist() == np.array([
+            ss.aggregate(ss.eval_objectives(p[:4], p[4:], spec),
+                         ss.WeightVector(*w.tolist()))
+            for p in positions.tolist()]).view(np.int64).tolist()
 
 
 def test_fitness_adapter_matches_aggregate():

@@ -119,19 +119,52 @@ class TestNondominated:
         points = [(2.0, 2.0), (1.0, 5.0), (2.0, 2.0)]
         assert ss.nondominated_filter(points) == points
 
+    @staticmethod
+    def brute_force(pts):
+        expected = []
+        for i, a in enumerate(pts):
+            dominated = any(
+                all(bi >= ai for ai, bi in zip(a, b))
+                and any(bi > ai for ai, bi in zip(a, b))
+                for j, b in enumerate(pts) if j != i)
+            if not dominated:
+                expected.append(a)
+        return expected
+
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(99)
         for _ in range(20):
             pts = [tuple(row) for row in rng.uniform(0, 1, size=(40, 3))]
-            expected = []
-            for a in pts:
-                dominated = any(
-                    all(bi >= ai for ai, bi in zip(a, b))
-                    and any(bi > ai for ai, bi in zip(a, b))
-                    for b in pts if b is not a)
-                if not dominated:
-                    expected.append(a)
-            assert ss.nondominated_filter(pts) == expected
+            assert ss.nondominated_filter(pts) == self.brute_force(pts)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_brute_force_on_300_points(self, k):
+        # rounded to a coarse grid, so rows tie in some objectives
+        rng = np.random.default_rng(k)
+        pts = [tuple(row) for row in
+               np.round(rng.uniform(0, 1, size=(300, k)), 1).tolist()]
+        assert ss.nondominated_filter(pts) == self.brute_force(pts)
+
+    def test_empty_list(self):
+        assert ss.nondominated_filter([]) == []
+
+    def test_objective_triples(self):
+        points = [ss.ObjectiveTriple(1.0, 2.0, 3.0),
+                  ss.ObjectiveTriple(0.0, 2.0, 3.0),
+                  ss.ObjectiveTriple(3.0, 0.0, 0.0),
+                  ss.ObjectiveTriple(1.0, 2.0, 3.0)]
+        assert ss.nondominated_filter(points) == [points[0], points[2],
+                                                  points[3]]
+
+    def test_nan_rows_never_dominated_and_never_dominate(self):
+        nan = math.nan
+        points = [(nan, 9.0), (0.0, 1.0), (1.0, nan), (0.5, 0.5),
+                  (3.0, 3.0), (nan, nan)]
+        got = ss.nondominated_filter(points)
+        assert got == [points[0], points[2], points[4], points[5]]
+        assert got == self.brute_force(points)
+        # alone beside a row with nan, a row keeps its place
+        assert ss.nondominated_filter(points[:2]) == points[:2]
 
     def test_solution_points_pass_through(self):
         hi = make_point(2.0)
