@@ -74,10 +74,11 @@ def sphere_function(dimensions: int = 4, half_width: float = 5.0) -> BoxFunction
 class BfaConfig(ConfigCodec):
     """Optimizer settings.
 
-    The loop nest runs total_passes x elimination_cycles x
-    reproduction_cycles x chemotaxis_steps rounds; swim_limit caps the
-    extra steps a bacterium may take after a successful tumble. Step
-    length per dimension is step_fraction times that dimension's range.
+    The loop nest runs total_passes x elimination_cycles dispersals, each
+    after reproduction_cycles cycles of chemotaxis_steps rounds; swim_limit
+    caps the extra steps a bacterium may take after a successful tumble.
+    Step length per dimension is step_fraction times that dimension's
+    range. The kernel's depths and widths are numbers >= 0, never nan.
     """
 
     population_size: int = 26
@@ -114,7 +115,7 @@ class BfaConfig(ConfigCodec):
             raise ValidationError("step_fraction must be positive")
         for name in ("attract_depth", "attract_width",
                      "repel_height", "repel_width"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValidationError(f"{name} must be >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
@@ -706,6 +707,22 @@ def _take_first_best(best_fitness: np.ndarray, best_position: np.ndarray,
         best_position[better] = points[:, move, better, first].T
 
 
+def _score_stale(evaluate, positions: np.ndarray, raw: np.ndarray,
+                 count: np.ndarray, best_fitness: np.ndarray,
+                 best_position: np.ndarray) -> None:
+    """Score, count and keep every stale (nan) member, in one evaluate
+    call in (run, bacterium) order, and in none if no member is stale."""
+    runs, members = np.nonzero(np.isnan(raw))
+    if len(runs):
+        values = evaluate(runs, positions[:, runs, members].T)
+        raw[runs, members] = values
+        count += np.bincount(runs, minlength=len(raw))
+        found = np.full(raw.shape, -math.inf)
+        found[runs, members] = values
+        _take_first_best(best_fitness, best_position, found[None],
+                         positions[:, None])
+
+
 def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
                      seeds: Sequence[int]) -> list[RunResult]:
     """One optimizer run per seed, all stepped together: the package's one
@@ -716,10 +733,13 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     finite floats. positions is usually the column-ordered transpose of a
     (dims, m) array.
 
-    Each run starts from Swarm.random. Every chemotaxis round of every run
-    is one _chemotaxis_round call at the bounds of _signal_bounds: raw
-    fitness alone settles most swim decisions, the bacteria left open are
-    walked exactly in index order, and the settled moves go unsignalled.
+    The nest is Passino's: dispersals around reproduction cycles around
+    chemotaxis rounds. Each run starts from Swarm.random, scored as a
+    dispersed swarm is (_score_stale), and draws its tumbles once a cycle.
+    Every chemotaxis round of every run is one _chemotaxis_round call at
+    the bounds of _signal_bounds: raw fitness alone settles most swim
+    decisions, the bacteria left open are walked exactly in index order,
+    and the settled moves go unsignalled.
 
     Health only ranks the bacteria at reproduction. Each one's signal-free
     health lies within an error radius of its exact health
@@ -739,63 +759,52 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     if n_runs < 1:
         raise ValidationError("need at least one seed")
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    everyone = np.arange(n_runs)
     # coordinate-major state: positions[:, k, i] is run k's bacterium i
     positions = np.empty((dims, n_runs, size))
     for run, rng in enumerate(rngs):
         positions[:, run] = Swarm.random(size, lower, upper, rng).positions.T
+    raw = np.full((n_runs, size), math.nan)
+    count = np.zeros(n_runs, dtype=np.int64)
+    best_fitness = np.full(n_runs, -math.inf)
+    best_position = np.zeros((n_runs, dims))
+    _score_stale(evaluate, positions, raw, count, best_fitness, best_position)
+    # (incumbent, evaluations) after the first scoring and after each round
+    trace = [(best_fitness.tolist(), count.tolist())]
     # the box's bounds at every bacterium: clamping against whole arrays
     # is faster than against (dims, 1, 1) columns
     box_lower, box_upper = (np.broadcast_to(b[:, None, None], positions.shape)
                             .copy() for b in (lower, upper))
-    raw = evaluate(np.repeat(everyone, size),
-                   positions.reshape(dims, -1).T).reshape(n_runs, size)
-    count = np.full(n_runs, size)
-    best_fitness = np.full(n_runs, -math.inf)
-    best_position = np.zeros((n_runs, dims))
-    _take_first_best(best_fitness, best_position, raw[None],
-                     positions[:, None])
-
-    per_cycle = cfg.chemotaxis_steps
-    per_dispersal = per_cycle * cfg.reproduction_cycles
-    rounds = cfg.total_passes * cfg.elimination_cycles * per_dispersal
-    trace_fitness = np.empty((rounds + 1, n_runs))
-    trace_count = np.empty((rounds + 1, n_runs), dtype=np.int64)
-    trace_fitness[0], trace_count[0] = best_fitness, count
     lo, hi = _signal_bounds(cfg)
     # between dispersals a run's stream draws only tumbles, so one draw per
     # reproduction cycle gives every tumble the draws it would take alone.
-    # That cycle's start points, their raw fitness and moves per round, its
-    # tallies (_chemotaxis_round), a round's tumble chains and the raw
-    # fitness of every chain row (in `batch`) are all filled in place
+    # The cycle's state and a round's buffers (in `batch`) fill in place
     starts = np.empty((dims, n_runs, size))
     start_raw = np.empty((n_runs, size))
-    moves = np.empty((per_cycle, dims, n_runs, size))
+    moves = np.empty((cfg.chemotaxis_steps, dims, n_runs, size))
     tally = np.empty((4, n_runs, size))
     health = tally[0]
-    batch = _batch(everyone, size, dims, cfg)
-    for row in range(1, rounds + 1):
-        cycle_round = (row - 1) % per_cycle
-        if cycle_round == 0:
+    batch = _batch(np.arange(n_runs), size, dims, cfg)
+    for _ in range(cfg.total_passes * cfg.elimination_cycles):
+        for _ in range(cfg.reproduction_cycles):
             tally.fill(0.0)
             starts[:], start_raw[:] = positions, raw
             for run, rng in enumerate(rngs):
-                tumbles = _tumble_round(rng, per_cycle * size, dims)
+                tumbles = _tumble_round(rng, cfg.chemotaxis_steps * size, dims)
                 np.multiply(steps[:, None], tumbles.reshape(
-                    per_cycle, size, dims).transpose(0, 2, 1),
+                    cfg.chemotaxis_steps, size, dims).transpose(0, 2, 1),
                     out=moves[:, :, run])
-        positions, raw, walked = _chemotaxis_round(
-            evaluate, batch, positions, raw, moves[cycle_round], tally,
-            box_lower, box_upper, cfg, (lo, hi))
-        # the raw fitness of the moves made, in walk order, and -inf
-        # elsewhere: one update keeps the first strictly greater value, as
-        # one update per move would
-        _take_first_best(best_fitness, best_position,
-                         np.where(walked, batch.scored, -math.inf),
-                         batch.chains)
-        count += walked.sum(axis=(0, 2))
-        trace_fitness[row], trace_count[row] = best_fitness, count
-        if row % per_cycle == 0:
+            for round_moves in moves:
+                positions, raw, walked = _chemotaxis_round(
+                    evaluate, batch, positions, raw, round_moves, tally,
+                    box_lower, box_upper, cfg, (lo, hi))
+                # the raw fitness of the moves made, in walk order, and
+                # -inf elsewhere: one update keeps the first strictly
+                # greater value, as one update per move would
+                _take_first_best(best_fitness, best_position,
+                                 np.where(walked, batch.scored, -math.inf),
+                                 batch.chains)
+                count += walked.sum(axis=(0, 2))
+                trace.append((best_fitness.tolist(), count.tolist()))
             # a run whose ranking the radii leave open replays its cycle
             # with every signal, for its exact health
             radius = _health_radius(*tally[1:], max(-lo, hi))
@@ -810,25 +819,16 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
                                         health[run]))
                 positions[:, run], raw[run] = (child.positions.T,
                                                child.raw_fitness)
-        if row % per_dispersal == 0:
-            for run, rng in enumerate(rngs):
-                eliminate_disperse(Swarm(positions[:, run].T, raw[run],
-                                         health[run]), cfg, rng, bounds)
-            runs, members = np.nonzero(np.isnan(raw))
-            if len(runs):
-                values = evaluate(runs, positions[:, runs, members].T)
-                raw[runs, members] = values
-                count += np.bincount(runs, minlength=n_runs)
-                found = np.full(raw.shape, -math.inf)
-                found[runs, members] = values
-                _take_first_best(best_fitness, best_position, found[None],
-                                 positions[:, None])
+        for run, rng in enumerate(rngs):
+            eliminate_disperse(Swarm(positions[:, run].T, raw[run],
+                                     health[run]), cfg, rng, bounds)
+        _score_stale(evaluate, positions, raw, count, best_fitness,
+                     best_position)
 
-    results = []
-    for run in range(n_runs):
-        trace = RunTrace(best_fitness=trace_fitness[:, run].tolist(),
-                         evaluations=trace_count[:, run].tolist())
-        results.append(RunResult(best_position=best_position[run].copy(),
-                                 best_fitness=float(best_fitness[run]),
-                                 trace=trace, evaluations=int(count[run])))
-    return results
+    fitness, counts = ([list(run) for run in zip(*rows)]
+                       for rows in zip(*trace))
+    return [RunResult(best_position=best_position[run].copy(),
+                      best_fitness=float(best_fitness[run]),
+                      trace=RunTrace(fitness[run], counts[run]),
+                      evaluations=int(count[run]))
+            for run in range(n_runs)]

@@ -39,7 +39,6 @@ from .pareto import (
     build_frontier,
     compute_metrics,
     derive_seed,
-    frontier_dominance,
     frontier_from_csv_text,
     rank_solutions,
     read_frontier_csv,
@@ -75,15 +74,18 @@ class RunConfig(ConfigCodec):
             raise ValidationError("master_seed must be nonnegative")
 
 
+# the flags that override a RunConfig field, where a subcommand has them
+_OVERRIDES = (("seed", "master_seed"), ("workers", "workers"),
+              ("out", "out_dir"), ("step", "weight_step"),
+              ("minimum", "weight_minimum"), ("runs", "runs_per_weight"))
+
+
 def _load_config(args) -> RunConfig:
     config = (RunConfig.from_dict(read_json(args.config))
               if getattr(args, "config", None) else RunConfig())
-    if getattr(args, "seed", None) is not None:
-        config.master_seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
-    if getattr(args, "out", None) is not None:
-        config.out_dir = args.out
+    for flag, name in _OVERRIDES:
+        if getattr(args, flag, None) is not None:
+            setattr(config, name, getattr(args, flag))
     return config
 
 
@@ -101,15 +103,14 @@ def _resolve_problem(config: RunConfig, args) -> ProblemSpec:
         return config.problem
     table = _load_table(config, args)
     bounds = list(config.problem.noise_bounds)
-    if context.temperature_secondary is not None:
-        model = fuzzy.build_type2_model(table, climate.FACTOR_TEMPERATURE)
-        bounds[0] = fuzzy.noise_interval_from_grades(
-            model, context.temperature_secondary, context.pad)
-    if context.insolation_secondary is not None:
-        model = fuzzy.build_type2_model(table, climate.FACTOR_INSOLATION)
-        bounds[1] = fuzzy.noise_interval_from_grades(
-            model, context.insolation_secondary, context.pad)
-    return config.problem.with_noise_bounds(bounds)
+    # the noise bounds are (Z_a, Z_b): temperature, then insolation
+    for index, factor in enumerate(climate.FACTORS):
+        grades = getattr(context, f"{factor}_secondary")
+        if grades is not None:
+            model = fuzzy.build_type2_model(table, factor)
+            bounds[index] = fuzzy.noise_interval_from_grades(
+                model, grades, context.pad)
+    return replace(config.problem, noise_bounds=bounds)
 
 
 def _parse_weights(text: str) -> WeightVector:
@@ -262,12 +263,6 @@ def _summary_text(frontier: Frontier, metrics: dict, config: RunConfig,
 
 def cmd_frontier(args) -> int:
     config = _load_config(args)
-    if args.step is not None:
-        config.weight_step = args.step
-    if args.minimum is not None:
-        config.weight_minimum = args.minimum
-    if args.runs is not None:
-        config.runs_per_weight = args.runs
     weights = weight_grid(config.weight_step, config.weight_minimum)
     problem = _resolve_problem(config, args)
     cfg = replace(config.bfa, seed=config.master_seed)
@@ -387,16 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="run config JSON file")
         p.add_argument("--out", help="output directory")
+        p.add_argument("--climate",
+                       help="climate CSV (default: packaged table)")
 
     p = sub.add_parser("fuzzify",
                        help="fit membership models to a climate table")
     common(p)
-    p.add_argument("--climate", help="climate CSV (default: packaged table)")
     p.set_defaults(handler=cmd_fuzzify)
 
     p = sub.add_parser("optimize", help="optimize one weight vector")
     common(p)
-    p.add_argument("--climate", help="climate CSV (default: packaged table)")
     p.add_argument("--weights",
                    help="three comma-separated objective weights")
     p.add_argument("--seed", type=int,
@@ -408,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frontier", help="sweep the full weight grid")
     common(p)
-    p.add_argument("--climate", help="climate CSV (default: packaged table)")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--workers", type=int, help="parallel worker processes")
     p.add_argument("--step", type=float, help="weight grid spacing")

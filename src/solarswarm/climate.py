@@ -67,7 +67,9 @@ class MonthlyClimateRecord:
 
     def interval(self, factor: str) -> tuple[float, float]:
         """(min, max) for the given factor this month."""
-        _check_factor(factor)
+        if factor not in FACTORS:
+            raise ValidationError(
+                f"unknown factor {factor!r}; expected one of {FACTORS}")
         if factor == FACTOR_TEMPERATURE:
             return (self.temp_min, self.temp_max)
         return (self.insol_min, self.insol_max)
@@ -91,12 +93,6 @@ class ClimateTable:
         if not 1 <= month <= 12:
             raise MonthOutOfRange(f"month {month} outside 1..12")
         return self.records[month - 1]
-
-
-def _check_factor(factor: str) -> None:
-    if factor not in FACTORS:
-        raise ValidationError(
-            f"unknown factor {factor!r}; expected one of {FACTORS}")
 
 
 def _parse_number(text: str, row: int, column: str) -> float:
@@ -171,6 +167,5 @@ def monthly_interval(table: ClimateTable, month: int,
 
 def annual_extrema(table: ClimateTable, factor: str) -> tuple[float, float]:
     """(min of monthly minima, max of monthly maxima) across the year."""
-    _check_factor(factor)
     intervals = [r.interval(factor) for r in table.records]
     return (min(lo for lo, _ in intervals), max(hi for _, hi in intervals))

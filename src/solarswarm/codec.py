@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import fields
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -31,12 +32,22 @@ def read_text(path: str) -> str:
 
 def read_json(path: str):
     """The JSON document in a file; an unreadable file or bad JSON is a
-    one-line ValidationError."""
+    one-line ValidationError. Every number must be finite: NaN, Infinity,
+    -Infinity and literals that overflow a float, such as 1e999, are bad
+    JSON."""
     text = read_text(path)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as err:  # JSONDecodeError, or a non-finite number
         raise ValidationError(f"{path} is not valid JSON: {err}") from None
+
+
+def _finite(text: str) -> float:
+    """A JSON number's float, or ValueError if it is not finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def write_text(path: str, text: str, newline: str | None = None) -> None:

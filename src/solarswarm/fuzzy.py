@@ -75,14 +75,12 @@ class SCurveParams(ConfigCodec):
         return self.B / (1.0 + self.C * math.exp(self.alpha))
 
 
-def fit_scurve(lo: float, hi: float, *, B: float = DEFAULT_B,
-               C: float = DEFAULT_C, alpha: float = DEFAULT_ALPHA
-               ) -> SCurveParams:
-    """Anchor an S-curve to an observed (lo, hi) interval."""
+def fit_scurve(lo: float, hi: float) -> SCurveParams:
+    """Anchor a default-shape S-curve to an observed (lo, hi) interval."""
     if not (lo < hi):
         raise DegenerateRange(
             f"cannot fit a curve to a widthless interval [{lo}, {hi}]")
-    return SCurveParams(b_lo=lo, b_hi=hi, B=B, C=C, alpha=alpha)
+    return SCurveParams(b_lo=lo, b_hi=hi)
 
 
 def scurve_grade(b, params: SCurveParams):

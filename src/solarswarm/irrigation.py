@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -166,10 +166,6 @@ class ProblemSpec(ConfigCodec):
         if not (math.isfinite(self.power_scale_exp)
                 and math.isfinite(self.savings_scale_exp)):
             raise ValidationError("scale exponents must be finite")
-
-    def with_noise_bounds(
-            self, noise_bounds: Iterable[Sequence[float]]) -> "ProblemSpec":
-        return replace(self, noise_bounds=noise_bounds)
 
 
 # Columns of a polynomial term: the six variables, then the constant 1.
@@ -331,28 +327,25 @@ def _weighted_sum(weights: np.ndarray, objectives: np.ndarray) -> np.ndarray:
     return total
 
 
-def _as_design(design) -> tuple[float, float, float, float]:
-    if isinstance(design, DesignVector):
-        return design.as_tuple()
-    values = tuple(float(v) for v in design)
-    if len(values) != 4:
-        raise ValidationError(f"design vector needs 4 values, got {len(values)}")
-    return values
-
-
-def _as_noise(noise) -> tuple[float, float]:
-    if isinstance(noise, NoiseVector):
-        return noise.as_tuple()
-    values = tuple(float(v) for v in noise)
-    if len(values) != 2:
-        raise ValidationError(f"noise vector needs 2 values, got {len(values)}")
-    return values
+def _point(design, noise) -> tuple[float, ...]:
+    """A (design, noise) point as its six floats: a DesignVector or 4
+    numbers, then a NoiseVector or 2 numbers."""
+    point = ()
+    for name, vector, size in (("design", design, 4), ("noise", noise, 2)):
+        if isinstance(vector, (DesignVector, NoiseVector)):
+            vector = vector.as_tuple()
+        values = tuple(float(v) for v in vector)
+        if len(values) != size:
+            raise ValidationError(
+                f"{name} vector needs {size} values, got {len(values)}")
+        point += values
+    return point
 
 
 def eval_objectives(design, noise, spec: ProblemSpec) -> ObjectiveTriple:
     """Evaluate all three response surfaces at one (design, noise) point."""
     power, efficiency, savings = _objective_rows(
-        spec, np.array([_as_design(design) + _as_noise(noise)]))[:, 0].tolist()
+        spec, np.array([_point(design, noise)]))[:, 0].tolist()
     return ObjectiveTriple(power=power, efficiency=efficiency, savings=savings)
 
 
@@ -366,7 +359,7 @@ def aggregate(objectives: ObjectiveTriple, weights: WeightVector) -> float:
 
 def feasible(design, noise, spec: ProblemSpec) -> bool:
     """True when every variable sits inside its (closed) interval."""
-    values = _as_design(design) + _as_noise(noise)
+    values = _point(design, noise)
     bounds = spec.design_bounds + spec.noise_bounds
     return all(lo <= v <= hi for v, (lo, hi) in zip(values, bounds))
 

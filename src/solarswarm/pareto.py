@@ -181,17 +181,12 @@ def weight_grid(step: float = 0.1, minimum: float = 0.1
     units = round(1.0 / step)
     if units < 1 or abs(units * step - 1.0) > 1e-9:
         raise ValidationError(f"step {step} must divide 1 evenly")
-    if minimum < 0.0:
-        raise ValidationError(f"minimum {minimum} must be >= 0")
-    floor_units = math.ceil(minimum / step - 1e-9)
-    grid = []
-    for i in range(units, -1, -1):
-        for j in range(units - i, -1, -1):
-            k = units - i - j
-            if min(i, j, k) >= floor_units:
-                grid.append(WeightVector(round(i * step, 12),
-                                         round(j * step, 12),
-                                         round(k * step, 12)))
+    if not 0.0 <= minimum < math.inf:
+        raise ValidationError(f"minimum {minimum} must be finite and >= 0")
+    # a minimum above 1 empties the grid as 1 does, and cannot overflow
+    floor_units = math.ceil(min(minimum, 1.0) / step - 1e-9)
+    grid = [WeightVector(*(round(n * step, 12) for n in node))
+            for node in _compositions(units, 3) if min(node) >= floor_units]
     if not grid:
         raise EmptyGrid(
             f"no weight vector has all components >= {minimum} "
@@ -356,6 +351,8 @@ def sigma_components(values) -> SigmaVector:
 
 
 def _compositions(total: int, parts: int):
+    """Every tuple of `parts` nonnegative ints summing to `total`, in
+    descending lexicographic order: the nodes of a simplex lattice."""
     if parts == 1:
         yield (total,)
         return
@@ -495,11 +492,10 @@ def rank_solutions(frontier: Frontier
                  for k in (0, (len(ordered) - 1) // 2, -1))
 
 
-def compute_metrics(frontier: Frontier,
-                    reference_count: int = DEFAULT_REFERENCE_COUNT) -> dict:
+def compute_metrics(frontier: Frontier) -> dict:
     """The metrics document for a frontier, ready for JSON."""
     n_objectives = frontier.table[:, _OBJECTIVES].shape[1]
-    references = reference_sigma_lines(n_objectives, reference_count)
+    references = reference_sigma_lines(n_objectives, DEFAULT_REFERENCE_COUNT)
     return {
         "dominance_mean_F": frontier_dominance(frontier),
         "diversity": diversity_metric(frontier, references),

@@ -109,6 +109,10 @@ def test_config_validation():
         ss.BfaConfig(step_fraction=0.0)
     with pytest.raises(ValidationError):
         ss.BfaConfig(attract_depth=-0.1)
+    for name in ("attract_depth", "attract_width", "repel_height",
+                 "repel_width"):
+        with pytest.raises(ValidationError, match=f"^{name} must be >= 0$"):
+            ss.BfaConfig(**{name: math.nan})
     with pytest.raises(ValidationError):
         ss.BfaConfig(seed=-1)
 

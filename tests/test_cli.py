@@ -227,6 +227,43 @@ class TestFrontier:
         frontier = read_frontier_csv(os.path.join(out, "frontier.csv"))
         assert len(frontier) == 6
 
+    @pytest.mark.parametrize("value, error", [
+        ("nan", "ValidationError: minimum nan must be finite and >= 0"),
+        ("inf", "ValidationError: minimum inf must be finite and >= 0"),
+        ("-inf", "ValidationError: minimum -inf must be finite and >= 0"),
+        ("1e308", "EmptyGrid: no weight vector has all components >= "
+                  "1e+308 on a grid of step 0.1"),
+    ])
+    def test_out_of_range_minimum_flag_is_one_line(self, value, error,
+                                                   tmp_path, capsys):
+        code = main(["frontier", f"--minimum={value}",
+                     "--out", str(tmp_path / "x")])
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert code == 1
+        assert not os.path.exists(tmp_path / "x")
+
+    # json.dumps writes these spellings; a package file never holds them
+    @pytest.mark.parametrize("command, document, literal", [
+        ("frontier", '{"weight_minimum": NaN}', "NaN"),
+        ("frontier", '{"weight_minimum": Infinity}', "Infinity"),
+        ("frontier", '{"weight_step": 1e999}', "1e999"),
+        ("optimize", '{"bfa": {"attract_depth": NaN}}', "NaN"),
+        ("optimize", '{"bfa": {"repel_width": -Infinity}}', "-Infinity"),
+        ("optimize", '{"bfa": {"attract_width": -1E400}}', "-1E400"),
+    ])
+    def test_non_finite_config_number_is_one_line(self, command, document,
+                                                  literal, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(document)
+        weights = ["--weights", "0.1,0.1,0.8"] if command == "optimize" else []
+        code = main([command, "--config", str(config),
+                     "--out", str(tmp_path / "x"), *weights])
+        assert capsys.readouterr().err == (
+            f"error: ValidationError: {config} is not valid JSON: "
+            f"non-finite number {literal}\n")
+        assert code == 1
+        assert not os.path.exists(tmp_path / "x")
+
     def test_grade_context_reshapes_noise_bounds(self, tmp_path):
         context = {"temperature_secondary": 0.17169,
                    "insolation_secondary": [0.02907, 0.92274]}

@@ -14,7 +14,6 @@ from solarswarm.errors import (
 )
 from solarswarm.irrigation import (
     _ROW_BLOCK,
-    CRISP_NOISE_BOUNDS,
     DEFAULT_DESIGN_BOUNDS,
     _objective_rows,
     _weighted_sum,
@@ -271,12 +270,26 @@ def test_fitness_adapter_matches_aggregate():
     assert fitness.evaluate(position) == expected
 
 
-def test_with_noise_bounds():
+@pytest.mark.parametrize("design, noise, message", [
+    (COVER_MID_DESIGN[:3], COVER_MID_NOISE,
+     "design vector needs 4 values, got 3"),
+    ((*COVER_MID_DESIGN, 1.0), ss.NoiseVector(*COVER_MID_NOISE),
+     "design vector needs 4 values, got 5"),
+    (ss.DesignVector(*COVER_MID_DESIGN), (*COVER_MID_NOISE, 1.0),
+     "noise vector needs 2 values, got 3"),
+    (COVER_MID_DESIGN, COVER_MID_NOISE[:1],
+     "noise vector needs 2 values, got 1"),
+])
+def test_point_reader_names_the_vector_of_the_wrong_length(design, noise,
+                                                           message):
+    # the design is read first, so a point with both wrong names the design
     spec = ss.ProblemSpec()
-    narrowed = spec.with_noise_bounds([(295.0, 296.0), (850.0, 860.0)])
-    assert narrowed.noise_bounds == ((295.0, 296.0), (850.0, 860.0))
-    assert narrowed.design_bounds == spec.design_bounds
-    assert spec.noise_bounds == CRISP_NOISE_BOUNDS
+    for read in (ss.eval_objectives, ss.feasible):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            read(design, noise, spec)
+    if message.startswith("noise"):
+        with pytest.raises(ValidationError, match="^design vector"):
+            ss.eval_objectives(COVER_MID_DESIGN[:3], noise, spec)
 
 
 def same_bits(a, b):

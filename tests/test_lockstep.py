@@ -402,6 +402,43 @@ def test_lockstep_evaluates_swims_past_the_stop_inside_the_box(reference):
     assert len(seen) > sum(got.evaluations for got in results)
 
 
+@pytest.mark.parametrize("prob", [0.0, 1.0])
+def test_only_stale_members_are_scored_outside_the_rounds(prob, monkeypatch):
+    # outside the chemotaxis rounds, evaluate scores only stale members,
+    # every run's in one call in (run, bacterium) order: first the fresh
+    # Swarm.random swarms, then each dispersal's relocated members. With
+    # none relocated a dispersal makes no call; with all, one call scores
+    # every member of every run
+    spec, cfg = SETTINGS["coded"]
+    cfg = replace(cfg, elimination_prob=prob)
+    table = np.array([w.as_tuple() for w, _ in MIXED])
+    seeds = [ss.derive_seed(cfg.seed, w, rep) for w, rep in MIXED]
+    log = RowLog(lambda runs, positions: evaluate_rows(spec, table[runs],
+                                                       positions))
+    inside, chemotaxis_round = set(), bfa._chemotaxis_round
+
+    def counted(*args):
+        first = len(log.rows)
+        result = chemotaxis_round(*args)
+        inside.update(range(first, len(log.rows)))
+        return result
+
+    monkeypatch.setattr(bfa, "_chemotaxis_round", counted)
+    box = np.array(spec.design_bounds + spec.noise_bounds)
+    run_bfa_lockstep(log, box, cfg, seeds)
+    outside = [k for k in range(len(log.rows)) if k not in inside]
+    dispersals = cfg.total_passes * cfg.elimination_cycles
+    assert outside[0] == 0
+    assert len(outside) == (1 if prob == 0.0 else 1 + dispersals)
+    everyone = np.repeat(np.arange(len(seeds)), cfg.population_size)
+    for k in outside:
+        assert np.array_equal(log.runs[k], everyone)
+    fresh = [ss.Swarm.random(cfg.population_size, box[:, 0], box[:, 1],
+                             np.random.default_rng(seed)).positions
+             for seed in seeds]
+    assert np.array_equal(log.rows[0], np.concatenate(fresh))
+
+
 def test_evaluate_rows_matches_scalar_evaluator():
     spec = ss.ProblemSpec(variable_mode="raw")
     rng = np.random.default_rng(3)

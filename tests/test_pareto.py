@@ -78,7 +78,33 @@ class TestWeightGrid:
         assert grid == [(1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.5, 0.0, 0.5),
                         (0.0, 1.0, 0.0), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0)]
 
+    @staticmethod
+    def double_loop(step, minimum):
+        """The grid as the package enumerated it before it read the
+        lattice off _compositions: the frozen reference."""
+        units = round(1.0 / step)
+        floor_units = math.ceil(minimum / step - 1e-9)
+        grid = []
+        for i in range(units, -1, -1):
+            for j in range(units - i, -1, -1):
+                k = units - i - j
+                if min(i, j, k) >= floor_units:
+                    grid.append((round(i * step, 12), round(j * step, 12),
+                                 round(k * step, 12)))
+        return grid
+
+    @pytest.mark.parametrize("step, minimum", [
+        (0.1, 0.1), (0.5, 0.0), (0.25, 0.0), (1.0, 0.0), (0.05, 0.2),
+        (0.2, 0.05)])
+    def test_grid_equals_the_double_loop(self, step, minimum):
+        grid = [w.as_tuple() for w in ss.weight_grid(step, minimum)]
+        want = self.double_loop(step, minimum)
+        assert grid == want
+        assert np.array_equal(np.array(grid).view(np.int64),
+                              np.array(want).view(np.int64))
+
     def test_infeasible_minimum(self):
+        assert self.double_loop(0.1, 0.4) == []
         with pytest.raises(EmptyGrid):
             ss.weight_grid(step=0.1, minimum=0.4)
 
@@ -765,7 +791,7 @@ class TestMetrics:
         assert json.loads(text) == metrics
 
     def test_diversity_matches_direct_call(self, tiny_frontier):
-        metrics = ss.compute_metrics(tiny_frontier, reference_count=15)
+        metrics = ss.compute_metrics(tiny_frontier)
         refs = reference_sigma_lines(3, 15)
         assert metrics["diversity"] == pytest.approx(
             ss.diversity_metric(tiny_frontier, refs), rel=1e-15)
