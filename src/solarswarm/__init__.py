@@ -32,7 +32,6 @@ from .fuzzy import (
     SCurveParams,
     Type2FuzzyVariable,
     build_type2_model,
-    fit_scurve,
     noise_interval_from_grades,
     sample_fou,
     scurve_grade,

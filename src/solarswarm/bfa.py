@@ -1,11 +1,11 @@
 """Bacterial foraging optimizer over a box-bounded search space.
 
-Maximizes a fitness function with the classic four-phase loop nest: outer
-restart passes, elimination-dispersal cycles, reproduction cycles, and
-chemotaxis rounds, each round giving every bacterium one tumble plus a short
-swim while its effective fitness keeps improving. Effective fitness is raw
-fitness plus a cell-to-cell swarming signal (Gaussian attraction wells and
-repulsion bumps summed over the whole swarm, self included).
+Maximizes a fitness function with Passino's loop nest: elimination-dispersal
+cycles around reproduction cycles around chemotaxis rounds, each round
+giving every bacterium one tumble plus a short swim while its effective
+fitness keeps improving. Effective fitness is raw fitness plus a
+cell-to-cell swarming signal (Gaussian attraction wells and repulsion bumps
+summed over the whole swarm, self included).
 
 All randomness flows through one numpy Generator seeded from the config
 (PCG64 via np.random.default_rng), so a seed pins the full trajectory
@@ -74,11 +74,12 @@ def sphere_function(dimensions: int = 4, half_width: float = 5.0) -> BoxFunction
 class BfaConfig(ConfigCodec):
     """Optimizer settings.
 
-    The loop nest runs total_passes x elimination_cycles dispersals, each
-    after reproduction_cycles cycles of chemotaxis_steps rounds; swim_limit
-    caps the extra steps a bacterium may take after a successful tumble.
-    Step length per dimension is step_fraction times that dimension's
-    range. The kernel's depths and widths are numbers >= 0, never nan.
+    The loop nest runs elimination_cycles dispersals, each after
+    reproduction_cycles cycles of chemotaxis_steps rounds; swim_limit caps
+    the extra steps a bacterium may take after a successful tumble. Step
+    length per dimension is step_fraction times that dimension's range.
+    The kernel's depths and widths are numbers >= 0, never nan; zero
+    depths swarm without signalling.
     """
 
     population_size: int = 26
@@ -86,14 +87,12 @@ class BfaConfig(ConfigCodec):
     swim_limit: int = 5
     reproduction_cycles: int = 5
     elimination_cycles: int = 5
-    total_passes: int = 1
     step_fraction: float = 0.05
     attract_depth: float = 0.1
     attract_width: float = 0.2
     repel_height: float = 0.1
     repel_width: float = 10.0
     elimination_prob: float = 0.25
-    swarming: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -105,7 +104,7 @@ class BfaConfig(ConfigCodec):
                 f"population_size must be even so reproduction can split "
                 f"the swarm, got {self.population_size}")
         for name in ("chemotaxis_steps", "swim_limit", "reproduction_cycles",
-                     "elimination_cycles", "total_passes"):
+                     "elimination_cycles"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         if not 0.0 <= self.elimination_prob <= 1.0:
@@ -217,15 +216,13 @@ def _signal_rows(points: np.ndarray, members: np.ndarray, cfg: BfaConfig,
 
 def _signal_bounds(cfg: BfaConfig) -> tuple[float, float]:
     """(lo, hi) with lo <= _signal_rows(...) <= hi for every swarm of
-    population_size members, both 0 with swarming off.
+    population_size members, both 0 with zero depths.
 
     Every kernel value is the exp of a non-positive number, so each of the
     two kernel sums over P members lies in [0, P], and so the signal in
     [-attract_depth*P, repel_height*P]; the factor 1 + 1e-9 covers the
     rounding of the products.
     """
-    if not cfg.swarming:
-        return 0.0, 0.0
     members = cfg.population_size * (1.0 + 1e-9)
     return -cfg.attract_depth * members, cfg.repel_height * members
 
@@ -321,14 +318,11 @@ def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raws,
     the number of moves made.
     """
     positions = swarm.positions
-    if cfg.swarming:
-        # the stop depends on the signals, so one call signals every row of
-        # the chain, rows past the stop included
-        swarms = np.repeat(positions[None], len(chain), axis=0)
-        swarms[:, index] = chain
-        signal = _signal_rows(chain, swarms, cfg, rates).tolist()
-    else:
-        signal = [0.0] * len(chain)
+    # the stop depends on the signals, so one call signals every row of the
+    # chain, rows past the stop included
+    swarms = np.repeat(positions[None], len(chain), axis=0)
+    swarms[:, index] = chain
+    signal = _signal_rows(chain, swarms, cfg, rates).tolist()
     # nothing below reads the swarm, so it is written once, after the swim
     prev_eff = float(swarm.raw_fitness[index]) + signal[0]
     health = float(swarm.health[index])
@@ -784,7 +778,7 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     tally = np.empty((4, n_runs, size))
     health = tally[0]
     batch = _batch(np.arange(n_runs), size, dims, cfg)
-    for _ in range(cfg.total_passes * cfg.elimination_cycles):
+    for _ in range(cfg.elimination_cycles):
         for _ in range(cfg.reproduction_cycles):
             tally.fill(0.0)
             starts[:], start_raw[:] = positions, raw

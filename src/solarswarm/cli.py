@@ -332,11 +332,15 @@ def _load_bundle(path: str) -> tuple[Frontier, dict]:
 
 
 def _bundle_problem(path: str) -> ProblemSpec | None:
-    """The problem a bundle was run on, from its config.json, if any."""
+    """The problem a bundle was run on, if it has a config.json. Only the
+    problem section is decoded, so settings since removed do not matter."""
     config_path = os.path.join(path, "config.json")
     if not os.path.isfile(config_path):
         return None
-    return RunConfig.from_dict(read_json(config_path)).problem
+    sections = read_json(config_path)
+    if isinstance(sections, dict):
+        sections = {"problem": sections.get("problem", {})}
+    return RunConfig.from_dict(sections).problem
 
 
 def cmd_report(args) -> int:
@@ -368,11 +372,19 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line, a subcommand's too, as any rejected input is
+    rejected: with a one-line ValidationError, exit 1."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 # built once per process: parse_args reads the parser and leaves it as it
 # was, and each subcommand's handler is bound when it is built
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="solarswarm",
         description="Robust multiobjective sizing of a solar irrigation "
                     "pump: fuzzy climate noise, bacterial swarm search, "
@@ -426,9 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ValidationError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)

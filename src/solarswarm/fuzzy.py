@@ -32,9 +32,8 @@ from .errors import (
 # Shape constants shared by every curve: chosen so the grade falls from
 # ~1 at the low end of the range to ~0.001 at the high end, with grade
 # ~0.5 at the midpoint.
-DEFAULT_B = 1.0
-DEFAULT_C = 0.001001
-DEFAULT_ALPHA = 13.8135
+C = 0.001001
+ALPHA = 13.8135
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class SCurveParams(ConfigCodec):
     """Decreasing S-curve membership over [b_lo, b_hi].
 
     grade(b) = 1 for b <= b_lo, 0 for b >= b_hi, and
-    B / (1 + C * exp(alpha * (b - b_lo) / (b_hi - b_lo))) in between.
+    1 / (1 + C * exp(ALPHA * (b - b_lo) / (b_hi - b_lo))) in between.
     The jump to exactly 1 at b_lo is intentional: the low end of a range is
     fully compatible with "low", no matter how close C pushes the smooth
     branch to 1.
@@ -50,37 +49,16 @@ class SCurveParams(ConfigCodec):
 
     b_lo: float
     b_hi: float
-    B: float = DEFAULT_B
-    C: float = DEFAULT_C
-    alpha: float = DEFAULT_ALPHA
+
+    # grade limits of the smooth branch, as b -> b_lo from above and as
+    # b -> b_hi from below; the same for every curve
+    smooth_sup = 1.0 / (1.0 + C)
+    smooth_inf = 1.0 / (1.0 + C * math.exp(ALPHA))
 
     def __post_init__(self) -> None:
         if not (self.b_lo < self.b_hi):
             raise DegenerateRange(
                 f"need b_lo < b_hi, got [{self.b_lo}, {self.b_hi}]")
-        if self.B <= 0 or self.C <= 0 or self.alpha <= 0:
-            raise ValidationError("B, C, alpha must all be positive")
-        if self.B / (1.0 + self.C) > 1.0:
-            raise ValidationError(
-                "B/(1+C) must not exceed 1 so grades stay in [0, 1]")
-
-    @property
-    def smooth_sup(self) -> float:
-        """Upper grade limit of the smooth branch (as b -> b_lo from above)."""
-        return self.B / (1.0 + self.C)
-
-    @property
-    def smooth_inf(self) -> float:
-        """Lower grade limit of the smooth branch (as b -> b_hi from below)."""
-        return self.B / (1.0 + self.C * math.exp(self.alpha))
-
-
-def fit_scurve(lo: float, hi: float) -> SCurveParams:
-    """Anchor a default-shape S-curve to an observed (lo, hi) interval."""
-    if not (lo < hi):
-        raise DegenerateRange(
-            f"cannot fit a curve to a widthless interval [{lo}, {hi}]")
-    return SCurveParams(b_lo=lo, b_hi=hi)
 
 
 def scurve_grade(b, params: SCurveParams):
@@ -92,7 +70,7 @@ def scurve_grade(b, params: SCurveParams):
     b = np.asarray(b, dtype=float)
     t = (b - params.b_lo) / (params.b_hi - params.b_lo)
     with np.errstate(over="ignore"):  # outside the support; replaced below
-        smooth = params.B / (1.0 + params.C * np.exp(params.alpha * t))
+        smooth = 1.0 / (1.0 + C * np.exp(ALPHA * t))
     grade = np.where(b <= params.b_lo, 1.0,
                      np.where(b >= params.b_hi, 0.0, smooth))
     return float(grade) if grade.ndim == 0 else grade
@@ -108,7 +86,7 @@ def scurve_invert(grade: float, params: SCurveParams) -> float:
         raise GradeOutOfSmoothRange(
             f"grade {grade} outside invertible range "
             f"({params.smooth_inf}, {params.smooth_sup})")
-    t = math.log((params.B - grade) / (grade * params.C)) / params.alpha
+    t = math.log((1.0 - grade) / (grade * C)) / ALPHA
     return params.b_lo + (params.b_hi - params.b_lo) * t
 
 
@@ -144,9 +122,9 @@ def build_type2_model(table: climate.ClimateTable,
                       factor: str) -> Type2FuzzyVariable:
     """Fit monthly and annual curves to a climate table."""
     monthly = tuple(
-        fit_scurve(*climate.monthly_interval(table, month, factor))
+        SCurveParams(*climate.monthly_interval(table, month, factor))
         for month in range(1, 13))
-    annual = fit_scurve(*climate.annual_extrema(table, factor))
+    annual = SCurveParams(*climate.annual_extrema(table, factor))
     return Type2FuzzyVariable(factor=factor, monthly=monthly, annual=annual)
 
 

@@ -116,7 +116,10 @@ class WeightVector:
 
 def _check_bounds(bounds: Iterable[Sequence[float]], n: int,
                   label: str) -> tuple[tuple[float, float], ...]:
-    pairs = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    try:
+        pairs = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    except (TypeError, ValueError):  # not a sequence of pairs of numbers
+        raise ValidationError(f"{label} needs {n} (lo, hi) pairs") from None
     if len(pairs) != n:
         raise ValidationError(f"{label} needs {n} (lo, hi) pairs, got {len(pairs)}")
     for lo, hi in pairs:

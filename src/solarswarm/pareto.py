@@ -172,21 +172,34 @@ def _solution_point(values: list[float], seed: int) -> SolutionPoint:
                          aggregate_value=values[12], seed=seed)
 
 
+# the most weight vectors one grid may hold; the default grid has 36
+MAX_GRID_VECTORS = 10 ** 6
+
+
 def weight_grid(step: float = 0.1, minimum: float = 0.1
                 ) -> list[WeightVector]:
     """All weight triples on the simplex lattice of spacing `step` whose
-    components all reach `minimum`, in descending lexicographic order."""
+    components all reach `minimum`, in descending lexicographic order; a
+    grid of more than MAX_GRID_VECTORS is rejected before it is built."""
     if not 0.0 < step <= 1.0:
         raise ValidationError(f"step {step} outside (0, 1]")
-    units = round(1.0 / step)
-    if units < 1 or abs(units * step - 1.0) > 1e-9:
+    # 1 / step overflows for the smallest subnormal steps
+    units = round(1.0 / step) if 1.0 / step < math.inf else 0
+    if abs(units * step - 1.0) > 1e-9:
         raise ValidationError(f"step {step} must divide 1 evenly")
     if not 0.0 <= minimum < math.inf:
         raise ValidationError(f"minimum {minimum} must be finite and >= 0")
     # a minimum above 1 empties the grid as 1 does, and cannot overflow
     floor_units = math.ceil(min(minimum, 1.0) / step - 1e-9)
-    grid = [WeightVector(*(round(n * step, 12) for n in node))
-            for node in _compositions(units, 3) if min(node) >= floor_units]
+    # the nodes whose parts all reach floor_units are those of the smaller
+    # lattice left after giving each part floor_units (none if free < 0)
+    free = units - 3 * floor_units
+    if free >= 0 and math.comb(free + 2, 2) > MAX_GRID_VECTORS:
+        raise ValidationError(
+            f"a grid of step {step} and minimum {minimum} holds more than "
+            f"{MAX_GRID_VECTORS} weight vectors")
+    grid = [WeightVector(*(round((n + floor_units) * step, 12) for n in node))
+            for node in _compositions(free, 3)]
     if not grid:
         raise EmptyGrid(
             f"no weight vector has all components >= {minimum} "

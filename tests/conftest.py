@@ -77,7 +77,7 @@ def reference_run(f, cfg):
     for i in range(swarm.size):
         score(swarm, i)
     fitness, counts = [recorder.best_fitness], [recorder.count]
-    for _ in range(cfg.total_passes * cfg.elimination_cycles):
+    for _ in range(cfg.elimination_cycles):
         for _ in range(cfg.reproduction_cycles):
             swarm.health[:] = 0.0
             for _ in range(cfg.chemotaxis_steps):

@@ -26,6 +26,9 @@ from solarswarm.bfa import (
 )
 from solarswarm.errors import NonFiniteResult, OddPopulation, ValidationError
 
+# zero depths: the swarm without its cell-to-cell signal
+NO_SIGNAL = {"attract_depth": 0.0, "repel_height": 0.0}
+
 # probe equidistant from two members at squared distance 1, table defaults:
 # -0.1*exp(-0.2)*2 + 0.1*exp(-10)*2, frozen before this module was built
 TWO_MEMBER_SIGNAL = -0.16373707062964388
@@ -118,7 +121,7 @@ def test_config_validation():
 
 
 def test_config_dict_roundtrip():
-    cfg = ss.BfaConfig(population_size=4, seed=9, swarming=False)
+    cfg = ss.BfaConfig(population_size=4, seed=9, repel_height=0.0)
     assert ss.BfaConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ValidationError):
         ss.BfaConfig.from_dict({"population": 10})
@@ -221,7 +224,7 @@ def test_signal_lies_within_its_bounds(case):
     lo, hi = _signal_bounds(cfg)
     signal = _signal_rows(points, members, cfg, _kernel_rates(cfg))
     assert np.all((lo <= signal) & (signal <= hi))
-    assert _signal_bounds(replace(cfg, swarming=False)) == (0.0, 0.0)
+    assert _signal_bounds(replace(cfg, **NO_SIGNAL)) == (0.0, 0.0)
 
 
 def test_signal_bounds_are_reached_up_to_rounding():
@@ -247,7 +250,7 @@ def health_terms(draw):
     size = draw(st.sampled_from([2, 26]))
     scale = st.one_of(st.just(0.0), st.floats(1e-3, 1e5))
     cfg = ss.BfaConfig(population_size=size, attract_depth=draw(scale),
-                       repel_height=draw(scale), swarming=draw(st.booleans()))
+                       repel_height=draw(scale))
     lo, hi = _signal_bounds(cfg)
     raw = st.one_of(st.floats(-1e16, 1e16), st.floats(-10.0, 10.0),
                     st.sampled_from([0.0, 1.0, 2.0 ** 53, -3e5]))
@@ -284,22 +287,21 @@ def test_signal_free_health_lies_within_its_radius(case):
 
 def test_effective_fitness_toggle():
     # swim_loop returns the effective fitness of the move it kept: raw
-    # fitness alone with swarming off, raw plus the signal with it on
+    # fitness plus the signal, which zero depths make 0
     f = CountingFunction(sign=-1.0)
     on = ss.BfaConfig(attract_depth=0.4, step_fraction=0.01)
-    for cfg in (replace(on, swarming=False), on):
+    for cfg in (replace(on, **NO_SIGNAL), on):
         swarm = make_swarm([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], fitness=f)
         eff = swim_loop(swarm, 0, f, cfg, fixed_tumble(f, cfg))
         moved = swarm.positions[0]
         signal = cell_to_cell_signal(moved, swarm, cfg)
-        assert eff == f.evaluate_rows(moved[None])[0] + (
-            signal if cfg.swarming else 0.0)
-        assert signal != 0.0
+        assert eff == f.evaluate_rows(moved[None])[0] + signal
+        assert (signal != 0.0) == (cfg is on)
 
 
 def test_swim_loop_full_swim_on_monotone_improvement():
     f = CountingFunction(sign=1.0)
-    cfg = ss.BfaConfig(swim_limit=5, step_fraction=0.01, swarming=False)
+    cfg = ss.BfaConfig(swim_limit=5, step_fraction=0.01, **NO_SIGNAL)
     swarm = make_swarm([[0.0, 0.0, 0.0]], fitness=f)
     f.calls = 0
     swim_loop(swarm, 0, f, cfg, fixed_tumble(f, cfg))
@@ -315,7 +317,7 @@ def test_swim_loop_full_swim_on_monotone_improvement():
 
 def test_swim_loop_keeps_worsening_tumble_without_swimming():
     f = CountingFunction(sign=-1.0)
-    cfg = ss.BfaConfig(swim_limit=5, step_fraction=0.01, swarming=False)
+    cfg = ss.BfaConfig(swim_limit=5, step_fraction=0.01, **NO_SIGNAL)
     swarm = make_swarm([[0.0, 0.0, 0.0]], fitness=f)
     f.calls = 0
     swim_loop(swarm, 0, f, cfg, fixed_tumble(f, cfg))
@@ -327,7 +329,7 @@ def test_swim_loop_keeps_worsening_tumble_without_swimming():
 
 def test_swim_loop_evaluates_stale_baseline():
     f = CountingFunction(sign=-1.0)
-    cfg = ss.BfaConfig(swim_limit=5, step_fraction=0.01, swarming=False)
+    cfg = ss.BfaConfig(swim_limit=5, step_fraction=0.01, **NO_SIGNAL)
     swarm = make_swarm([[0.0, 0.0, 0.0]])  # raw_fitness nan
     f.calls = 0
     swim_loop(swarm, 0, f, cfg, fixed_tumble(f, cfg))
@@ -341,16 +343,14 @@ def swim_by_moves(swarm, index, f, cfg, direction):
     if not math.isfinite(raw):
         raw = float(f.evaluate_rows(swarm.positions[index:index + 1])[0])
         swarm.raw_fitness[index] = raw
-    signal = (lambda p: cell_to_cell_signal(p, swarm, cfg)) if cfg.swarming \
-        else (lambda p: 0.0)
-    prev_eff = raw + signal(swarm.positions[index])
+    prev_eff = raw + cell_to_cell_signal(swarm.positions[index], swarm, cfg)
     for swims in range(cfg.swim_limit + 1):
         moved = chemotaxis_move(swarm.positions[index], direction,
                                 step_sizes(cfg, f.bounds), f.bounds)
         swarm.positions[index] = moved
         raw = float(f.evaluate_rows(moved[None])[0])
         swarm.raw_fitness[index] = raw
-        eff = raw + signal(moved)
+        eff = raw + cell_to_cell_signal(moved, swarm, cfg)
         swarm.health[index] += eff
         if not (eff > prev_eff and swims < cfg.swim_limit):
             return eff
@@ -374,12 +374,12 @@ EDGE_SWIMS = {
 }
 
 
-@pytest.mark.parametrize("swarming", [False, True], ids=["plain", "swarm"])
+@pytest.mark.parametrize("depths", [NO_SIGNAL, {"attract_depth": 0.01}],
+                         ids=["plain", "swarm"])
 @pytest.mark.parametrize("case", sorted(EDGE_SWIMS))
-def test_swim_loop_chain_equals_move_by_move_clamping(case, swarming):
+def test_swim_loop_chain_equals_move_by_move_clamping(case, depths):
     sign, start, direction, stale = EDGE_SWIMS[case]
-    cfg = ss.BfaConfig(step_fraction=0.1, swarming=swarming,
-                       attract_depth=0.01)
+    cfg = ss.BfaConfig(step_fraction=0.1, **depths)
     displacement = step_sizes(cfg, BOX) * direction
     rows = [start, [0.5, 1.0, 0.0], [0.9, 1.9, 0.5], [0.2, 0.4, -0.6]]
     swarms, effs, calls = [], [], []
@@ -562,7 +562,7 @@ def test_eliminate_disperse_deterministic():
 
 def quick_config(**overrides):
     base = dict(population_size=6, chemotaxis_steps=4, swim_limit=2,
-                reproduction_cycles=2, elimination_cycles=2, total_passes=1,
+                reproduction_cycles=2, elimination_cycles=2,
                 step_fraction=0.05, seed=5)
     base.update(overrides)
     return ss.BfaConfig(**base)
@@ -655,11 +655,12 @@ class RowLog(ss.IrrigationFitness):
 ROW_PATH_SETTINGS = {
     "coded": (ss.ProblemSpec(), quick_config(swim_limit=5)),
     "raw": (ss.ProblemSpec(variable_mode="raw"), quick_config(swim_limit=5)),
-    "no_swarming": (ss.ProblemSpec(), quick_config(swarming=False)),
+    "no_swarming": (ss.ProblemSpec(), quick_config(**NO_SIGNAL)),
     "swim_limit_one": (ss.ProblemSpec(), quick_config(swim_limit=1)),
     "full_dispersal": (ss.ProblemSpec(), quick_config(elimination_prob=1.0)),
     "population_two": (ss.ProblemSpec(), quick_config(population_size=2)),
-    "two_passes": (ss.ProblemSpec(), quick_config(total_passes=2)),
+    # two passes of quick_config's dispersals, as one loop count
+    "two_passes": (ss.ProblemSpec(), quick_config(elimination_cycles=4)),
     # the benchmark's optimize workload: 1 x 2 x 30 rounds, defaults else
     "optimize": (ss.ProblemSpec(),
                  ss.BfaConfig(elimination_cycles=1, reproduction_cycles=2)),

@@ -130,10 +130,10 @@ class TestOptimize:
         {"problem": None},
         {"bfa": None},
         {"weight_step": "x"},
-        {"bfa": {"swarming": "no"}},
+        {"problem": {"maximize": "no"}},
         {"climate_csv": 5},
     ], ids=["seed_str", "pad_str", "bounds_int", "list", "null_problem",
-            "null_bfa", "weight_step_str", "swarming_str", "climate_csv_int"])
+            "null_bfa", "weight_step_str", "maximize_str", "climate_csv_int"])
     def test_malformed_config_is_one_line(self, document, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(document))
@@ -293,9 +293,13 @@ class TestFrontier:
 
     @pytest.mark.parametrize("document, message", [
         ({"weight_step": "x"}, "weight_step must be float, got str"),
-        ({"bfa": {"swarming": "no"}}, "swarming must be bool, got str"),
+        ({"problem": {"maximize": "no"}}, "maximize must be bool, got str"),
         ({"climate_csv": 5}, "climate_csv must be str | None, got int"),
-    ], ids=["weight_step_str", "swarming_str", "climate_csv_int"])
+        # removed settings: elimination_cycles and zero depths replace them
+        ({"bfa": {"total_passes": 1}}, "unknown bfa keys: ['total_passes']"),
+        ({"bfa": {"swarming": True}}, "unknown bfa keys: ['swarming']"),
+    ], ids=["weight_step_str", "maximize_str", "climate_csv_int",
+            "total_passes_removed", "swarming_removed"])
     def test_mistyped_config_is_one_line(self, document, message, tmp_path,
                                          capsys):
         config = tmp_path / "config.json"
@@ -308,6 +312,40 @@ class TestFrontier:
         assert err.count("\n") == 1
         assert message in err
         assert not os.path.exists(tmp_path / "x")
+
+    def test_oversized_grid_is_one_line(self, tmp_path, capsys):
+        # 1e-300 divides 1 within rounding, but its grid would never end
+        code = main(["frontier", "--step", "1e-300",
+                     "--out", str(tmp_path / "x")])
+        assert capsys.readouterr().err == (
+            "error: ValidationError: a grid of step 1e-300 and minimum 0.1 "
+            "holds more than 1000000 weight vectors\n")
+        assert code == 1
+        assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("context", [
+        None, {"temperature_secondary": 0.17169}], ids=["crisp", "graded"])
+    def test_bundle_config_reruns_the_bundle(self, context, tmp_path, capsys):
+        # a bundle's config.json is a valid --config, and it runs the
+        # bundle again: every file the same, and the echo the same but for
+        # out_dir
+        config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
+                              runs_per_weight=1, master_seed=3,
+                              grade_context=context)
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        assert main(["frontier", "--config", config, "--out", first]) == 0
+        echo = os.path.join(first, "config.json")
+        assert main(["frontier", "--config", echo, "--out", second]) == 0
+        capsys.readouterr()
+        traces = sorted(os.listdir(os.path.join(first, "traces")))
+        assert len(traces) == 6
+        for name in ["frontier.csv", "metrics.json", "summary.txt",
+                     *(os.path.join("traces", t) for t in traces)]:
+            assert open(os.path.join(second, name), "rb").read() \
+                == open(os.path.join(first, name), "rb").read()
+        want = json.load(open(echo))
+        want["out_dir"] = second
+        assert json.load(open(os.path.join(second, "config.json"))) == want
 
 
 class TestMetrics:
@@ -427,6 +465,40 @@ class TestReport:
         assert "package defaults: the bundle has no config.json" in stdout
         assert "efficiency intercept correction on" in stdout
 
+    def test_bundle_with_removed_bfa_keys_reports_its_problem(
+            self, tmp_path, capsys):
+        # report reads only the problem section of config.json, so a
+        # bundle written when the bfa section held total_passes and
+        # swarming still reports its own problem
+        config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
+                              runs_per_weight=1,
+                              problem={"fix_efficiency_intercept": False})
+        out = str(tmp_path / "old")
+        assert main(["frontier", "--config", config, "--out", out]) == 0
+        capsys.readouterr()
+        echo = os.path.join(out, "config.json")
+        document = json.load(open(echo))
+        document["bfa"].update(total_passes=1, swarming=True)
+        write_text(echo, json.dumps(document))
+        assert main(["report", out]) == 0
+        stdout = capsys.readouterr().out
+        assert "efficiency intercept correction off" in stdout
+        assert "package defaults" not in stdout
+
+    @pytest.mark.parametrize("document, message", [
+        ([1, 2], "config must be a JSON object, got list"),
+        ({"problem": None}, "problem must be a JSON object, got null"),
+        ({"problem": {"maximize": "no"}},
+         "bad problem: maximize must be bool, got str"),
+    ], ids=["list", "null_problem", "maximize_str"])
+    def test_malformed_bundle_config_is_one_line(self, document, message,
+                                                 bundle, tmp_path, capsys):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        (copy / "config.json").write_text(json.dumps(document))
+        assert main(["report", str(copy)]) == 1
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+
     def test_grid_note_fits_the_grid(self, bundle, capsys):
         assert main(["report", bundle]) == 0
         stdout = capsys.readouterr().out
@@ -483,7 +555,7 @@ class TestRunConfig:
         # field that admits None, and a bool only a bool field
         config = RunConfig.from_dict({
             "weight_step": 1, "climate_csv": None,
-            "bfa": {"swarming": False},
+            "problem": {"maximize": False},
             "grade_context": {"temperature_primary": [0.2, 0.4],
                               "insolation_primary": None}})
         assert config.weight_step == 1 and config.climate_csv is None
@@ -504,7 +576,7 @@ class TestRunConfig:
         document = {"weight_step": 0.5, "bfa": {"swim_limit": 3},
                     "grade_context": {"temperature_primary": [0.2, 0.4]}}
         assert RunConfig.from_dict(document) == RunConfig.from_dict(document)
-        for bad in ({"weight_step": "x"}, {"bfa": {"swarming": "no"}},
+        for bad in ({"weight_step": "x"}, {"problem": {"maximize": "no"}},
                     {"grade_context": {"pad": None}}):
             messages = []
             for _ in range(2):
@@ -549,3 +621,27 @@ def test_non_utf8_input_is_one_line(entry, bundle, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ValidationError: cannot read ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["frontier", "--minimum", "-inf"],
+    ["frontier", "--step", "x"],
+    ["fuzzyfy"],
+    [],
+], ids=["minimum_as_flag", "step_str", "unknown_command", "no_command"])
+def test_rejected_command_line_is_one_line(argv, capsys):
+    # argparse's rejections print as every rejected input does: one line,
+    # exit 1, and no usage block
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ValidationError: ")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["frontier", "--help"])
+    assert exit_.value.code == 0
+    assert "--step" in capsys.readouterr().out

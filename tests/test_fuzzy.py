@@ -85,20 +85,19 @@ def test_invert_out_of_smooth_range(unit_curve):
 
 
 def test_fit_scurve():
-    curve = ss.fit_scurve(14.0, 336.0)
+    curve = ss.SCurveParams(14.0, 336.0)
     assert (curve.b_lo, curve.b_hi) == (14.0, 336.0)
-    assert (curve.B, curve.C, curve.alpha) == (1.0, 0.001001, 13.8135)
-    with pytest.raises(DegenerateRange):
-        ss.fit_scurve(5.0, 5.0)
-    with pytest.raises(DegenerateRange):
-        ss.fit_scurve(6.0, 5.0)
+    assert curve.smooth_sup == 1.0 / (1.0 + fuzzy.C)
+    assert curve.smooth_inf == 1.0 / (1.0 + fuzzy.C * math.exp(fuzzy.ALPHA))
+    for lo, hi in ((5.0, 5.0), (6.0, 5.0)):
+        with pytest.raises(DegenerateRange):
+            ss.SCurveParams(lo, hi)
 
 
 def test_curve_param_validation():
-    with pytest.raises(ValidationError):
-        ss.SCurveParams(b_lo=0.0, b_hi=1.0, C=-1.0)
-    with pytest.raises(ValidationError):
-        ss.SCurveParams(b_lo=0.0, b_hi=1.0, B=1.5, C=0.001)
+    for lo, hi in ((5.0, 5.0), (6.0, 5.0), (math.nan, 1.0)):
+        with pytest.raises(DegenerateRange, match=r"^need b_lo < b_hi, got "):
+            ss.SCurveParams(lo, hi)
 
 
 def test_build_model(table, temp_model, insol_model):
@@ -109,7 +108,7 @@ def test_build_model(table, temp_model, insol_model):
 
 
 def test_model_containment_enforced(temp_model):
-    wide = ss.fit_scurve(100.0, 400.0)
+    wide = ss.SCurveParams(100.0, 400.0)
     with pytest.raises(ValidationError):
         ss.Type2FuzzyVariable(factor="temperature",
                               monthly=(wide,) * 12,
@@ -122,7 +121,8 @@ def test_constant_factor_rejected(table):
         insol_max=100.0, insol_min=10.0, insol_avg=50.0)
         for m in range(1, 13)]
     flat = ss.ClimateTable(tuple(records))
-    with pytest.raises(DegenerateRange):
+    with pytest.raises(DegenerateRange,
+                       match=r"^need b_lo < b_hi, got \[280.0, 280.0\]$"):
         ss.build_type2_model(flat, "temperature")
 
 
@@ -219,8 +219,8 @@ def test_model_json_roundtrip(tmp_path, temp_model):
     (lambda doc: doc.update(origin="santa rosa"), "unknown config keys"),
     (lambda doc: doc["annual"].update(b_hi="309.1"),
      "b_hi must be float, got str"),
-    (lambda doc: doc["monthly"][3].update(alpha="13.8"),
-     "alpha must be float, got str"),
+    (lambda doc: doc["monthly"][3].update(b_lo="271.5"),
+     "b_lo must be float, got str"),
     (lambda doc: doc.update(monthly={"b_lo": 0.0}),
      "monthly must be tuple"),
 ], ids=["unknown_key", "float_as_str", "monthly_float_as_str",
@@ -235,13 +235,17 @@ def test_load_model_follows_the_config_rules(change, message, tmp_path,
         ss.fuzzy.load_model(str(path))
 
 
-def test_load_model_defaults_missing_shape_constants(tmp_path, temp_model):
+def test_load_model_rejects_the_old_shape_keys(tmp_path, temp_model):
+    # every curve shares one shape, so a model file that still sets a
+    # curve's B, C or alpha is rejected, not read with another shape
     doc = temp_model.to_dict()
-    for curve in (doc["annual"], *doc["monthly"]):
-        del curve["B"], curve["C"], curve["alpha"]
+    assert sorted(doc["annual"]) == ["b_hi", "b_lo"]
+    doc["annual"].update(B=1.0, C=0.001001, alpha=13.8135)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    assert ss.fuzzy.load_model(str(path)) == temp_model
+    with pytest.raises(ValidationError,
+                       match=r"^unknown annual keys: \['B', 'C', 'alpha'\]$"):
+        ss.fuzzy.load_model(str(path))
 
 
 def test_model_json_is_plain_data(temp_model):

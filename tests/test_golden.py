@@ -22,7 +22,7 @@ DIGESTS = {
     # the config echo holds --out as given, so the sweep writes to the
     # relative path "bundle"
     "config.json":
-        "40f805d90e090d60af2860ca03ca9e952de98af37ad3cbcd9766789a1d368206",
+        "2cdd1c7d54a9556810bc2171b9120251e1d8dd19a207f9d787717be7b59b6145",
     "frontier.csv":
         "027429e62ab4718a2b85e4baa65885bfae75bf91266544a95df9a457f990cf9e",
     "metrics.json":
@@ -99,9 +99,9 @@ def test_optimize_bytes_are_pinned(tmp_path, capsys):
 
 MODEL_DIGESTS = {
     "temperature_model.json":
-        "6709bca6da83ac41ed073b028208d049d7543f555b8b25da661b5493122e5808",
+        "de53325f4e775854aa86ca2396f7e2f1f33271c6d2be070d4636c507cac4e28d",
     "insolation_model.json":
-        "a4e340412ab37f92250b7f34c53ef1284c2f1a5082de45ae525937a42cf4e3dc",
+        "cdc2e226ea64b1376f5e47a75d6ad7cc096ac61e46241ee8ec69f9e0f13e779f",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,27 @@ def test_problem_spec_validation():
     # raw mode tolerates a degenerate design interval
     ss.ProblemSpec(variable_mode="raw",
                    design_bounds=((1.0, 1.0),) + DEFAULT_DESIGN_BOUNDS[1:])
+
+
+@pytest.mark.parametrize("field, bounds, message", [
+    ("design_bounds", ((0.3,),) * 4, "design_bounds needs 4 (lo, hi) pairs"),
+    ("design_bounds", (("a", 1.0),) * 4,
+     "design_bounds needs 4 (lo, hi) pairs"),
+    ("design_bounds", 5, "design_bounds needs 4 (lo, hi) pairs"),
+    ("design_bounds", DEFAULT_DESIGN_BOUNDS[1:],
+     "design_bounds needs 4 (lo, hi) pairs, got 3"),
+    ("noise_bounds", ((1.0, 2.0, 3.0),) * 2,
+     "noise_bounds needs 2 (lo, hi) pairs"),
+    ("noise_bounds", (None, None), "noise_bounds needs 2 (lo, hi) pairs"),
+], ids=["single", "not_a_number", "not_a_sequence", "three_pairs",
+        "triples", "nulls"])
+def test_malformed_bound_pairs_are_validation_errors(field, bounds, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ss.ProblemSpec(**{field: bounds})
+    # a --config document gets the same message
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ss.ProblemSpec.from_dict(
+            {field: list(bounds) if isinstance(bounds, tuple) else [bounds]})
 
 
 def test_problem_spec_dict_roundtrip():

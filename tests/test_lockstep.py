@@ -22,13 +22,16 @@ from solarswarm.irrigation import _ROW_BLOCK, evaluate_rows
 
 SMALL = ss.BfaConfig(population_size=10, chemotaxis_steps=5,
                      reproduction_cycles=2, elimination_cycles=2)
+# zero depths: the swarm without its cell-to-cell signal
+NO_SIGNAL = {"attract_depth": 0.0, "repel_height": 0.0}
 
 SETTINGS = {
     "coded": (ss.ProblemSpec(), SMALL),
+    # two passes of SMALL's dispersals, as one loop count
     "raw_two_passes": (ss.ProblemSpec(variable_mode="raw"),
-                       replace(SMALL, total_passes=2)),
+                       replace(SMALL, elimination_cycles=4)),
     "no_swarming_full_dispersal": (ss.ProblemSpec(),
-                                   replace(SMALL, swarming=False,
+                                   replace(SMALL, **NO_SIGNAL,
                                            elimination_prob=1.0)),
     "no_dispersal": (ss.ProblemSpec(), replace(SMALL, elimination_prob=0.0)),
     "swim_limit_one": (ss.ProblemSpec(), replace(SMALL, swim_limit=1)),
@@ -99,7 +102,7 @@ def test_lockstep_breaks_ties_like_run_bfa(reference):
     f = ss.BoxFunction(bounds=box,
                        rows=lambda r: np.floor(r.sum(axis=1) / 4.0))
     cfg = replace(SMALL, population_size=40, elimination_prob=0.5,
-                  swarming=False)
+                  **NO_SIGNAL)
     seeds = [3, 4, 5]
     results = run_bfa_lockstep(
         lambda runs, positions: np.floor(positions.sum(axis=1) / 4.0), box,
@@ -137,9 +140,8 @@ def walks(monkeypatch):
 
 def turns(cfg, runs):
     """Bacterium turns in `runs` runs of cfg."""
-    return runs * cfg.population_size * cfg.total_passes \
-        * cfg.elimination_cycles * cfg.reproduction_cycles \
-        * cfg.chemotaxis_steps
+    return runs * cfg.population_size * cfg.elimination_cycles \
+        * cfg.reproduction_cycles * cfg.chemotaxis_steps
 
 
 @pytest.mark.parametrize("seeds", [[4], [4, 5, 6]], ids=["R1", "R3"])
@@ -224,13 +226,13 @@ def test_lockstep_ranks_the_benchmark_sweep_without_signals(replays,
 
 def test_lockstep_ranks_tied_exact_healths_without_replay(replays,
                                                           reference):
-    # swarming off and a constant fitness: every health is exact (radius 0)
+    # zero depths and a constant fitness: every health is exact (radius 0)
     # and all of them tie, so the stable sort ranks them by index and
     # nothing is replayed; 40 bacteria take numpy's sort past its
     # small-array path
     box = ((-1.0, 1.0),) * 3
     f = ss.BoxFunction(bounds=box, rows=lambda r: np.full(len(r), 2.5))
-    cfg = replace(SMALL, population_size=40, swarming=False)
+    cfg = replace(SMALL, population_size=40, **NO_SIGNAL)
     seeds = [0, 1]
     results = run_bfa_lockstep(
         lambda runs, positions: np.full(len(positions), 2.5), box, cfg, seeds)
@@ -280,7 +282,7 @@ def test_order_settled_needs_the_top_half_before_every_member_after_it():
 
 
 def test_lockstep_without_swarming_settles_every_turn(walks):
-    # with swarming off the bounds are 0, so raw fitness decides every
+    # with zero depths the bounds are 0, so raw fitness decides every
     # swim exactly, ties included
     spec, cfg = SETTINGS["no_swarming_full_dispersal"]
     lockstep(spec, cfg, MIXED)
@@ -362,17 +364,17 @@ def test_lockstep_reproduces_and_disperses_through_the_gate_helpers(
         monkeypatch.setattr(bfa, name, counted)
     spec, cfg = SETTINGS["raw_two_passes"]
     lockstep(spec, cfg, MIXED)
-    dispersals = len(MIXED) * cfg.total_passes * cfg.elimination_cycles
+    dispersals = len(MIXED) * cfg.elimination_cycles
     assert calls == {"reproduce": dispersals * cfg.reproduction_cycles,
                      "eliminate_disperse": dispersals}
 
 
 def test_lockstep_without_improving_tumbles_never_swims(reference):
-    # swarming off and a constant fitness: no tumble improves, so no swim
+    # zero depths and a constant fitness: no tumble improves, so no swim
     # row is scored and every evaluated row is counted
     box = ((-1.0, 1.0),) * 3
     f = ss.BoxFunction(bounds=box, rows=lambda r: np.full(len(r), 2.5))
-    cfg = replace(SMALL, swarming=False)
+    cfg = replace(SMALL, **NO_SIGNAL)
     seeds = [0, 1, 2]
     log = RowLog(lambda runs, positions: np.full(len(positions), 2.5))
     results = run_bfa_lockstep(log, box, cfg, seeds)
@@ -427,7 +429,7 @@ def test_only_stale_members_are_scored_outside_the_rounds(prob, monkeypatch):
     box = np.array(spec.design_bounds + spec.noise_bounds)
     run_bfa_lockstep(log, box, cfg, seeds)
     outside = [k for k in range(len(log.rows)) if k not in inside]
-    dispersals = cfg.total_passes * cfg.elimination_cycles
+    dispersals = cfg.elimination_cycles
     assert outside[0] == 0
     assert len(outside) == (1 if prob == 0.0 else 1 + dispersals)
     everyone = np.repeat(np.arange(len(seeds)), cfg.population_size)

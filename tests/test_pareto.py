@@ -36,7 +36,7 @@ SEED_001_W118_R0 = 9796933195283788052
 def tiny_bfa(seed=123):
     return ss.BfaConfig(population_size=4, chemotaxis_steps=2, swim_limit=2,
                         reproduction_cycles=1, elimination_cycles=1,
-                        total_passes=1, seed=seed)
+                        seed=seed)
 
 
 def make_point(aggregate, weights=(1.0, 0.0, 0.0), seed=0):
@@ -95,7 +95,7 @@ class TestWeightGrid:
 
     @pytest.mark.parametrize("step, minimum", [
         (0.1, 0.1), (0.5, 0.0), (0.25, 0.0), (1.0, 0.0), (0.05, 0.2),
-        (0.2, 0.05)])
+        (0.2, 0.05), (0.01, 0.0), (0.01, 0.3), (0.02, 0.32)])
     def test_grid_equals_the_double_loop(self, step, minimum):
         grid = [w.as_tuple() for w in ss.weight_grid(step, minimum)]
         want = self.double_loop(step, minimum)
@@ -115,6 +115,23 @@ class TestWeightGrid:
             ss.weight_grid(step=0.0)
         with pytest.raises(ValidationError):
             ss.weight_grid(minimum=-0.1)
+
+    def test_grid_size_is_checked_before_the_grid_is_built(self):
+        # 1/1413 is the coarsest step 1/n whose full grid exceeds the cap
+        assert math.comb(1413 + 2, 2) > pareto.MAX_GRID_VECTORS \
+            >= math.comb(1412 + 2, 2)
+        for step, minimum in ((1 / 1413, 0.0), (1e-300, 0.1)):
+            with pytest.raises(ValidationError, match="holds more than "
+                               f"{pareto.MAX_GRID_VECTORS} weight vectors"):
+                ss.weight_grid(step, minimum)
+        # a fine step is cheap when the minimum leaves few nodes
+        grid = [w.as_tuple() for w in ss.weight_grid(1e-6, 0.333333)]
+        assert grid == [(0.333334, 0.333333, 0.333333),
+                        (0.333333, 0.333334, 0.333333),
+                        (0.333333, 0.333333, 0.333334)]
+        # 1 / 5e-324 overflows: no float step that small divides 1
+        with pytest.raises(ValidationError, match="must divide 1 evenly"):
+            ss.weight_grid(5e-324)
 
     def test_weights_are_clean_floats(self):
         for w in ss.weight_grid():
