@@ -29,6 +29,7 @@ from .climate import (
     serialize_climate_csv,
 )
 from .fuzzy import (
+    GradeContext,
     SCurveParams,
     Type2FuzzyVariable,
     build_type2_model,
@@ -51,7 +52,6 @@ from .irrigation import (
 )
 from .pareto import (
     Frontier,
-    GradeContext,
     SigmaVector,
     SolutionPoint,
     build_frontier,

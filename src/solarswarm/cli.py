@@ -25,17 +25,19 @@ from dataclasses import dataclass, field, replace
 
 from . import climate, fuzzy
 from .bfa import BfaConfig, run_bfa, sphere_function
-from .codec import ConfigCodec, json_text, read_json, read_text, write_text
+from .codec import (ConfigCodec, fits, json_kind, json_text, read_json,
+                    read_text, write_text)
 from .errors import (
     IncompleteBundle,
+    SchemaMismatch,
     SolarswarmError,
     ValidationError,
 )
+from .fuzzy import GradeContext
 from .irrigation import IrrigationFitness, ProblemSpec, WeightVector
 from .pareto import (
     FRONTIER_CSV_HEADER,
     Frontier,
-    GradeContext,
     build_frontier,
     compute_metrics,
     derive_seed,
@@ -101,16 +103,8 @@ def _resolve_problem(config: RunConfig, args) -> ProblemSpec:
     context = config.grade_context
     if context is None:
         return config.problem
-    table = _load_table(config, args)
-    bounds = list(config.problem.noise_bounds)
-    # the noise bounds are (Z_a, Z_b): temperature, then insolation
-    for index, factor in enumerate(climate.FACTORS):
-        grades = getattr(context, f"{factor}_secondary")
-        if grades is not None:
-            model = fuzzy.build_type2_model(table, factor)
-            bounds[index] = fuzzy.noise_interval_from_grades(
-                model, grades, context.pad)
-    return replace(config.problem, noise_bounds=bounds)
+    return replace(config.problem, noise_bounds=context.noise_bounds(
+        _load_table(config, args), config.problem.noise_bounds))
 
 
 def _parse_weights(text: str) -> WeightVector:
@@ -272,8 +266,7 @@ def cmd_frontier(args) -> int:
 
     started = time.perf_counter()
     frontier, traces = build_frontier(
-        problem, cfg, weights, config.runs_per_weight,
-        grade_context=config.grade_context, workers=config.workers)
+        problem, cfg, weights, config.runs_per_weight, workers=config.workers)
     elapsed = time.perf_counter() - started
 
     for index, trace in enumerate(traces):
@@ -282,7 +275,7 @@ def cmd_frontier(args) -> int:
             zip(frontier.table.tolist(), frontier.seeds)):
         print(f"[{index + 1:3d}/{len(frontier)}] w=({w1:g},{w2:g},{w3:g}) "
               f"F={_fmt(value)} seed={seed}")
-    metrics = compute_metrics(frontier)
+    metrics = compute_metrics(frontier, config.grade_context)
     write_frontier_csv(frontier, os.path.join(out_dir, "frontier.csv"))
     write_text(os.path.join(out_dir, "metrics.json"), json_text(metrics))
     write_text(os.path.join(out_dir, "summary.txt"),
@@ -303,9 +296,8 @@ def cmd_metrics(args) -> int:
     context = None
     if args.grade_context is not None:
         context = GradeContext.from_dict(read_json(args.grade_context))
-    frontier = frontier_from_csv_text(read_text(args.frontier),
-                                      grade_context=context)
-    text = json_text(compute_metrics(frontier))
+    frontier = frontier_from_csv_text(read_text(args.frontier))
+    text = json_text(compute_metrics(frontier, context))
     if args.out:
         write_text(args.out, text)
         print(f"wrote {args.out}")
@@ -324,10 +316,18 @@ def _load_bundle(path: str) -> tuple[Frontier, dict]:
             f"bundle {path} is missing {', '.join(missing)}")
     frontier = read_frontier_csv(frontier_path)
     metrics = read_json(metrics_path)
-    for key in ("dominance_mean_F", "diversity", "n_points"):
+    if not isinstance(metrics, dict):
+        raise SchemaMismatch(f"bundle {path}: metrics.json must be a JSON "
+                             f"object, got {json_kind(metrics)}")
+    for key, kind in (("dominance_mean_F", float), ("diversity", float),
+                      ("n_points", int)):
         if key not in metrics:
             raise IncompleteBundle(
                 f"bundle {path}: metrics.json lacks {key!r}")
+        if not fits(kind, metrics[key]):
+            raise SchemaMismatch(
+                f"bundle {path}: metrics.json {key} must be {kind.__name__}, "
+                f"got {json_kind(metrics[key])}")
     return frontier, metrics
 
 

@@ -90,7 +90,7 @@ class ConfigCodec:
 def _decode(cls, data, label: str):
     if not isinstance(data, dict):
         raise ValidationError(
-            f"{label} must be a JSON object, got {_json_kind(data)}")
+            f"{label} must be a JSON object, got {json_kind(data)}")
     known = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(known)
     if unknown:
@@ -101,11 +101,11 @@ def _decode(cls, data, label: str):
         hint = hints[name]
         nested = _config_class(hint)
         if nested is None or get_origin(hint) is tuple:
-            if not _fits(hint, value):
+            if not fits(hint, value):
                 expected = hint.__name__ if isinstance(hint, type) else hint
                 raise ValidationError(
                     f"bad {label}: {name} must be {expected}, "
-                    f"got {_json_kind(value)}")
+                    f"got {json_kind(value)}")
             if nested is not None:
                 value = tuple(_decode(nested, item, f"{name}[{i}]")
                               for i, item in enumerate(value))
@@ -123,14 +123,15 @@ def _decode(cls, data, label: str):
 _type_hints = functools.lru_cache(maxsize=64)(get_type_hints)
 
 
-def _json_kind(value) -> str:
+def json_kind(value) -> str:
+    """A JSON value's kind as messages name it: null, or its type's name."""
     return "null" if value is None else type(value).__name__
 
 
-def _fits(hint, value) -> bool:
+def fits(hint, value) -> bool:
     """Whether a JSON value may fill a field annotated `hint`."""
     if get_origin(hint) in (Union, UnionType):
-        return any(_fits(t, value) for t in get_args(hint))
+        return any(fits(t, value) for t in get_args(hint))
     if get_origin(hint) is tuple:
         return isinstance(value, (list, tuple))
     if isinstance(value, bool):

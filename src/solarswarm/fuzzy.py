@@ -2,9 +2,10 @@
 
 A factor (temperature or insolation) gets one decreasing S-curve membership
 function per month, fitted to that month's (min, max) interval, plus one
-annual secondary curve fitted to the year's overall extrema. Secondary
-grades become crisp noise intervals through the inverse of the annual
-curve (noise_interval_from_grades); primary grades are only echoed. The
+annual secondary curve fitted to the year's overall extrema. A
+GradeContext's secondary grades become the problem's noise bounds through
+the inverse of the annual curve (GradeContext.noise_bounds, through
+noise_interval_from_grades); primary grades are only echoed. The
 twelve monthly curves sweep out a footprint of uncertainty: sample_fou and
 type_reduce (alpha-plane cuts of the annual curve) describe the model as
 diagnostics and feed no noise interval.
@@ -120,11 +121,19 @@ class Type2FuzzyVariable(ConfigCodec):
 
 def build_type2_model(table: climate.ClimateTable,
                       factor: str) -> Type2FuzzyVariable:
-    """Fit monthly and annual curves to a climate table."""
+    """Fit monthly and annual curves to a climate table. A curve of no
+    width is a DegenerateRange that names the factor, then "annual" or the
+    month; the annual curve is checked first."""
+    def curve(where: str, interval: tuple[float, float]) -> SCurveParams:
+        try:
+            return SCurveParams(*interval)
+        except DegenerateRange as err:
+            raise DegenerateRange(f"{factor} {where}: {err}") from None
+
+    annual = curve("annual", climate.annual_extrema(table, factor))
     monthly = tuple(
-        SCurveParams(*climate.monthly_interval(table, month, factor))
+        curve(f"month {month}", climate.monthly_interval(table, month, factor))
         for month in range(1, 13))
-    annual = SCurveParams(*climate.annual_extrema(table, factor))
     return Type2FuzzyVariable(factor=factor, monthly=monthly, annual=annual)
 
 
@@ -225,6 +234,43 @@ def _grades(value) -> float | tuple[float, float]:
                 f"grade range needs 2 values, got {len(value)}")
         return (float(value[0]), float(value[1]))
     return float(value)
+
+
+@dataclass(frozen=True)
+class GradeContext(ConfigCodec):
+    """Membership grades a frontier was conditioned on.
+
+    Each entry is a single grade or a (lo, hi) grade range; primary grades
+    are monthly-curve context carried for reporting, secondary grades are
+    the annual-curve values that actually produce noise intervals.
+    """
+
+    temperature_primary: float | tuple[float, float] | None = None
+    temperature_secondary: float | tuple[float, float] | None = None
+    insolation_primary: float | tuple[float, float] | None = None
+    insolation_secondary: float | tuple[float, float] | None = None
+    pad: float = 0.005
+
+    def __post_init__(self) -> None:
+        for name in ("temperature_primary", "temperature_secondary",
+                     "insolation_primary", "insolation_secondary"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _grades(value))
+        if self.pad < 0.0:
+            raise ValidationError(f"pad must be >= 0, got {self.pad}")
+
+    def noise_bounds(self, table: climate.ClimateTable, bounds) -> tuple:
+        """The (Z_a, Z_b) noise `bounds`, each graded factor's replaced by
+        its secondary grades' padded interval on its model of `table`."""
+        bounds = list(bounds)
+        # the noise bounds are (Z_a, Z_b): temperature, then insolation
+        for index, factor in enumerate(climate.FACTORS):
+            grades = getattr(self, f"{factor}_secondary")
+            if grades is not None:
+                bounds[index] = noise_interval_from_grades(
+                    build_type2_model(table, factor), grades, self.pad)
+        return tuple(bounds)
 
 
 def noise_interval_from_grades(model: Type2FuzzyVariable,

@@ -10,7 +10,7 @@ default and each can be switched back to the as-printed form for fidelity
 checks.
 
 Noise bounds are the crisp reference intervals, or intervals that a grade
-context derives through fuzzy.noise_interval_from_grades; coded mode maps
+context derives through fuzzy.GradeContext.noise_bounds; coded mode maps
 noise values from the crisp reference intervals either way.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -83,16 +84,6 @@ class ObjectiveTriple:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.power, self.efficiency, self.savings)
 
-    def __add__(self, other: "ObjectiveTriple") -> "ObjectiveTriple":
-        return ObjectiveTriple(self.power + other.power,
-                               self.efficiency + other.efficiency,
-                               self.savings + other.savings)
-
-    def scaled(self, factor: float) -> "ObjectiveTriple":
-        return ObjectiveTriple(self.power * factor,
-                               self.efficiency * factor,
-                               self.savings * factor)
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -114,10 +105,18 @@ class WeightVector:
         return (self.w1, self.w2, self.w3)
 
 
+def _real(value) -> float:
+    """A bound as a float: any real number but a bool, as the codec's float
+    rule takes; a string is no number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a real number: {value!r}")
+    return float(value)
+
+
 def _check_bounds(bounds: Iterable[Sequence[float]], n: int,
                   label: str) -> tuple[tuple[float, float], ...]:
     try:
-        pairs = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        pairs = tuple((_real(lo), _real(hi)) for lo, hi in bounds)
     except (TypeError, ValueError):  # not a sequence of pairs of numbers
         raise ValidationError(f"{label} needs {n} (lo, hi) pairs") from None
     if len(pairs) != n:

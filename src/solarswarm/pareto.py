@@ -26,7 +26,7 @@ from .bfa import BfaConfig, RunResult, RunTrace, run_bfa_lockstep
 # run_bfa is no longer called here, but stays bound under this module's
 # name: the benchmark's span tracer wraps pareto.run_bfa
 from .bfa import run_bfa  # noqa: F401
-from .codec import ConfigCodec, read_text, write_text
+from .codec import read_text, write_text
 # the shared writer, also bound under its earlier name here: the
 # benchmark's input generator imports pareto.metrics_json_text
 from .codec import json_text as metrics_json_text  # noqa: F401
@@ -36,7 +36,6 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
-from .fuzzy import _grades
 from .irrigation import (
     DesignVector,
     NoiseVector,
@@ -46,7 +45,6 @@ from .irrigation import (
     _objective_rows,
     _weighted_sum,
     aggregate,
-    eval_objectives,
     evaluate_rows,
 )
 
@@ -60,31 +58,6 @@ _AGGREGATE = 12
 
 DEFAULT_REFERENCE_COUNT = 15
 _DIVERSITY_GUARD = 1e-12
-
-
-@dataclass(frozen=True)
-class GradeContext(ConfigCodec):
-    """Membership grades a frontier was conditioned on.
-
-    Each entry is a single grade or a (lo, hi) grade range; primary grades
-    are monthly-curve context carried for reporting, secondary grades are
-    the annual-curve values that actually produce noise intervals.
-    """
-
-    temperature_primary: float | tuple[float, float] | None = None
-    temperature_secondary: float | tuple[float, float] | None = None
-    insolation_primary: float | tuple[float, float] | None = None
-    insolation_secondary: float | tuple[float, float] | None = None
-    pad: float = 0.005
-
-    def __post_init__(self) -> None:
-        for name in ("temperature_primary", "temperature_secondary",
-                     "insolation_primary", "insolation_secondary"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _grades(value))
-        if self.pad < 0.0:
-            raise ValidationError(f"pad must be >= 0, got {self.pad}")
 
 
 @dataclass(frozen=True)
@@ -125,28 +98,24 @@ class Frontier:
     points to the table; a point is built from its row when asked for.
     """
 
-    def __init__(self, points: list[SolutionPoint],
-                 grade_context: GradeContext | None = None) -> None:
+    def __init__(self, points: list[SolutionPoint]) -> None:
         points = list(points)
         self._hold(np.array([p.row()[:-1] for p in points], dtype=float),
-                   [p.seed for p in points], grade_context)
+                   [p.seed for p in points])
 
     @classmethod
-    def _from_table(cls, table: np.ndarray, seeds: list[int],
-                    grade_context: GradeContext | None) -> "Frontier":
+    def _from_table(cls, table: np.ndarray, seeds: list[int]) -> "Frontier":
         """A frontier of rows already checked to make valid points."""
         frontier = cls.__new__(cls)
-        frontier._hold(table, seeds, grade_context)
+        frontier._hold(table, seeds)
         return frontier
 
-    def _hold(self, table: np.ndarray, seeds: list[int],
-              grade_context: GradeContext | None) -> None:
+    def _hold(self, table: np.ndarray, seeds: list[int]) -> None:
         if not seeds:
             raise ValidationError("frontier must hold at least one point")
         table.flags.writeable = False
         self.table = table
         self.seeds = seeds
-        self.grade_context = grade_context
 
     @functools.cached_property
     def points(self) -> list[SolutionPoint]:
@@ -226,13 +195,18 @@ def solution_from_position(problem: ProblemSpec, weights: WeightVector,
     values = [float(v) for v in position]
     if len(values) != 6:
         raise ValidationError(f"need a 6-vector, got {len(values)} values")
-    design = DesignVector(*values[:4])
-    noise = NoiseVector(*values[4:])
-    objectives = eval_objectives(design, noise, problem)
-    return SolutionPoint(weights=weights, design=design, noise=noise,
-                         objectives=objectives,
-                         aggregate_value=aggregate(objectives, weights),
-                         seed=seed)
+    row = _frontier_table(problem, np.array([weights.as_tuple()]),
+                          np.array([values]))
+    return _solution_point(row[0].tolist(), seed)
+
+
+def _frontier_table(problem: ProblemSpec, weights: np.ndarray,
+                    positions: np.ndarray) -> np.ndarray:
+    """Frontier.table rows, but the seed: row k scores the (6,) position
+    positions[k] under the (3,) weights weights[k]."""
+    objectives = _objective_rows(problem, positions)
+    return np.column_stack([weights, positions, objectives.T,
+                            _weighted_sum(weights.T, objectives)])
 
 
 def _run_batch(problem: ProblemSpec, cfg: BfaConfig, weights: np.ndarray,
@@ -254,8 +228,7 @@ def _run_batch(problem: ProblemSpec, cfg: BfaConfig, weights: np.ndarray,
 
 def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
                    weights: list[WeightVector], runs_per_weight: int,
-                   *, grade_context: GradeContext | None = None,
-                   workers: int = 1) -> tuple[Frontier, list[RunTrace]]:
+                   *, workers: int = 1) -> tuple[Frontier, list[RunTrace]]:
     """Sweep the weight list; keep the best-aggregate run per weight.
 
     cfg.seed acts as the master seed. The (weight, replicate) runs of the
@@ -295,11 +268,9 @@ def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
                + np.arange(0, len(seeds), runs_per_weight)).tolist()
     positions = np.array([results[k].best_position for k in winners],
                          dtype=float)
-    objectives = _objective_rows(problem, positions)
-    table = np.column_stack([cell_weights, positions, objectives.T,
-                             _weighted_sum(cell_weights.T, objectives)])
-    frontier = Frontier._from_table(table, [seeds[k] for k in winners],
-                                    grade_context)
+    frontier = Frontier._from_table(
+        _frontier_table(problem, cell_weights, positions),
+        [seeds[k] for k in winners])
     return frontier, [results[k].trace for k in winners]
 
 
@@ -505,16 +476,17 @@ def rank_solutions(frontier: Frontier
                  for k in (0, (len(ordered) - 1) // 2, -1))
 
 
-def compute_metrics(frontier: Frontier) -> dict:
-    """The metrics document for a frontier, ready for JSON."""
+def compute_metrics(frontier: Frontier, grade_context=None) -> dict:
+    """The metrics document for a frontier, ready for JSON; it echoes the
+    fuzzy.GradeContext the frontier was conditioned on, or null."""
     n_objectives = frontier.table[:, _OBJECTIVES].shape[1]
     references = reference_sigma_lines(n_objectives, DEFAULT_REFERENCE_COUNT)
     return {
         "dominance_mean_F": frontier_dominance(frontier),
         "diversity": diversity_metric(frontier, references),
         "n_points": len(frontier),
-        "grade_context": (frontier.grade_context.to_dict()
-                          if frontier.grade_context is not None else None),
+        "grade_context": (grade_context.to_dict()
+                          if grade_context is not None else None),
     }
 
 
@@ -527,9 +499,7 @@ def frontier_to_csv_text(frontier: Frontier) -> str:
     return "\n".join(lines) + "\n"
 
 
-def frontier_from_csv_text(text: str,
-                           grade_context: GradeContext | None = None
-                           ) -> Frontier:
+def frontier_from_csv_text(text: str) -> Frontier:
     """Read a frontier CSV into its table, building no points.
 
     Each row is parsed with float() and int(). The columns are then
@@ -567,7 +537,7 @@ def frontier_from_csv_text(text: str,
         _solution_point(values[k], seeds[k])
     if unparsed is not None:
         raise unparsed
-    return Frontier._from_table(table, seeds, grade_context)
+    return Frontier._from_table(table, seeds)
 
 
 def _screen(table: np.ndarray, seeds: list[int]) -> np.ndarray:
@@ -591,6 +561,5 @@ def write_frontier_csv(frontier: Frontier, path: str) -> None:
     write_text(path, frontier_to_csv_text(frontier), newline="")
 
 
-def read_frontier_csv(path: str,
-                      grade_context: GradeContext | None = None) -> Frontier:
-    return frontier_from_csv_text(read_text(path), grade_context=grade_context)
+def read_frontier_csv(path: str) -> Frontier:
+    return frontier_from_csv_text(read_text(path))

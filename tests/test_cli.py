@@ -298,8 +298,15 @@ class TestFrontier:
         # removed settings: elimination_cycles and zero depths replace them
         ({"bfa": {"total_passes": 1}}, "unknown bfa keys: ['total_passes']"),
         ({"bfa": {"swarming": True}}, "unknown bfa keys: ['swarming']"),
+        # a bound takes a JSON number, as every float setting does
+        ({"problem": {"design_bounds": [["0.3", "3.0"], [450, 520],
+                                        [520, 800], [0.01, 0.2]]}},
+         "design_bounds needs 4 (lo, hi) pairs"),
+        ({"problem": {"noise_bounds": [[True, 303], [800, 1000]]}},
+         "noise_bounds needs 2 (lo, hi) pairs"),
     ], ids=["weight_step_str", "maximize_str", "climate_csv_int",
-            "total_passes_removed", "swarming_removed"])
+            "total_passes_removed", "swarming_removed", "bound_str",
+            "bound_bool"])
     def test_mistyped_config_is_one_line(self, document, message, tmp_path,
                                          capsys):
         config = tmp_path / "config.json"
@@ -508,6 +515,38 @@ class TestReport:
         assert "- complete simplex weight grid kept: 6 vectors\n" in summary
         assert "35-vector" not in summary
 
+    @pytest.mark.parametrize("change, message", [
+        ({"dominance_mean_F": "1.5"},
+         "dominance_mean_F must be float, got str"),
+        ({"dominance_mean_F": None},
+         "dominance_mean_F must be float, got null"),
+        ({"diversity": [1.0]}, "diversity must be float, got list"),
+        ({"n_points": True}, "n_points must be int, got bool"),
+        ({"n_points": 6.0}, "n_points must be int, got float"),
+        (["dominance_mean_F", "diversity", "n_points"],
+         "must be a JSON object, got list"),
+    ], ids=["dominance_str", "dominance_null", "diversity_list",
+            "n_points_bool", "n_points_float", "key_list"])
+    @pytest.mark.parametrize("alone", [True, False], ids=["single", "multi"])
+    def test_malformed_metrics_is_one_line(self, change, message, alone,
+                                           bundle, tmp_path, capsys):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        metrics = copy / "metrics.json"
+        if isinstance(change, dict):
+            document = json.loads(metrics.read_text())
+            document.update(change)
+        else:
+            document = change
+        metrics.write_text(json.dumps(document))
+        argv = ["report", str(copy)] if alone else ["report", bundle,
+                                                    str(copy)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: SchemaMismatch: bundle {copy}: "
+                                f"metrics.json {message}\n")
+
     def test_incomplete_bundle_is_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -585,6 +624,37 @@ class TestRunConfig:
                 messages.append(str(err.value))
             assert messages[0] == messages[1]
         assert messages[0] == "bad grade_context: pad must be float, got null"
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "--weights", "0.1,0.1,0.8"],
+    ["frontier"],
+    ["frontier", "--workers", "2"],
+], ids=["optimize", "frontier", "frontier_w2"])
+def test_non_finite_objectives_exit_2(command, tmp_path, capsys):
+    # a failure while computing is one line and exit 2, raised in a pool
+    # worker too: the power surface's 10 ** 400 is inf
+    config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
+                          runs_per_weight=1,
+                          problem={"power_scale_exp": 400})
+    assert main([*command, "--config", config,
+                 "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: NonFiniteResult: objectives not "
+                               "finite at position ")
+
+
+def test_unwritable_out_dir_exits_2(tmp_path, capsys):
+    # --out below a file: the models directory cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["fuzzify", "--out", str(blocker / "models")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: NotADirectoryError: ")
 
 
 # a file with a byte that no UTF-8 text holds

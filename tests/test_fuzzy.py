@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,9 +122,34 @@ def test_constant_factor_rejected(table):
         insol_max=100.0, insol_min=10.0, insol_avg=50.0)
         for m in range(1, 13)]
     flat = ss.ClimateTable(tuple(records))
-    with pytest.raises(DegenerateRange,
-                       match=r"^need b_lo < b_hi, got \[280.0, 280.0\]$"):
+    # a constant factor makes the annual curve widthless, which is checked
+    # before the months
+    with pytest.raises(DegenerateRange, match=r"^temperature annual: need "
+                       r"b_lo < b_hi, got \[280.0, 280.0\]$"):
         ss.build_type2_model(flat, "temperature")
+
+
+@pytest.mark.parametrize("factor, month, flat", [
+    ("temperature", 1, dict(temp_min=280.0, temp_avg=280.0, temp_max=280.0)),
+    ("insolation", 7, dict(insol_min=50.0, insol_avg=50.0, insol_max=50.0)),
+], ids=["temperature-1", "insolation-7"])
+def test_widthless_month_is_named(factor, month, flat, table):
+    records = list(table.records)
+    records[month - 1] = replace(records[month - 1], **flat)
+    value = next(iter(flat.values()))
+    with pytest.raises(DegenerateRange, match=(
+            rf"^{factor} month {month}: need b_lo < b_hi, "
+            rf"got \[{value}, {value}\]$")):
+        ss.build_type2_model(ss.ClimateTable(tuple(records)), factor)
+
+
+def test_grade_context_noise_bounds(table, temp_model):
+    # a graded factor's bound is its padded interval; the other keeps its own
+    crisp = ss.ProblemSpec().noise_bounds
+    context = ss.GradeContext(temperature_secondary=0.17169)
+    assert context.noise_bounds(table, crisp) == (
+        ss.noise_interval_from_grades(temp_model, 0.17169, context.pad),
+        crisp[1])
 
 
 def test_fou_bounds_saturation(temp_model):

@@ -1,12 +1,15 @@
-"""Pinned bytes of a reduced frontier sweep and its stdout, of one
-optimize call and of the fuzzify models.
+"""Pinned bytes of a reduced frontier sweep and its stdout, of the same
+sweep under a grade context, of one optimize call and of the fuzzify
+models.
 
 The sweep runs 6 weight vectors (step 0.5, minimum 0) x 2 replicates with a
 short optimizer at master seed 0, so it also checks which replicate each
 cell keeps; it goes through the lockstep engine. The optimize call runs the
-same short optimizer through run_bfa. The models are fitted to the packaged
-climate table. A digest that moves is a change of output bytes: it must be
-declared, never silently refreshed.
+same short optimizer through run_bfa. The graded sweep reads its noise
+bounds off fuzzy models of the packaged climate table, and pins the stdout
+of metrics --grade-context and of report on its bundle too. The models are
+fitted to the packaged climate table. A digest that moves is a change of
+output bytes: it must be declared, never silently refreshed.
 """
 
 import hashlib
@@ -111,3 +114,62 @@ def test_fuzzify_model_bytes_are_pinned(tmp_path, capsys):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in MODEL_DIGESTS}
     assert got == MODEL_DIGESTS
+
+
+# the grade context of the CLI's noise-bound test: a temperature grade
+# padded to an interval and an insolation grade range
+GRADE_CONTEXT = {"temperature_secondary": 0.17169,
+                 "insolation_secondary": [0.02907, 0.92274]}
+
+GRADED_DIGESTS = {
+    "config.json":
+        "125237294cccdafd2ad3f6cf3bb9758ecdf1d35f13712c52c8de1616698021fe",
+    "frontier.csv":
+        "1147e9d5a9c51d2cf425906bd88329a0aba2db5702be6b855cd535ebfa321bea",
+    "metrics.json":
+        "d20b80b67ebfc436f4fe783e929734bc041402f205029c3167001b85ec630adb",
+    "summary.txt":
+        "5d7b288c32f22917f2cba2f82785c03bab75f8f90813ca78e216439e60c3f135",
+    "traces/trace_w000.csv":
+        "b29796f7097dc0ed7570f9abe62a4f1c654f7e7891af99e59f80e3e3c5265249",
+    "traces/trace_w001.csv":
+        "4db100045b90342c40d5ef133817eb545f4177358e3e3c287ab129c5f86842ad",
+    "traces/trace_w002.csv":
+        "bf2bd4b78030b4b40924ab33996089a61d15f31f51ee141a564b97d266bfa98d",
+    "traces/trace_w003.csv":
+        "8f4539f2cb36e3f25590b97f350fc8a8a38187a51fa2a2abcebe9f34daf8bd21",
+    "traces/trace_w004.csv":
+        "1a5f77a495c9904b6a6987e21d1811940eff05f21e3f2baa7a4570d9a709f71d",
+    "traces/trace_w005.csv":
+        "178434372a85ffb9718afd5082444642b670f4fdc392191b6529de5213cc41e7",
+    # the stdout of metrics --grade-context on the bundle's frontier.csv,
+    # and of report on the bundle
+    "metrics stdout":
+        "d20b80b67ebfc436f4fe783e929734bc041402f205029c3167001b85ec630adb",
+    "report stdout":
+        "e1ebaf436df7d84945b855467e5dc5a3ba323559d125a120bf511ca01ecaf73d",
+}
+
+
+def test_graded_sweep_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bfa": SHORT_BFA,
+                                  "grade_context": GRADE_CONTEXT}))
+    context = tmp_path / "context.json"
+    context.write_text(json.dumps(GRADE_CONTEXT))
+    assert main(["frontier", "--config", str(config), "--step", "0.5",
+                 "--minimum", "0", "--runs", "2", "--seed", "0",
+                 "--out", "bundle"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "bundle"
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in GRADED_DIGESTS if " " not in name}
+    for name, argv in (
+            ("metrics stdout", ["metrics", "--frontier", "bundle/frontier.csv",
+                                "--grade-context", str(context)]),
+            ("report stdout", ["report", "bundle"])):
+        assert main(argv) == 0
+        got[name] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+    assert got == GRADED_DIGESTS

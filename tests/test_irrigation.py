@@ -141,7 +141,9 @@ def test_aggregate_linearity(values, a, b):
     o1 = ss.ObjectiveTriple(*values[:3])
     o2 = ss.ObjectiveTriple(*values[3:])
     lhs = ss.aggregate(o1, w) + ss.aggregate(o2, w)
-    rhs = ss.aggregate(o1 + o2, w)
+    total = ss.ObjectiveTriple(*(a + b for a, b in zip(values[:3],
+                                                       values[3:])))
+    rhs = ss.aggregate(total, w)
     assert rhs == pytest.approx(lhs, rel=1e-9, abs=1e-6)
 
 
@@ -152,7 +154,8 @@ def test_aggregate_scale_preserves_ranking():
         triples = [ss.ObjectiveTriple(*row)
                    for row in rng.uniform(-100, 100, size=(100, 3))]
         base = [ss.aggregate(o, w) for o in triples]
-        scaled = [ss.aggregate(o.scaled(factor), w) for o in triples]
+        scaled = [ss.aggregate(ss.ObjectiveTriple(
+            *(factor * v for v in o.as_tuple())), w) for o in triples]
         assert np.argsort(base).tolist() == np.argsort(scaled).tolist()
         for lhs, rhs in zip(scaled, base):
             assert lhs == pytest.approx(factor * rhs, rel=1e-12)
@@ -188,8 +191,13 @@ def test_problem_spec_validation():
     ("noise_bounds", ((1.0, 2.0, 3.0),) * 2,
      "noise_bounds needs 2 (lo, hi) pairs"),
     ("noise_bounds", (None, None), "noise_bounds needs 2 (lo, hi) pairs"),
+    # float() would read these as (1, 12) and (1, 2); a bound is a number
+    ("design_bounds", (("01", "12"),) * 4,
+     "design_bounds needs 4 (lo, hi) pairs"),
+    ("noise_bounds", ((True, 2.0), (800.0, 1000.0)),
+     "noise_bounds needs 2 (lo, hi) pairs"),
 ], ids=["single", "not_a_number", "not_a_sequence", "three_pairs",
-        "triples", "nulls"])
+        "triples", "nulls", "numeric_strings", "bool"])
 def test_malformed_bound_pairs_are_validation_errors(field, bounds, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ss.ProblemSpec(**{field: bounds})
@@ -197,6 +205,16 @@ def test_malformed_bound_pairs_are_validation_errors(field, bounds, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ss.ProblemSpec.from_dict(
             {field: list(bounds) if isinstance(bounds, tuple) else [bounds]})
+
+
+def test_bounds_take_any_real_number():
+    # numpy numbers are real numbers; each bound is held as a float
+    spec = ss.ProblemSpec(design_bounds=np.array(DEFAULT_DESIGN_BOUNDS),
+                          noise_bounds=((np.int64(293), 303),
+                                        (800, np.float32(1000.0))))
+    assert spec.design_bounds == DEFAULT_DESIGN_BOUNDS
+    assert spec.noise_bounds == ((293.0, 303.0), (800.0, 1000.0))
+    assert {type(v) for pair in spec.noise_bounds for v in pair} == {float}
 
 
 def test_problem_spec_dict_roundtrip():

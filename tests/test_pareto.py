@@ -349,7 +349,7 @@ def table_frontier(objectives, order="C"):
     table = np.zeros((len(objectives), 13))
     table[:, 9:12] = objectives
     return ss.Frontier._from_table(np.asarray(table, order=order),
-                                   [0] * len(objectives), None)
+                                   [0] * len(objectives))
 
 
 class TestDiversityBits:
@@ -815,6 +815,5 @@ class TestMetrics:
 
     def test_grade_context_is_carried(self, tiny_frontier):
         ctx = ss.GradeContext(temperature_secondary=0.17169)
-        tagged = ss.Frontier(points=tiny_frontier.points, grade_context=ctx)
-        metrics = ss.compute_metrics(tagged)
+        metrics = ss.compute_metrics(tiny_frontier, ctx)
         assert metrics["grade_context"] == ctx.to_dict()
