@@ -20,8 +20,9 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from .codec import ConfigCodec, write_text
-from .errors import NonFiniteResult, OddPopulation, ValidationError
+from .codec import ConfigCodec, is_real, write_text
+from .errors import (InfeasibleSpec, NonFiniteResult, OddPopulation,
+                     ValidationError)
 
 
 class FitnessFunction(Protocol):
@@ -422,7 +423,7 @@ class RunTrace:
         rows = [",".join(self.CSV_HEADER) + "\n"]
         rows += [f"{it},{fit!r},{ev}\n" for it, (fit, ev) in
                  enumerate(zip(self.best_fitness, self.evaluations))]
-        write_text(path, "".join(rows), newline="")
+        write_text(path, "".join(rows))
 
 
 class RunResult(NamedTuple):
@@ -432,28 +433,40 @@ class RunResult(NamedTuple):
     evaluations: int  # every evaluation, the final dispersal's included
 
 
-def _bound_pairs(bounds) -> np.ndarray:
-    """bounds as a nonempty (n, 2) float array of intervals lo <= hi, or
-    ValidationError: the one check of a search box."""
+def _bound_pairs(bounds, n: int | None = None, label: str = "search box"
+                 ) -> tuple[tuple[float, float], ...]:
+    """bounds as (lo, hi) pairs of floats: the one check of a search box,
+    the engine's and ProblemSpec's. A box is one or more pairs, n if given,
+    of real numbers (codec.is_real), or ValidationError; a bound that is
+    not finite or lo > hi is an InfeasibleSpec. Messages start with label."""
+    count = f"{n} " if n else ""
     try:
-        pairs = np.asarray(bounds, dtype=float)
-    except (TypeError, ValueError):  # ragged or not numbers
-        pairs = None
-    if pairs is not None and pairs.shape[:1] == (0,):
-        raise ValidationError("need at least one bound")
-    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValidationError("fitness bounds must be (lo, hi) pairs")
-    empty = pairs[:, 0] > pairs[:, 1]
-    if empty.any():
-        lo, hi = pairs[empty.argmax()].tolist()
+        pairs = tuple((lo, hi) for lo, hi in bounds)
+        real = all(is_real(lo) and is_real(hi) for lo, hi in pairs)
+    except (TypeError, ValueError):  # not a sequence of pairs
+        real = False
+    if not real:
+        raise ValidationError(f"{label} needs {count}(lo, hi) pairs")
+    if not pairs or n and len(pairs) != n:
         raise ValidationError(
-            f"fitness bounds contain an empty interval [{lo}, {hi}]")
-    return pairs
+            f"{label} needs {count}(lo, hi) pairs, got {len(pairs)}")
+    box = []
+    for lo, hi in pairs:
+        try:
+            lo, hi = float(lo), float(hi)
+        except OverflowError:  # an int too large for a float
+            lo = hi = math.inf
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InfeasibleSpec(f"{label} contains a non-finite bound")
+        if lo > hi:
+            raise InfeasibleSpec(f"{label} interval [{lo}, {hi}] is empty")
+        box.append((lo, hi))
+    return tuple(box)
 
 
 def _box(bounds, cfg: BfaConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (lower, upper, steps) arrays of a search box."""
-    bounds = _bound_pairs(bounds)
+    bounds = np.array(_bound_pairs(bounds))
     return bounds[:, 0].copy(), bounds[:, 1].copy(), step_sizes(cfg, bounds)
 
 

@@ -173,14 +173,16 @@ def _notes_lines(problem: ProblemSpec, n_points: int | None = None,
 def cmd_fuzzify(args) -> int:
     config = _load_config(args)
     table = _load_table(config, args)
+    # both models first, so a table that fails either writes nothing
+    models = [fuzzy.build_type2_model(table, factor)
+              for factor in climate.FACTORS]
     os.makedirs(config.out_dir, exist_ok=True)
-    for factor in climate.FACTORS:
-        model = fuzzy.build_type2_model(table, factor)
-        path = os.path.join(config.out_dir, f"{factor}_model.json")
+    for model in models:
+        path = os.path.join(config.out_dir, f"{model.factor}_model.json")
         fuzzy.save_model(model, path)
         lo, hi = model.domain
         fou = fuzzy.sample_fou(model, n_points=512)
-        print(f"{factor}: annual domain [{_fmt(lo)}, {_fmt(hi)}], "
+        print(f"{model.factor}: annual domain [{_fmt(lo)}, {_fmt(hi)}], "
               f"uncertainty envelope mean width {fou.mean_width:.4f}, "
               f"max width {fou.max_width:.4f}")
         print(f"  wrote {path}")
@@ -260,29 +262,31 @@ def cmd_frontier(args) -> int:
     weights = weight_grid(config.weight_step, config.weight_minimum)
     problem = _resolve_problem(config, args)
     cfg = replace(config.bfa, seed=config.master_seed)
-    out_dir = config.out_dir
-    traces_dir = os.path.join(out_dir, "traces")
-    os.makedirs(traces_dir, exist_ok=True)
 
     started = time.perf_counter()
     frontier, traces = build_frontier(
         problem, cfg, weights, config.runs_per_weight, workers=config.workers)
     elapsed = time.perf_counter() - started
 
+    # nothing is written until the whole bundle is known
+    metrics = compute_metrics(frontier, config.grade_context)
+    texts = {"metrics.json": json_text(metrics),
+             "summary.txt": _summary_text(frontier, metrics, config, problem),
+             # echo what ran: the resolved noise bounds and the master seed
+             "config.json": json_text(replace(config, problem=problem,
+                                              bfa=cfg).to_dict())}
+    out_dir = config.out_dir
+    traces_dir = os.path.join(out_dir, "traces")
+    os.makedirs(traces_dir, exist_ok=True)
     for index, trace in enumerate(traces):
         trace.write_csv(os.path.join(traces_dir, f"trace_w{index:03d}.csv"))
+    write_frontier_csv(frontier, os.path.join(out_dir, "frontier.csv"))
+    for name, text in texts.items():
+        write_text(os.path.join(out_dir, name), text)
     for index, ((w1, w2, w3, *_, value), seed) in enumerate(
             zip(frontier.table.tolist(), frontier.seeds)):
         print(f"[{index + 1:3d}/{len(frontier)}] w=({w1:g},{w2:g},{w3:g}) "
               f"F={_fmt(value)} seed={seed}")
-    metrics = compute_metrics(frontier, config.grade_context)
-    write_frontier_csv(frontier, os.path.join(out_dir, "frontier.csv"))
-    write_text(os.path.join(out_dir, "metrics.json"), json_text(metrics))
-    write_text(os.path.join(out_dir, "summary.txt"),
-               _summary_text(frontier, metrics, config, problem))
-    # echo what ran: the resolved noise bounds and the master seed
-    write_text(os.path.join(out_dir, "config.json"), json_text(
-        replace(config, problem=problem, bfa=cfg).to_dict()))
     print(f"frontier: {len(frontier)} points, dominance "
           f"{_fmt(metrics['dominance_mean_F'])}, diversity "
           f"{_fmt(metrics['diversity'])}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import fields
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -50,10 +51,9 @@ def _finite(text: str) -> float:
     return value
 
 
-def write_text(path: str, text: str, newline: str | None = None) -> None:
-    """Write `text` to the file at `path`, UTF-8, with open()'s `newline`
-    handling, replacing what the file held."""
-    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+def write_text(path: str, text: str) -> None:
+    """Replace the file at `path` with `text`: UTF-8, line ends as given."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -71,8 +71,8 @@ class ConfigCodec:
     field from its own object (null only where the field defaults to None)
     and a tuple-of-configs field from a list of such objects. Every other
     value must fit its field's annotation: a bool field takes only a bool,
-    an int field an int but not a bool, a float field an int or a float, a
-    str field a str, null only where the annotation admits None, and a
+    an int field an int but not a bool, a float field a real number, a str
+    field a str, null only where the annotation admits None, and a
     tuple field a list, whose items are left to the dataclass's
     __post_init__. A missing field takes its default. A TypeError or
     ValueError raised while building the dataclass is reported as a
@@ -128,16 +128,22 @@ def json_kind(value) -> str:
     return "null" if value is None else type(value).__name__
 
 
+def is_real(value) -> bool:
+    """Whether a value is a real number, numpy's too, but not a bool or a
+    string: the number rule of every float setting, bound and grade."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def fits(hint, value) -> bool:
     """Whether a JSON value may fill a field annotated `hint`."""
     if get_origin(hint) in (Union, UnionType):
         return any(fits(t, value) for t in get_args(hint))
     if get_origin(hint) is tuple:
         return isinstance(value, (list, tuple))
+    if hint is float:
+        return is_real(value)
     if isinstance(value, bool):
         return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
     return isinstance(value, hint)
 
 

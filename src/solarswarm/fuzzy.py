@@ -10,7 +10,8 @@ twelve monthly curves sweep out a footprint of uncertainty: sample_fou and
 type_reduce (alpha-plane cuts of the annual curve) describe the model as
 diagnostics and feed no noise interval.
 
-Membership grades are floats in [0, 1] throughout.
+A grade is a real number in [0, 1], and a grade range two grades with
+lo <= hi: _grades checks each one that comes in, a GradeContext's when built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import climate
-from .codec import ConfigCodec, json_text, read_json, write_text
+from .codec import ConfigCodec, is_real, json_text, read_json, write_text
 from .errors import (
     DegenerateRange,
     EmptyInterval,
@@ -139,18 +140,12 @@ def build_type2_model(table: climate.ClimateTable,
 
 @dataclass(frozen=True)
 class FootprintOfUncertainty:
-    """Sampled envelope of the monthly membership family over the annual domain."""
+    """Sampled envelope of the monthly membership family over the annual
+    domain, as sample_fou builds it."""
 
     grid: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (len(self.grid) == len(self.lower) == len(self.upper)):
-            raise ValidationError("grid and envelopes must share a length")
-        if np.any(self.lower < -0.0) or np.any(self.upper > 1.0) \
-                or np.any(self.lower > self.upper):
-            raise ValidationError("envelope must satisfy 0 <= lower <= upper <= 1")
 
     @property
     def mean_width(self) -> float:
@@ -183,8 +178,6 @@ class AlphaPlane:
     hi: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.level <= 1.0:
-            raise ValidationError(f"level {self.level} outside [0, 1]")
         if self.lo > self.hi:
             raise ValidationError(
                 f"plane interval [{self.lo}, {self.hi}] is empty")
@@ -198,8 +191,7 @@ def alpha_plane_cut(model: Type2FuzzyVariable, level: float) -> AlphaPlane:
     whole domain, level 1 collapses onto the left endpoint (the only value
     whose grade is exactly 1).
     """
-    if not 0.0 <= level <= 1.0:
-        raise ValidationError(f"level {level} outside [0, 1]")
+    level = _grade(level, "level")
     curve = model.annual
     if level <= curve.smooth_inf:
         # every interior point clears the level (smooth_inf >= 0, so level
@@ -225,24 +217,36 @@ def type_reduce(model: Type2FuzzyVariable,
     return [alpha_plane_cut(model, float(level)) for level in levels]
 
 
-def _grades(value) -> float | tuple[float, float]:
-    """A single grade as a float, or a grade range as a (lo, hi) pair of
-    floats."""
-    if isinstance(value, (tuple, list)):
-        if len(value) != 2:
-            raise ValidationError(
-                f"grade range needs 2 values, got {len(value)}")
-        return (float(value[0]), float(value[1]))
+def _grade(value, label: str) -> float:
+    """A grade as a float: a real number (codec.is_real) in [0, 1]."""
+    if not (is_real(value) and 0.0 <= value <= 1.0):
+        raise ValidationError(
+            f"{label} must be a number in [0, 1], got {value!r}")
     return float(value)
+
+
+def _grades(value, label: str = "grade") -> float | tuple[float, float]:
+    """A grade as a float, or a grade range as a (lo, hi) pair of grades
+    with lo <= hi: the one check of a grade. Messages start with label."""
+    if not isinstance(value, (tuple, list)):
+        return _grade(value, label)
+    if len(value) != 2:
+        raise ValidationError(
+            f"{label} range needs 2 values, got {len(value)}")
+    lo, hi = (_grade(v, label) for v in value)
+    if lo > hi:
+        raise ValidationError(f"{label} range out of order: ({lo}, {hi})")
+    return (lo, hi)
 
 
 @dataclass(frozen=True)
 class GradeContext(ConfigCodec):
     """Membership grades a frontier was conditioned on.
 
-    Each entry is a single grade or a (lo, hi) grade range; primary grades
-    are monthly-curve context carried for reporting, secondary grades are
-    the annual-curve values that actually produce noise intervals.
+    Each entry is a single grade or a (lo, hi) grade range, checked by
+    _grades when the context is built; primary grades are monthly-curve
+    context carried for reporting, secondary grades are the annual-curve
+    values that actually produce noise intervals.
     """
 
     temperature_primary: float | tuple[float, float] | None = None
@@ -256,7 +260,8 @@ class GradeContext(ConfigCodec):
                      "insolation_primary", "insolation_secondary"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _grades(value))
+                object.__setattr__(self, name,
+                                   _grades(value, f"{name} grade"))
         if self.pad < 0.0:
             raise ValidationError(f"pad must be >= 0, got {self.pad}")
 
@@ -288,17 +293,12 @@ def noise_interval_from_grades(model: Type2FuzzyVariable,
         raise ValidationError(f"pad must be >= 0, got {pad}")
     dom_lo, dom_hi = model.domain
     grades = _grades(grades)
-    if isinstance(grades, tuple):
-        g_lo, g_hi = grades
-        if g_lo > g_hi:
-            raise ValidationError(
-                f"grade range out of order: ({g_lo}, {g_hi})")
-        if g_lo == g_hi:
-            return noise_interval_from_grades(model, g_lo, pad)
+    g_lo, g_hi = grades if isinstance(grades, tuple) else (grades, grades)
+    if g_lo < g_hi:
         lo = scurve_invert(g_hi, model.annual)
         hi = scurve_invert(g_lo, model.annual)
-    else:
-        x = scurve_invert(grades, model.annual)
+    else:  # a single grade, or a range of one
+        x = scurve_invert(g_lo, model.annual)
         half = pad * (dom_hi - dom_lo)
         lo, hi = x - half, x + half
     lo, hi = max(lo, dom_lo), min(hi, dom_hi)

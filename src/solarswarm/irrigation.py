@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
+from .bfa import _bound_pairs
 from .codec import ConfigCodec
 from .errors import (
     InfeasibleSpec,
@@ -105,30 +104,6 @@ class WeightVector:
         return (self.w1, self.w2, self.w3)
 
 
-def _real(value) -> float:
-    """A bound as a float: any real number but a bool, as the codec's float
-    rule takes; a string is no number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"not a real number: {value!r}")
-    return float(value)
-
-
-def _check_bounds(bounds: Iterable[Sequence[float]], n: int,
-                  label: str) -> tuple[tuple[float, float], ...]:
-    try:
-        pairs = tuple((_real(lo), _real(hi)) for lo, hi in bounds)
-    except (TypeError, ValueError):  # not a sequence of pairs of numbers
-        raise ValidationError(f"{label} needs {n} (lo, hi) pairs") from None
-    if len(pairs) != n:
-        raise ValidationError(f"{label} needs {n} (lo, hi) pairs, got {len(pairs)}")
-    for lo, hi in pairs:
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InfeasibleSpec(f"{label} contains a non-finite bound")
-        if lo > hi:
-            raise InfeasibleSpec(f"{label} interval [{lo}, {hi}] is empty")
-    return pairs
-
-
 @dataclass(frozen=True)
 class ProblemSpec(ConfigCodec):
     """Everything that pins down one instance of the sizing problem.
@@ -153,8 +128,8 @@ class ProblemSpec(ConfigCodec):
     maximize: bool = True
 
     def __post_init__(self) -> None:
-        design = _check_bounds(self.design_bounds, 4, "design_bounds")
-        noise = _check_bounds(self.noise_bounds, 2, "noise_bounds")
+        design = _bound_pairs(self.design_bounds, 4, "design_bounds")
+        noise = _bound_pairs(self.noise_bounds, 2, "noise_bounds")
         object.__setattr__(self, "design_bounds", design)
         object.__setattr__(self, "noise_bounds", noise)
         if self.variable_mode not in VARIABLE_MODES:

@@ -558,7 +558,7 @@ def _screen(table: np.ndarray, seeds: list[int]) -> np.ndarray:
 
 
 def write_frontier_csv(frontier: Frontier, path: str) -> None:
-    write_text(path, frontier_to_csv_text(frontier), newline="")
+    write_text(path, frontier_to_csv_text(frontier))
 
 
 def read_frontier_csv(path: str) -> Frontier:

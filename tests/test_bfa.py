@@ -704,12 +704,21 @@ def test_run_bfa_validates_problem():
     f = ss.BoxFunction(bounds=((0.0, 1.0), (0.0, 1.0)),
                        rows=lambda r: np.zeros(len(r)))
     f.bounds = ((1.0, 0.0), (0.0, 1.0))
-    with pytest.raises(ValidationError, match="empty interval"):
+    with pytest.raises(ValidationError, match="is empty"):
         ss.run_bfa(f, quick_config())
+    # a bound is a finite real number; numpy would overflow on inf or nan
+    for bounds, message in [((("0", "1"), (0.0, 1.0)), "needs"),
+                            (((True, 2.0), (0.0, 1.0)), "needs"),
+                            (((0.0, math.inf), (0.0, 1.0)), "non-finite"),
+                            (((-math.inf, 0.0), (0.0, 1.0)), "non-finite"),
+                            (((math.nan, 1.0), (0.0, 1.0)), "non-finite")]:
+        f.bounds = bounds
+        with pytest.raises(ValidationError, match=message):
+            ss.run_bfa(f, quick_config())
 
 
 def test_box_function_validates_bounds():
-    with pytest.raises(ValidationError, match="at least one bound"):
+    with pytest.raises(ValidationError, match="got 0"):
         ss.BoxFunction(bounds=(), rows=lambda r: np.zeros(len(r)))
     with pytest.raises(ValidationError, match="empty"):
         ss.BoxFunction(bounds=((0.0, 1.0), (2.0, 1.0)),
@@ -717,10 +726,14 @@ def test_box_function_validates_bounds():
 
 
 @pytest.mark.parametrize("bounds", [((0.0,),), ((0.0, 1.0, 2.0),),
-                                    (1.0, 2.0), ((0.0, 1.0), (2.0,))])
+                                    (1.0, 2.0), ((0.0, 1.0), (2.0,)),
+                                    (("0", "1"),), ((True, 2.0),),
+                                    ((0.0, math.inf),), ((-math.inf, 0.0),),
+                                    ((0.0, math.nan),), ((0, 10 ** 400),)])
 def test_box_function_rejects_malformed_bounds(bounds):
     with pytest.raises(ValidationError,
-                       match=r"fitness bounds must be \(lo, hi\) pairs"):
+                       match=r"^search box (needs \(lo, hi\) pairs"
+                             r"|contains a non-finite bound)$"):
         ss.BoxFunction(bounds=bounds, rows=lambda r: np.zeros(len(r)))
 
 

@@ -26,6 +26,24 @@ def write_config(directory, **overrides):
     return path
 
 
+# grade contexts that break the grade rule, with the message each gets: a
+# grade is a number in [0, 1], a range two grades with lo <= hi
+BAD_GRADE_CONTEXTS = [
+    ({"temperature_secondary": ["0.1", "0.9"]},
+     "temperature_secondary grade must be a number in [0, 1], got '0.1'"),
+    ({"temperature_secondary": [True, 0.5]},
+     "temperature_secondary grade must be a number in [0, 1], got True"),
+    ({"temperature_primary": -3},
+     "temperature_primary grade must be a number in [0, 1], got -3"),
+    ({"insolation_primary": 7.5},
+     "insolation_primary grade must be a number in [0, 1], got 7.5"),
+    ({"insolation_secondary": [0.8, 0.2]},
+     "insolation_secondary grade range out of order: (0.8, 0.2)"),
+]
+BAD_GRADE_IDS = ["grade_str", "grade_bool", "grade_negative",
+                 "grade_above_one", "grade_range_reversed"]
+
+
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
     """A tiny but real frontier bundle, shared by the read-only tests."""
@@ -60,6 +78,21 @@ class TestFuzzify:
         assert main(["fuzzify", "--climate", str(csv_path),
                      "--out", out]) == 0
         assert os.path.isfile(os.path.join(out, "temperature_model.json"))
+
+    def test_failed_model_writes_nothing(self, tmp_path, capsys):
+        # January's insolation has no width, so the second model fails
+        text = climate.serialize_climate_csv(climate.builtin_table())
+        csv_path = tmp_path / "climate.csv"
+        csv_path.write_text(text.replace("146,43,104.71", "100,100,100"))
+        out = tmp_path / "models"
+        assert main(["fuzzify", "--climate", str(csv_path),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: DegenerateRange: insolation month 1: need b_lo < b_hi, "
+            "got [100.0, 100.0]\n")
+        assert not out.exists()
 
     def test_unreadable_climate_is_a_usage_error(self, tmp_path, capsys):
         code = main(["fuzzify", "--climate", str(tmp_path / "missing.csv"),
@@ -304,9 +337,12 @@ class TestFrontier:
          "design_bounds needs 4 (lo, hi) pairs"),
         ({"problem": {"noise_bounds": [[True, 303], [800, 1000]]}},
          "noise_bounds needs 2 (lo, hi) pairs"),
+        # a grade context is checked when it is built, primaries too
+        *[({"grade_context": context}, message)
+          for context, message in BAD_GRADE_CONTEXTS],
     ], ids=["weight_step_str", "maximize_str", "climate_csv_int",
             "total_passes_removed", "swarming_removed", "bound_str",
-            "bound_bool"])
+            "bound_bool", *BAD_GRADE_IDS])
     def test_mistyped_config_is_one_line(self, document, message, tmp_path,
                                          capsys):
         config = tmp_path / "config.json"
@@ -406,6 +442,19 @@ class TestMetrics:
                      "--grade-context", str(context)]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["grade_context"]["temperature_secondary"] == 0.17169
+
+    @pytest.mark.parametrize("context, message", BAD_GRADE_CONTEXTS,
+                             ids=BAD_GRADE_IDS)
+    def test_bad_grade_context_is_one_line(self, context, message, bundle,
+                                           tmp_path, capsys):
+        path = tmp_path / "context.json"
+        path.write_text(json.dumps(context))
+        assert main(["metrics", "--frontier",
+                     os.path.join(bundle, "frontier.csv"),
+                     "--grade-context", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValidationError: {message}\n"
 
     def test_usage_errors(self, bundle, tmp_path, capsys):
         assert main(["metrics"]) == 1
@@ -555,11 +604,10 @@ class TestReport:
 
 
 class TestWriteText:
-    @pytest.mark.parametrize("newline", [None, ""])
-    def test_shorter_text_replaces_a_longer_file(self, newline, tmp_path):
+    def test_shorter_text_replaces_a_longer_file(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_bytes(b"old,contents\r\n" * 300)
-        write_text(str(path), "a,b\n\u00e9,2\n", newline=newline)
+        write_text(str(path), "a,b\n\u00e9,2\n")
         assert path.read_bytes() == "a,b\n\u00e9,2\n".encode("utf-8")
         write_text(str(path), "")
         assert path.read_bytes() == b""
@@ -643,6 +691,8 @@ def test_non_finite_objectives_exit_2(command, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: NonFiniteResult: objectives not "
                                "finite at position ")
+    # nothing is written before the run succeeds: no bundle, no directory
+    assert not (tmp_path / "out").exists()
 
 
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):

@@ -193,6 +193,8 @@ def test_alpha_plane_extremes(temp_model):
         fuzzy.alpha_plane_cut(temp_model, 1.5)
     with pytest.raises(ValidationError):
         fuzzy.alpha_plane_cut(temp_model, -0.1)
+    with pytest.raises(ValidationError, match="got nan"):
+        fuzzy.alpha_plane_cut(temp_model, math.nan)
 
 
 def test_alpha_plane_below_smooth_branch(temp_model):

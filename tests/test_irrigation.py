@@ -196,8 +196,11 @@ def test_problem_spec_validation():
      "design_bounds needs 4 (lo, hi) pairs"),
     ("noise_bounds", ((True, 2.0), (800.0, 1000.0)),
      "noise_bounds needs 2 (lo, hi) pairs"),
+    # an int beyond the floats is no finite bound
+    ("design_bounds", ((0, 10 ** 400),) + DEFAULT_DESIGN_BOUNDS[1:],
+     "design_bounds contains a non-finite bound"),
 ], ids=["single", "not_a_number", "not_a_sequence", "three_pairs",
-        "triples", "nulls", "numeric_strings", "bool"])
+        "triples", "nulls", "numeric_strings", "bool", "huge_int"])
 def test_malformed_bound_pairs_are_validation_errors(field, bounds, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ss.ProblemSpec(**{field: bounds})

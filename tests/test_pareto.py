@@ -471,6 +471,13 @@ class TestGradeContext:
             ss.GradeContext(temperature_secondary=(0.1, 0.2, 0.3))
         with pytest.raises(ValidationError):
             ss.GradeContext.from_dict({"temp": 0.5})
+        # a grade is a number in [0, 1], checked when the context is built
+        with pytest.raises(ValidationError, match="got nan"):
+            ss.GradeContext(temperature_secondary=math.nan)
+        with pytest.raises(ValidationError, match="got nan"):
+            ss.GradeContext(insolation_secondary=(0.1, math.nan))
+        with pytest.raises(ValidationError, match="got 1.5"):
+            ss.GradeContext(insolation_primary=1.5)
 
 
 class TestBuildFrontier:
