@@ -604,11 +604,16 @@ class TestReport:
 
 
 class TestWriteText:
-    def test_shorter_text_replaces_a_longer_file(self, tmp_path):
+    # `newline` is the mode the file is read back with: open()'s universal
+    # newlines (None) or the line ends as stored ("")
+    @pytest.mark.parametrize("newline", [None, ""])
+    def test_shorter_text_replaces_a_longer_file(self, newline, tmp_path):
         path = tmp_path / "out.txt"
         path.write_bytes(b"old,contents\r\n" * 300)
         write_text(str(path), "a,b\n\u00e9,2\n")
         assert path.read_bytes() == "a,b\n\u00e9,2\n".encode("utf-8")
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            assert fh.read() == "a,b\n\u00e9,2\n"
         write_text(str(path), "")
         assert path.read_bytes() == b""
 
