@@ -8,11 +8,10 @@ measurements for the Santa Rosa station ships with the package as
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from importlib import resources
 
+from .codec import csv_rows
 from .errors import (
     MalformedNumber,
     MissingMonth,
@@ -109,8 +108,8 @@ def _parse_number(text: str, row: int, column: str) -> float:
 
 def parse_climate_csv(text: str) -> ClimateTable:
     """Parse CSV text with the canonical header into a validated table."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = [row for row in csv_rows(text)
+            if row and any(cell.strip() for cell in row)]
     if not rows:
         raise MissingMonth("empty climate CSV")
     header = tuple(cell.strip() for cell in rows[0])

@@ -1,16 +1,19 @@
 """Files of the package: one field-driven JSON codec, one text reader, one
-text writer.
+CSV tokenizer, one text writer.
 
 Run configs, the grade context and the fuzzy model files all encode and
 decode through ConfigCodec; every JSON file the package writes goes through
 json_text and every one it reads through read_json. Every file the package
-reads, JSON or CSV, goes through read_text, and every file it writes, JSON
-or CSV or text, through write_text.
+reads, JSON or CSV, goes through read_text, and every CSV text it reads is
+split into rows by csv_rows. Every file it writes, JSON or CSV or text,
+goes through write_text.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import math
 import numbers
@@ -18,7 +21,7 @@ from dataclasses import fields
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
-from .errors import ValidationError
+from .errors import SchemaMismatch, ValidationError
 
 
 def read_text(path: str) -> str:
@@ -29,6 +32,30 @@ def read_text(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"cannot read {path}: {err}") from None
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The rows csv.reader with the excel dialect gives for `text`; a text
+    it rejects is a one-line SchemaMismatch.
+
+    Only a quote, a carriage return, a NUL (rejected by Python 3.10) or a
+    field longer than csv.field_size_limit() makes csv.reader do more than
+    split on newlines and commas. Text with none of them is split here
+    directly: an empty line is an empty row, and a final newline ends the
+    last row rather than starting one.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if ('"' in text or "\r" in text or "\0" in text
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
+        reader = csv.reader(io.StringIO(text))
+        try:
+            return list(reader)
+        except csv.Error as err:
+            raise SchemaMismatch(
+                f"CSV line {reader.line_num}: {err}") from None
+    return [line.split(",") if line else [] for line in lines]
 
 
 def read_json(path: str):

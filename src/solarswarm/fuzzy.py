@@ -239,6 +239,12 @@ def _grades(value, label: str = "grade") -> float | tuple[float, float]:
     return (lo, hi)
 
 
+def _check_pad(pad: float) -> None:
+    """The one pad check: a number >= 0, which nan is not."""
+    if not pad >= 0.0:
+        raise ValidationError(f"pad must be >= 0, got {pad}")
+
+
 @dataclass(frozen=True)
 class GradeContext(ConfigCodec):
     """Membership grades a frontier was conditioned on.
@@ -262,8 +268,7 @@ class GradeContext(ConfigCodec):
             if value is not None:
                 object.__setattr__(self, name,
                                    _grades(value, f"{name} grade"))
-        if self.pad < 0.0:
-            raise ValidationError(f"pad must be >= 0, got {self.pad}")
+        _check_pad(self.pad)
 
     def noise_bounds(self, table: climate.ClimateTable, bounds) -> tuple:
         """The (Z_a, Z_b) noise `bounds`, each graded factor's replaced by
@@ -289,8 +294,7 @@ def noise_interval_from_grades(model: Type2FuzzyVariable,
     symmetrically by pad * annual range. The result is intersected with the
     annual domain.
     """
-    if pad < 0.0:
-        raise ValidationError(f"pad must be >= 0, got {pad}")
+    _check_pad(pad)
     dom_lo, dom_hi = model.domain
     grades = _grades(grades)
     g_lo, g_hi = grades if isinstance(grades, tuple) else (grades, grades)

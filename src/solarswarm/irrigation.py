@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bfa import _bound_pairs
-from .codec import ConfigCodec
+from .codec import ConfigCodec, is_real
 from .errors import (
     InfeasibleSpec,
     NonFiniteResult,
@@ -306,16 +306,20 @@ def _weighted_sum(weights: np.ndarray, objectives: np.ndarray) -> np.ndarray:
 
 def _point(design, noise) -> tuple[float, ...]:
     """A (design, noise) point as its six floats: a DesignVector or 4
-    numbers, then a NoiseVector or 2 numbers."""
+    numbers, then a NoiseVector or 2 numbers, each a real number
+    (codec.is_real)."""
     point = ()
     for name, vector, size in (("design", design, 4), ("noise", noise, 2)):
         if isinstance(vector, (DesignVector, NoiseVector)):
             vector = vector.as_tuple()
-        values = tuple(float(v) for v in vector)
-        if len(values) != size:
+        vector = tuple(vector)
+        if len(vector) != size:
             raise ValidationError(
-                f"{name} vector needs {size} values, got {len(values)}")
-        point += values
+                f"{name} vector needs {size} values, got {len(vector)}")
+        if not all(map(is_real, vector)):
+            raise ValidationError(
+                f"{name} vector needs real numbers, got {vector!r}")
+        point += tuple(map(float, vector))
     return point
 
 

@@ -11,14 +11,12 @@ set of reference directions.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .bfa import BfaConfig, RunResult, RunTrace, run_bfa_lockstep
 # run_bfa is no longer called here, but stays bound under this module's
 # name: the benchmark's span tracer wraps pareto.run_bfa
 from .bfa import run_bfa  # noqa: F401
-from .codec import read_text, write_text
+from .codec import csv_rows, read_text, write_text
 # the shared writer, also bound under its earlier name here: the
 # benchmark's input generator imports pareto.metrics_json_text
 from .codec import json_text as metrics_json_text  # noqa: F401
@@ -502,42 +500,53 @@ def frontier_to_csv_text(frontier: Frontier) -> str:
 def frontier_from_csv_text(text: str) -> Frontier:
     """Read a frontier CSV into its table, building no points.
 
-    Each row is parsed with float() and int(). The columns are then
-    screened with the arithmetic the point constructors use: finite,
-    nonnegative weights summing to 1, F within 1e-9 relative of w . f,
-    and a nonnegative seed. Only a row the screen flags is built as a
-    point, so the constructors still raise every rejection, and the
-    first bad row in file order decides the error.
+    codec.csv_rows splits the text, and _parse_rows parses every row at
+    once with float() and int(). Only when that fails is each row parsed
+    alone, to find the first that does not parse and its message. The
+    columns of the rows before it are then screened with the arithmetic
+    the point constructors use: finite, nonnegative weights summing to 1,
+    F within 1e-9 relative of w . f, and a nonnegative seed. Only a row
+    the screen flags is built as a point, so the constructors still raise
+    every rejection, and the first bad row in file order decides the
+    error.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    rows = [row for row in csv_rows(text) if row]
     if not rows:
         raise SchemaMismatch("empty frontier CSV")
     header = tuple(cell.strip() for cell in rows[0])
     if header != FRONTIER_CSV_HEADER:
         raise SchemaMismatch(
             f"bad frontier header {header}; expected {FRONTIER_CSV_HEADER}")
-    values, seeds, unparsed = [], [], None
-    for n, row in enumerate(rows[1:], start=1):
-        if len(row) != len(FRONTIER_CSV_HEADER):
-            unparsed = SchemaMismatch(
-                f"row {n}: expected {len(FRONTIER_CSV_HEADER)} fields, "
-                f"got {len(row)}")
-            break
-        try:
-            floats = [float(cell) for cell in row[:13]]
-            seed = int(row[13])
-        except ValueError as bad:
-            unparsed = SchemaMismatch(f"row {n}: {bad}")
-            break
-        values.append(floats)
-        seeds.append(seed)
-    table = np.array(values, dtype=float).reshape(len(values), 13)
+    body, unparsed = rows[1:], None
+    try:
+        table, seeds = _parse_rows(body)
+    except ValueError:
+        for n, row in enumerate(body):
+            try:
+                _parse_rows([row])
+            except ValueError as bad:
+                unparsed = SchemaMismatch(f"row {n + 1}: {bad}")
+                break
+        table, seeds = _parse_rows(body[:n])
     for k in np.flatnonzero(_screen(table, seeds)).tolist():
-        _solution_point(values[k], seeds[k])
+        _solution_point(table[k].tolist(), seeds[k])
     if unparsed is not None:
         raise unparsed
     return Frontier._from_table(table, seeds)
+
+
+def _parse_rows(rows: list[list[str]]) -> tuple[np.ndarray, list[int]]:
+    """The (n, 13) float table and the int seeds of n frontier rows: the
+    13 float columns of all rows through one map(float), then the seeds
+    through int(). ValueError names the fault when a row has the wrong
+    width or a cell does not parse; for one row it is the leftmost."""
+    width = len(FRONTIER_CSV_HEADER)
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"expected {width} fields, got {len(row)}")
+    cells = chain.from_iterable([row[:13] for row in rows])
+    table = np.fromiter(map(float, cells), float, 13 * len(rows))
+    return table.reshape(len(rows), 13), [int(row[13]) for row in rows]
 
 
 def _screen(table: np.ndarray, seeds: list[int]) -> np.ndarray:

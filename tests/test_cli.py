@@ -748,6 +748,50 @@ def test_non_utf8_input_is_one_line(entry, bundle, tmp_path, capsys):
     assert lines[0].startswith("error: ValidationError: cannot read ")
 
 
+def csv_input(command, bundle, tmp_path, edit):
+    """The command line of `command` reading an edited copy of its CSV
+    input: the bundle's frontier for metrics, the packaged table for
+    fuzzify."""
+    if command == "metrics":
+        with open(os.path.join(bundle, "frontier.csv"),
+                  encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = climate.serialize_climate_csv(climate.builtin_table())
+    path = str(tmp_path / "input.csv")
+    write_text(path, edit(text))
+    if command == "metrics":
+        return ["metrics", "--frontier", path]
+    return ["fuzzify", "--climate", path, "--out", str(tmp_path / "m")]
+
+
+@pytest.mark.parametrize("command", ["metrics", "fuzzify"])
+def test_oversized_csv_field_is_one_line(command, bundle, tmp_path, capsys):
+    # a field longer than csv.field_size_limit() is csv.reader's own
+    # rejection: one SchemaMismatch line, not a traceback
+    argv = csv_input(command, bundle, tmp_path,
+                     lambda text: text.replace(",", "," + "0" * 140_000, 1))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0] == ("error: SchemaMismatch: CSV line 1: field larger "
+                        "than field limit (131072)")
+
+
+def test_lone_cr_line_ends_read_as_newlines(bundle, tmp_path, capsys):
+    # files are read with universal newlines, so a CSV whose lines end in
+    # a lone \r never reaches csv.reader's "new-line character" rejection
+    assert main(["metrics", "--frontier",
+                 os.path.join(bundle, "frontier.csv")]) == 0
+    expected = capsys.readouterr().out
+    argv = csv_input("metrics", bundle, tmp_path,
+                     lambda text: text.replace("\n", "\r"))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("argv", [
     ["frontier", "--minimum", "-inf"],
     ["frontier", "--step", "x"],

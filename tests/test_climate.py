@@ -1,15 +1,22 @@
+import csv
+import io
 import math
+import sys
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import solarswarm as ss
+from solarswarm import climate
 from solarswarm.climate import CSV_HEADER, serialize_climate_csv
 from solarswarm.errors import (
     MalformedNumber,
     MissingMonth,
     MonthOutOfRange,
     OrderViolation,
+    SchemaMismatch,
     ValidationError,
 )
 
@@ -146,3 +153,106 @@ def test_unknown_factor(table):
 def test_header_constant_matches_doc():
     assert CSV_HEADER == ("month", "temp_max", "temp_min", "temp_avg",
                           "insol_max", "insol_min", "insol_avg")
+
+
+def reference_climate_reader(text):
+    """The climate reader as it was before codec.csv_rows: csv.reader,
+    then the package's per-cell parse and validation."""
+    rows = [row for row in csv.reader(io.StringIO(text))
+            if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise MissingMonth("empty climate CSV")
+    header = tuple(cell.strip() for cell in rows[0])
+    if header != CSV_HEADER:
+        raise ValidationError(f"bad header {header}; expected {CSV_HEADER}")
+    records = []
+    for n, row in enumerate(rows[1:], start=1):
+        if len(row) != len(CSV_HEADER):
+            raise ValidationError(
+                f"row {n}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+        month_text = row[0].strip()
+        try:
+            month = int(month_text)
+        except ValueError:
+            raise MalformedNumber(f"row {n}, column month: "
+                                  f"cannot parse {month_text!r}") from None
+        values = [climate._parse_number(cell.strip(), n, name)
+                  for cell, name in zip(row[1:], CSV_HEADER[1:])]
+        records.append(ss.MonthlyClimateRecord(month, *values))
+    return ss.ClimateTable(tuple(records))
+
+
+def climate_outcome(read, text):
+    """What a climate reader makes of `text`: the bits of every record,
+    an error's type and message, or "csv.Error"."""
+    try:
+        table = read(text)
+    except csv.Error:
+        return "csv.Error"
+    except ValidationError as err:
+        return type(err), str(err)
+    records = np.array([astuple(r) for r in table.records], dtype=float)
+    return records.view(np.int64).tolist()
+
+
+def climate_corpus(table):
+    """Climate CSV texts by name, each an edit of the packaged table where
+    a hand-made CSV splitter could part from csv.reader."""
+    good = serialize_climate_csv(table)
+    lines = good.split("\n")
+
+    def cell(row, col):
+        return lines[row].split(",")[col]
+
+    def edit(row, col, new):
+        cells = lines[row].split(",")
+        cells[col:col + 1] = [] if new is None else [new]
+        return "\n".join([*lines[:row], ",".join(cells), *lines[row + 1:]])
+    limit = csv.field_size_limit()
+    return {
+        "unedited": good,
+        "empty": "",
+        "quoted": good.replace("month", '"month"').replace(
+            ",297.4,", ',"297.4",'),
+        "quoted_comma": edit(1, 1, '"29,7.4"'),
+        "crlf": good.replace("\n", "\r\n"),
+        "lone_cr": good.replace("\n", "\r"),
+        "blank_lines": good.replace("\n", "\n\n"),
+        "whitespace_line": good.replace("\n", "\n \t \n", 3),
+        "padded": edit(2, 2, f" \t{cell(2, 2)} "),
+        "padded_month": edit(3, 0, " 3 "),
+        "underscore": edit(1, 4, "1_46"),
+        "non_ascii_digits": edit(1, 0, "\u0661"),
+        "nan": edit(1, 1, "NaN"),
+        "minus_infinity": edit(1, 2, "-Infinity"),
+        "trailing_comma": edit(1, 6, cell(1, 6) + ","),
+        "bom": "\ufeff" + good,
+        "nul": edit(1, 1, "297\x00.4"),
+        "form_feed": edit(1, 1, "\f297.4"),
+        "extra_column": edit(1, 6, "1,2"),
+        "missing_column": edit(1, 6, None),
+        "limit_field": edit(1, 1, cell(1, 1).rjust(limit, "0")),
+        "long_field": edit(1, 1, cell(1, 1).rjust(limit + 1, "0")),
+    }
+
+
+def test_reader_agrees_with_the_csv_reader_reference(table):
+    # csv.reader rejects a lone \r, a field longer than
+    # csv.field_size_limit() and, on Python 3.10, a NUL; those texts now
+    # give one SchemaMismatch line, and every other text the reference's
+    # record bits, or its error type and message
+    rejected_by_csv = {"lone_cr", "long_field"}
+    if sys.version_info < (3, 11):
+        rejected_by_csv.add("nul")
+    seen = set()
+    for name, text in climate_corpus(table).items():
+        expected = climate_outcome(reference_climate_reader, text)
+        got = climate_outcome(ss.parse_climate_csv, text)
+        if expected == "csv.Error":
+            seen.add(name)
+            assert got[0] is SchemaMismatch, name
+            assert got[1].startswith("CSV line "), name
+            assert "\n" not in got[1], name
+        else:
+            assert got == expected, name
+    assert seen == rejected_by_csv

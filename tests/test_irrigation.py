@@ -263,6 +263,8 @@ def test_noise_interval_errors(temp_model):
         ss.noise_interval_from_grades(temp_model, (0.9, 0.1))
     with pytest.raises(ValidationError):
         ss.noise_interval_from_grades(temp_model, 0.5, pad=-0.1)
+    with pytest.raises(ValidationError, match="^pad must be >= 0, got nan$"):
+        ss.noise_interval_from_grades(temp_model, 0.5, pad=math.nan)
     with pytest.raises(GradeOutOfSmoothRange):
         ss.noise_interval_from_grades(temp_model, 0.99999)
     with pytest.raises(ValidationError):
@@ -333,6 +335,22 @@ def test_point_reader_names_the_vector_of_the_wrong_length(design, noise,
     if message.startswith("noise"):
         with pytest.raises(ValidationError, match="^design vector"):
             ss.eval_objectives(COVER_MID_DESIGN[:3], noise, spec)
+
+
+@pytest.mark.parametrize("design, noise, name, values", [
+    (("0.3", "450", "520", "0.01"), ("293", "800"), "design",
+     "('0.3', '450', '520', '0.01')"),
+    ((0.3, 450.0, 520.0, 0.01), ("293", True), "noise", "('293', True)"),
+    ((0.3, 450.0, True, 0.01), COVER_MID_NOISE, "design",
+     "(0.3, 450.0, True, 0.01)"),
+], ids=["strings", "string_and_bool", "bool"])
+def test_point_reader_takes_only_real_numbers(design, noise, name, values):
+    # the number rule is codec.is_real's: float() would take "293" and True
+    for read in (ss.eval_objectives, ss.feasible):
+        with pytest.raises(ValidationError) as caught:
+            read(design, noise, ss.ProblemSpec())
+        assert str(caught.value) == (
+            f"{name} vector needs real numbers, got {values}")
 
 
 def same_bits(a, b):

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import solarswarm as ss
 from solarswarm import pareto
+from solarswarm.codec import csv_rows
 from solarswarm.errors import (
     EmptyGrid,
     SchemaMismatch,
@@ -467,6 +469,8 @@ class TestGradeContext:
     def test_validation(self):
         with pytest.raises(ValidationError):
             ss.GradeContext(pad=-0.1)
+        with pytest.raises(ValidationError, match="^pad must be >= 0, got nan"):
+            ss.GradeContext(temperature_secondary=0.17169, pad=math.nan)
         with pytest.raises(ValidationError):
             ss.GradeContext(temperature_secondary=(0.1, 0.2, 0.3))
         with pytest.raises(ValidationError):
@@ -729,24 +733,31 @@ def frontier_text(*edits, rows=6):
                      in [FRONTIER_CSV_HEADER, *table]) + "\n"
 
 
+# (column, cell) edits of row 2, each with the error it must raise
+REJECTIONS = {
+    "short_row": (13, None, SchemaMismatch,
+                  "row 2: expected 14 fields, got 13"),
+    "bad_float": (3, "oops", SchemaMismatch,
+                  "row 2: could not convert string to float: 'oops'"),
+    "bad_int": (13, "1.5", SchemaMismatch,
+                "row 2: invalid literal for int() with base 10: '1.5'"),
+    "negative_weight": (1, "-0.25", ValidationError,
+                        "weights must be finite and >= 0, got -0.25"),
+    "nan_weight": (0, "nan", ValidationError,
+                   "weights must be finite and >= 0, got nan"),
+    "inf_weight": (2, "inf", ValidationError,
+                   "weights must be finite and >= 0, got inf"),
+    "weight_sum": (0, "0.75", ValidationError,
+                   "weights must sum to 1, got 1.25"),
+    "aggregate": (12, "5.0", ValidationError,
+                  "aggregate 5.0 disagrees with weights . objectives = 4.0"),
+    "negative_seed": (13, "-1", ValidationError, "seed must be nonnegative"),
+}
+
+
 class TestFrontierCsvReader:
-    @pytest.mark.parametrize("col, cell, error, message", [
-        (13, None, SchemaMismatch, "row 2: expected 14 fields, got 13"),
-        (3, "oops", SchemaMismatch,
-         "row 2: could not convert string to float: 'oops'"),
-        (13, "1.5", SchemaMismatch,
-         "row 2: invalid literal for int() with base 10: '1.5'"),
-        (1, "-0.25", ValidationError,
-         "weights must be finite and >= 0, got -0.25"),
-        (0, "nan", ValidationError, "weights must be finite and >= 0, got nan"),
-        (2, "inf", ValidationError, "weights must be finite and >= 0, got inf"),
-        (0, "0.75", ValidationError, "weights must sum to 1, got 1.25"),
-        (12, "5.0", ValidationError,
-         "aggregate 5.0 disagrees with weights . objectives = 4.0"),
-        (13, "-1", ValidationError, "seed must be nonnegative"),
-    ], ids=["short_row", "bad_float", "bad_int", "negative_weight",
-            "nan_weight", "inf_weight", "weight_sum", "aggregate",
-            "negative_seed"])
+    @pytest.mark.parametrize("col, cell, error, message",
+                             REJECTIONS.values(), ids=REJECTIONS.keys())
     def test_each_rejection_keeps_its_type_and_message(self, col, cell,
                                                        error, message):
         frontier_from_csv_text(frontier_text())  # unedited, it reads
@@ -799,6 +810,121 @@ class TestFrontierCsvReader:
         assert frontier.points == points
         assert frontier.points is frontier.points
         assert len(built) == before + 288
+
+
+    def test_reader_agrees_with_the_csv_reader_reference(self):
+        # csv.reader rejects a lone \r, a field longer than
+        # csv.field_size_limit() and, on Python 3.10, a NUL; those texts
+        # now give one SchemaMismatch line, and every other text the
+        # reference's table bits and seeds, or its error type and message
+        rejected_by_csv = {"lone_cr", "long_field"}
+        if sys.version_info < (3, 11):
+            rejected_by_csv.add("nul")
+        seen = set()
+        for name, text in frontier_corpus().items():
+            expected = read_outcome(reference_frontier_reader, text)
+            got = read_outcome(frontier_from_csv_text, text)
+            if expected == "csv.Error":
+                seen.add(name)
+                assert got[0] is SchemaMismatch, name
+                assert got[1].startswith("CSV line "), name
+                assert "\n" not in got[1], name
+            else:
+                assert got == expected, name
+                assert csv_rows(text) == list(csv.reader(io.StringIO(text)))
+        assert seen == rejected_by_csv
+
+
+def reference_frontier_reader(text):
+    """The frontier reader as it was before codec.csv_rows: csv.reader,
+    then float() and int() cell by cell and row by row, and the package's
+    screen."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if not rows:
+        raise SchemaMismatch("empty frontier CSV")
+    header = tuple(cell.strip() for cell in rows[0])
+    if header != FRONTIER_CSV_HEADER:
+        raise SchemaMismatch(
+            f"bad frontier header {header}; expected {FRONTIER_CSV_HEADER}")
+    values, seeds, unparsed = [], [], None
+    for n, row in enumerate(rows[1:], start=1):
+        if len(row) != len(FRONTIER_CSV_HEADER):
+            unparsed = SchemaMismatch(
+                f"row {n}: expected {len(FRONTIER_CSV_HEADER)} fields, "
+                f"got {len(row)}")
+            break
+        try:
+            floats = [float(cell) for cell in row[:13]]
+            seed = int(row[13])
+        except ValueError as bad:
+            unparsed = SchemaMismatch(f"row {n}: {bad}")
+            break
+        values.append(floats)
+        seeds.append(seed)
+    table = np.array(values, dtype=float).reshape(len(values), 13)
+    for k in np.flatnonzero(pareto._screen(table, seeds)).tolist():
+        pareto._solution_point(values[k], seeds[k])
+    if unparsed is not None:
+        raise unparsed
+    return ss.Frontier._from_table(table, seeds)
+
+
+def read_outcome(read, text):
+    """What a frontier reader makes of `text`: the table's bits and the
+    seeds, an error's type and message, or "csv.Error"."""
+    try:
+        frontier = read(text)
+    except csv.Error:
+        return "csv.Error"
+    except ValidationError as err:
+        return type(err), str(err)
+    return frontier.table.view(np.int64).tolist(), frontier.seeds
+
+
+def frontier_corpus():
+    """Frontier CSV texts by name: the rejection edits above, and the
+    spellings where a hand-made CSV splitter could part from csv.reader
+    or float() and int() from a faster parser."""
+    good = frontier_text()
+    lines = good.split("\n")
+    limit = csv.field_size_limit()
+    corpus = {name: frontier_text((2, col, cell))
+              for name, (col, cell, _, _) in REJECTIONS.items()}
+    corpus.update({
+        "unedited": good,
+        "empty": "",
+        "header_only": lines[0] + "\n",
+        "weight_before_parse": frontier_text((2, 0, "-0.5"), (5, 4, "oops")),
+        "parse_before_weight": frontier_text((2, 4, "oops"), (5, 0, "-0.5")),
+        "seed_before_aggregate": frontier_text((3, 13, "-2"), (4, 12, "1.0")),
+        "float_before_seed": frontier_text((2, 13, "1.5"), (2, 3, "oops")),
+        "quoted": good.replace("w1", '"w1"').replace(",500.0,", ',"500.0",'),
+        "quoted_comma": frontier_text((2, 4, '"5,00.0"')),
+        "crlf": good.replace("\n", "\r\n"),
+        "lone_cr": good.replace("\n", "\r"),
+        "blank_lines": good.replace("\n", "\n\n"),
+        "whitespace_line": good + " \t \n",
+        "whitespace_line_after_header": good.replace("\n", "\n   \n", 1),
+        "padded": frontier_text((2, 4, " 500.0 "), (3, 5, "\t600.0\t")),
+        "padded_header": good.replace("w1,", " w1\t,", 1),
+        "underscore": frontier_text((2, 4, "5_00.0")),
+        "non_ascii_digits": frontier_text((2, 4, "\u0665\u0660\u0660")),
+        "nan_design": frontier_text((2, 3, "NaN")),
+        "minus_infinity_aggregate": frontier_text((2, 12, "-Infinity")),
+        "trailing_comma": frontier_text((3, 13, "7,")),
+        "bom": "\ufeff" + good,
+        "nul": frontier_text((2, 4, "500\x00.0")),
+        "form_feed": frontier_text((2, 4, "\f500.0")),
+        "extra_column": frontier_text((2, 13, "7,8")),
+        "missing_column": frontier_text((2, 5, None)),
+        "limit_field": frontier_text((2, 4, "500.0".rjust(limit, "0"))),
+        "long_field": frontier_text((2, 4, "500.0".rjust(limit + 1, "0"))),
+        "seed_plus": frontier_text((2, 13, "+7")),
+        "seed_padded": frontier_text((2, 13, " 7 ")),
+        "seed_underscore": frontier_text((2, 13, "0_7")),
+        "seed_max": frontier_text((2, 13, str(2 ** 64 - 1))),
+    })
+    return corpus
 
 
 class TestMetrics:
