@@ -52,16 +52,17 @@ from .pareto import (
 SELF_TEST_THRESHOLD = -1e-2
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig(ConfigCodec):
-    """Everything a CLI run needs, overridable by flags."""
+    """Everything a CLI run needs, overridable by flags. bfa.seed is the
+    master seed run seeds derive from, or with optimize --seed the run
+    seed itself."""
 
     climate_csv: str | None = None
     out_dir: str = "solarswarm_runs"
     weight_step: float = 0.1
     weight_minimum: float = 0.1
     runs_per_weight: int = 5
-    master_seed: int = 0
     workers: int = 1
     problem: ProblemSpec = field(default_factory=ProblemSpec)
     bfa: BfaConfig = field(default_factory=BfaConfig)
@@ -72,39 +73,46 @@ class RunConfig(ConfigCodec):
             raise ValidationError("runs_per_weight must be >= 1")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
-        if self.master_seed < 0:
-            raise ValidationError("master_seed must be nonnegative")
 
 
-# the flags that override a RunConfig field, where a subcommand has them
-_OVERRIDES = (("seed", "master_seed"), ("workers", "workers"),
-              ("out", "out_dir"), ("step", "weight_step"),
+# each flag and the dotted path of the RunConfig setting it sets
+_OVERRIDES = (("seed", "bfa.seed"), ("workers", "workers"), ("out", "out_dir"),
+              ("climate", "climate_csv"), ("step", "weight_step"),
               ("minimum", "weight_minimum"), ("runs", "runs_per_weight"))
+
+
+def _set(config, path: str, value):
+    """config rebuilt, and so checked again, with dotted `path` = value."""
+    name, _, rest = path.partition(".")
+    return replace(config, **{
+        name: _set(getattr(config, name), rest, value) if rest else value})
 
 
 def _load_config(args) -> RunConfig:
     config = (RunConfig.from_dict(read_json(args.config))
               if getattr(args, "config", None) else RunConfig())
-    for flag, name in _OVERRIDES:
+    for flag, path in _OVERRIDES:
         if getattr(args, flag, None) is not None:
-            setattr(config, name, getattr(args, flag))
+            config = _set(config, path, getattr(args, flag))
     return config
 
 
-def _load_table(config: RunConfig, args) -> climate.ClimateTable:
-    path = getattr(args, "climate", None) or config.climate_csv
-    if path is None:
+def _load_table(config: RunConfig) -> climate.ClimateTable:
+    if config.climate_csv is None:
         return climate.builtin_table()
-    return climate.parse_climate_csv(read_text(path))
+    return climate.parse_climate_csv(read_text(config.climate_csv))
 
 
-def _resolve_problem(config: RunConfig, args) -> ProblemSpec:
-    """Apply the grade context, if any, to the problem's noise bounds."""
+def _resolve_problem(config: RunConfig) -> ProblemSpec:
+    """The problem, its noise bounds replaced by the grade context's, if
+    any. A given climate table is read even when no context needs it."""
     context = config.grade_context
     if context is None:
+        if config.climate_csv is not None:
+            _load_table(config)
         return config.problem
     return replace(config.problem, noise_bounds=context.noise_bounds(
-        _load_table(config, args), config.problem.noise_bounds))
+        _load_table(config), config.problem.noise_bounds))
 
 
 def _parse_weights(text: str) -> WeightVector:
@@ -172,7 +180,7 @@ def _notes_lines(problem: ProblemSpec, n_points: int | None = None,
 
 def cmd_fuzzify(args) -> int:
     config = _load_config(args)
-    table = _load_table(config, args)
+    table = _load_table(config)
     # both models first, so a table that fails either writes nothing
     models = [fuzzy.build_type2_model(table, factor)
               for factor in climate.FACTORS]
@@ -212,15 +220,14 @@ def cmd_optimize(args) -> int:
         raise ValidationError("--weights is required (e.g. 0.1,0.1,0.8)")
     config = _load_config(args)
     weights = _parse_weights(args.weights)
-    problem = _resolve_problem(config, args)
-    seed = (args.seed if args.seed is not None
-            else derive_seed(config.master_seed, weights, 0))
-    cfg = replace(config.bfa, seed=seed)
+    problem = _resolve_problem(config)
+    cfg = config.bfa if args.seed is not None else replace(
+        config.bfa, seed=derive_seed(config.bfa.seed, weights, 0))
     started = time.perf_counter()
     result = run_bfa(IrrigationFitness(problem, weights), cfg)
     elapsed = time.perf_counter() - started
     point = solution_from_position(problem, weights, result.best_position,
-                                   seed)
+                                   cfg.seed)
     os.makedirs(config.out_dir, exist_ok=True)
     solution_path = os.path.join(config.out_dir, "solution.csv")
     trace_path = os.path.join(config.out_dir, "trace.csv")
@@ -228,7 +235,7 @@ def cmd_optimize(args) -> int:
     result.trace.write_csv(trace_path)
     o = point.objectives
     print(f"weights ({_fmt(weights.w1)}, {_fmt(weights.w2)}, "
-          f"{_fmt(weights.w3)}) seed {seed}")
+          f"{_fmt(weights.w3)}) seed {cfg.seed}")
     print(f"aggregate F = {point.aggregate_value!r}")
     print(f"objectives: power {_fmt(o.power)}, efficiency "
           f"{_fmt(o.efficiency)}, savings {_fmt(o.savings)}")
@@ -240,41 +247,36 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _summary_text(frontier: Frontier, metrics: dict, config: RunConfig,
-                  problem: ProblemSpec) -> str:
-    lines = ["frontier summary", "================"]
-    lines.append(f"points: {metrics['n_points']}")
-    lines.append(f"weight grid: step {config.weight_step:g}, minimum "
-                 f"{config.weight_minimum:g}")
-    lines.append(f"runs per weight: {config.runs_per_weight}, master seed "
-                 f"{config.master_seed}")
-    lines.append(f"dominance (mean F): {metrics['dominance_mean_F']!r}")
-    lines.append(f"diversity: {metrics['diversity']!r}")
-    lines.append("")
-    lines.extend(_ranked_table(frontier))
-    lines.append("")
-    lines.extend(_notes_lines(problem, n_points=metrics["n_points"]))
+def _summary_text(frontier: Frontier, metrics: dict, config: RunConfig) -> str:
+    lines = ["frontier summary", "================",
+             f"points: {metrics['n_points']}",
+             f"weight grid: step {config.weight_step:g}, minimum "
+             f"{config.weight_minimum:g}",
+             f"runs per weight: {config.runs_per_weight}, master seed "
+             f"{config.bfa.seed}",
+             f"dominance (mean F): {metrics['dominance_mean_F']!r}",
+             f"diversity: {metrics['diversity']!r}", "",
+             *_ranked_table(frontier), "",
+             *_notes_lines(config.problem, n_points=metrics["n_points"])]
     return "\n".join(lines) + "\n"
 
 
 def cmd_frontier(args) -> int:
     config = _load_config(args)
     weights = weight_grid(config.weight_step, config.weight_minimum)
-    problem = _resolve_problem(config, args)
-    cfg = replace(config.bfa, seed=config.master_seed)
+    config = replace(config, problem=_resolve_problem(config))
 
     started = time.perf_counter()
     frontier, traces = build_frontier(
-        problem, cfg, weights, config.runs_per_weight, workers=config.workers)
+        config.problem, config.bfa, weights, config.runs_per_weight,
+        workers=config.workers)
     elapsed = time.perf_counter() - started
 
     # nothing is written until the whole bundle is known
     metrics = compute_metrics(frontier, config.grade_context)
     texts = {"metrics.json": json_text(metrics),
-             "summary.txt": _summary_text(frontier, metrics, config, problem),
-             # echo what ran: the resolved noise bounds and the master seed
-             "config.json": json_text(replace(config, problem=problem,
-                                              bfa=cfg).to_dict())}
+             "summary.txt": _summary_text(frontier, metrics, config),
+             "config.json": json_text(config.to_dict())}  # echo what ran
     out_dir = config.out_dir
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
@@ -411,15 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights",
                    help="three comma-separated objective weights")
     p.add_argument("--seed", type=int,
-                   help="run seed (default: derived from master seed and "
-                        "weights, matching frontier cell replicate 0)")
+                   help="run seed (default: frontier cell replicate 0's, "
+                        "derived from the master seed bfa.seed and weights)")
     p.add_argument("--self-test", action="store_true",
                    help="run the built-in benchmark check instead")
     p.set_defaults(handler=cmd_optimize)
 
     p = sub.add_parser("frontier", help="sweep the full weight grid")
     common(p)
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--seed", type=int, help="master seed (bfa.seed)")
     p.add_argument("--workers", type=int, help="parallel worker processes")
     p.add_argument("--step", type=float, help="weight grid spacing")
     p.add_argument("--minimum", type=float, help="smallest allowed weight")

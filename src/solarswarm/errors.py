@@ -51,6 +51,11 @@ class TooFewPlanes(ValidationError):
     """Type reduction requested with fewer than two alpha planes."""
 
 
+class NoiseOutOfBox(ValidationError):
+    """Grades give a noise interval outside the box the response surfaces
+    are coded against, so evaluating them there would extrapolate."""
+
+
 class EmptyInterval(ComputationError):
     """A derived interval came out empty."""
 

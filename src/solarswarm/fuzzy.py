@@ -5,7 +5,8 @@ function per month, fitted to that month's (min, max) interval, plus one
 annual secondary curve fitted to the year's overall extrema. A
 GradeContext's secondary grades become the problem's noise bounds through
 the inverse of the annual curve (GradeContext.noise_bounds, through
-noise_interval_from_grades); primary grades are only echoed. The
+noise_interval_from_grades), and must land inside the crisp noise box the
+response surfaces are coded against; primary grades are only echoed. The
 twelve monthly curves sweep out a footprint of uncertainty: sample_fou and
 type_reduce (alpha-plane cuts of the annual curve) describe the model as
 diagnostics and feed no noise interval.
@@ -27,9 +28,11 @@ from .errors import (
     DegenerateRange,
     EmptyInterval,
     GradeOutOfSmoothRange,
+    NoiseOutOfBox,
     TooFewPlanes,
     ValidationError,
 )
+from .irrigation import CRISP_NOISE_BOUNDS
 
 # Shape constants shared by every curve: chosen so the grade falls from
 # ~1 at the low end of the range to ~0.001 at the high end, with grade
@@ -272,14 +275,23 @@ class GradeContext(ConfigCodec):
 
     def noise_bounds(self, table: climate.ClimateTable, bounds) -> tuple:
         """The (Z_a, Z_b) noise `bounds`, each graded factor's replaced by
-        its secondary grades' padded interval on its model of `table`."""
+        its secondary grades' padded interval on its model of `table`. An
+        interval outside that factor's irrigation.CRISP_NOISE_BOUNDS, the
+        box the response surfaces are coded against, is a NoiseOutOfBox."""
         bounds = list(bounds)
         # the noise bounds are (Z_a, Z_b): temperature, then insolation
         for index, factor in enumerate(climate.FACTORS):
             grades = getattr(self, f"{factor}_secondary")
             if grades is not None:
-                bounds[index] = noise_interval_from_grades(
+                lo, hi = noise_interval_from_grades(
                     build_type2_model(table, factor), grades, self.pad)
+                box_lo, box_hi = CRISP_NOISE_BOUNDS[index]
+                if not box_lo <= lo <= hi <= box_hi:
+                    raise NoiseOutOfBox(
+                        f"{factor} grades {grades} give the noise interval "
+                        f"[{lo}, {hi}], outside the box [{box_lo}, {box_hi}] "
+                        f"the response surfaces are coded against")
+                bounds[index] = (lo, hi)
         return tuple(bounds)
 
 

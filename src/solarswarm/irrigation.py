@@ -9,9 +9,9 @@ table that carries two known misprints; the corrected readings are the
 default and each can be switched back to the as-printed form for fidelity
 checks.
 
-Noise bounds are the crisp reference intervals, or intervals that a grade
-context derives through fuzzy.GradeContext.noise_bounds; coded mode maps
-noise values from the crisp reference intervals either way.
+Noise bounds are the crisp reference intervals, or intervals inside them
+that a grade context derives through fuzzy.GradeContext.noise_bounds; coded
+mode maps noise values from the crisp reference intervals either way.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ class DesignVector:
     x_c: float
     x_d: float
 
+    def __post_init__(self) -> None:
+        _check_finite(self)
+
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x_a, self.x_b, self.x_c, self.x_d)
 
@@ -68,8 +71,20 @@ class NoiseVector:
     z_a: float
     z_b: float
 
+    def __post_init__(self) -> None:
+        _check_finite(self)
+
     def as_tuple(self) -> tuple[float, float]:
         return (self.z_a, self.z_b)
+
+
+def _check_finite(vector) -> None:
+    """Reject a design or noise vector holding anything but finite real
+    numbers (codec.is_real)."""
+    for name, value in zip(vector.__dataclass_fields__, vector.as_tuple()):
+        if not (is_real(value) and math.isfinite(value)):
+            raise ValidationError(
+                f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

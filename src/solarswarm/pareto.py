@@ -49,8 +49,10 @@ from .irrigation import (
 FRONTIER_CSV_HEADER = ("w1", "w2", "w3", "x_a", "x_b", "x_c", "x_d",
                        "Z_a", "Z_b", "f1", "f2", "f3", "F", "seed")
 
-# Frontier.table columns: the weights, the objectives and F
+# Frontier.table columns: the weights, the design and noise values, the
+# objectives and F
 _WEIGHTS = slice(0, 3)
+_VARIABLES = slice(3, 9)
 _OBJECTIVES = slice(9, 12)
 _AGGREGATE = 12
 
@@ -505,10 +507,10 @@ def frontier_from_csv_text(text: str) -> Frontier:
     alone, to find the first that does not parse and its message. The
     columns of the rows before it are then screened with the arithmetic
     the point constructors use: finite, nonnegative weights summing to 1,
-    F within 1e-9 relative of w . f, and a nonnegative seed. Only a row
-    the screen flags is built as a point, so the constructors still raise
-    every rejection, and the first bad row in file order decides the
-    error.
+    finite design and noise values, F within 1e-9 relative of w . f, and
+    a nonnegative seed. Only a row the screen flags is built as a point,
+    so the constructors still raise every rejection, and the first bad
+    row in file order decides the error.
     """
     rows = [row for row in csv_rows(text) if row]
     if not rows:
@@ -550,12 +552,13 @@ def _parse_rows(rows: list[list[str]]) -> tuple[np.ndarray, list[int]]:
 
 
 def _screen(table: np.ndarray, seeds: list[int]) -> np.ndarray:
-    """Rows that may make no valid point: every row WeightVector or
-    SolutionPoint would reject is flagged, by the same arithmetic in the
-    same order."""
+    """Rows that may make no valid point: every row WeightVector,
+    DesignVector, NoiseVector or SolutionPoint would reject is flagged, by
+    the same arithmetic in the same order."""
     weights = table[:, _WEIGHTS]
     w1, w2, w3 = weights.T
     flagged = ~((weights >= 0.0) & np.isfinite(weights)).all(axis=1)
+    flagged |= ~np.isfinite(table[:, _VARIABLES]).all(axis=1)
     # Python floats overflow to inf and make nan silently; so does this
     with np.errstate(over="ignore", invalid="ignore"):
         flagged |= np.abs((w1 + w2) + w3 - 1.0) > 1e-12

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import os
 import shutil
+import typing
 
 import pytest
 
@@ -298,39 +300,43 @@ class TestFrontier:
         assert not os.path.exists(tmp_path / "x")
 
     def test_grade_context_reshapes_noise_bounds(self, tmp_path):
-        context = {"temperature_secondary": 0.17169,
-                   "insolation_secondary": [0.02907, 0.92274]}
+        context = {"temperature_secondary": 0.05}
         config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
                               runs_per_weight=1, grade_context=context)
         out = str(tmp_path / "run")
         assert main(["frontier", "--config", config, "--out", out]) == 0
         echo = json.load(open(os.path.join(out, "config.json")))
-        (t_lo, t_hi), (i_lo, i_hi) = echo["problem"]["noise_bounds"]
-        # point grade padded by 0.005 of the 43.9-wide temperature domain
-        assert t_lo == pytest.approx(292.15130669440146 - 0.005 * 43.9)
-        assert t_hi == pytest.approx(292.15130669440146 + 0.005 * 43.9)
-        assert i_lo == pytest.approx(117.18603187090537)
-        assert i_hi == pytest.approx(256.78623863640325)
-        assert echo["grade_context"]["temperature_secondary"] == 0.17169
+        (t_lo, t_hi), insolation = echo["problem"]["noise_bounds"]
+        # point grade padded by 0.005 of the 43.9-wide temperature domain;
+        # insolation, not graded, keeps its crisp bounds
+        assert t_lo == pytest.approx(296.5075940107938 - 0.005 * 43.9)
+        assert t_hi == pytest.approx(296.5075940107938 + 0.005 * 43.9)
+        assert insolation == [800.0, 1000.0]
+        assert echo["grade_context"]["temperature_secondary"] == 0.05
 
     def test_config_echo_holds_the_seed_that_ran(self, tmp_path, capsys):
-        # the --config bfa.seed never runs: the master seed does
+        # --seed sets bfa.seed, the master seed, over the --config one
         config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
-                              runs_per_weight=1)
+                              runs_per_weight=1,
+                              bfa={**tiny_bfa_dict(), "seed": 2})
         out = str(tmp_path / "run")
         assert main(["frontier", "--config", config, "--out", out,
                      "--seed", "5"]) == 0
         echo = json.load(open(os.path.join(out, "config.json")))
-        assert echo["master_seed"] == 5
+        assert "master_seed" not in echo
         assert echo["bfa"]["seed"] == 5
+        summary = open(os.path.join(out, "summary.txt")).read()
+        assert "runs per weight: 1, master seed 5\n" in summary
 
     @pytest.mark.parametrize("document, message", [
         ({"weight_step": "x"}, "weight_step must be float, got str"),
         ({"problem": {"maximize": "no"}}, "maximize must be bool, got str"),
         ({"climate_csv": 5}, "climate_csv must be str | None, got int"),
-        # removed settings: elimination_cycles and zero depths replace them
+        # removed settings: elimination_cycles, zero depths and bfa.seed
+        # replace them
         ({"bfa": {"total_passes": 1}}, "unknown bfa keys: ['total_passes']"),
         ({"bfa": {"swarming": True}}, "unknown bfa keys: ['swarming']"),
+        ({"master_seed": 3}, "unknown config keys: ['master_seed']"),
         # a bound takes a JSON number, as every float setting does
         ({"problem": {"design_bounds": [["0.3", "3.0"], [450, 520],
                                         [520, 800], [0.01, 0.2]]}},
@@ -341,7 +347,8 @@ class TestFrontier:
         *[({"grade_context": context}, message)
           for context, message in BAD_GRADE_CONTEXTS],
     ], ids=["weight_step_str", "maximize_str", "climate_csv_int",
-            "total_passes_removed", "swarming_removed", "bound_str",
+            "total_passes_removed", "swarming_removed", "master_seed_removed",
+            "bound_str",
             "bound_bool", *BAD_GRADE_IDS])
     def test_mistyped_config_is_one_line(self, document, message, tmp_path,
                                          capsys):
@@ -367,13 +374,14 @@ class TestFrontier:
         assert not os.path.exists(tmp_path / "x")
 
     @pytest.mark.parametrize("context", [
-        None, {"temperature_secondary": 0.17169}], ids=["crisp", "graded"])
+        None, {"temperature_secondary": 0.05}], ids=["crisp", "graded"])
     def test_bundle_config_reruns_the_bundle(self, context, tmp_path, capsys):
         # a bundle's config.json is a valid --config, and it runs the
         # bundle again: every file the same, and the echo the same but for
         # out_dir
         config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
-                              runs_per_weight=1, master_seed=3,
+                              runs_per_weight=1,
+                              bfa={**tiny_bfa_dict(), "seed": 3},
                               grade_context=context)
         first, second = str(tmp_path / "first"), str(tmp_path / "second")
         assert main(["frontier", "--config", config, "--out", first]) == 0
@@ -479,7 +487,8 @@ class TestReport:
 
     def test_two_bundles_are_ranked(self, bundle, tmp_path, capsys):
         config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
-                              runs_per_weight=1, master_seed=1)
+                              runs_per_weight=1,
+                              bfa={**tiny_bfa_dict(), "seed": 1})
         other = str(tmp_path / "other")
         assert main(["frontier", "--config", config, "--out", other]) == 0
         capsys.readouterr()
@@ -625,7 +634,7 @@ class TestWriteText:
 
 class TestRunConfig:
     def test_dict_roundtrip(self):
-        config = RunConfig(weight_step=0.5, master_seed=3,
+        config = RunConfig(weight_step=0.5, bfa=ss.BfaConfig(seed=3),
                            grade_context=ss.GradeContext(
                                insolation_secondary=(0.1, 0.9)))
         again = RunConfig.from_dict(json.loads(
@@ -638,7 +647,7 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig(workers=0)
         with pytest.raises(ValidationError):
-            RunConfig(master_seed=-1)
+            RunConfig.from_dict({"bfa": {"seed": -1}})
         with pytest.raises(ValidationError):
             RunConfig.from_dict({"wrong": 1})
 
@@ -814,3 +823,229 @@ def test_help_still_exits_0(capsys):
         main(["frontier", "--help"])
     assert exit_.value.code == 0
     assert "--step" in capsys.readouterr().out
+
+
+def bundle_files(out):
+    """Every file of a bundle directory, by its path inside it: bytes."""
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            files[os.path.relpath(path, out)] = open(path, "rb").read()
+    return files
+
+
+def run_frontier(document, *flags):
+    """Exit code and bundle of a frontier run of this --config document,
+    which names its out_dir; the bundle is read and removed, so the next
+    run can write the same out_dir."""
+    out = document["out_dir"]
+    config = os.path.join(os.path.dirname(out), "settings.json")
+    write_text(config, json.dumps(document))
+    code = main(["frontier", "--config", config, *flags])
+    files = bundle_files(out) if os.path.isdir(out) else None
+    shutil.rmtree(out, ignore_errors=True)
+    return code, files
+
+
+def config_settings(cls, prefix=""):
+    """The dotted path of every settable value of a config class; a nested
+    config's values are its own settings."""
+    hints = typing.get_type_hints(cls)
+    paths = []
+    for f in dataclasses.fields(cls):
+        nested = [t for t in (hints[f.name], *typing.get_args(hints[f.name]))
+                  if dataclasses.is_dataclass(t)]
+        paths += (config_settings(nested[0], f"{prefix}{f.name}.") if nested
+                  else [prefix + f.name])
+    return paths
+
+
+# the tiny frontier each setting is changed on: 15 weight vectors, one run
+# each. A grade-context setting and the climate table are changed on it
+# with an in-box temperature grade. The swarming signal acts on squared
+# distances in raw variable units, so at its default depths and widths,
+# against objectives of 1e4 to 1e8, it decides nothing in so short a run:
+# its settings are changed on it with a signal of the objectives' scale
+TINY_SWEEP = {"bfa": tiny_bfa_dict(), "weight_step": 0.25,
+              "weight_minimum": 0.0, "runs_per_weight": 1}
+GRADED = {"temperature_secondary": 0.05}
+LIVE_SIGNAL = {"attract_depth": 1e5, "attract_width": 1e-4,
+               "repel_height": 1e5, "repel_width": 1e-3}
+BASES = {"crisp": TINY_SWEEP,
+         "graded": {**TINY_SWEEP, "grade_context": GRADED},
+         "signal": {**TINY_SWEEP, "bfa": {**tiny_bfa_dict(), **LIVE_SIGNAL}}}
+WARMER_OCTOBER = ("10,309.1,", "10,310.1,")
+
+
+def base_of(path):
+    """The name of the tiny frontier a setting is changed on."""
+    if path == "climate_csv" or path.startswith("grade_context."):
+        return "graded"
+    return "signal" if path.split(".")[-1] in LIVE_SIGNAL else "crisp"
+
+
+# one changed value per setting of a run config; each must change the
+# bytes of the bundle, config.json aside (it echoes every setting), or be
+# rejected in one line
+SETTING_CHANGES = {
+    "climate_csv": WARMER_OCTOBER,
+    "out_dir": "elsewhere",  # under the test's directory
+    "weight_step": 0.5,
+    "weight_minimum": 0.25,
+    "runs_per_weight": 2,
+    "workers": 2,
+    "problem.design_bounds": [[0.5, 3.0], [450, 520], [520, 800],
+                              [0.01, 0.2]],
+    "problem.noise_bounds": [[295.0, 303.0], [800.0, 1000.0]],
+    "problem.variable_mode": "raw",
+    "problem.power_scale_exp": 3.0,
+    "problem.savings_scale_exp": 3.0,
+    "problem.fix_efficiency_intercept": False,
+    "problem.fix_savings_flow_term": False,
+    "problem.maximize": False,
+    "bfa.population_size": 6,
+    "bfa.chemotaxis_steps": 3,
+    "bfa.swim_limit": 3,
+    "bfa.reproduction_cycles": 2,
+    "bfa.elimination_cycles": 2,
+    "bfa.step_fraction": 0.1,
+    "bfa.attract_depth": 2e5,
+    "bfa.attract_width": 2e-4,
+    "bfa.repel_height": 2e5,
+    "bfa.repel_width": 2e-3,
+    "bfa.elimination_prob": 1.0,
+    "bfa.seed": 5,
+    "grade_context.temperature_primary": 0.5,
+    "grade_context.temperature_secondary": 0.06,
+    "grade_context.insolation_primary": 0.5,
+    "grade_context.insolation_secondary": 0.5,
+    "grade_context.pad": 0.01,
+}
+
+
+def changed(document, path, value):
+    """A copy of a --config document with the setting at `path` set."""
+    document = json.loads(json.dumps(document))
+    *sections, name = path.split(".")
+    inner = document
+    for section in sections:
+        inner = inner.setdefault(section, {})
+    inner[name] = value
+    return document
+
+
+class TestEverySettingIsRead:
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        """The bundle of each tiny frontier of BASES, by its name."""
+        root = tmp_path_factory.mktemp("base")
+        bundles = {}
+        for name, document in BASES.items():
+            code, bundles[name] = run_frontier(
+                {**document, "out_dir": str(root / name)})
+            assert code == 0
+        return bundles
+
+    def test_every_setting_has_a_change(self):
+        # a setting added to RunConfig, or to a config inside it, with no
+        # case here fails this test
+        assert config_settings(RunConfig) == list(SETTING_CHANGES)
+        assert len(SETTING_CHANGES) == 31
+
+    @pytest.mark.parametrize("path", SETTING_CHANGES)
+    def test_a_changed_setting_changes_the_bundle(self, path, base,
+                                                  tmp_path, capsys):
+        value = SETTING_CHANGES[path]
+        document = {**BASES[base_of(path)], "out_dir": str(tmp_path / "run")}
+        if path == "climate_csv":
+            text = climate.serialize_climate_csv(climate.builtin_table())
+            assert text.count(value[0]) == 1
+            write_text(str(tmp_path / "warmer.csv"), text.replace(*value))
+            value = str(tmp_path / "warmer.csv")
+        elif path == "out_dir":
+            value = str(tmp_path / value)
+        code, files = run_frontier(changed(document, path, value))
+        err = capsys.readouterr().err
+        if path == "grade_context.insolation_secondary":
+            # no insolation grade lands inside the crisp noise box, so this
+            # one is rejected: one line, and no bundle
+            assert code == 1 and files is None
+            assert err.startswith("error: NoiseOutOfBox: insolation grades ")
+            assert err.count("\n") == 1
+            return
+        assert code == 0 and err == ""
+        # the echo holds the changed value
+        echo = json.loads(files.pop("config.json"))
+        for name in path.split("."):
+            echo = echo[name]
+        assert echo == value
+        want = {name: data for name, data in base[base_of(path)].items()
+                if name != "config.json"}
+        if path in ("workers", "out_dir"):
+            # the same bytes by design, from two processes or elsewhere
+            assert files == want
+        else:
+            # summary.txt names some settings, so what ran must change: the
+            # frontier, its metrics or its traces
+            del files["summary.txt"], want["summary.txt"]
+            assert files != want
+
+    def test_config_seed_writes_the_bundle_the_seed_flag_writes(
+            self, tmp_path, capsys):
+        document = {**TINY_SWEEP, "out_dir": str(tmp_path / "run")}
+        code, by_config = run_frontier(changed(document, "bfa.seed", 5))
+        assert code == 0
+        code, by_flag = run_frontier(document, "--seed", "5")
+        assert code == 0
+        capsys.readouterr()
+        assert by_config == by_flag
+        assert b"master seed 5\n" in by_config["summary.txt"]
+
+    def test_optimize_derives_its_seed_from_the_config_seed(self, tmp_path,
+                                                            capsys):
+        weights = ss.WeightVector(0.1, 0.1, 0.8)
+        config = write_config(tmp_path, bfa={**tiny_bfa_dict(), "seed": 5})
+        out = str(tmp_path / "run")
+        assert main(["optimize", "--config", config, "--out", out,
+                     "--weights", "0.1,0.1,0.8"]) == 0
+        seed = ss.derive_seed(5, weights, 0)
+        assert f") seed {seed}\n" in capsys.readouterr().out
+        solution = read_frontier_csv(os.path.join(out, "solution.csv"))
+        assert solution.seeds == [seed]
+
+    @pytest.mark.parametrize("command", ["fuzzify", "optimize", "frontier"])
+    def test_missing_climate_table_is_one_line(self, command, tmp_path,
+                                               capsys):
+        # a given table is read even when no grade context needs it
+        missing = str(tmp_path / "missing.csv")
+        weights = ["--weights", "0.1,0.1,0.8"] if command == "optimize" \
+            else []
+        code = main([command, "--climate", missing,
+                     "--out", str(tmp_path / "x"), *weights])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: ValidationError: cannot read {missing}: ")
+        assert captured.err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "x")
+
+    @pytest.mark.parametrize("flags, document, message", [
+        (["--seed", "-1"], {"bfa": {"seed": -1}},
+         "seed must be a nonnegative integer"),
+        (["--runs", "0"], {"runs_per_weight": 0},
+         "runs_per_weight must be >= 1"),
+        (["--workers", "0"], {"workers": 0}, "workers must be >= 1"),
+    ], ids=["seed", "runs", "workers"])
+    def test_a_flag_is_checked_as_its_config_value(self, flags, document,
+                                                   message, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        out = str(tmp_path / "x")
+        errors = []
+        for argv in (flags, ["--config", str(config)]):
+            assert main(["frontier", "--out", out, *argv]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: ValidationError: {message}\n"] * 2
+        assert not os.path.exists(out)

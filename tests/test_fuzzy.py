@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import solarswarm as ss
-from solarswarm import fuzzy
+from solarswarm import climate, fuzzy
 from solarswarm.errors import (
     DegenerateRange,
     GradeOutOfSmoothRange,
+    NoiseOutOfBox,
     TooFewPlanes,
     ValidationError,
 )
+from solarswarm.irrigation import CRISP_NOISE_BOUNDS
 
 # frozen oracle values for the default curve on [0, 1]
 MIDPOINT_GRADE = 0.5000014446622635
@@ -146,10 +148,59 @@ def test_widthless_month_is_named(factor, month, flat, table):
 def test_grade_context_noise_bounds(table, temp_model):
     # a graded factor's bound is its padded interval; the other keeps its own
     crisp = ss.ProblemSpec().noise_bounds
-    context = ss.GradeContext(temperature_secondary=0.17169)
+    context = ss.GradeContext(temperature_secondary=0.05)
     assert context.noise_bounds(table, crisp) == (
-        ss.noise_interval_from_grades(temp_model, 0.17169, context.pad),
+        ss.noise_interval_from_grades(temp_model, 0.05, context.pad),
         crisp[1])
+
+
+def test_out_of_box_grades_name_factor_grades_and_intervals(table):
+    # the response surfaces are coded against the crisp box, so an interval
+    # outside it would have them extrapolated; temperature is checked first
+    context = ss.GradeContext(temperature_secondary=0.17169,
+                              insolation_secondary=(0.02907, 0.92274))
+    with pytest.raises(NoiseOutOfBox) as caught:
+        context.noise_bounds(table, CRISP_NOISE_BOUNDS)
+    assert str(caught.value) == (
+        "temperature grades 0.17169 give the noise interval "
+        "[291.9318066944015, 292.37080669440144], outside the box "
+        "[293.0, 303.0] the response surfaces are coded against")
+    with pytest.raises(NoiseOutOfBox, match=(
+            r"^insolation grades \(0\.02907, 0\.92274\) give the noise "
+            r"interval \[117\.186\d*, 256\.786\d*\], outside the box "
+            r"\[800\.0, 1000\.0\]")):
+        ss.GradeContext(insolation_secondary=(0.02907, 0.92274)).noise_bounds(
+            table, CRISP_NOISE_BOUNDS)
+
+
+GRADE_GRID = [k / 40 for k in range(41)]
+
+
+@pytest.mark.parametrize("factor", climate.FACTORS)
+def test_noise_bounds_stay_in_the_box_or_raise(factor, table):
+    # every point grade and grade range of the grid, at three pads, gives
+    # an interval inside the crisp box, or is rejected: a saturated grade
+    # has no preimage, and any other interval outside the box is an error
+    index = climate.FACTORS.index(factor)
+    box_lo, box_hi = CRISP_NOISE_BOUNDS[index]
+    ranges = [(lo, hi) for lo in GRADE_GRID[::4] for hi in GRADE_GRID[::4]
+              if lo < hi]
+    inside = 0
+    for pad in (0.0, 0.005, 0.05):
+        for grades in [*GRADE_GRID, *ranges]:
+            context = ss.GradeContext(pad=pad,
+                                      **{f"{factor}_secondary": grades})
+            try:
+                bounds = context.noise_bounds(table, CRISP_NOISE_BOUNDS)
+            except (NoiseOutOfBox, GradeOutOfSmoothRange):
+                continue
+            lo, hi = bounds[index]
+            assert box_lo <= lo <= hi <= box_hi
+            assert bounds[1 - index] == CRISP_NOISE_BOUNDS[1 - index]
+            inside += 1
+    # temperature point grades near 0.05 land inside 293-303 K; the year's
+    # insolation, 14-336 W/m^2, lies wholly below 800
+    assert inside > 0 if factor == "temperature" else inside == 0
 
 
 def test_fou_bounds_saturation(temp_model):

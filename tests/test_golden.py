@@ -1,15 +1,16 @@
 """Pinned bytes of a reduced frontier sweep and its stdout, of the same
 sweep under a grade context, of one optimize call and of the fuzzify
-models.
+models, and the one-line error of a grade context outside the crisp noise
+box.
 
 The sweep runs 6 weight vectors (step 0.5, minimum 0) x 2 replicates with a
 short optimizer at master seed 0, so it also checks which replicate each
 cell keeps; it goes through the lockstep engine. The optimize call runs the
-same short optimizer through run_bfa. The graded sweep reads its noise
-bounds off fuzzy models of the packaged climate table, and pins the stdout
-of metrics --grade-context and of report on its bundle too. The models are
-fitted to the packaged climate table. A digest that moves is a change of
-output bytes: it must be declared, never silently refreshed.
+same short optimizer through run_bfa. The graded sweep reads its
+temperature noise bound off fuzzy models of the packaged climate table, and
+pins the stdout of metrics --grade-context and of report on its bundle too.
+The models are fitted to the packaged climate table. A digest that moves is
+a change of output bytes: it must be declared, never silently refreshed.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ DIGESTS = {
     # the config echo holds --out as given, so the sweep writes to the
     # relative path "bundle"
     "config.json":
-        "2cdd1c7d54a9556810bc2171b9120251e1d8dd19a207f9d787717be7b59b6145",
+        "4b2491fb612fba43b52b21620569f9d72dc98bf2a7f1592d15a416da8d18c3d6",
     "frontier.csv":
         "027429e62ab4718a2b85e4baa65885bfae75bf91266544a95df9a457f990cf9e",
     "metrics.json":
@@ -116,38 +117,37 @@ def test_fuzzify_model_bytes_are_pinned(tmp_path, capsys):
     assert got == MODEL_DIGESTS
 
 
-# the grade context of the CLI's noise-bound test: a temperature grade
-# padded to an interval and an insolation grade range
-GRADE_CONTEXT = {"temperature_secondary": 0.17169,
-                 "insolation_secondary": [0.02907, 0.92274]}
+# a temperature grade padded to an interval inside the crisp box,
+# 296.29-296.73 K; no insolation grade lands inside 800-1000 W/m^2
+GRADE_CONTEXT = {"temperature_secondary": 0.05}
 
 GRADED_DIGESTS = {
     "config.json":
-        "125237294cccdafd2ad3f6cf3bb9758ecdf1d35f13712c52c8de1616698021fe",
+        "16e20626a86ed8cc880dc46d3dabd78cde962d851eb975bf7735d637a4f40755",
     "frontier.csv":
-        "1147e9d5a9c51d2cf425906bd88329a0aba2db5702be6b855cd535ebfa321bea",
+        "352041c73c9d809d484de174b08c2c413b62b776146a207207208f8dca3428d7",
     "metrics.json":
-        "d20b80b67ebfc436f4fe783e929734bc041402f205029c3167001b85ec630adb",
+        "049badba8ac353c8bc705bf6b727a841adfc87472a6197abfc72a10ea3f1f887",
     "summary.txt":
-        "5d7b288c32f22917f2cba2f82785c03bab75f8f90813ca78e216439e60c3f135",
+        "f807ab9e274292221d6539d3b04d6aec91acfce1749008b2c1106e44f5203df5",
     "traces/trace_w000.csv":
-        "b29796f7097dc0ed7570f9abe62a4f1c654f7e7891af99e59f80e3e3c5265249",
+        "7b3ad18709da1fcd2b84f6bfdc87188b8ca4a273111def12d790999da97a08e5",
     "traces/trace_w001.csv":
-        "4db100045b90342c40d5ef133817eb545f4177358e3e3c287ab129c5f86842ad",
+        "ff032b49405f641d0c27c4f874189ac1ed8baffb8566b63048a09c2e5c134be8",
     "traces/trace_w002.csv":
-        "bf2bd4b78030b4b40924ab33996089a61d15f31f51ee141a564b97d266bfa98d",
+        "81f8bbb1e3b52fcd4317c0aaf0a04df4b61de63a2da96c2e713065a13aa84768",
     "traces/trace_w003.csv":
-        "8f4539f2cb36e3f25590b97f350fc8a8a38187a51fa2a2abcebe9f34daf8bd21",
+        "fb6c62b737d6e01114b085947d2590fdb3910f035379ebc56ec2a7f397576513",
     "traces/trace_w004.csv":
-        "1a5f77a495c9904b6a6987e21d1811940eff05f21e3f2baa7a4570d9a709f71d",
+        "cf6ceb0be90fbd170c9ae8eff83007136ca235de62aab4c5a366748b93465b38",
     "traces/trace_w005.csv":
-        "178434372a85ffb9718afd5082444642b670f4fdc392191b6529de5213cc41e7",
+        "9b2b2208faacea0dade2010fbbabf68d2096de87aac2a799ef82e7ad8bc21e3f",
     # the stdout of metrics --grade-context on the bundle's frontier.csv,
     # and of report on the bundle
     "metrics stdout":
-        "d20b80b67ebfc436f4fe783e929734bc041402f205029c3167001b85ec630adb",
+        "049badba8ac353c8bc705bf6b727a841adfc87472a6197abfc72a10ea3f1f887",
     "report stdout":
-        "e1ebaf436df7d84945b855467e5dc5a3ba323559d125a120bf511ca01ecaf73d",
+        "1e28f3608a5eab7a42f24ba76118c6cb582d52a94ec09160c7a9169c40fa5293",
 }
 
 
@@ -173,3 +173,25 @@ def test_graded_sweep_bytes_are_pinned(tmp_path, capsys, monkeypatch):
         got[name] = hashlib.sha256(
             capsys.readouterr().out.encode()).hexdigest()
     assert got == GRADED_DIGESTS
+
+
+def test_out_of_box_grade_context_is_one_line(tmp_path, capsys):
+    # a temperature grade below the box and an insolation grade range far
+    # below it: the response surfaces would be extrapolated, so the sweep
+    # stops before any search and writes nothing
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bfa": SHORT_BFA,
+        "grade_context": {"temperature_secondary": 0.17169,
+                          "insolation_secondary": [0.02907, 0.92274]}}))
+    out = tmp_path / "bundle"
+    assert main(["frontier", "--config", str(config), "--step", "0.5",
+                 "--minimum", "0", "--runs", "2", "--seed", "0",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: NoiseOutOfBox: temperature grades 0.17169 give the noise "
+        "interval [291.9318066944015, 292.37080669440144], outside the box "
+        "[293.0, 303.0] the response surfaces are coded against\n")
+    assert not out.exists()

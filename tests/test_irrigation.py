@@ -353,6 +353,23 @@ def test_point_reader_takes_only_real_numbers(design, noise, name, values):
             f"{name} vector needs real numbers, got {values}")
 
 
+@pytest.mark.parametrize("make, values, message", [
+    (ss.DesignVector, (1.0, math.nan, 600.0, 0.1), "x_b must be a finite "
+     "number, got nan"),
+    (ss.DesignVector, (1.0, 500.0, 600.0, -math.inf), "x_d must be a finite "
+     "number, got -inf"),
+    (ss.DesignVector, (1.0, 500.0, "600", 0.1), "x_c must be a finite "
+     "number, got '600'"),
+    (ss.NoiseVector, (math.inf, 900.0), "z_a must be a finite number, "
+     "got inf"),
+    (ss.NoiseVector, (300.0, True), "z_b must be a finite number, got True"),
+])
+def test_vectors_hold_only_finite_numbers(make, values, message):
+    with pytest.raises(ValidationError) as caught:
+        make(*values)
+    assert str(caught.value) == message
+
+
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return np.array_equal(a.view(np.int64), b.view(np.int64))

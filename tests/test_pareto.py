@@ -752,6 +752,12 @@ REJECTIONS = {
     "aggregate": (12, "5.0", ValidationError,
                   "aggregate 5.0 disagrees with weights . objectives = 4.0"),
     "negative_seed": (13, "-1", ValidationError, "seed must be nonnegative"),
+    "nan_design_value": (3, "nan", ValidationError,
+                         "x_a must be a finite number, got nan"),
+    "inf_design_value": (6, "inf", ValidationError,
+                         "x_d must be a finite number, got inf"),
+    "minus_inf_noise_value": (8, "-inf", ValidationError,
+                              "z_b must be a finite number, got -inf"),
 }
 
 
@@ -837,8 +843,9 @@ class TestFrontierCsvReader:
 
 def reference_frontier_reader(text):
     """The frontier reader as it was before codec.csv_rows: csv.reader,
-    then float() and int() cell by cell and row by row, and the package's
-    screen."""
+    then float() and int() cell by cell and row by row. Every row parsed
+    is built as a point, so the point constructors, not the package's
+    screen, decide which row is rejected first."""
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise SchemaMismatch("empty frontier CSV")
@@ -862,8 +869,8 @@ def reference_frontier_reader(text):
         values.append(floats)
         seeds.append(seed)
     table = np.array(values, dtype=float).reshape(len(values), 13)
-    for k in np.flatnonzero(pareto._screen(table, seeds)).tolist():
-        pareto._solution_point(values[k], seeds[k])
+    for row, seed in zip(values, seeds):
+        pareto._solution_point(row, seed)
     if unparsed is not None:
         raise unparsed
     return ss.Frontier._from_table(table, seeds)
@@ -910,6 +917,15 @@ def frontier_corpus():
         "underscore": frontier_text((2, 4, "5_00.0")),
         "non_ascii_digits": frontier_text((2, 4, "\u0665\u0660\u0660")),
         "nan_design": frontier_text((2, 3, "NaN")),
+        # every design and noise value of a row non-finite but one, which
+        # is finite but huge
+        "non_finite_row": frontier_text(
+            *((2, col, cell) for col, cell in zip(
+                range(3, 9), ("nan", "inf", "-inf", "1e308", "nan", "nan")))),
+        "non_finite_noise_after_bad_weight": frontier_text(
+            (3, 7, "inf"), (4, 0, "-0.5")),
+        "bad_weight_before_non_finite_noise": frontier_text(
+            (3, 0, "-0.5"), (4, 7, "inf")),
         "minus_infinity_aggregate": frontier_text((2, 12, "-Infinity")),
         "trailing_comma": frontier_text((3, 13, "7,")),
         "bom": "\ufeff" + good,
