@@ -197,7 +197,16 @@ def cmd_fuzzify(args) -> int:
     return 0
 
 
+# run settings that the self-test's fixed benchmark has no use for
+_NOT_SELF_TEST = ("config", "climate", "weights", "out")
+
+
 def _self_test(args) -> int:
+    given = [f"--{flag}" for flag in _NOT_SELF_TEST
+             if getattr(args, flag) is not None]
+    if given:
+        raise ValidationError(
+            f"--self-test reads no run settings, got {', '.join(given)}")
     seed = args.seed if args.seed is not None else 0
     # pre-calibrated benchmark settings: the short fixed step is what lets
     # the swarm settle within 1e-2 of the optimum
@@ -416,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run seed (default: frontier cell replicate 0's, "
                         "derived from the master seed bfa.seed and weights)")
     p.add_argument("--self-test", action="store_true",
-                   help="run the built-in benchmark check instead")
+                   help="run the built-in benchmark check instead (takes "
+                        "only --seed)")
     p.set_defaults(handler=cmd_optimize)
 
     p = sub.add_parser("frontier", help="sweep the full weight grid")

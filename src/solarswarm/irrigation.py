@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,11 +242,12 @@ class _Surfaces:
 _surfaces = functools.lru_cache(maxsize=16)(_Surfaces)
 
 
-# _objective_rows works through at most this many rows at a time: its
-# temporaries hold 85 floats per row, so a sweep's first evaluation (every
-# bacterium of every run) would otherwise raise the peak memory. In smaller
-# blocks the fixed cost of each block's numpy calls outweighs the work
+# _objective_rows works through at most this many rows at a time, in a
+# workspace of 85 floats per row: the 7 coordinate rows, the (13, 3, m)
+# terms and their second factors. In smaller blocks the fixed cost of each
+# block's numpy calls outweighs the work
 _ROW_BLOCK = 1024
+_workspace = threading.local()
 
 
 def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
@@ -265,13 +267,22 @@ def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
     terms strictly left to right in table order, one whole (3, m) slice at
     a time, and a row's values do not depend on the rows beside it. A row
     with an objective that is inf or nan raises NonFiniteResult.
+
+    It works in views of its thread's reused workspace (one per process:
+    no package code uses threads) and returns a new array, never a view.
     """
     if len(positions) > _ROW_BLOCK:
         return np.concatenate([
             _objective_rows(spec, positions[k:k + _ROW_BLOCK])
             for k in range(0, len(positions), _ROW_BLOCK)], axis=1)
     s = _surfaces(spec)
-    x = np.empty((7, len(positions)))
+    floats = getattr(_workspace, "floats", None)
+    if floats is None:
+        # aligned to 64 bytes: malloc gives large blocks 16, which slows numpy
+        raw = np.empty(85 * _ROW_BLOCK + 8)
+        floats = _workspace.floats = raw[-raw.ctypes.data % 64 // 8:]
+    m = len(positions)
+    x = floats[:7 * m].reshape(7, m)
     x[_ONE] = 1.0
     coords = x[:_ONE]
     if s.coded:
@@ -283,10 +294,14 @@ def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
         coords -= 1.0
     else:
         coords[:] = positions.T
-    terms = x[s.first]
+    terms = floats[7 * _ROW_BLOCK:][:39 * m].reshape(13, 3, m)
+    second = floats[46 * _ROW_BLOCK:][:39 * m].reshape(13, 3, m)
+    # every index is valid, so "clip" changes nothing; "raise" buffers out
+    x.take(s.first, 0, terms, "clip")
     terms *= s.coef
-    terms *= x[s.second]
-    # a new array, so the blocks' term arrays are freed as they are done
+    x.take(s.second, 0, second, "clip")
+    terms *= second
+    # a new array, so the workspace is free for the next call
     objectives = np.add.reduce(terms, axis=0)
     objectives *= s.factor
     if not np.isfinite(objectives).all():

@@ -185,6 +185,30 @@ class TestOptimize:
         assert main(["optimize", "--self-test"]) == 0
         assert "self-test: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--weights", "1,2"], "--weights"),
+        (["--climate", "{missing}", "--seed", "3"], "--climate"),
+        (["--out", "{out}"], "--out"),
+        (["--config", "{config}", "--climate", "{missing}", "--weights",
+          "1,2", "--out", "{out}"], "--config, --climate, --weights, --out"),
+    ], ids=["weights", "climate_with_seed", "out", "all"])
+    def test_self_test_rejects_run_settings(self, flags, named, tmp_path,
+                                            capsys):
+        # a setting that is given must be read, and the self-test reads
+        # only --seed: the flags are named before the config (with an
+        # unknown key) or the missing table is looked at, and nothing runs
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"nonsense": 1}))
+        paths = dict(config=str(config), missing=str(tmp_path / "no.csv"),
+                     out=str(tmp_path / "x"))
+        argv = ["optimize", "--self-test"] + [f.format(**paths) for f in flags]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: ValidationError: --self-test reads no run "
+                       f"settings, got {named}\n")
+        assert not os.path.exists(paths["out"])
+
     def test_self_test_counts_every_evaluation(self, capsys, reference):
         # the count is that of the points a move-by-move run scores, the
         # final elimination-dispersal's included

@@ -1,11 +1,14 @@
 import math
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import solarswarm as ss
+from solarswarm import irrigation
 from solarswarm.errors import (
     EmptyInterval,
     GradeOutOfSmoothRange,
@@ -424,6 +427,73 @@ def test_table_matches_literal(flags, m, literal_objectives):
                          literal)
         fitness = ss.IrrigationFitness(spec, ss.WeightVector(*weights[k]))
         assert same_bits(fitness.evaluate(positions[k]), want[k])
+
+
+def test_results_never_share_the_workspace(literal_objectives):
+    # every call reuses one workspace: results kept from earlier calls, of
+    # other row counts and specs, must neither change nor share memory with
+    # a later result or the workspace
+    rng = np.random.default_rng(29)
+    kept = []
+    for m in (1, 7, _ROW_BLOCK, 2 * _ROW_BLOCK + 88, 7, 1):
+        for spec in (ss.ProblemSpec(), ss.ProblemSpec(variable_mode="raw")):
+            box = np.array(spec.design_bounds + spec.noise_bounds)
+            positions = rng.uniform(box[:, 0], box[:, 1], (m, 6))
+            weights = rng.dirichlet([1.0, 1.0, 1.0], m)
+            power, efficiency, savings = literal_objectives(*positions.T,
+                                                            spec)
+            want = (weights[:, 0] * power + weights[:, 1] * efficiency
+                    + weights[:, 2] * savings)
+            results = (_objective_rows(spec, positions),
+                       evaluate_rows(spec, weights, positions))
+            assert same_bits(results[0], (power, efficiency, savings))
+            assert same_bits(results[1], want)
+            for result in results:
+                assert not np.shares_memory(result,
+                                            irrigation._workspace.floats)
+                for earlier, copy in kept:
+                    assert not np.shares_memory(result, earlier)
+                    assert same_bits(earlier, copy)
+            kept += [(result, result.copy()) for result in results]
+
+
+def test_a_warm_call_allocates_less_than_one_term_array():
+    # numpy reports its buffers to tracemalloc; the workspace is made by
+    # the first call, so a later one allocates little more than its result
+    spec = ss.ProblemSpec()
+    box = np.array(spec.design_bounds + spec.noise_bounds)
+    positions = np.random.default_rng(3).uniform(box[:, 0], box[:, 1],
+                                                 (_ROW_BLOCK, 6))
+    _objective_rows(spec, positions)
+    tracemalloc.start()
+    try:
+        _objective_rows(spec, positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 39 * _ROW_BLOCK * 8
+
+
+def test_each_thread_has_its_own_workspace(literal_objectives):
+    # a workspace belongs to the thread that made it
+    spec = ss.ProblemSpec()
+    positions = np.array([[*COVER_MID_DESIGN, *COVER_MID_NOISE]] * 5)
+    _objective_rows(spec, positions)
+    seen = []
+
+    def run():
+        seen.append((_objective_rows(spec, positions),
+                     irrigation._workspace.floats))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    (objectives, floats), = seen
+    assert floats is not irrigation._workspace.floats
+    # both start on a 64-byte boundary, as malloc's large blocks do not
+    for workspace in (floats, irrigation._workspace.floats):
+        assert workspace.ctypes.data % 64 == 0
+    assert same_bits(objectives, literal_objectives(*positions.T, spec))
 
 
 def test_coefficient_table_flags():
