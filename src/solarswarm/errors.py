@@ -51,11 +51,6 @@ class TooFewPlanes(ValidationError):
     """Type reduction requested with fewer than two alpha planes."""
 
 
-class NoiseOutOfBox(ValidationError):
-    """Grades give a noise interval outside the box the response surfaces
-    are coded against, so evaluating them there would extrapolate."""
-
-
 class EmptyInterval(ComputationError):
     """A derived interval came out empty."""
 
@@ -68,6 +63,11 @@ class NonFiniteResult(ComputationError):
 
 class InfeasibleSpec(ValidationError):
     """Problem bounds admit no search box."""
+
+
+class NoiseOutOfBox(ValidationError):
+    """A noise interval outside the box the surfaces are coded against, so
+    evaluating them there would extrapolate."""
 
 
 # bacterial foraging core

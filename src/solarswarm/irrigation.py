@@ -9,9 +9,9 @@ table that carries two known misprints; the corrected readings are the
 default and each can be switched back to the as-printed form for fidelity
 checks.
 
-Noise bounds are the crisp reference intervals, or intervals inside them
-that a grade context derives through fuzzy.GradeContext.noise_bounds; coded
-mode maps noise values from the crisp reference intervals either way.
+Noise bounds lie inside the crisp reference intervals, the box the surfaces
+are coded against, by whatever route they come (ProblemSpec's one check, or
+NoiseOutOfBox); coded mode maps noise values from that box in any case.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .bfa import _bound_pairs
 from .codec import ConfigCodec, is_real
 from .errors import (
     InfeasibleSpec,
+    NoiseOutOfBox,
     NonFiniteResult,
     ValidationError,
 )
@@ -146,6 +147,14 @@ class ProblemSpec(ConfigCodec):
     def __post_init__(self) -> None:
         design = _bound_pairs(self.design_bounds, 4, "design_bounds")
         noise = _bound_pairs(self.noise_bounds, 2, "noise_bounds")
+        for name, (lo, hi), (box_lo, box_hi) in zip(
+                ("Z_a (temperature)", "Z_b (insolation)"), noise,
+                CRISP_NOISE_BOUNDS):
+            if not box_lo <= lo <= hi <= box_hi:
+                raise NoiseOutOfBox(
+                    f"{name} noise interval [{lo}, {hi}] lies outside the "
+                    f"box [{box_lo}, {box_hi}] the response surfaces are "
+                    f"coded against")
         object.__setattr__(self, "design_bounds", design)
         object.__setattr__(self, "noise_bounds", noise)
         if self.variable_mode not in VARIABLE_MODES:

@@ -30,6 +30,7 @@ from .codec import csv_rows, read_text, write_text
 from .codec import json_text as metrics_json_text  # noqa: F401
 from .errors import (
     EmptyGrid,
+    NonFiniteResult,
     SchemaMismatch,
     ValidationError,
     ZeroVector,
@@ -256,7 +257,8 @@ def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
     else:
         shares = [share for share in np.array_split(
             np.arange(len(seeds)), workers) if len(share)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # one process per share: never more processes than runs
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
             parts = pool.map(_run_batch, repeat(problem), repeat(cfg),
                              [run_weights[share] for share in shares],
                              [[seeds[k] for k in share] for share in shares])
@@ -325,6 +327,8 @@ def sigma_components(values) -> SigmaVector:
     denom = _sum_squares(vector)
     if denom == 0.0:
         raise ZeroVector("sigma undefined for the all-zero vector")
+    if denom == math.inf:
+        raise _squares_overflow(vector)
     components = tuple((vector[i] ** 2 - vector[j] ** 2) / denom
                        for i in range(len(vector))
                        for j in range(i + 1, len(vector)))
@@ -332,6 +336,13 @@ def sigma_components(values) -> SigmaVector:
     # the full antisymmetric pair matrix, which cancels to zero identically
     magnitude = math.sqrt(_sum_squares(components))
     return SigmaVector(components=components, magnitude=magnitude)
+
+
+def _squares_overflow(vector: tuple) -> ValidationError:
+    """The one rejection of a vector whose squares, or their sum, overflow
+    (sigma_components and _sigma_rows alike)."""
+    return ValidationError(
+        f"sigma undefined: the squares of {vector!r} overflow the floats")
 
 
 def _compositions(total: int, parts: int):
@@ -388,12 +399,16 @@ def _sigma_rows(unit: np.ndarray) -> np.ndarray:
     if n_objectives < 2:
         raise ValidationError(
             f"need at least 2 objectives, got {n_objectives}")
+    with np.errstate(over="ignore"):  # rejected below
+        products = unit * unit
+        denom = products[:, 0].copy()
+        for col in range(1, n_objectives):
+            denom += products[:, col]
+    overflow = denom == math.inf
+    if overflow.any():
+        raise _squares_overflow(tuple(unit[overflow.argmax()].tolist()))
     squares = np.array([v ** 2 for v in unit.ravel().tolist()]
                        ).reshape(n_rows, n_objectives)
-    products = unit * unit
-    denom = products[:, 0].copy()
-    for col in range(1, n_objectives):
-        denom += products[:, col]
     zero = ~unit.any(axis=1)
     if np.any((denom == 0.0) & ~zero):
         raise ZeroVector("sigma undefined for the all-zero vector")
@@ -433,9 +448,16 @@ def diversity_metric(frontier: Frontier | list,
             f"references carry {n_pairs} components but {matrix.shape[1]} "
             f"objectives give {expected_pairs}")
     ref_matrix = np.array([r.components for r in references], dtype=float)
-    nearest = _nearest_distances(matrix, ref_matrix)
+    # a column whose spread overflows normalizes to nan: rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        nearest = _nearest_distances(matrix, ref_matrix)
     mean_distance = math.fsum(nearest.tolist()) / len(nearest)
-    return 1.0 / (mean_distance + _DIVERSITY_GUARD)
+    diversity = 1.0 / (mean_distance + _DIVERSITY_GUARD)
+    if not math.isfinite(diversity):
+        raise NonFiniteResult(
+            f"diversity is {diversity}: an objective's spread over the "
+            f"frontier is not a finite number")
+    return diversity
 
 
 def _nearest_distances(matrix: np.ndarray,
@@ -456,8 +478,15 @@ def _nearest_distances(matrix: np.ndarray,
 
 
 def frontier_dominance(frontier: Frontier) -> float:
-    """Mean aggregate value over the frontier (order-invariant sum)."""
-    return math.fsum(frontier.table[:, _AGGREGATE].tolist()) / len(frontier)
+    """Mean aggregate value over the frontier (order-invariant sum); a sum
+    that overflows the floats is a NonFiniteResult."""
+    try:
+        total = math.fsum(frontier.table[:, _AGGREGATE].tolist())
+    except OverflowError:
+        raise NonFiniteResult(
+            "the mean F overflows: its sum over the frontier exceeds the "
+            "floats") from None
+    return total / len(frontier)
 
 
 def rank_solutions(frontier: Frontier
@@ -478,7 +507,9 @@ def rank_solutions(frontier: Frontier
 
 def compute_metrics(frontier: Frontier, grade_context=None) -> dict:
     """The metrics document for a frontier, ready for JSON; it echoes the
-    fuzzy.GradeContext the frontier was conditioned on, or null."""
+    fuzzy.GradeContext the frontier was conditioned on, or null. A mean F
+    or a diversity that is not a finite number is a NonFiniteResult, as
+    JSON has no such number."""
     n_objectives = frontier.table[:, _OBJECTIVES].shape[1]
     references = reference_sigma_lines(n_objectives, DEFAULT_REFERENCE_COUNT)
     return {

@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import typing
+import warnings
 
 import pytest
 
@@ -11,7 +12,11 @@ from solarswarm import climate, fuzzy
 from solarswarm.cli import RunConfig, main
 from solarswarm.codec import write_text
 from solarswarm.errors import ValidationError
-from solarswarm.pareto import metrics_json_text, read_frontier_csv
+from solarswarm.pareto import (
+    FRONTIER_CSV_HEADER,
+    metrics_json_text,
+    read_frontier_csv,
+)
 
 
 def tiny_bfa_dict():
@@ -44,6 +49,15 @@ BAD_GRADE_CONTEXTS = [
 ]
 BAD_GRADE_IDS = ["grade_str", "grade_bool", "grade_negative",
                  "grade_above_one", "grade_range_reversed"]
+
+
+# a noise box reaching below the crisp one, and the one line it gets from
+# every command that builds the problem
+OUT_OF_BOX_NOISE = [[250, 303], [100, 1000]]
+OUT_OF_BOX_ERROR = (
+    "error: NoiseOutOfBox: Z_a (temperature) noise interval [250.0, 303.0] "
+    "lies outside the box [293.0, 303.0] the response surfaces are coded "
+    "against\n")
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +352,43 @@ class TestFrontier:
         assert insolation == [800.0, 1000.0]
         assert echo["grade_context"]["temperature_secondary"] == 0.05
 
+    @pytest.mark.parametrize("command", [
+        "frontier", "optimize --weights 0.5,0.25,0.25"])
+    @pytest.mark.parametrize("mode", ["coded", "raw"])
+    def test_out_of_box_noise_bounds_are_one_line(self, command, mode,
+                                                  tmp_path, capsys):
+        # a config's noise box meets the rule a grade context's meets, in
+        # either variable mode: nothing runs and nothing is written
+        config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
+                              runs_per_weight=1,
+                              problem={"noise_bounds": OUT_OF_BOX_NOISE,
+                                       "variable_mode": mode})
+        out = tmp_path / "out"
+        assert main([*command.split(), "--config", config,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == OUT_OF_BOX_ERROR
+        assert not out.exists()
+
+    def test_overflowing_mean_f_exits_2(self, tmp_path, capsys):
+        # every objective of the 66-point frontier is finite, but the sum
+        # of its F is not: one line, exit 2, and no bundle directory
+        config = write_config(tmp_path, weight_step=0.1, weight_minimum=0.0,
+                              runs_per_weight=1,
+                              problem={"power_scale_exp": 305.6})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["frontier", "--config", config, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: NonFiniteResult: the mean F overflows: its sum over the "
+            "frontier exceeds the floats\n")
+        assert not out.exists()
+
     def test_config_echo_holds_the_seed_that_ran(self, tmp_path, capsys):
         # --seed sets bfa.seed, the master seed, over the --config one
         config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
@@ -488,6 +539,28 @@ class TestMetrics:
         assert captured.out == ""
         assert captured.err == f"error: ValidationError: {message}\n"
 
+    def test_overflowing_spread_exits_2(self, tmp_path, capsys):
+        # a schema-valid frontier whose f1 spread, 2e308, is not a float:
+        # its diversity would be nan, which no JSON number holds
+        rows = [(1.0, 0.0, 0.0, 1.0, 500.0, 600.0, 0.1, 298.0, 900.0,
+                 f1, 1.0, 1.0, f1, 0) for f1 in (1e308, -1e308)]
+        path = tmp_path / "frontier.csv"
+        path.write_text("\n".join([",".join(FRONTIER_CSV_HEADER)]
+                                  + [",".join(map(str, row)) for row in rows])
+                        + "\n")
+        target = tmp_path / "metrics.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["metrics", "--frontier", str(path),
+                         "--out", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: NonFiniteResult: diversity is nan: an objective's spread "
+            "over the frontier is not a finite number\n")
+        assert not target.exists()
+
     def test_usage_errors(self, bundle, tmp_path, capsys):
         assert main(["metrics"]) == 1
         bad = tmp_path / "bad.csv"
@@ -587,6 +660,19 @@ class TestReport:
         (copy / "config.json").write_text(json.dumps(document))
         assert main(["report", str(copy)]) == 1
         assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+
+    def test_out_of_box_bundle_config_is_one_line(self, bundle, tmp_path,
+                                                  capsys):
+        # report decodes the bundle's problem, which meets the noise rule
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        document = json.loads((copy / "config.json").read_text())
+        document["problem"]["noise_bounds"] = OUT_OF_BOX_NOISE
+        (copy / "config.json").write_text(json.dumps(document))
+        assert main(["report", str(copy)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == OUT_OF_BOX_ERROR
 
     def test_grid_note_fits_the_grid(self, bundle, capsys):
         assert main(["report", bundle]) == 0
@@ -992,10 +1078,11 @@ class TestEverySettingIsRead:
         code, files = run_frontier(changed(document, path, value))
         err = capsys.readouterr().err
         if path == "grade_context.insolation_secondary":
-            # no insolation grade lands inside the crisp noise box, so this
-            # one is rejected: one line, and no bundle
+            # no insolation grade lands inside the crisp noise box, so the
+            # problem it gives is rejected: one line, and no bundle
             assert code == 1 and files is None
-            assert err.startswith("error: NoiseOutOfBox: insolation grades ")
+            assert err.startswith(
+                "error: NoiseOutOfBox: Z_b (insolation) noise interval ")
             assert err.count("\n") == 1
             return
         assert code == 0 and err == ""

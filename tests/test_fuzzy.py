@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,22 +157,26 @@ def test_grade_context_noise_bounds(table, temp_model):
 
 
 def test_out_of_box_grades_name_factor_grades_and_intervals(table):
-    # the response surfaces are coded against the crisp box, so an interval
-    # outside it would have them extrapolated; temperature is checked first
+    # noise_bounds only maps grades to intervals; the response surfaces are
+    # coded against the crisp box, so ProblemSpec, which the intervals are
+    # given to, rejects one outside it, naming the factor's noise variable
+    # and the interval the grades gave. Temperature is checked first
     context = ss.GradeContext(temperature_secondary=0.17169,
                               insolation_secondary=(0.02907, 0.92274))
+    bounds = context.noise_bounds(table, CRISP_NOISE_BOUNDS)
+    assert bounds[0] == (291.9318066944015, 292.37080669440144)
     with pytest.raises(NoiseOutOfBox) as caught:
-        context.noise_bounds(table, CRISP_NOISE_BOUNDS)
+        replace(ss.ProblemSpec(), noise_bounds=bounds)
     assert str(caught.value) == (
-        "temperature grades 0.17169 give the noise interval "
-        "[291.9318066944015, 292.37080669440144], outside the box "
+        "Z_a (temperature) noise interval "
+        "[291.9318066944015, 292.37080669440144] lies outside the box "
         "[293.0, 303.0] the response surfaces are coded against")
+    insolation = ss.GradeContext(insolation_secondary=(0.02907, 0.92274))
     with pytest.raises(NoiseOutOfBox, match=(
-            r"^insolation grades \(0\.02907, 0\.92274\) give the noise "
-            r"interval \[117\.186\d*, 256\.786\d*\], outside the box "
-            r"\[800\.0, 1000\.0\]")):
-        ss.GradeContext(insolation_secondary=(0.02907, 0.92274)).noise_bounds(
-            table, CRISP_NOISE_BOUNDS)
+            r"^Z_b \(insolation\) noise interval \[117\.186\d*, "
+            r"256\.786\d*\] lies outside the box \[800\.0, 1000\.0\]")):
+        replace(ss.ProblemSpec(), noise_bounds=insolation.noise_bounds(
+            table, CRISP_NOISE_BOUNDS))
 
 
 GRADE_GRID = [k / 40 for k in range(41)]
@@ -179,8 +185,9 @@ GRADE_GRID = [k / 40 for k in range(41)]
 @pytest.mark.parametrize("factor", climate.FACTORS)
 def test_noise_bounds_stay_in_the_box_or_raise(factor, table):
     # every point grade and grade range of the grid, at three pads, gives
-    # an interval inside the crisp box, or is rejected: a saturated grade
-    # has no preimage, and any other interval outside the box is an error
+    # a problem whose noise interval lies inside the crisp box, or is
+    # rejected: a saturated grade has no preimage, and ProblemSpec rejects
+    # exactly the intervals outside the box
     index = climate.FACTORS.index(factor)
     box_lo, box_hi = CRISP_NOISE_BOUNDS[index]
     ranges = [(lo, hi) for lo in GRADE_GRID[::4] for hi in GRADE_GRID[::4]
@@ -192,15 +199,41 @@ def test_noise_bounds_stay_in_the_box_or_raise(factor, table):
                                       **{f"{factor}_secondary": grades})
             try:
                 bounds = context.noise_bounds(table, CRISP_NOISE_BOUNDS)
-            except (NoiseOutOfBox, GradeOutOfSmoothRange):
+            except GradeOutOfSmoothRange:
                 continue
             lo, hi = bounds[index]
-            assert box_lo <= lo <= hi <= box_hi
             assert bounds[1 - index] == CRISP_NOISE_BOUNDS[1 - index]
+            try:
+                spec = replace(ss.ProblemSpec(), noise_bounds=bounds)
+            except NoiseOutOfBox:
+                assert not box_lo <= lo <= hi <= box_hi
+                continue
+            assert box_lo <= lo <= hi <= box_hi
+            assert spec.noise_bounds == bounds
             inside += 1
     # temperature point grades near 0.05 land inside 293-303 K; the year's
     # insolation, 14-336 W/m^2, lies wholly below 800
     assert inside > 0 if factor == "temperature" else inside == 0
+
+
+def test_fuzzy_imports_no_layer_above_it():
+    # the fuzzy layer maps grades to intervals and knows nothing of the
+    # surfaces, the optimizer, the sweep or the command line. Every dotted
+    # name its imports reach, a relative import read as solarswarm's
+    names = set()
+    tree = ast.parse(Path(fuzzy.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("solarswarm" if node.level else "",
+                                          node.module)))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    modules = {name.split(".")[1] for name in names
+               if name.startswith("solarswarm.")}
+    assert "climate" in modules  # the walk sees the package's own imports
+    assert not modules & {"irrigation", "bfa", "pareto", "cli"}
 
 
 def test_fou_bounds_saturation(temp_model):

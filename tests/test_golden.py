@@ -177,8 +177,9 @@ def test_graded_sweep_bytes_are_pinned(tmp_path, capsys, monkeypatch):
 
 def test_out_of_box_grade_context_is_one_line(tmp_path, capsys):
     # a temperature grade below the box and an insolation grade range far
-    # below it: the response surfaces would be extrapolated, so the sweep
-    # stops before any search and writes nothing
+    # below it: the response surfaces would be extrapolated, so the problem
+    # the grades give is rejected, its Z_a interval first, before any
+    # search, and nothing is written. The config holds the grades
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "bfa": SHORT_BFA,
@@ -191,7 +192,7 @@ def test_out_of_box_grade_context_is_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: NoiseOutOfBox: temperature grades 0.17169 give the noise "
-        "interval [291.9318066944015, 292.37080669440144], outside the box "
+        "error: NoiseOutOfBox: Z_a (temperature) noise interval "
+        "[291.9318066944015, 292.37080669440144] lies outside the box "
         "[293.0, 303.0] the response surfaces are coded against\n")
     assert not out.exists()

@@ -13,11 +13,13 @@ from solarswarm.errors import (
     EmptyInterval,
     GradeOutOfSmoothRange,
     InfeasibleSpec,
+    NoiseOutOfBox,
     NonFiniteResult,
     ValidationError,
 )
 from solarswarm.irrigation import (
     _ROW_BLOCK,
+    CRISP_NOISE_BOUNDS,
     DEFAULT_DESIGN_BOUNDS,
     _objective_rows,
     _weighted_sum,
@@ -221,6 +223,66 @@ def test_bounds_take_any_real_number():
     assert spec.design_bounds == DEFAULT_DESIGN_BOUNDS
     assert spec.noise_bounds == ((293.0, 303.0), (800.0, 1000.0))
     assert {type(v) for pair in spec.noise_bounds for v in pair} == {float}
+
+
+@st.composite
+def noise_boxes(draw):
+    """Two noise intervals around the crisp box: each end is one of the
+    box's edges, a float just outside one, or any value within a box width
+    of the box."""
+    box = []
+    for lo, hi in CRISP_NOISE_BOUNDS:
+        ends = st.one_of(
+            st.sampled_from([lo, hi, math.nextafter(lo, -math.inf),
+                             math.nextafter(hi, math.inf)]),
+            st.floats(2 * lo - hi, 2 * hi - lo))
+        box.append(tuple(sorted((draw(ends), draw(ends)))))
+    return tuple(box)
+
+
+NOISE_NAMES = ("Z_a (temperature)", "Z_b (insolation)")
+
+
+@given(noise_boxes(), st.sampled_from(irrigation.VARIABLE_MODES))
+def test_problem_takes_a_noise_box_iff_it_lies_in_the_crisp_box(box, mode):
+    # the surfaces are coded against the crisp box, in either mode, so a
+    # problem built directly or decoded from a config takes a noise box if
+    # and only if each interval lies inside the crisp one; the first
+    # interval outside it is named
+    outside = [name for name, (lo, hi), (box_lo, box_hi)
+               in zip(NOISE_NAMES, box, CRISP_NOISE_BOUNDS)
+               if not (box_lo <= lo and hi <= box_hi)]
+    for build in (
+            lambda: ss.ProblemSpec(noise_bounds=box, variable_mode=mode),
+            lambda: ss.ProblemSpec.from_dict(
+                {"noise_bounds": [list(pair) for pair in box],
+                 "variable_mode": mode})):
+        if outside:
+            with pytest.raises(NoiseOutOfBox, match=(
+                    rf"^{re.escape(outside[0])} noise interval .* lies "
+                    rf"outside the box")):
+                build()
+        else:
+            assert build().noise_bounds == box
+
+
+@pytest.mark.parametrize("mode", irrigation.VARIABLE_MODES)
+def test_noise_box_edges_are_inside(mode):
+    # the crisp box itself, and each edge pushed one float out
+    spec = ss.ProblemSpec(noise_bounds=CRISP_NOISE_BOUNDS, variable_mode=mode)
+    assert spec.noise_bounds == CRISP_NOISE_BOUNDS
+    for k, name in enumerate(NOISE_NAMES):
+        lo, hi = CRISP_NOISE_BOUNDS[k]
+        for pair in ((math.nextafter(lo, -math.inf), hi),
+                     (lo, math.nextafter(hi, math.inf))):
+            box = list(CRISP_NOISE_BOUNDS)
+            box[k] = pair
+            with pytest.raises(NoiseOutOfBox) as caught:
+                ss.ProblemSpec(noise_bounds=box, variable_mode=mode)
+            assert str(caught.value) == (
+                f"{name} noise interval [{pair[0]}, {pair[1]}] lies outside "
+                f"the box [{lo}, {hi}] the response surfaces are coded "
+                f"against")
 
 
 def test_problem_spec_dict_roundtrip():

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import sys
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from solarswarm import pareto
 from solarswarm.codec import csv_rows
 from solarswarm.errors import (
     EmptyGrid,
+    NonFiniteResult,
     SchemaMismatch,
     ValidationError,
     ZeroVector,
@@ -253,6 +256,26 @@ class TestSigma:
     def test_short_vector_rejected(self):
         with pytest.raises(ValidationError):
             sigma_components((1.0,))
+
+    @pytest.mark.parametrize("vector", [
+        (1e200, 1.0, 1.0),        # one square overflows
+        (1e154, 1e154, 1e154),    # each square is finite, their sum is not
+        (1.0, 2.0, math.inf),
+    ], ids=["square", "sum", "inf"])
+    def test_overflowing_squares_are_one_validation_error(self, vector):
+        # the reference and the row form reject such a vector alike, with
+        # one typed error instead of Python's OverflowError from v ** 2
+        message = (f"sigma undefined: the squares of {vector!r} overflow "
+                   f"the floats")
+        with pytest.raises(ValidationError) as caught:
+            sigma_components(vector)
+        assert str(caught.value) == message
+        rows = np.array([(3.0, 4.0, 5.0), vector])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as caught:
+                pareto._sigma_rows(rows)
+        assert str(caught.value) == message
 
 
 class TestReferenceLines:
@@ -500,6 +523,28 @@ class TestBuildFrontier:
                                         runs_per_weight=1, workers=2)
         assert frontier_to_csv_text(parallel) == frontier_to_csv_text(
             tiny_frontier)
+
+    @pytest.mark.parametrize("workers, runs, pool", [
+        (6, 1, 2), (8, 3, 6), (2, 3, 2)])
+    def test_pool_never_exceeds_the_runs(self, workers, runs, pool,
+                                         monkeypatch):
+        # one process per share of the runs, and the serial frontier
+        sizes = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(pareto, "ProcessPoolExecutor", Recording)
+        problem = ss.ProblemSpec()
+        grid = ss.weight_grid(step=1.0, minimum=0.0)[:2]
+        serial, _ = ss.build_frontier(problem, tiny_bfa(), grid,
+                                      runs_per_weight=runs)
+        pooled, _ = ss.build_frontier(problem, tiny_bfa(), grid,
+                                      runs_per_weight=runs, workers=workers)
+        assert sizes == [pool]
+        assert frontier_to_csv_text(pooled) == frontier_to_csv_text(serial)
 
     def test_grid_order_and_traces(self):
         problem = ss.ProblemSpec()
@@ -944,6 +989,28 @@ def frontier_corpus():
 
 
 class TestMetrics:
+    def test_overflowing_mean_f_is_a_non_finite_result(self):
+        # every F is finite, but their sum is not: fsum raises OverflowError
+        frontier = ss.Frontier(points=[make_point(1e308), make_point(1e308)])
+        for metric in (ss.frontier_dominance, ss.compute_metrics):
+            with pytest.raises(NonFiniteResult, match=(
+                    "^the mean F overflows: its sum over the frontier "
+                    "exceeds the floats$")):
+                metric(frontier)
+
+    def test_overflowing_spread_is_a_non_finite_result(self):
+        # the mean F is 0, but the objectives' spread, 2e308, is not a
+        # float: normalizing by it gives nan, silently
+        frontier = ss.Frontier(points=[make_point(1e308),
+                                       make_point(-1e308)])
+        assert ss.frontier_dominance(frontier) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match=(
+                    "^diversity is nan: an objective's spread over the "
+                    "frontier is not a finite number$")):
+                ss.compute_metrics(frontier)
+
     def test_document_shape_and_roundtrip(self, tiny_frontier):
         metrics = ss.compute_metrics(tiny_frontier)
         assert set(metrics) == {"dominance_mean_F", "diversity", "n_points",
