@@ -16,42 +16,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import ConfigCodec, is_real, write_text
-from .errors import (InfeasibleSpec, NonFiniteResult, OddPopulation,
-                     ValidationError)
-
-
-class FitnessFunction(Protocol):
-    """What the optimizer needs from a problem: a box and a row scorer.
-
-    bounds holds one (lo, hi) pair per dimension. evaluate_rows(positions)
-    returns an (m,) array of raw fitness for an (m, dims) array of
-    positions, as finite floats; the optimizer scores every point through
-    it. It must be pure, and row k's value must depend only on
-    positions[k], bit for bit, whatever the other rows of the call: it may
-    be given rows the optimizer discards, so it must not count or record
-    them. run_bfa passes it C-contiguous rows.
-    """
-
-    bounds: Sequence[tuple[float, float]]
-
-    def evaluate_rows(self, positions: np.ndarray) -> np.ndarray: ...
+from .codec import ConfigCodec, bound_pairs, write_text
+from .errors import NonFiniteResult, OddPopulation, ValidationError
 
 
 @dataclass
 class BoxFunction:
     """Plain fitness function over an axis-aligned box: `rows` maps an
-    (m, dims) array of positions to their m values."""
+    (m, dims) array of positions to their m values, under run_bfa's
+    row-scorer contract (pure, row k's value from row k alone)."""
 
     bounds: tuple[tuple[float, float], ...]
     rows: object
 
     def __post_init__(self) -> None:
-        _bound_pairs(self.bounds)
+        bound_pairs(self.bounds)
 
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
         """rows(positions), as an array. A nan or inf value raises
@@ -413,9 +396,6 @@ class RunTrace:
 
     CSV_HEADER = ("iteration", "best_fitness", "evaluations")
 
-    def __len__(self) -> int:
-        return len(self.best_fitness)
-
     def write_csv(self, path: str) -> None:
         """One row per round: its index, repr of its best fitness, and its
         evaluation count, comma-separated, "\n"-terminated, under the
@@ -433,51 +413,25 @@ class RunResult(NamedTuple):
     evaluations: int  # every evaluation, the final dispersal's included
 
 
-def _bound_pairs(bounds, n: int | None = None, label: str = "search box"
-                 ) -> tuple[tuple[float, float], ...]:
-    """bounds as (lo, hi) pairs of floats: the one check of a search box,
-    the engine's and ProblemSpec's. A box is one or more pairs, n if given,
-    of real numbers (codec.is_real), or ValidationError; a bound that is
-    not finite or lo > hi is an InfeasibleSpec. Messages start with label."""
-    count = f"{n} " if n else ""
-    try:
-        pairs = tuple((lo, hi) for lo, hi in bounds)
-        real = all(is_real(lo) and is_real(hi) for lo, hi in pairs)
-    except (TypeError, ValueError):  # not a sequence of pairs
-        real = False
-    if not real:
-        raise ValidationError(f"{label} needs {count}(lo, hi) pairs")
-    if not pairs or n and len(pairs) != n:
-        raise ValidationError(
-            f"{label} needs {count}(lo, hi) pairs, got {len(pairs)}")
-    box = []
-    for lo, hi in pairs:
-        try:
-            lo, hi = float(lo), float(hi)
-        except OverflowError:  # an int too large for a float
-            lo = hi = math.inf
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InfeasibleSpec(f"{label} contains a non-finite bound")
-        if lo > hi:
-            raise InfeasibleSpec(f"{label} interval [{lo}, {hi}] is empty")
-        box.append((lo, hi))
-    return tuple(box)
-
-
 def _box(bounds, cfg: BfaConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated (lower, upper, steps) arrays of a search box."""
-    bounds = np.array(_bound_pairs(bounds))
+    bounds = np.array(bound_pairs(bounds))
     return bounds[:, 0].copy(), bounds[:, 1].copy(), step_sizes(cfg, bounds)
 
 
-def run_bfa(f: FitnessFunction, cfg: BfaConfig) -> RunResult:
+def run_bfa(f, cfg: BfaConfig) -> RunResult:
     """Full optimizer run; deterministic in (f, cfg) including cfg.seed.
 
+    f is a box and a row scorer, as BoxFunction is. f.bounds holds one
+    (lo, hi) pair per dimension; f.evaluate_rows maps an (m, dims) array of
+    positions to their m raw fitness values, as finite floats. It must be
+    pure, row k's value depending only on row k, bit for bit: it may be
+    given rows the optimizer discards, so it must not count them. It gets
+    one C-contiguous copy of the engine's column-ordered rows per call,
+    since a dot product over a strided row can round otherwise.
+
     The run is run_bfa_lockstep's loop nest at the one seed cfg.seed, which
-    validates f.bounds, with f.evaluate_rows scoring every point. The
-    engine's rows are column-ordered views; f gets them as one C-contiguous
-    copy per call, since a dot product over a strided row can round
-    otherwise.
+    validates f.bounds, with f.evaluate_rows scoring every point.
     """
     return run_bfa_lockstep(
         lambda _, positions: f.evaluate_rows(np.ascontiguousarray(positions)),
@@ -755,7 +709,11 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     radii leave open (_order_settled) replays its cycle (_exact_health) and
     is ranked by that exact health. Each run then reproduces through
     reproduce, and disperses through eliminate_disperse, called on a Swarm
-    view of its rows of the batch arrays.
+    view of its rows of the batch arrays. A cycle's rounds and ranking run
+    under numpy's raise mode for overflow, invalid and divide: a health
+    sum, radius, evaluation or signal there that leaves the floats is a
+    NonFiniteResult naming the phase, so no run reproduces on an inf or
+    nan health.
 
     A run keeps its chain up to its first move that does not improve;
     rows past that move may be evaluated but are never counted. The
@@ -800,27 +758,35 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
                 np.multiply(steps[:, None], tumbles.reshape(
                     cfg.chemotaxis_steps, size, dims).transpose(0, 2, 1),
                     out=moves[:, :, run])
-            for round_moves in moves:
-                positions, raw, walked = _chemotaxis_round(
-                    evaluate, batch, positions, raw, round_moves, tally,
-                    box_lower, box_upper, cfg, (lo, hi))
-                # the raw fitness of the moves made, in walk order, and
-                # -inf elsewhere: one update keeps the first strictly
-                # greater value, as one update per move would
-                _take_first_best(best_fitness, best_position,
-                                 np.where(walked, batch.scored, -math.inf),
-                                 batch.chains)
-                count += walked.sum(axis=(0, 2))
-                trace.append((best_fitness.tolist(), count.tolist()))
-            # a run whose ranking the radii leave open replays its cycle
-            # with every signal, for its exact health
-            radius = _health_radius(*tally[1:], max(-lo, hi))
-            replay = np.flatnonzero(~_order_settled(health, radius))
-            if len(replay):
-                health[replay] = _exact_health(
-                    evaluate, replay, starts[:, replay], start_raw[replay],
-                    moves[:, :, replay], box_lower[:, replay],
-                    box_upper[:, replay], cfg)
+            phase = "a chemotaxis round"
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    for round_moves in moves:
+                        positions, raw, walked = _chemotaxis_round(
+                            evaluate, batch, positions, raw, round_moves,
+                            tally, box_lower, box_upper, cfg, (lo, hi))
+                        # the raw fitness of the moves made, in walk order,
+                        # and -inf elsewhere: one update keeps the first
+                        # strictly greater value, as one update per move would
+                        _take_first_best(
+                            best_fitness, best_position,
+                            np.where(walked, batch.scored, -math.inf),
+                            batch.chains)
+                        count += walked.sum(axis=(0, 2))
+                        trace.append((best_fitness.tolist(), count.tolist()))
+                    # a run whose ranking the radii leave open replays its
+                    # cycle with every signal, for its exact health
+                    phase = "the reproduction ranking"
+                    radius = _health_radius(*tally[1:], max(-lo, hi))
+                    replay = np.flatnonzero(~_order_settled(health, radius))
+                    if len(replay):
+                        health[replay] = _exact_health(
+                            evaluate, replay, starts[:, replay],
+                            start_raw[replay], moves[:, :, replay],
+                            box_lower[:, replay], box_upper[:, replay], cfg)
+            except FloatingPointError as err:
+                raise NonFiniteResult(
+                    f"{phase} left the floats: {err}") from None
             for run in range(n_runs):
                 child = reproduce(Swarm(positions[:, run].T, raw[run],
                                         health[run]))

@@ -1,5 +1,6 @@
 """Files of the package: one field-driven JSON codec, one text reader, one
-CSV tokenizer, one text writer.
+CSV tokenizer, one text writer; and the value rules every layer checks its
+inputs by: is_real for a number, bound_pairs for a box.
 
 Run configs, the grade context and the fuzzy model files all encode and
 decode through ConfigCodec; every JSON file the package writes goes through
@@ -21,7 +22,7 @@ from dataclasses import fields
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
-from .errors import SchemaMismatch, ValidationError
+from .errors import InfeasibleSpec, SchemaMismatch, ValidationError
 
 
 def read_text(path: str) -> str:
@@ -159,6 +160,37 @@ def is_real(value) -> bool:
     """Whether a value is a real number, numpy's too, but not a bool or a
     string: the number rule of every float setting, bound and grade."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def bound_pairs(bounds, n: int | None = None, label: str = "search box"
+                ) -> tuple[tuple[float, float], ...]:
+    """bounds as (lo, hi) pairs of floats: the one check of a search box,
+    the engine's and ProblemSpec's. A box is one or more pairs, n if given,
+    of real numbers (is_real), or ValidationError; a bound that is not
+    finite or lo > hi is an InfeasibleSpec. Messages start with label."""
+    count = f"{n} " if n else ""
+    try:
+        pairs = tuple((lo, hi) for lo, hi in bounds)
+        real = all(is_real(lo) and is_real(hi) for lo, hi in pairs)
+    except (TypeError, ValueError):  # not a sequence of pairs
+        real = False
+    if not real:
+        raise ValidationError(f"{label} needs {count}(lo, hi) pairs")
+    if not pairs or n and len(pairs) != n:
+        raise ValidationError(
+            f"{label} needs {count}(lo, hi) pairs, got {len(pairs)}")
+    box = []
+    for lo, hi in pairs:
+        try:
+            lo, hi = float(lo), float(hi)
+        except OverflowError:  # an int too large for a float
+            lo = hi = math.inf
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InfeasibleSpec(f"{label} contains a non-finite bound")
+        if lo > hi:
+            raise InfeasibleSpec(f"{label} interval [{lo}, {hi}] is empty")
+        box.append((lo, hi))
+    return tuple(box)
 
 
 def fits(hint, value) -> bool:

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bfa import _bound_pairs
-from .codec import ConfigCodec, is_real
+from .codec import ConfigCodec, bound_pairs, is_real
 from .errors import (
     InfeasibleSpec,
     NoiseOutOfBox,
@@ -145,8 +144,8 @@ class ProblemSpec(ConfigCodec):
     maximize: bool = True
 
     def __post_init__(self) -> None:
-        design = _bound_pairs(self.design_bounds, 4, "design_bounds")
-        noise = _bound_pairs(self.noise_bounds, 2, "noise_bounds")
+        design = bound_pairs(self.design_bounds, 4, "design_bounds")
+        noise = bound_pairs(self.noise_bounds, 2, "noise_bounds")
         for name, (lo, hi), (box_lo, box_hi) in zip(
                 ("Z_a (temperature)", "Z_b (insolation)"), noise,
                 CRISP_NOISE_BOUNDS):

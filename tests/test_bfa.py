@@ -589,7 +589,7 @@ def test_run_bfa_incumbent_monotone_and_consistent():
     assert all(b > a for a, b in zip(evals, evals[1:]))
     # one row per chemotaxis round plus the initial row
     rounds = 4 * 2 * 2  # chemotaxis * reproduction * elimination
-    assert len(result.trace) == rounds + 1
+    assert len(result.trace.best_fitness) == rounds + 1
     assert result.best_fitness == pytest.approx(
         -float(result.best_position @ result.best_position), rel=1e-12)
 
@@ -771,7 +771,7 @@ def test_trace_csv_roundtrip(tmp_path):
     result.trace.write_csv(str(path))
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "iteration,best_fitness,evaluations"
-    assert len(lines) == len(result.trace) + 1
+    assert len(lines) == len(result.trace.best_fitness) + 1
     for it, (line, fit, ev) in enumerate(zip(lines[1:],
                                              result.trace.best_fitness,
                                              result.trace.evaluations)):

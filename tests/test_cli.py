@@ -389,6 +389,27 @@ class TestFrontier:
             "frontier exceeds the floats\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", [
+        {"weight_step": 0.5, "weight_minimum": 0.0, "runs_per_weight": 1},
+        {}], ids=["six_weights", "default_grid"])
+    def test_overflowing_health_sums_exit_2(self, grid, tmp_path, capsys):
+        # the default BfaConfig sums each fitness near 1e307 over a cycle's
+        # moves, which leaves the floats: one line, not numpy's warnings,
+        # exit 2, and no bundle directory
+        config = write_config(tmp_path, bfa={}, **grid,
+                              problem={"power_scale_exp": 305.6})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["frontier", "--config", config, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines(keepends=True)
+        assert len(lines) == 1
+        assert lines[0].startswith("error: NonFiniteResult: ")
+        assert not out.exists()
+
     def test_config_echo_holds_the_seed_that_ran(self, tmp_path, capsys):
         # --seed sets bfa.seed, the master seed, over the --config one
         config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,

@@ -1,8 +1,6 @@
-import ast
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,26 +212,6 @@ def test_noise_bounds_stay_in_the_box_or_raise(factor, table):
     # temperature point grades near 0.05 land inside 293-303 K; the year's
     # insolation, 14-336 W/m^2, lies wholly below 800
     assert inside > 0 if factor == "temperature" else inside == 0
-
-
-def test_fuzzy_imports_no_layer_above_it():
-    # the fuzzy layer maps grades to intervals and knows nothing of the
-    # surfaces, the optimizer, the sweep or the command line. Every dotted
-    # name its imports reach, a relative import read as solarswarm's
-    names = set()
-    tree = ast.parse(Path(fuzzy.__file__).read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = ".".join(filter(None, ("solarswarm" if node.level else "",
-                                          node.module)))
-            names.add(base)
-            names.update(f"{base}.{alias.name}" for alias in node.names)
-    modules = {name.split(".")[1] for name in names
-               if name.startswith("solarswarm.")}
-    assert "climate" in modules  # the walk sees the package's own imports
-    assert not modules & {"irrigation", "bfa", "pareto", "cli"}
 
 
 def test_fou_bounds_saturation(temp_model):

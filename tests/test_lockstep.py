@@ -3,6 +3,7 @@ run by run and bit for bit, for one run and for several: with turns whose
 swim decisions the signal bounds settle, turns they leave open, and both."""
 
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from solarswarm.bfa import (
     _row_dots,
     _take_first_best,
     _tumble_round,
+    reproduce,
     run_bfa_lockstep,
     tumble_direction,
 )
@@ -489,6 +491,28 @@ def test_run_bfa_hands_evaluate_rows_contiguous_rows(dimensions):
     f.evaluate_rows = evaluate_rows
     ss.run_bfa(f, SMALL)
     assert layouts and all(layouts)
+
+
+def test_overflowing_health_raises_before_reproduction(monkeypatch):
+    # every raw fitness is finite, near 1e307, but as the swarm climbs a
+    # cycle's health sum leaves the floats: the engine raises, and
+    # reproduce has ranked only finite healths until then
+    healths = []
+
+    def recording(swarm):
+        healths.append(swarm.health.copy())
+        return reproduce(swarm)
+
+    monkeypatch.setattr(bfa, "reproduce", recording)
+    f = ss.BoxFunction(((-1.0, 1.0),) * 2,
+                       rows=lambda r: 1e306 * (2.0 + 8.0 * r[:, 0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ss.errors.NonFiniteResult,
+                           match="^a chemotaxis round left the floats: "):
+            ss.run_bfa(f, ss.BfaConfig(chemotaxis_steps=6))
+    assert healths  # cycles before the overflow reproduced
+    assert all(np.isfinite(health).all() for health in healths)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -554,7 +554,8 @@ class TestBuildFrontier:
         assert [p.weights.as_tuple() for p in frontier.points] \
             == [w.as_tuple() for w in grid]
         assert len(traces) == len(grid)
-        assert all(len(trace) == 2 * 1 * 1 + 1 for trace in traces)
+        assert all(len(trace.best_fitness) == 2 * 1 * 1 + 1
+                   for trace in traces)
         for w, seed, trace in zip(grid, frontier.seeds, traces):
             alone = ss.run_bfa(ss.IrrigationFitness(problem, w),
                                replace(tiny_bfa(), seed=seed))
