@@ -501,41 +501,61 @@ def _order_settled(health: np.ndarray, radius: np.ndarray) -> np.ndarray:
 
 class _Batch(NamedTuple):
     """What every chemotaxis round of a batch of runs shares, made once
-    per batch by _batch: the runs' ids, the run id of every tumble row,
-    cells[k, i] = k * size + i (run k's bacterium i in a flat (runs,
-    size) block), the (swim_limit + 2, 1, 1) column of move indices, the
-    kernel rates, and the round's buffers: the tumble chains, (dims,
-    swim_limit + 2, runs, size), and the raw fitness of their rows,
-    (swim_limit + 2, runs, size)."""
+    per batch by _batch from the runs' ids: the run id of every tumble row
+    and of every swim row, cells[k, i] = k * size + i (run k's bacterium
+    i in a flat (runs, size) block), the index of every move of every
+    bacterium, the kernel rates, and the round's buffers: the tumble
+    chains, (dims, swim_limit + 2, runs, size), and the raw fitness of
+    their rows, (swim_limit + 2, runs, size). The views of the buffers
+    that a round reads or fills whole are made here too: the tumble rows
+    as the (runs * size, dims) transpose, the swim rows as (dims,
+    swim_limit, runs * size), and the raw fitness as (swim_limit + 2,
+    runs * size)."""
 
-    runs: np.ndarray
     tumble_runs: np.ndarray
+    swim_runs: np.ndarray
     cells: np.ndarray
     move_index: np.ndarray
     rates: np.ndarray
     chains: np.ndarray
     scored: np.ndarray
+    tumble_rows: np.ndarray
+    swim_chains: np.ndarray
+    scored_rows: np.ndarray
 
 
 def _batch(runs: np.ndarray, size: int, dims: int, cfg: BfaConfig) -> _Batch:
-    rows = cfg.swim_limit + 2
-    return _Batch(runs=runs, tumble_runs=np.repeat(runs, size),
+    rows, swims = cfg.swim_limit + 2, cfg.swim_limit
+    tumble_runs = np.repeat(runs, size)
+    chains = np.empty((dims, rows, len(runs), size))
+    scored = np.zeros((rows, len(runs), size))
+    # the start, row 0, is move `rows`, which no bacterium makes: so
+    # `move_index <= made` is the mask of the moves made. A whole array,
+    # since comparing against a (rows, 1, 1) column is slower
+    move_index = np.empty(scored.shape, dtype=np.intp)
+    move_index[:] = np.arange(rows)[:, None, None]
+    move_index[0] = rows
+    return _Batch(tumble_runs=tumble_runs,
+                  swim_runs=tumble_runs[None].repeat(swims, axis=0),
                   cells=np.arange(len(runs) * size).reshape(len(runs), size),
-                  move_index=np.arange(rows)[:, None, None],
-                  rates=_kernel_rates(cfg),
-                  chains=np.empty((dims, rows, len(runs), size)),
-                  scored=np.zeros((rows, len(runs), size)))
+                  move_index=move_index, rates=_kernel_rates(cfg),
+                  chains=chains, scored=scored,
+                  tumble_rows=chains[:, 1].reshape(dims, -1).T,
+                  swim_chains=chains[:, 2:].reshape(dims, swims, -1),
+                  scored_rows=scored.reshape(rows, -1))
 
 
 def _chemotaxis_round(evaluate, batch: _Batch, positions: np.ndarray,
-                      raw: np.ndarray, moves: np.ndarray, tally: np.ndarray,
+                      raw: np.ndarray, moves: np.ndarray, tally: tuple,
                       lower: np.ndarray, upper: np.ndarray, cfg: BfaConfig,
                       bounds: tuple[float, float]
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One chemotaxis round of the runs batch.runs: run runs[k]'s bacterium
-    i starts from positions[:, k, i] with raw fitness raw[k, i], and
-    tumbles by moves[:, k, i]. Returns the positions and raw fitness the
-    round ends with, and the mask of the chain rows of the moves made.
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 np.ndarray]:
+    """One chemotaxis round of the batch's runs: its run k's bacterium i
+    starts from positions[:, k, i] with raw fitness raw[k, i], and tumbles
+    by moves[:, k, i]. Returns the positions and raw fitness the
+    round ends with, the mask of the chain rows of the moves made, and the
+    number of moves each bacterium made (the mask summed over its rows).
 
     The state is coordinate-major, so the bacteria are the contiguous inner
     axis: positions, moves and the box bounds `lower` and `upper` are
@@ -557,32 +577,30 @@ def _chemotaxis_round(evaluate, batch: _Batch, positions: np.ndarray,
     their raw fitness, in move order. At bounds (-inf, inf) nothing
     settles and every bacterium is walked.
 
-    tally[:, k] holds run k's cycle so far, per bacterium: its health, and
-    for _health_radius its unsignalled moves, its moves made and the sum
-    of |raw fitness| over them. The round adds its own.
+    tally holds the rows of a (4, runs, size) array, unpacked once per
+    batch: row [k] of each is run k's cycle so far, per bacterium, its
+    health, and for _health_radius its unsignalled moves, its moves made
+    and the sum of |raw fitness| over them. The round adds its own.
     """
-    dims, n_runs, size = positions.shape
+    dims, _, size = positions.shape
     health, unsignalled, moved, magnitude = tally
-    runs, chains, scored = batch.runs, batch.chains, batch.scored
+    chains, scored = batch.chains, batch.scored
     # row r of run k's bacterium i in a flat (rows, runs, size) array is
     # r * block + cells[k, i]
     cells = batch.cells
     block = cells.size
     lo, hi = bounds
-    swims = cfg.swim_limit
     _lay_chains(positions, moves, lower, upper, chains)
     scored[0] = raw
-    scored[1] = evaluate(batch.tumble_runs,
-                         chains[:, 1].reshape(dims, -1).T
-                         ).reshape(n_runs, size)
+    scored_rows = batch.scored_rows
+    scored_rows[1] = evaluate(batch.tumble_runs, batch.tumble_rows)
     # swim rows are scored only where the tumble may improve
-    turns, tumbling = np.nonzero(scored[1] + hi > raw + lo)
-    if len(turns):
-        swim_rows = chains[:, 2:].reshape(dims, swims, -1).take(
-            turns * size + tumbling, axis=2)
-        scored[2:, turns, tumbling] = evaluate(
-            runs[turns][None].repeat(swims, axis=0).ravel(),
-            swim_rows.reshape(dims, -1).T).reshape(swims, len(turns))
+    turning = (scored[1] + hi > raw + lo).ravel().nonzero()[0]
+    if len(turning):
+        swim_rows = batch.swim_chains.take(turning, axis=2)
+        scored_rows[2:, turning] = evaluate(
+            batch.swim_runs.take(turning, axis=1).ravel(),
+            swim_rows.reshape(dims, -1).T).reshape(cfg.swim_limit, -1)
     # move m surely improves, or surely does not, whatever the signals. A
     # walk goes on while its moves surely improve, so it never reaches the
     # rows left unscored past a tumble that surely does not
@@ -592,39 +610,43 @@ def _chemotaxis_round(evaluate, batch: _Batch, positions: np.ndarray,
     improves[-1] = False  # move swim_limit + 1 stops
     worsens[-1] = True
     made = improves.argmin(axis=0) + 1
-    unsettled = ~worsens.ravel()[(made - 1) * block + cells]
-    finals = chains.reshape(dims, -1).take(made * block + cells, axis=1)
+    at_made = made * block + cells
+    # a turn is settled when its stop surely does not improve; the walks
+    # below correct made and at_made for the rest
+    settled = worsens.ravel()[at_made - block]
+    finals = chains.reshape(dims, -1).take(at_made, axis=1)
     # the swarm at a walked bacterium's turn: the final points of the
     # bacteria before it and the start points of the rest
-    for run in np.flatnonzero(unsettled.any(axis=1)).tolist():
-        # row-major copies: _signal_rows reduces over the coordinates
-        turn = Swarm(positions[:, run].T.copy(), raw[run], health[run])
-        walks = chains[:, :, run].transpose(2, 1, 0).copy()
-        values, stops, done = scored[1:, run].T.tolist(), made[run], 0
-        for i in np.flatnonzero(unsettled[run]).tolist():
-            turn.positions[done:i] = finals[:, run, done:i].T
-            stops[i] = _swim_chain(turn, i, walks[i], values[i], cfg,
-                                   batch.rates)[1]
-            done = i + 1
-        finals[:, run] = walks[np.arange(size), stops].T
+    if not settled.all():
+        for run in (~settled).any(axis=1).nonzero()[0].tolist():
+            # row-major copies: _signal_rows reduces over the coordinates
+            turn = Swarm(positions[:, run].T.copy(), raw[run], health[run])
+            walks = chains[:, :, run].transpose(2, 1, 0).copy()
+            values, stops, done = scored[1:, run].T.tolist(), made[run], 0
+            for i in (~settled[run]).nonzero()[0].tolist():
+                turn.positions[done:i] = finals[:, run, done:i].T
+                stops[i] = _swim_chain(turn, i, walks[i], values[i], cfg,
+                                       batch.rates)[1]
+                done = i + 1
+            finals[:, run] = walks[np.arange(size), stops].T
+            at_made[run] = stops * block + cells[run]
     walked = batch.move_index <= made
-    walked[0] = False
     # every other bacterium's health adds the raw fitness of its moves
     # made, and no signal: health only ranks the bacteria at reproduction,
     # where its error radius settles the ranking
     eff = np.where(walked, scored, 0.0)
     magnitude += np.abs(eff).sum(axis=0)
-    unsignalled += np.where(unsettled, 0, made)
+    np.add(unsignalled, made, out=unsignalled, where=settled)
     moved += made
     # health's running sum in move order, as the walk adds it: one add per
     # contiguous move row, where add.accumulate over the move axis runs
     # one short strided loop per bacterium, several times slower in a batch
     eff[0] = health
-    for move in range(1, swims + 2):
-        eff[move] += eff[move - 1]
-    at_made = made * block + cells
-    np.copyto(health, eff.ravel()[at_made], where=~unsettled)
-    return finals, scored.ravel()[at_made], walked
+    rows = list(eff)
+    for previous, row in zip(rows, rows[1:]):
+        row += previous
+    np.copyto(health, eff.ravel()[at_made], where=settled)
+    return finals, scored.ravel()[at_made], walked, made
 
 
 def _exact_health(evaluate, runs: np.ndarray, starts: np.ndarray,
@@ -644,9 +666,10 @@ def _exact_health(evaluate, runs: np.ndarray, starts: np.ndarray,
     tally = np.zeros((4, k, size))
     batch = _batch(runs, size, dims, cfg)
     positions, raw = starts, start_raw
+    tally_rows = tuple(tally)
     for cycle_moves in moves:
-        positions, raw, _ = _chemotaxis_round(
-            evaluate, batch, positions, raw, cycle_moves, tally, lower,
+        positions, raw, _, _ = _chemotaxis_round(
+            evaluate, batch, positions, raw, cycle_moves, tally_rows, lower,
             upper, cfg, (-math.inf, math.inf))
     return tally[0]
 
@@ -660,7 +683,7 @@ def _take_first_best(best_fitness: np.ndarray, best_position: np.ndarray,
     that value. Entries a run did not evaluate hold -inf."""
     tops = values.max(axis=0)
     top = tops.max(axis=1)
-    better = np.flatnonzero(top > best_fitness)
+    better = (top > best_fitness).nonzero()[0]
     if len(better):
         first = tops[better].argmax(axis=1)
         move = values[:, better, first].argmax(axis=0)
@@ -709,11 +732,12 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     radii leave open (_order_settled) replays its cycle (_exact_health) and
     is ranked by that exact health. Each run then reproduces through
     reproduce, and disperses through eliminate_disperse, called on a Swarm
-    view of its rows of the batch arrays. A cycle's rounds and ranking run
-    under numpy's raise mode for overflow, invalid and divide: a health
-    sum, radius, evaluation or signal there that leaves the floats is a
-    NonFiniteResult naming the phase, so no run reproduces on an inf or
-    nan health.
+    view of its rows of the batch arrays. The whole nest runs under
+    numpy's raise mode for overflow, invalid and divide, entered once per
+    call: an evaluation, signal, health sum or radius that leaves the
+    floats is a NonFiniteResult naming the phase (the first scoring, a
+    chemotaxis round, the reproduction ranking or a dispersal's
+    rescoring), so no run reproduces on an inf or nan health.
 
     A run keeps its chain up to its first move that does not improve;
     rows past that move may be evaluated but are never counted. The
@@ -732,9 +756,6 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     count = np.zeros(n_runs, dtype=np.int64)
     best_fitness = np.full(n_runs, -math.inf)
     best_position = np.zeros((n_runs, dims))
-    _score_stale(evaluate, positions, raw, count, best_fitness, best_position)
-    # (incumbent, evaluations) after the first scoring and after each round
-    trace = [(best_fitness.tolist(), count.tolist())]
     # the box's bounds at every bacterium: clamping against whole arrays
     # is faster than against (dims, 1, 1) columns
     box_lower, box_upper = (np.broadcast_to(b[:, None, None], positions.shape)
@@ -747,56 +768,66 @@ def run_bfa_lockstep(evaluate, bounds, cfg: BfaConfig,
     start_raw = np.empty((n_runs, size))
     moves = np.empty((cfg.chemotaxis_steps, dims, n_runs, size))
     tally = np.empty((4, n_runs, size))
+    tally_rows = tuple(tally)
     health = tally[0]
     batch = _batch(np.arange(n_runs), size, dims, cfg)
-    for _ in range(cfg.elimination_cycles):
-        for _ in range(cfg.reproduction_cycles):
-            tally.fill(0.0)
-            starts[:], start_raw[:] = positions, raw
-            for run, rng in enumerate(rngs):
-                tumbles = _tumble_round(rng, cfg.chemotaxis_steps * size, dims)
-                np.multiply(steps[:, None], tumbles.reshape(
-                    cfg.chemotaxis_steps, size, dims).transpose(0, 2, 1),
-                    out=moves[:, :, run])
-            phase = "a chemotaxis round"
-            try:
-                with np.errstate(all="raise", under="ignore"):
+    phase = "the first scoring"
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            _score_stale(evaluate, positions, raw, count, best_fitness,
+                         best_position)
+            # (incumbent, evaluations) after the first scoring and after
+            # each round
+            trace = [(best_fitness.tolist(), count.tolist())]
+            for _ in range(cfg.elimination_cycles):
+                for _ in range(cfg.reproduction_cycles):
+                    tally.fill(0.0)
+                    starts[:], start_raw[:] = positions, raw
+                    for run, rng in enumerate(rngs):
+                        tumbles = _tumble_round(
+                            rng, cfg.chemotaxis_steps * size, dims)
+                        np.multiply(steps[:, None], tumbles.reshape(
+                            cfg.chemotaxis_steps, size, dims
+                        ).transpose(0, 2, 1), out=moves[:, :, run])
+                    phase = "a chemotaxis round"
                     for round_moves in moves:
-                        positions, raw, walked = _chemotaxis_round(
+                        positions, raw, walked, made = _chemotaxis_round(
                             evaluate, batch, positions, raw, round_moves,
-                            tally, box_lower, box_upper, cfg, (lo, hi))
-                        # the raw fitness of the moves made, in walk order,
-                        # and -inf elsewhere: one update keeps the first
-                        # strictly greater value, as one update per move would
+                            tally_rows, box_lower, box_upper, cfg,
+                            (lo, hi))
+                        # the raw fitness of the moves made, in walk
+                        # order, and -inf elsewhere: one update keeps the
+                        # first strictly greater value, as one update per
+                        # move would
                         _take_first_best(
                             best_fitness, best_position,
                             np.where(walked, batch.scored, -math.inf),
                             batch.chains)
-                        count += walked.sum(axis=(0, 2))
+                        count += made.sum(axis=1)
                         trace.append((best_fitness.tolist(), count.tolist()))
                     # a run whose ranking the radii leave open replays its
                     # cycle with every signal, for its exact health
                     phase = "the reproduction ranking"
                     radius = _health_radius(*tally[1:], max(-lo, hi))
-                    replay = np.flatnonzero(~_order_settled(health, radius))
+                    replay = (~_order_settled(health, radius)).nonzero()[0]
                     if len(replay):
                         health[replay] = _exact_health(
                             evaluate, replay, starts[:, replay],
                             start_raw[replay], moves[:, :, replay],
                             box_lower[:, replay], box_upper[:, replay], cfg)
-            except FloatingPointError as err:
-                raise NonFiniteResult(
-                    f"{phase} left the floats: {err}") from None
-            for run in range(n_runs):
-                child = reproduce(Swarm(positions[:, run].T, raw[run],
-                                        health[run]))
-                positions[:, run], raw[run] = (child.positions.T,
-                                               child.raw_fitness)
-        for run, rng in enumerate(rngs):
-            eliminate_disperse(Swarm(positions[:, run].T, raw[run],
-                                     health[run]), cfg, rng, bounds)
-        _score_stale(evaluate, positions, raw, count, best_fitness,
-                     best_position)
+                    for run in range(n_runs):
+                        child = reproduce(Swarm(positions[:, run].T,
+                                                raw[run], health[run]))
+                        positions[:, run], raw[run] = (child.positions.T,
+                                                       child.raw_fitness)
+                for run, rng in enumerate(rngs):
+                    eliminate_disperse(Swarm(positions[:, run].T, raw[run],
+                                             health[run]), cfg, rng, bounds)
+                phase = "a dispersal's rescoring"
+                _score_stale(evaluate, positions, raw, count, best_fitness,
+                             best_position)
+    except FloatingPointError as err:
+        raise NonFiniteResult(f"{phase} left the floats: {err}") from None
 
     fitness, counts = ([list(run) for run in zip(*rows)]
                        for rows in zip(*trace))

@@ -311,6 +311,9 @@ def cmd_metrics(args) -> int:
     context = None
     if args.grade_context is not None:
         context = GradeContext.from_dict(read_json(args.grade_context))
+        # the context is echoed only if a sweep could run it: its noise
+        # box on the packaged table meets ProblemSpec's one check
+        _resolve_problem(RunConfig(grade_context=context))
     frontier = frontier_from_csv_text(read_text(args.frontier))
     text = json_text(compute_metrics(frontier, context))
     if args.out:

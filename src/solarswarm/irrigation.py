@@ -219,7 +219,9 @@ def coefficient_table(spec: ProblemSpec
 
 class _Surfaces:
     """coefficient_table(spec) and the variable coding, laid out once as
-    arrays for _objective_rows."""
+    arrays, and the row kernel over them (objective_rows). A caller that
+    scores many calls binds objective_rows once, so no call hashes the
+    spec again."""
 
     def __init__(self, spec: ProblemSpec) -> None:
         table = coefficient_table(spec)
@@ -229,7 +231,7 @@ class _Surfaces:
         # shorter ones are padded with -0.0 * 1 * 1, and x + -0.0 == x
         # holds bit for bit for every x, so padding changes no sum. The
         # arrays are term-major, (terms, 3), so that term k of all three
-        # objectives is one contiguous slice of _objective_rows' terms
+        # objectives is one contiguous slice of objective_rows' terms
         size = max(len(terms) for _, terms in table)
         padded = [terms + ((-0.0, _ONE, _ONE),) * (size - len(terms))
                   for _, terms in table]
@@ -246,11 +248,76 @@ class _Surfaces:
                       self.lo_column, self.width_column):
             array.flags.writeable = False
 
+    def objective_rows(self, positions: np.ndarray) -> np.ndarray:
+        """(power, efficiency, savings) of every row of an (m, 6) array of
+        positions (x_a..x_d, Z_a, Z_b), as a (3, m) array: the one
+        evaluator. The optimizer passes the transpose of a (6, m) array,
+        which is read straight into the coordinate rows; every operation
+        below is elementwise or adds whole rows, so the values do not
+        depend on the layout of `positions`.
+
+        Each objective is factor * (t_1 + t_2 + ...) over
+        coefficient_table's terms, term (coef, i, j) computed as
+        (coef * X[i]) * X[j]. The terms are laid out term-major, as a
+        C-ordered (terms, 3, m) array, and one np.add.reduce over the term
+        axis sums them. numpy adds pairwise only along the fastest memory
+        axis, and the term axis is the slowest here, with 3 * m >= 3
+        elements beside it: so the reduce adds each element's terms
+        strictly left to right in table order, one whole (3, m) slice at a
+        time, and a row's values do not depend on the rows beside it. A row
+        with an objective that is inf or nan raises NonFiniteResult.
+
+        It works in views of its thread's reused workspace (one per
+        process: no package code uses threads) and returns a new array,
+        never a view. Every view is contiguous: fixed-width views sliced to
+        m columns are slower.
+        """
+        if len(positions) > _ROW_BLOCK:
+            return np.concatenate([
+                self.objective_rows(positions[k:k + _ROW_BLOCK])
+                for k in range(0, len(positions), _ROW_BLOCK)], axis=1)
+        floats = getattr(_workspace, "floats", None)
+        if floats is None:
+            # aligned to 64 bytes: malloc gives large blocks 16, which
+            # slows numpy
+            raw = np.empty(85 * _ROW_BLOCK + 8)
+            floats = _workspace.floats = raw[-raw.ctypes.data % 64 // 8:]
+        m = len(positions)
+        x = floats[:7 * m].reshape(7, m)
+        x[_ONE] = 1.0
+        coords = x[:_ONE]
+        if self.coded:
+            # ((p - lo) * 2.0) / width - 1.0, one operation at a time into
+            # the coordinate rows
+            np.subtract(positions.T, self.lo_column, out=coords)
+            coords *= 2.0
+            coords /= self.width_column
+            coords -= 1.0
+        else:
+            coords[:] = positions.T
+        terms = floats[7 * _ROW_BLOCK:][:39 * m].reshape(13, 3, m)
+        second = floats[46 * _ROW_BLOCK:][:39 * m].reshape(13, 3, m)
+        # every index is valid, so "clip" changes nothing; "raise" buffers
+        # out
+        x.take(self.first, 0, terms, "clip")
+        terms *= self.coef
+        x.take(self.second, 0, second, "clip")
+        terms *= second
+        # a new array, so the workspace is free for the next call
+        objectives = np.add.reduce(terms, axis=0)
+        objectives *= self.factor
+        if not np.isfinite(objectives).all():
+            bad = positions[
+                np.isfinite(objectives).all(axis=0).argmin()].tolist()
+            raise NonFiniteResult(
+                f"objectives not finite at position {bad!r}")
+        return objectives
+
 
 _surfaces = functools.lru_cache(maxsize=16)(_Surfaces)
 
 
-# _objective_rows works through at most this many rows at a time, in a
+# _Surfaces.objective_rows works through at most this many rows at a time, in a
 # workspace of 85 floats per row: the 7 coordinate rows, the (13, 3, m)
 # terms and their second factors. In smaller blocks the fixed cost of each
 # block's numpy calls outweighs the work
@@ -259,63 +326,8 @@ _workspace = threading.local()
 
 
 def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
-    """(power, efficiency, savings) of every row of an (m, 6) array of
-    positions (x_a..x_d, Z_a, Z_b), as a (3, m) array: the one evaluator.
-    The optimizer passes the transpose of a (6, m) array, which is read
-    straight into the coordinate rows; every operation below is elementwise
-    or adds whole rows, so the values do not depend on the layout of
-    `positions`.
-
-    Each objective is factor * (t_1 + t_2 + ...) over coefficient_table's
-    terms, term (coef, i, j) computed as (coef * X[i]) * X[j]. The terms
-    are laid out term-major, as a C-ordered (terms, 3, m) array, and one
-    np.add.reduce over the term axis sums them. numpy adds pairwise only
-    along the fastest memory axis, and the term axis is the slowest here,
-    with 3 * m >= 3 elements beside it: so the reduce adds each element's
-    terms strictly left to right in table order, one whole (3, m) slice at
-    a time, and a row's values do not depend on the rows beside it. A row
-    with an objective that is inf or nan raises NonFiniteResult.
-
-    It works in views of its thread's reused workspace (one per process:
-    no package code uses threads) and returns a new array, never a view.
-    """
-    if len(positions) > _ROW_BLOCK:
-        return np.concatenate([
-            _objective_rows(spec, positions[k:k + _ROW_BLOCK])
-            for k in range(0, len(positions), _ROW_BLOCK)], axis=1)
-    s = _surfaces(spec)
-    floats = getattr(_workspace, "floats", None)
-    if floats is None:
-        # aligned to 64 bytes: malloc gives large blocks 16, which slows numpy
-        raw = np.empty(85 * _ROW_BLOCK + 8)
-        floats = _workspace.floats = raw[-raw.ctypes.data % 64 // 8:]
-    m = len(positions)
-    x = floats[:7 * m].reshape(7, m)
-    x[_ONE] = 1.0
-    coords = x[:_ONE]
-    if s.coded:
-        # ((p - lo) * 2.0) / width - 1.0, one operation at a time into
-        # the coordinate rows
-        np.subtract(positions.T, s.lo_column, out=coords)
-        coords *= 2.0
-        coords /= s.width_column
-        coords -= 1.0
-    else:
-        coords[:] = positions.T
-    terms = floats[7 * _ROW_BLOCK:][:39 * m].reshape(13, 3, m)
-    second = floats[46 * _ROW_BLOCK:][:39 * m].reshape(13, 3, m)
-    # every index is valid, so "clip" changes nothing; "raise" buffers out
-    x.take(s.first, 0, terms, "clip")
-    terms *= s.coef
-    x.take(s.second, 0, second, "clip")
-    terms *= second
-    # a new array, so the workspace is free for the next call
-    objectives = np.add.reduce(terms, axis=0)
-    objectives *= s.factor
-    if not np.isfinite(objectives).all():
-        bad = positions[np.isfinite(objectives).all(axis=0).argmin()].tolist()
-        raise NonFiniteResult(f"objectives not finite at position {bad!r}")
-    return objectives
+    """_Surfaces.objective_rows of `spec`, for one-off callers."""
+    return _surfaces(spec).objective_rows(positions)
 
 
 def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
@@ -398,7 +410,8 @@ class IrrigationFitness:
 
     def __post_init__(self) -> None:
         self.bounds = self.spec.design_bounds + self.spec.noise_bounds
-        self._weight_row = np.array(self.weights.as_tuple())
+        self._weight_column = np.array(self.weights.as_tuple())[:, None]
+        self._objective_rows = _surfaces(self.spec).objective_rows
 
     def evaluate(self, position) -> float:
         """The aggregate at one position: evaluate_rows of that one row,
@@ -409,10 +422,12 @@ class IrrigationFitness:
         if row.shape != (6,):
             raise ValidationError(
                 f"position needs one row of 6 values, got shape {row.shape}")
-        return float(evaluate_rows(self.spec, self._weight_row[None],
-                                   row[None])[0])
+        return float(_weighted_sum(self._weight_column,
+                                   self._objective_rows(row[None]))[0])
 
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
         """The aggregate of every row of an (m, 6) array, in one call: the
-        module's evaluate_rows with this fitness's weights."""
-        return evaluate_rows(self.spec, self._weight_row[None], positions)
+        module's evaluate_rows with this fitness's weights, through the row
+        kernel bound when the fitness was made."""
+        return _weighted_sum(self._weight_column,
+                             self._objective_rows(positions))

@@ -42,9 +42,9 @@ from .irrigation import (
     ProblemSpec,
     WeightVector,
     _objective_rows,
+    _surfaces,
     _weighted_sum,
     aggregate,
-    evaluate_rows,
 )
 
 FRONTIER_CSV_HEADER = ("w1", "w2", "w3", "x_a", "x_b", "x_c", "x_d",
@@ -214,16 +214,19 @@ def _run_batch(problem: ProblemSpec, cfg: BfaConfig, weights: np.ndarray,
                seeds: list[int]) -> list[RunResult]:
     """One lockstep batch: run k maximizes weights[k] . f from seeds[k].
 
-    The evaluate callback weights row i by the weights of run runs[i]:
+    The evaluate callback scores through the problem's row kernel, bound
+    once for the batch, and weights row i by the weights of run runs[i]:
     one take along the run axis of the table's contiguous (3, runs)
-    columns gives contiguous (3, m) columns, which evaluate_rows
+    columns gives contiguous (3, m) columns, which _weighted_sum
     multiplies the (3, m) objectives by, with no strided (m, 3) gather,
-    before it adds the three weighted objectives left to right.
+    before it adds the three weighted objectives left to right, as
+    evaluate_rows does.
     """
     columns = np.ascontiguousarray(weights.T)
+    objective_rows = _surfaces(problem).objective_rows
     return run_bfa_lockstep(
-        lambda runs, positions: evaluate_rows(
-            problem, columns.take(runs, axis=1).T, positions),
+        lambda runs, positions: _weighted_sum(
+            columns.take(runs, axis=1), objective_rows(positions)),
         problem.design_bounds + problem.noise_bounds, cfg, seeds)
 
 

@@ -539,13 +539,36 @@ class TestMetrics:
             == open(os.path.join(bundle, "metrics.json")).read()
 
     def test_grade_context_flag_is_embedded(self, bundle, tmp_path, capsys):
+        # a context whose noise box lies in the fitted one, as a sweep
+        # needs: temperature grade 0.05 on the packaged table
         context = tmp_path / "context.json"
-        context.write_text(json.dumps({"temperature_secondary": 0.17169}))
+        context.write_text(json.dumps({"temperature_secondary": 0.05}))
         assert main(["metrics", "--frontier",
                      os.path.join(bundle, "frontier.csv"),
                      "--grade-context", str(context)]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["grade_context"]["temperature_secondary"] == 0.17169
+        assert document["grade_context"]["temperature_secondary"] == 0.05
+
+    def test_out_of_box_grade_context_is_one_line(self, bundle, tmp_path,
+                                                  capsys):
+        # an insolation grade lands outside the fitted noise box, so no
+        # sweep can run the context: metrics rejects it as frontier does,
+        # in one line, and echoes nothing
+        path = tmp_path / "context.json"
+        path.write_text(json.dumps(
+            {"insolation_secondary": [0.02907, 0.92274]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["metrics", "--frontier",
+                         os.path.join(bundle, "frontier.csv"),
+                         "--grade-context", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines(keepends=True)
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: NoiseOutOfBox: Z_b (insolation) noise interval ")
 
     @pytest.mark.parametrize("context, message", BAD_GRADE_CONTEXTS,
                              ids=BAD_GRADE_IDS)
@@ -838,6 +861,31 @@ def test_non_finite_objectives_exit_2(command, tmp_path, capsys):
                                "finite at position ")
     # nothing is written before the run succeeds: no bundle, no directory
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "--weights", "0.1,0.1,0.8"],
+    ["frontier"],
+], ids=["optimize", "frontier"])
+def test_objectives_overflowing_at_the_first_scoring_are_one_line(
+        command, tmp_path, capsys):
+    # the power surface's 10 ** 307 is finite, but its objectives overflow
+    # when the swarm is first scored: numpy's raise mode covers that phase
+    # too, so one line names it, with no numpy warning before it
+    config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
+                          runs_per_weight=1,
+                          problem={"power_scale_exp": 307})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*command, "--config", config, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: NonFiniteResult: the first scoring left the floats: "
+        "overflow encountered in multiply\n")
+    assert not out.exists()
 
 
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):

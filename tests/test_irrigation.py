@@ -558,6 +558,27 @@ def test_each_thread_has_its_own_workspace(literal_objectives):
     assert same_bits(objectives, literal_objectives(*positions.T, spec))
 
 
+@pytest.mark.parametrize("mode", ["coded", "raw"])
+@pytest.mark.parametrize("m", [1, 26, _ROW_BLOCK, _ROW_BLOCK + 1, 4680])
+def test_bound_kernel_gives_the_module_functions_bits(m, mode):
+    # the optimizer scores through _Surfaces.objective_rows, bound once per
+    # fitness or batch: it must give the one-off entry points' bits, at a
+    # swarm's rows, a round's swim rows and on each side of a block
+    spec = ss.ProblemSpec(variable_mode=mode)
+    box = np.array(spec.design_bounds + spec.noise_bounds)
+    # the transpose of (6, m) rows, as the engine passes them
+    positions = np.ascontiguousarray(np.random.default_rng(m).uniform(
+        box[:, 0], box[:, 1], (m, 6)).T).T
+    kernel = irrigation._surfaces(spec).objective_rows
+    assert same_bits(kernel(positions), _objective_rows(spec, positions))
+    weights = ss.WeightVector(0.2, 0.3, 0.5)
+    fitness = ss.IrrigationFitness(spec, weights)
+    assert fitness._objective_rows == kernel
+    assert same_bits(fitness.evaluate_rows(positions),
+                     evaluate_rows(spec, np.array([weights.as_tuple()]),
+                                   positions))
+
+
 def test_coefficient_table_flags():
     # terms are (coef, i, j) over the 6 variables and the constant 1; the
     # flags pick the two misprinted coefficients and the sign

@@ -16,6 +16,7 @@ from solarswarm.bfa import (
     _row_dots,
     _take_first_best,
     _tumble_round,
+    eliminate_disperse,
     reproduce,
     run_bfa_lockstep,
     tumble_direction,
@@ -513,6 +514,63 @@ def test_overflowing_health_raises_before_reproduction(monkeypatch):
             ss.run_bfa(f, ss.BfaConfig(chemotaxis_steps=6))
     assert healths  # cycles before the overflow reproduced
     assert all(np.isfinite(health).all() for health in healths)
+
+
+@pytest.mark.parametrize("phase", ["the first scoring",
+                                   "a dispersal's rescoring"])
+def test_evaluations_outside_the_rounds_raise_one_named_error(phase,
+                                                              monkeypatch):
+    # numpy's raise mode covers the whole nest, the scorings of fresh and
+    # dispersed swarms too: a value that overflows there is one
+    # NonFiniteResult naming its phase, and numpy warns nothing
+    dispersed = []
+
+    def recording(*args):
+        dispersed.append(True)
+        return eliminate_disperse(*args)
+
+    monkeypatch.setattr(bfa, "eliminate_disperse", recording)
+    overflows = dispersed if phase == "a dispersal's rescoring" else [True]
+
+    def evaluate(runs, positions):
+        values = np.ones(len(positions))
+        return values * 1e308 * 10.0 if overflows else values
+
+    cfg = replace(SMALL, elimination_prob=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ss.errors.NonFiniteResult,
+                           match=f"^{phase} left the floats: overflow "):
+            run_bfa_lockstep(evaluate, ((0.0, 1.0),) * 2, cfg, [1, 2])
+
+
+@pytest.mark.parametrize("setting", ["settled", "coded", "open"])
+def test_round_counts_the_moves_its_mask_holds(setting, walks, replays,
+                                               monkeypatch):
+    # the engine counts evaluations from the moves each bacterium made,
+    # which must be the rows of the mask of moves made: with every swim
+    # decision settled, and with walked bacteria (whose walks overwrite
+    # their counts) and replayed cycles
+    rounds = []
+    chemotaxis_round = bfa._chemotaxis_round
+
+    def checked(*args):
+        positions, raw, walked, made = chemotaxis_round(*args)
+        assert not walked[0].any()
+        assert np.array_equal(made, walked.sum(axis=0))
+        rounds.append(made.sum())
+        return positions, raw, walked, made
+
+    monkeypatch.setattr(bfa, "_chemotaxis_round", checked)
+    spec, cfg = SETTINGS["no_swarming_full_dispersal" if setting == "settled"
+                         else "coded"]
+    if setting == "open":
+        # deep wells and high bumps leave swim decisions and rankings open
+        cfg = replace(cfg, attract_depth=1e5, repel_height=5e4)
+    lockstep(spec, cfg, MIXED)
+    assert rounds
+    assert bool(walks) == (setting != "settled")
+    assert bool(replays) == (setting == "open")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -643,6 +643,34 @@ class TestBuildFrontier:
                           runs_per_weight=2)
         assert built == []
 
+    @pytest.mark.parametrize("entry", ["run_bfa", "build_frontier"])
+    def test_problem_is_hashed_a_fixed_number_of_times(self, entry,
+                                                       monkeypatch):
+        # the row kernel is bound to its problem once per fitness or batch,
+        # so no evaluator call hashes the frozen ProblemSpec for its cache:
+        # the count must not grow with the rounds a run makes
+        hashes = []
+        spec_hash = ss.ProblemSpec.__hash__
+
+        def counting(self):
+            hashes.append(self)
+            return spec_hash(self)
+        monkeypatch.setattr(ss.ProblemSpec, "__hash__", counting)
+        problem = ss.ProblemSpec()
+        weights = ss.weight_grid(step=0.5, minimum=0.0)[:2]
+
+        def count(steps):
+            cfg = replace(tiny_bfa(), chemotaxis_steps=steps,
+                          reproduction_cycles=steps)
+            hashes.clear()
+            if entry == "run_bfa":
+                ss.run_bfa(ss.IrrigationFitness(problem, weights[0]), cfg)
+            else:
+                ss.build_frontier(problem, cfg, weights, runs_per_weight=2)
+            return len(hashes)
+
+        assert count(1) == count(6) <= 2
+
     def test_run_bfa_stays_bound_in_pareto(self):
         # the benchmark's span tracer wraps pareto.run_bfa by that name
         from solarswarm import bfa, pareto
