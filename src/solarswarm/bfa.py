@@ -169,32 +169,17 @@ def chemotaxis_move(position: np.ndarray, direction: np.ndarray,
     return np.minimum(np.maximum(moved, b[:, 0]), b[:, 1])
 
 
-def _kernel_rates(cfg: BfaConfig) -> np.ndarray:
-    """Exponent rates of the attraction and repulsion kernels, shaped
-    (2, 1, 1) so one exp call over (rows, members) distances computes both
-    kernels."""
-    return np.array([-cfg.attract_width, -cfg.repel_width])[:, None, None]
-
-
-# exp(x) rounds to 0.0 below this; numpy's exp is several times slower on
-# such inputs than on others, and far-apart bacteria give many of them
-_EXP_ZERO_BELOW = -746.0
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    """np.exp(x), skipping the entries whose result is exactly 0.0."""
-    return np.exp(x, out=np.zeros(x.shape), where=x > _EXP_ZERO_BELOW)
-
-
-def _signal_rows(points: np.ndarray, members: np.ndarray, cfg: BfaConfig,
-                 rates: np.ndarray) -> np.ndarray:
+def _signal_rows(points: np.ndarray, members: np.ndarray,
+                 cfg: BfaConfig) -> np.ndarray:
     """Swarming signal of points[k] against the swarm members[k], for
     every k: the one signal kernel of run_bfa_lockstep and swim_loop."""
     diff = members - points[:, None, :]
     d2 = np.einsum("rij,rij->ri", diff, diff)
-    # each kernel row sums over the same contiguous values whatever the
-    # number of rows
-    attract, repel = _exp(rates * d2).sum(-1)
+    # both kernels' exponents in one (2, rows, members) array, so one exp
+    # call computes both; each kernel row sums over the same contiguous
+    # values whatever the number of rows
+    rates = np.array([-cfg.attract_width, -cfg.repel_width])[:, None, None]
+    attract, repel = np.exp(rates * d2).sum(-1)
     return -cfg.attract_depth * attract + cfg.repel_height * repel
 
 
@@ -217,8 +202,7 @@ def cell_to_cell_signal(position, swarm: Swarm, cfg: BfaConfig) -> float:
     `position` itself (its contribution is the constant
     -attract_depth + repel_height)."""
     point = np.asarray(position, dtype=float)[None]
-    return float(_signal_rows(point, swarm.positions[None], cfg,
-                              _kernel_rates(cfg))[0])
+    return float(_signal_rows(point, swarm.positions[None], cfg)[0])
 
 
 def _row_dots(rows: np.ndarray) -> np.ndarray:
@@ -286,7 +270,7 @@ def _lay_chains(starts: np.ndarray, moves: np.ndarray, lower: np.ndarray,
 
 
 def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raws,
-                cfg: BfaConfig, rates: np.ndarray) -> tuple[float, int]:
+                cfg: BfaConfig) -> tuple[float, int]:
     """Walk bacterium `index` along its laid-out chain, a row-major
     (swim_limit + 2, dims) array, against the swarm as it stands: the exact
     walk of _chemotaxis_round, for the turns whose swim decisions its
@@ -306,7 +290,7 @@ def _swim_chain(swarm: Swarm, index: int, chain: np.ndarray, raws,
     # chain, rows past the stop included
     swarms = np.repeat(positions[None], len(chain), axis=0)
     swarms[:, index] = chain
-    signal = _signal_rows(chain, swarms, cfg, rates).tolist()
+    signal = _signal_rows(chain, swarms, cfg).tolist()
     # nothing below reads the swarm, so it is written once, after the swim
     prev_eff = float(swarm.raw_fitness[index]) + signal[0]
     health = float(swarm.health[index])
@@ -346,8 +330,7 @@ def swim_loop(swarm: Swarm, index: int, f, cfg: BfaConfig,
         np.empty((swarm.dimensions, cfg.swim_limit + 2))).T)
     return _swim_chain(swarm, index, chain,
                        (float(f.evaluate_rows(chain[k:k + 1])[0])
-                        for k in range(1, len(chain))),
-                       cfg, _kernel_rates(cfg))[0]
+                        for k in range(1, len(chain))), cfg)[0]
 
 
 def reproduce(swarm: Swarm) -> Swarm:
@@ -414,9 +397,17 @@ class RunResult(NamedTuple):
 
 
 def _box(bounds, cfg: BfaConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated (lower, upper, steps) arrays of a search box."""
+    """Validated (lower, upper, steps) arrays of a search box. A step that
+    is not finite (a width or step_fraction times it that overflows, or
+    inf times a zero width) is a ValidationError, with no numpy warning."""
     bounds = np.array(bound_pairs(bounds))
-    return bounds[:, 0].copy(), bounds[:, 1].copy(), step_sizes(cfg, bounds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = step_sizes(cfg, bounds)
+    if not np.isfinite(steps).all():
+        raise ValidationError(
+            f"step_fraction {cfg.step_fraction!r} gives steps that are not "
+            f"finite on the search box: {steps.tolist()}")
+    return bounds[:, 0].copy(), bounds[:, 1].copy(), steps
 
 
 def run_bfa(f, cfg: BfaConfig) -> RunResult:
@@ -504,19 +495,17 @@ class _Batch(NamedTuple):
     per batch by _batch from the runs' ids: the run id of every tumble row
     and of every swim row, cells[k, i] = k * size + i (run k's bacterium
     i in a flat (runs, size) block), the index of every move of every
-    bacterium, the kernel rates, and the round's buffers: the tumble
-    chains, (dims, swim_limit + 2, runs, size), and the raw fitness of
-    their rows, (swim_limit + 2, runs, size). The views of the buffers
-    that a round reads or fills whole are made here too: the tumble rows
-    as the (runs * size, dims) transpose, the swim rows as (dims,
-    swim_limit, runs * size), and the raw fitness as (swim_limit + 2,
-    runs * size)."""
+    bacterium, and the round's buffers: the tumble chains, (dims,
+    swim_limit + 2, runs, size), and the raw fitness of their rows,
+    (swim_limit + 2, runs, size). The views of the buffers that a round
+    reads or fills whole are made here too: the tumble rows as the
+    (runs * size, dims) transpose, the swim rows as (dims, swim_limit,
+    runs * size), and the raw fitness as (swim_limit + 2, runs * size)."""
 
     tumble_runs: np.ndarray
     swim_runs: np.ndarray
     cells: np.ndarray
     move_index: np.ndarray
-    rates: np.ndarray
     chains: np.ndarray
     scored: np.ndarray
     tumble_rows: np.ndarray
@@ -538,8 +527,7 @@ def _batch(runs: np.ndarray, size: int, dims: int, cfg: BfaConfig) -> _Batch:
     return _Batch(tumble_runs=tumble_runs,
                   swim_runs=tumble_runs[None].repeat(swims, axis=0),
                   cells=np.arange(len(runs) * size).reshape(len(runs), size),
-                  move_index=move_index, rates=_kernel_rates(cfg),
-                  chains=chains, scored=scored,
+                  move_index=move_index, chains=chains, scored=scored,
                   tumble_rows=chains[:, 1].reshape(dims, -1).T,
                   swim_chains=chains[:, 2:].reshape(dims, swims, -1),
                   scored_rows=scored.reshape(rows, -1))
@@ -625,8 +613,7 @@ def _chemotaxis_round(evaluate, batch: _Batch, positions: np.ndarray,
             values, stops, done = scored[1:, run].T.tolist(), made[run], 0
             for i in (~settled[run]).nonzero()[0].tolist():
                 turn.positions[done:i] = finals[:, run, done:i].T
-                stops[i] = _swim_chain(turn, i, walks[i], values[i], cfg,
-                                       batch.rates)[1]
+                stops[i] = _swim_chain(turn, i, walks[i], values[i], cfg)[1]
                 done = i + 1
             finals[:, run] = walks[np.arange(size), stops].T
             at_made[run] = stops * block + cells[run]

@@ -219,9 +219,9 @@ def coefficient_table(spec: ProblemSpec
 
 class _Surfaces:
     """coefficient_table(spec) and the variable coding, laid out once as
-    arrays, and the row kernel over them (objective_rows). A caller that
-    scores many calls binds objective_rows once, so no call hashes the
-    spec again."""
+    arrays, and the row kernel over them (objective_rows). Every caller
+    reaches it as _surfaces(spec).objective_rows; one that scores many
+    calls binds it once, so no call hashes the spec again."""
 
     def __init__(self, spec: ProblemSpec) -> None:
         table = coefficient_table(spec)
@@ -325,24 +325,6 @@ _ROW_BLOCK = 1024
 _workspace = threading.local()
 
 
-def _objective_rows(spec: ProblemSpec, positions: np.ndarray) -> np.ndarray:
-    """_Surfaces.objective_rows of `spec`, for one-off callers."""
-    return _surfaces(spec).objective_rows(positions)
-
-
-def evaluate_rows(spec: ProblemSpec, weights: np.ndarray,
-                  positions: np.ndarray) -> np.ndarray:
-    """The weighted aggregate of many rows at once.
-
-    Row k scores positions[k] (x_a..x_d, Z_a, Z_b) with the weights
-    weights[k] = (w1, w2, w3), F as _weighted_sum adds it. A (1, 3) array
-    of weights serves every row.
-    weights.T is read as it is, so the transpose of contiguous (3, m)
-    weight columns is the fastest form.
-    """
-    return _weighted_sum(weights.T, _objective_rows(spec, positions))
-
-
 def _weighted_sum(weights: np.ndarray, objectives: np.ndarray) -> np.ndarray:
     """F of every column of (3, m) objective rows under (3, m) or (3, 1)
     weight columns: w1 * power + w2 * efficiency + w3 * savings, added
@@ -375,8 +357,8 @@ def _point(design, noise) -> tuple[float, ...]:
 
 def eval_objectives(design, noise, spec: ProblemSpec) -> ObjectiveTriple:
     """Evaluate all three response surfaces at one (design, noise) point."""
-    power, efficiency, savings = _objective_rows(
-        spec, np.array([_point(design, noise)]))[:, 0].tolist()
+    power, efficiency, savings = _surfaces(spec).objective_rows(
+        np.array([_point(design, noise)]))[:, 0].tolist()
     return ObjectiveTriple(power=power, efficiency=efficiency, savings=savings)
 
 
@@ -417,7 +399,9 @@ class IrrigationFitness:
         """The aggregate at one position: evaluate_rows of that one row,
         bit for bit. The optimizer never calls it; it stays as a one-row
         convenience, which the benchmark's span tracer binds and its
-        exact-optimum oracle calls."""
+        exact-optimum oracle calls. It keeps its own expression rather
+        than calling self.evaluate_rows, so a subclass may override
+        evaluate_rows with evaluate, row by row, without recursing."""
         row = np.asarray(position, dtype=float)
         if row.shape != (6,):
             raise ValidationError(
@@ -426,8 +410,7 @@ class IrrigationFitness:
                                    self._objective_rows(row[None]))[0])
 
     def evaluate_rows(self, positions: np.ndarray) -> np.ndarray:
-        """The aggregate of every row of an (m, 6) array, in one call: the
-        module's evaluate_rows with this fitness's weights, through the row
-        kernel bound when the fitness was made."""
+        """The aggregate of every row of an (m, 6) array, in one call,
+        through the row kernel bound when the fitness was made."""
         return _weighted_sum(self._weight_column,
                              self._objective_rows(positions))

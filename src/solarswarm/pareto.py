@@ -41,7 +41,6 @@ from .irrigation import (
     ObjectiveTriple,
     ProblemSpec,
     WeightVector,
-    _objective_rows,
     _surfaces,
     _weighted_sum,
     aggregate,
@@ -205,7 +204,7 @@ def _frontier_table(problem: ProblemSpec, weights: np.ndarray,
                     positions: np.ndarray) -> np.ndarray:
     """Frontier.table rows, but the seed: row k scores the (6,) position
     positions[k] under the (3,) weights weights[k]."""
-    objectives = _objective_rows(problem, positions)
+    objectives = _surfaces(problem).objective_rows(positions)
     return np.column_stack([weights, positions, objectives.T,
                             _weighted_sum(weights.T, objectives)])
 
@@ -219,8 +218,7 @@ def _run_batch(problem: ProblemSpec, cfg: BfaConfig, weights: np.ndarray,
     one take along the run axis of the table's contiguous (3, runs)
     columns gives contiguous (3, m) columns, which _weighted_sum
     multiplies the (3, m) objectives by, with no strided (m, 3) gather,
-    before it adds the three weighted objectives left to right, as
-    evaluate_rows does.
+    before it adds the three weighted objectives left to right.
     """
     columns = np.ascontiguousarray(weights.T)
     objective_rows = _surfaces(problem).objective_rows
@@ -536,15 +534,14 @@ def frontier_to_csv_text(frontier: Frontier) -> str:
 def frontier_from_csv_text(text: str) -> Frontier:
     """Read a frontier CSV into its table, building no points.
 
-    codec.csv_rows splits the text, and _parse_rows parses every row at
-    once with float() and int(). Only when that fails is each row parsed
-    alone, to find the first that does not parse and its message. The
-    columns of the rows before it are then screened with the arithmetic
-    the point constructors use: finite, nonnegative weights summing to 1,
-    finite design and noise values, F within 1e-9 relative of w . f, and
-    a nonnegative seed. Only a row the screen flags is built as a point,
-    so the constructors still raise every rejection, and the first bad
-    row in file order decides the error.
+    codec.csv_rows splits the text, _parse_rows parses every row at once
+    with float() and int(), and _screen checks the columns with the
+    arithmetic the point constructors use: finite, nonnegative weights
+    summing to 1, finite design and noise values, F within 1e-9 relative
+    of w . f, and a nonnegative seed. Only when the parse fails or the
+    screen flags a row is each row parsed and built as a point alone, in
+    file order, so the first bad row decides the error: its parse error,
+    or the constructors' own rejection.
     """
     rows = [row for row in csv_rows(text) if row]
     if not rows:
@@ -553,21 +550,19 @@ def frontier_from_csv_text(text: str) -> Frontier:
     if header != FRONTIER_CSV_HEADER:
         raise SchemaMismatch(
             f"bad frontier header {header}; expected {FRONTIER_CSV_HEADER}")
-    body, unparsed = rows[1:], None
+    body = rows[1:]
     try:
         table, seeds = _parse_rows(body)
+        valid = not _screen(table, seeds).any()
     except ValueError:
-        for n, row in enumerate(body):
+        valid = False
+    if not valid:
+        for n, row in enumerate(body, 1):
             try:
-                _parse_rows([row])
+                (values,), (seed,) = _parse_rows([row])
             except ValueError as bad:
-                unparsed = SchemaMismatch(f"row {n + 1}: {bad}")
-                break
-        table, seeds = _parse_rows(body[:n])
-    for k in np.flatnonzero(_screen(table, seeds)).tolist():
-        _solution_point(table[k].tolist(), seeds[k])
-    if unparsed is not None:
-        raise unparsed
+                raise SchemaMismatch(f"row {n}: {bad}") from None
+            _solution_point(values.tolist(), seed)
     return Frontier._from_table(table, seeds)
 
 

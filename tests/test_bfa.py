@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hypothesis import example, given, strategies as st
 import solarswarm as ss
 from solarswarm.bfa import (
     _health_radius,
-    _kernel_rates,
     _lay_chains,
     _row_dots,
     _signal_bounds,
@@ -87,6 +87,28 @@ def test_step_sizes():
     cfg = ss.BfaConfig(step_fraction=0.05)
     steps = step_sizes(cfg, ((0.0, 10.0), (-1.0, 1.0)))
     assert steps.tolist() == [0.5, 0.1]
+
+
+@pytest.mark.parametrize("bounds, fraction", [
+    (((-5.0, 5.0),) * 4, math.inf),
+    (((0.0, 0.0), (-1.0, 1.0)), math.inf),
+    (((-1e300, 1e300), (-1.0, 1.0)), 1e10),
+], ids=["inf", "inf_times_zero_width", "overflow"])
+def test_steps_that_are_not_finite_are_rejected(bounds, fraction):
+    # inf times a finite width raises no numpy flag, inf times a zero width
+    # is nan, and a finite product may overflow: each would move the swarm
+    # by steps that are not numbers. run_bfa and swim_loop, both through
+    # _box, reject them in one ValidationError and with no numpy warning
+    f = ss.BoxFunction(bounds, rows=lambda r: -_row_dots(r))
+    cfg = quick_config(step_fraction=fraction)
+    swarm = make_swarm([[0.0] * len(bounds)] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^step_fraction .* gives "
+                           r"steps that are not finite on the search box"):
+            ss.run_bfa(f, cfg)
+        with pytest.raises(ValidationError, match="^step_fraction "):
+            swim_loop(swarm, 0, f, cfg, np.zeros(len(bounds)))
 
 
 def test_chemotaxis_move_exact_and_clamped():
@@ -188,11 +210,10 @@ def test_fused_signal_matches_two_exp_formula(cfg, size):
     d2 = ((members - points[:, None]) ** 2).sum(-1)
     assert (d2 == 0.0).any()
     assert (np.exp(-cfg.attract_width * d2) == 0.0).any()
-    got = _signal_rows(points, members, cfg, _kernel_rates(cfg))
+    got = _signal_rows(points, members, cfg)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     for k in range(3):
-        one = _signal_rows(points[k:k + 1], members[k:k + 1], cfg,
-                           _kernel_rates(cfg))
+        one = _signal_rows(points[k:k + 1], members[k:k + 1], cfg)
         assert one.view(np.int64)[0] == want.view(np.int64)[k]
 
 
@@ -222,7 +243,7 @@ def test_signal_lies_within_its_bounds(case):
     # sum over population_size members lies in [0, population_size]
     points, members, cfg = case
     lo, hi = _signal_bounds(cfg)
-    signal = _signal_rows(points, members, cfg, _kernel_rates(cfg))
+    signal = _signal_rows(points, members, cfg)
     assert np.all((lo <= signal) & (signal <= hi))
     assert _signal_bounds(replace(cfg, **NO_SIGNAL)) == (0.0, 0.0)
 
@@ -234,8 +255,8 @@ def test_signal_bounds_are_reached_up_to_rounding():
         cfg = ss.BfaConfig(population_size=size, attract_depth=0.3,
                            attract_width=0.0, repel_height=0.0)
         lo, hi = _signal_bounds(cfg)
-        signal = _signal_rows(np.zeros((1, 2)), np.zeros((1, size, 2)), cfg,
-                              _kernel_rates(cfg))[0]
+        signal = _signal_rows(np.zeros((1, 2)), np.zeros((1, size, 2)),
+                              cfg)[0]
         assert hi == 0.0 and signal == -0.3 * size
         assert lo < signal and lo / signal < 1 + 2e-9
 

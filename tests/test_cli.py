@@ -888,6 +888,35 @@ def test_objectives_overflowing_at_the_first_scoring_are_one_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fraction", [1e308, 1e306])
+@pytest.mark.parametrize("command", [
+    ["optimize", "--weights", "0.1,0.1,0.8"],
+    ["frontier"],
+], ids=["optimize", "frontier"])
+def test_steps_that_overflow_are_one_line(command, fraction, tmp_path,
+                                          capsys):
+    # step_fraction times a box width overflows to an infinite step: at
+    # 1e308 the run went on to the box's corner, at 1e306 it stopped in a
+    # chemotaxis round after a numpy warning. The steps are rejected before
+    # the run starts, in one line and with no numpy warning
+    config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
+                          runs_per_weight=1,
+                          bfa=dict(tiny_bfa_dict(), step_fraction=fraction))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*command, "--config", config, "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"error: ValidationError: step_fraction {fraction!r} gives steps "
+        f"that are not finite on the search box: ")
+    assert not out.exists()
+
+
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):
     # --out below a file: the models directory cannot be made
     blocker = tmp_path / "file"

@@ -21,10 +21,9 @@ from solarswarm.irrigation import (
     _ROW_BLOCK,
     CRISP_NOISE_BOUNDS,
     DEFAULT_DESIGN_BOUNDS,
-    _objective_rows,
+    _surfaces,
     _weighted_sum,
     coefficient_table,
-    evaluate_rows,
 )
 
 # frozen goldens for raw mode at (1, 500, 600, 0.1, 300, 900), computed
@@ -345,8 +344,8 @@ def test_feasible():
 
 
 def test_weighted_sum_forms_agree_bit_for_bit():
-    # F in every form: _weighted_sum, evaluate_rows under per-row weights
-    # and under one (1, 3) weight row, and aggregate of eval_objectives
+    # F in every form: _weighted_sum under per-row weights and under one
+    # (3, 1) weight column, and aggregate of eval_objectives
     spec = ss.ProblemSpec()
     rng = np.random.default_rng(8)
     box = np.array(spec.design_bounds + spec.noise_bounds)
@@ -357,12 +356,10 @@ def test_weighted_sum_forms_agree_bit_for_bit():
                      ss.WeightVector(*w))
         for p, w in zip(positions.tolist(), weights.tolist())])
     bits = expected.view(np.int64).tolist()
-    objectives = _objective_rows(spec, positions)
+    objectives = _surfaces(spec).objective_rows(positions)
     assert _weighted_sum(weights.T, objectives).view(np.int64).tolist() == bits
-    assert evaluate_rows(spec, weights, positions).view(np.int64).tolist() \
-        == bits
     for w in weights[:5]:
-        one = evaluate_rows(spec, w[None], positions)
+        one = _weighted_sum(w[:, None], objectives)
         assert one.view(np.int64).tolist() == np.array([
             ss.aggregate(ss.eval_objectives(p[:4], p[4:], spec),
                          ss.WeightVector(*w.tolist()))
@@ -447,7 +444,7 @@ SPEC_FLAGS = [dict(variable_mode=mode, fix_efficiency_intercept=fix_e,
 
 
 # the row counts from _ROW_BLOCK - 1 on sit on each side of a block
-# boundary, and the last takes evaluate_rows through two full blocks and a
+# boundary, and the last takes the kernel through two full blocks and a
 # partial one
 @pytest.mark.parametrize("m", [1, 2, 7, 36, 180, 600, _ROW_BLOCK - 1,
                                _ROW_BLOCK, _ROW_BLOCK + 1,
@@ -471,13 +468,14 @@ def test_table_matches_literal(flags, m, literal_objectives):
     power, efficiency, savings = literal_objectives(*positions.T, spec)
     want = (weights[:, 0] * power + weights[:, 1] * efficiency
             + weights[:, 2] * savings)
-    assert same_bits(evaluate_rows(spec, weights, positions), want)
+    objectives = _surfaces(spec).objective_rows(positions)
+    assert same_bits(_weighted_sum(weights.T, objectives), want)
     # one weight row serves every row as its m copies do
     one = weights[m // 2]
     assert same_bits(
         ss.IrrigationFitness(spec, ss.WeightVector(*one)).evaluate_rows(
             positions),
-        evaluate_rows(spec, np.repeat(one[None], m, axis=0), positions))
+        _weighted_sum(np.repeat(one[None], m, axis=0).T, objectives))
     # the one-row entry points score every row of the smaller counts, and
     # about 200 rows, the last among them, of the block-sized ones
     stride = 1 if m < _ROW_BLOCK - 1 else m // 200
@@ -506,8 +504,9 @@ def test_results_never_share_the_workspace(literal_objectives):
                                                             spec)
             want = (weights[:, 0] * power + weights[:, 1] * efficiency
                     + weights[:, 2] * savings)
-            results = (_objective_rows(spec, positions),
-                       evaluate_rows(spec, weights, positions))
+            kernel = _surfaces(spec).objective_rows
+            results = (kernel(positions),
+                       _weighted_sum(weights.T, kernel(positions)))
             assert same_bits(results[0], (power, efficiency, savings))
             assert same_bits(results[1], want)
             for result in results:
@@ -526,10 +525,11 @@ def test_a_warm_call_allocates_less_than_one_term_array():
     box = np.array(spec.design_bounds + spec.noise_bounds)
     positions = np.random.default_rng(3).uniform(box[:, 0], box[:, 1],
                                                  (_ROW_BLOCK, 6))
-    _objective_rows(spec, positions)
+    kernel = _surfaces(spec).objective_rows
+    kernel(positions)
     tracemalloc.start()
     try:
-        _objective_rows(spec, positions)
+        kernel(positions)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -540,11 +540,12 @@ def test_each_thread_has_its_own_workspace(literal_objectives):
     # a workspace belongs to the thread that made it
     spec = ss.ProblemSpec()
     positions = np.array([[*COVER_MID_DESIGN, *COVER_MID_NOISE]] * 5)
-    _objective_rows(spec, positions)
+    kernel = _surfaces(spec).objective_rows
+    kernel(positions)
     seen = []
 
     def run():
-        seen.append((_objective_rows(spec, positions),
+        seen.append((kernel(positions),
                      irrigation._workspace.floats))
 
     thread = threading.Thread(target=run)
@@ -562,21 +563,23 @@ def test_each_thread_has_its_own_workspace(literal_objectives):
 @pytest.mark.parametrize("m", [1, 26, _ROW_BLOCK, _ROW_BLOCK + 1, 4680])
 def test_bound_kernel_gives_the_module_functions_bits(m, mode):
     # the optimizer scores through _Surfaces.objective_rows, bound once per
-    # fitness or batch: it must give the one-off entry points' bits, at a
-    # swarm's rows, a round's swim rows and on each side of a block
+    # fitness or batch: it must give the one-row entry points' bits, row by
+    # row, at a swarm's rows, a round's swim rows and on each side of a
+    # block
     spec = ss.ProblemSpec(variable_mode=mode)
     box = np.array(spec.design_bounds + spec.noise_bounds)
     # the transpose of (6, m) rows, as the engine passes them
     positions = np.ascontiguousarray(np.random.default_rng(m).uniform(
         box[:, 0], box[:, 1], (m, 6)).T).T
-    kernel = irrigation._surfaces(spec).objective_rows
-    assert same_bits(kernel(positions), _objective_rows(spec, positions))
+    kernel = _surfaces(spec).objective_rows
+    rows = [ss.eval_objectives(p[:4], p[4:], spec)
+            for p in positions.tolist()]
+    assert same_bits(kernel(positions).T, [row.as_tuple() for row in rows])
     weights = ss.WeightVector(0.2, 0.3, 0.5)
     fitness = ss.IrrigationFitness(spec, weights)
     assert fitness._objective_rows == kernel
     assert same_bits(fitness.evaluate_rows(positions),
-                     evaluate_rows(spec, np.array([weights.as_tuple()]),
-                                   positions))
+                     [ss.aggregate(row, weights) for row in rows])
 
 
 def test_coefficient_table_flags():

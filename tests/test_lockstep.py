@@ -21,7 +21,7 @@ from solarswarm.bfa import (
     run_bfa_lockstep,
     tumble_direction,
 )
-from solarswarm.irrigation import _ROW_BLOCK, evaluate_rows
+from solarswarm.irrigation import _ROW_BLOCK, _surfaces, _weighted_sum
 
 SMALL = ss.BfaConfig(population_size=10, chemotaxis_steps=5,
                      reproduction_cycles=2, elimination_cycles=2)
@@ -45,12 +45,21 @@ MIXED = [(w, rep) for w in ss.weight_grid(step=0.5, minimum=0.0)[:4]
 SINGLE = [(ss.WeightVector(0.1, 0.1, 0.8), 0)]
 
 
+def weighted(spec, table):
+    """evaluate(runs, positions) for a batch whose run k maximizes
+    table[k] . f: row i's F under the weights of run runs[i], from the
+    problem's row kernel."""
+    kernel = _surfaces(spec).objective_rows
+    return lambda runs, positions: _weighted_sum(table[runs].T,
+                                                 kernel(positions))
+
+
 def lockstep(spec, cfg, cells):
     table = np.array([w.as_tuple() for w, _ in cells])
     seeds = [ss.derive_seed(cfg.seed, w, rep) for w, rep in cells]
-    results = run_bfa_lockstep(
-        lambda runs, positions: evaluate_rows(spec, table[runs], positions),
-        spec.design_bounds + spec.noise_bounds, cfg, seeds)
+    results = run_bfa_lockstep(weighted(spec, table),
+                               spec.design_bounds + spec.noise_bounds, cfg,
+                               seeds)
     return seeds, results
 
 
@@ -394,8 +403,7 @@ def test_lockstep_evaluates_swims_past_the_stop_inside_the_box(reference):
     spec, cfg = SETTINGS["coded"]
     table = np.array([w.as_tuple() for w, _ in MIXED])
     seeds = [ss.derive_seed(cfg.seed, w, rep) for w, rep in MIXED]
-    log = RowLog(lambda runs, positions: evaluate_rows(spec, table[runs],
-                                                       positions))
+    log = RowLog(weighted(spec, table))
     box = np.array(spec.design_bounds + spec.noise_bounds)
     results = run_bfa_lockstep(log, box, cfg, seeds)
     seen = log.seen()
@@ -418,8 +426,7 @@ def test_only_stale_members_are_scored_outside_the_rounds(prob, monkeypatch):
     cfg = replace(cfg, elimination_prob=prob)
     table = np.array([w.as_tuple() for w, _ in MIXED])
     seeds = [ss.derive_seed(cfg.seed, w, rep) for w, rep in MIXED]
-    log = RowLog(lambda runs, positions: evaluate_rows(spec, table[runs],
-                                                       positions))
+    log = RowLog(weighted(spec, table))
     inside, chemotaxis_round = set(), bfa._chemotaxis_round
 
     def counted(*args):
@@ -451,8 +458,8 @@ def test_evaluate_rows_matches_scalar_evaluator():
     positions = rng.uniform(box[:, 0], box[:, 1], (50, 6))
     grid = ss.weight_grid()
     weights = [grid[k % len(grid)] for k in range(50)]
-    rows = evaluate_rows(spec, np.array([w.as_tuple() for w in weights]),
-                         positions)
+    rows = _weighted_sum(np.array([w.as_tuple() for w in weights]).T,
+                         _surfaces(spec).objective_rows(positions))
     for value, w, p in zip(rows, weights, positions):
         assert value == ss.IrrigationFitness(spec, w).evaluate(p)
 
@@ -576,9 +583,10 @@ def test_round_counts_the_moves_its_mask_holds(setting, walks, replays,
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_evaluate_rows_rejects_non_finite():
     with pytest.raises(ss.errors.NonFiniteResult):
-        evaluate_rows(ss.ProblemSpec(), np.full((2, 3), 1 / 3),
-                      np.array([[1.0, 480.0, 600.0, 0.1, 295.0, 900.0],
-                                [np.inf, 480.0, 600.0, 0.1, 295.0, 900.0]]))
+        weighted(ss.ProblemSpec(), np.full((1, 3), 1 / 3))(
+            np.zeros(2, dtype=int),
+            np.array([[1.0, 480.0, 600.0, 0.1, 295.0, 900.0],
+                      [np.inf, 480.0, 600.0, 0.1, 295.0, 900.0]]))
 
 
 class ScriptedRng:

@@ -21,7 +21,7 @@ from solarswarm.errors import (
     ValidationError,
     ZeroVector,
 )
-from solarswarm.irrigation import _ROW_BLOCK, evaluate_rows
+from solarswarm.irrigation import _ROW_BLOCK, _surfaces, _weighted_sum
 from solarswarm.pareto import (
     FRONTIER_CSV_HEADER,
     frontier_from_csv_text,
@@ -307,50 +307,30 @@ class TestReferenceLines:
             reference_sigma_lines(3, 0)
 
 
-def oracle_diversity(vectors, references):
-    matrix = np.array(vectors, dtype=float)
-    lo, hi = matrix.min(axis=0), matrix.max(axis=0)
-    norm = np.empty_like(matrix)
-    for c in range(matrix.shape[1]):
-        if hi[c] == lo[c]:
-            norm[:, c] = 0.5
-        else:
-            norm[:, c] = (matrix[:, c] - lo[c]) / (hi[c] - lo[c])
-    distances = []
-    for row in norm:
-        if np.all(row == 0.0):
-            comps = np.zeros(len(references[0].components))
-        else:
-            comps = np.array(sigma_components(row.tolist()).components)
-        distances.append(min(
-            math.dist(comps, ref.components) for ref in references))
-    return 1.0 / (math.fsum(distances) / len(distances) + 1e-12)
-
-
 class TestDiversity:
     def test_axis_points_saturate(self):
         points = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
         refs = reference_sigma_lines(3, 3)
         assert ss.diversity_metric(points, refs) == pytest.approx(1e12)
 
-    def test_matches_explicit_recompute(self):
+    def test_matches_explicit_recompute(self, reference_diversity):
         rng = np.random.default_rng(5)
         points = [tuple(row) for row in rng.uniform(1, 9, size=(12, 3))]
         refs = reference_sigma_lines(3, 15)
-        assert ss.diversity_metric(points, refs) == pytest.approx(
-            oracle_diversity(points, refs), rel=1e-12)
+        assert bits(ss.diversity_metric(points, refs)) == bits(
+            reference_diversity(points, refs))
 
-    def test_zero_row_falls_back_to_zero_sigma(self):
+    def test_zero_row_falls_back_to_zero_sigma(self, reference_diversity):
         points = [(0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (2.0, 4.0, 6.0)]
         refs = reference_sigma_lines(3, 15)
-        assert ss.diversity_metric(points, refs) == pytest.approx(
-            oracle_diversity(points, refs), rel=1e-12)
+        assert bits(ss.diversity_metric(points, refs)) == bits(
+            reference_diversity(points, refs))
 
-    def test_constant_column_parks_mid_range(self):
+    def test_constant_column_parks_mid_range(self, reference_diversity):
         points = [(1.0, 5.0, 0.0), (2.0, 5.0, 1.0)]
         refs = reference_sigma_lines(3, 15)
-        assert ss.diversity_metric(points, refs) == pytest.approx(
-            oracle_diversity(points, refs), rel=1e-12)
+        assert bits(ss.diversity_metric(points, refs)) == bits(
+            reference_diversity(points, refs))
 
     def test_validation(self):
         refs = reference_sigma_lines(3, 3)
@@ -694,7 +674,8 @@ class TestBuildFrontier:
         assert m == 1 or len(set(runs.tolist())) < m
         box = np.array(problem.design_bounds + problem.noise_bounds)
         positions = rng.uniform(box[:, 0, None], box[:, 1, None], (6, m)).T
-        want = evaluate_rows(problem, table[runs], positions)
+        want = _weighted_sum(table[runs].T,
+                             _surfaces(problem).objective_rows(positions))
         assert np.array_equal(evaluate(runs, positions).view(np.int64),
                               want.view(np.int64))
 
