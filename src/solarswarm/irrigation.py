@@ -357,8 +357,11 @@ def _point(design, noise) -> tuple[float, ...]:
 
 def eval_objectives(design, noise, spec: ProblemSpec) -> ObjectiveTriple:
     """Evaluate all three response surfaces at one (design, noise) point."""
-    power, efficiency, savings = _surfaces(spec).objective_rows(
-        np.array([_point(design, noise)]))[:, 0].tolist()
+    # the kernel's own check rejects objectives that overflow, in one
+    # error; numpy's warnings would only come before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        power, efficiency, savings = _surfaces(spec).objective_rows(
+            np.array([_point(design, noise)]))[:, 0].tolist()
     return ObjectiveTriple(power=power, efficiency=efficiency, savings=savings)
 
 

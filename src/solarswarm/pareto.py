@@ -204,7 +204,10 @@ def _frontier_table(problem: ProblemSpec, weights: np.ndarray,
                     positions: np.ndarray) -> np.ndarray:
     """Frontier.table rows, but the seed: row k scores the (6,) position
     positions[k] under the (3,) weights weights[k]."""
-    objectives = _surfaces(problem).objective_rows(positions)
+    # the kernel's own check rejects a row whose objectives overflow, in
+    # one error; numpy's warnings would only come before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        objectives = _surfaces(problem).objective_rows(positions)
     return np.column_stack([weights, positions, objectives.T,
                             _weighted_sum(weights.T, objectives)])
 
@@ -258,6 +261,9 @@ def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
     else:
         shares = [share for share in np.array_split(
             np.arange(len(seeds)), workers) if len(share)]
+        # the workers fork from here: load numpy.random (lazy in numpy 2.x)
+        # first, so that no worker imports it cold before its first draw
+        import numpy.random  # noqa: F401
         # one process per share: never more processes than runs
         with ProcessPoolExecutor(max_workers=len(shares)) as pool:
             parts = pool.map(_run_batch, repeat(problem), repeat(cfg),

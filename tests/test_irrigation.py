@@ -2,6 +2,7 @@ import math
 import re
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -108,12 +109,25 @@ def test_vector_type_coercion():
 
 
 def test_non_finite_result():
-    spec = ss.ProblemSpec(variable_mode="raw", power_scale_exp=6000.0)
-    with pytest.raises(NonFiniteResult) as raised:
-        ss.eval_objectives(*RAW_POINT, spec)
-    # the scalar and the row path name the position alike
-    assert str(raised.value) == ("objectives not finite at position "
-                                 "[1.0, 500.0, 600.0, 0.1, 300.0, 900.0]")
+    cases = [
+        # the scale factor is inf itself: inf times a finite term raises
+        # no numpy flag
+        (ss.ProblemSpec(variable_mode="raw", power_scale_exp=6000.0),
+         RAW_POINT, "[1.0, 500.0, 600.0, 0.1, 300.0, 900.0]"),
+        # a finite factor whose products overflow
+        (ss.ProblemSpec(power_scale_exp=307),
+         ((2.0, 600, 600, 0.5), (295, 900)),
+         "[2.0, 600.0, 600.0, 0.5, 295.0, 900.0]"),
+    ]
+    for spec, point, position in cases:
+        # one error, and no numpy warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult) as raised:
+                ss.eval_objectives(*point, spec)
+        # the scalar and the row path name the position alike
+        assert str(raised.value) == (
+            f"objectives not finite at position {position}")
 
 
 def test_weight_vector_validation():

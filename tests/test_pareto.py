@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import subprocess
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -36,6 +37,35 @@ from solarswarm.pareto import (
 SEED_000_W118_R0 = 12986080708140944882
 SEED_000_W118_R1 = 1615689286552516999
 SEED_001_W118_R0 = 9796933195283788052
+
+
+# run in a fresh interpreter by test_pool_workers_start_warm: records, from
+# inside each pool worker, whether numpy.random was loaded when its share
+# began, one file per share in the directory argv[1], and prints the start
+# method
+WARM_START_SCRIPT = """
+import multiprocessing, os, sys, tempfile
+import solarswarm as ss
+from solarswarm import pareto
+
+run_batch = pareto._run_batch
+
+
+def recording_batch(*args):
+    fd, _ = tempfile.mkstemp(dir=sys.argv[1])
+    os.write(fd, str("numpy.random" in sys.modules).encode())
+    os.close(fd)
+    return run_batch(*args)
+
+
+pareto._run_batch = recording_batch
+cfg = ss.BfaConfig(population_size=4, chemotaxis_steps=2, swim_limit=2,
+                   reproduction_cycles=1, elimination_cycles=1, seed=123)
+ss.build_frontier(ss.ProblemSpec(), cfg,
+                  ss.weight_grid(step=1.0, minimum=0.0)[:2],
+                  runs_per_weight=1, workers=2)
+print(multiprocessing.get_start_method())
+"""
 
 
 def tiny_bfa(seed=123):
@@ -460,6 +490,18 @@ class TestSolutionPointValidation:
         with pytest.raises(ValidationError):
             ss.Frontier(points=[])
 
+    def test_overflowing_objectives_raise_once(self):
+        # the frontier table's scoring names the position in one error,
+        # with no numpy warning before it
+        problem = ss.ProblemSpec(power_scale_exp=307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult) as raised:
+                solution_from_position(problem, ss.WeightVector(1.0, 0.0, 0.0),
+                                       (2.0, 600, 600, 0.5, 295, 900), seed=0)
+        assert str(raised.value) == ("objectives not finite at position "
+                                     "[2.0, 600.0, 600.0, 0.5, 295.0, 900.0]")
+
 
 class TestGradeContext:
     def test_dict_roundtrip(self):
@@ -525,6 +567,20 @@ class TestBuildFrontier:
                                       runs_per_weight=runs, workers=workers)
         assert sizes == [pool]
         assert frontier_to_csv_text(pooled) == frontier_to_csv_text(serial)
+
+    def test_pool_workers_start_warm(self, tmp_path):
+        # a fresh interpreter, since this one has loaded numpy.random
+        proc = subprocess.run(
+            [sys.executable, "-c", WARM_START_SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() != "fork":
+            pytest.skip("workers inherit the caller's modules only when "
+                        "forked")
+        # numpy 2.x loads numpy.random lazily, on the first draw; numpy 1.x
+        # loads it with numpy
+        shares = [path.read_text() for path in tmp_path.iterdir()]
+        assert shares == ["True", "True"]
 
     def test_grid_order_and_traces(self):
         problem = ss.ProblemSpec()
