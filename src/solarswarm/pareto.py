@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .codec import csv_rows, read_text, write_text
 # benchmark's input generator imports pareto.metrics_json_text
 from .codec import json_text as metrics_json_text  # noqa: F401
 from .errors import (
+    ComputationError,
     EmptyGrid,
     NonFiniteResult,
     SchemaMismatch,
@@ -237,13 +238,15 @@ def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
     """Sweep the weight list; keep the best-aggregate run per weight.
 
     cfg.seed acts as the master seed. The (weight, replicate) runs of the
-    sweep step as one lockstep batch that reproduces run_bfa run by run;
-    with workers > 1 each worker process steps its own contiguous share of
-    the runs. Runs share no state, so the frontier is identical for any
-    worker count. Per weight the first replicate with the highest best
-    fitness wins. The winners' best positions are scored in one evaluator
-    call, straight into the frontier's table. Returns the frontier and the
-    winners' traces, both in grid order.
+    sweep split into min(workers, runs) contiguous shares, each stepped as
+    one lockstep batch that reproduces run_bfa run by run: the caller
+    steps the first share, and each other share runs in a child process
+    (_step_shares). workers=1 is the one share and no child. Runs share no
+    state, so the frontier is identical for any worker count. Per weight
+    the first replicate with the highest best fitness wins. The winners'
+    best positions are scored in one evaluator call, straight into the
+    frontier's table. Returns the frontier and the winners' traces, both
+    in grid order.
     """
     if runs_per_weight < 1:
         raise ValidationError(
@@ -256,20 +259,9 @@ def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
              for w in weights for replicate in range(runs_per_weight)]
     cell_weights = np.array([w.as_tuple() for w in weights])
     run_weights = np.repeat(cell_weights, runs_per_weight, axis=0)
-    if workers == 1:
-        results = _run_batch(problem, cfg, run_weights, seeds)
-    else:
-        shares = [share for share in np.array_split(
-            np.arange(len(seeds)), workers) if len(share)]
-        # the workers fork from here: load numpy.random (lazy in numpy 2.x)
-        # first, so that no worker imports it cold before its first draw
-        import numpy.random  # noqa: F401
-        # one process per share: never more processes than runs
-        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
-            parts = pool.map(_run_batch, repeat(problem), repeat(cfg),
-                             [run_weights[share] for share in shares],
-                             [[seeds[k] for k in share] for share in shares])
-            results = [result for part in parts for result in part]
+    shares = [share for share in np.array_split(
+        np.arange(len(seeds)), workers) if len(share)]
+    results = _step_shares(problem, cfg, run_weights, seeds, shares)
     # argmax keeps the first of tied maxima: the first replicate wins
     fitness = np.array([r.best_fitness for r in results]).reshape(
         len(weights), runs_per_weight)
@@ -281,6 +273,68 @@ def build_frontier(problem: ProblemSpec, cfg: BfaConfig,
         _frontier_table(problem, cell_weights, positions),
         [seeds[k] for k in winners])
     return frontier, [results[k].trace for k in winners]
+
+
+def _step_shares(problem: ProblemSpec, cfg: BfaConfig,
+                 run_weights: np.ndarray, seeds: list[int],
+                 shares: list[np.ndarray]) -> list[RunResult]:
+    """The results of every run, in run order, stepped as one _run_batch
+    per share of run indices: the caller steps the first share, and one
+    child process steps each other share at the same time.
+
+    Each child sends its results, or the Exception it raised, back through
+    a one-way pipe, and the caller reads them in share order once its own
+    share is done; the first error met is raised. A child that exits
+    without sending is a ComputationError naming its runs and exit code.
+    On any error every child still running is terminated, and every child
+    is joined before this returns or raises.
+    """
+    batches = [(problem, cfg, run_weights[share], [seeds[k] for k in share])
+               for share in shares]
+    # the children fork from here: load numpy.random (lazy in numpy 2.x)
+    # first, so that no child imports it cold before its first draw
+    import numpy.random  # noqa: F401
+    children = []
+    try:
+        for batch in batches[1:]:
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_send_batch,
+                                            args=(sender, batch))
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        results = _run_batch(*batches[0])
+        for (child, receiver), share in zip(children, shares[1:]):
+            try:
+                outcome = receiver.recv()
+            except EOFError:
+                child.join()
+                raise ComputationError(
+                    f"the process stepping runs {share[0] + 1}-"
+                    f"{share[-1] + 1} of {len(seeds)} exited with code "
+                    f"{child.exitcode} before sending their results"
+                ) from None
+            if isinstance(outcome, Exception):
+                raise outcome
+            results += outcome
+    finally:
+        for child, receiver in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            receiver.close()
+    return results
+
+
+def _send_batch(sender, batch: tuple) -> None:
+    """A child's whole work: step one batch and send its results, or the
+    Exception stepping it raised, through the pipe end `sender`."""
+    try:
+        outcome = _run_batch(*batch)
+    except Exception as err:
+        outcome = err
+    sender.send(outcome)
+    sender.close()
 
 
 def _objective_matrix(items) -> np.ndarray:

@@ -1,10 +1,13 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import solarswarm as ss
+from solarswarm import pareto
 from solarswarm.bfa import (
     eliminate_disperse,
     reproduce,
@@ -32,6 +35,22 @@ def temp_model(table):
 @pytest.fixture(scope="session")
 def insol_model(table):
     return ss.build_type2_model(table, "insolation")
+
+
+@pytest.fixture()
+def child_batch(monkeypatch):
+    """Patch what a split sweep steps each share with: child(*args) in
+    place of pareto._run_batch in each child process, and caller(*args),
+    by default the real _run_batch, in the caller. Only a forked child
+    inherits the patch, so under another start method the test skips."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("children inherit a patched _run_batch only when forked")
+    caller_pid, run_batch = os.getpid(), pareto._run_batch
+
+    def patch(child, caller=run_batch):
+        monkeypatch.setattr(pareto, "_run_batch", lambda *args: (
+            caller if os.getpid() == caller_pid else child)(*args))
+    return patch
 
 
 @pytest.fixture()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import shutil
 import typing
@@ -8,7 +9,7 @@ import warnings
 import pytest
 
 import solarswarm as ss
-from solarswarm import climate, fuzzy
+from solarswarm import climate, fuzzy, pareto
 from solarswarm.cli import RunConfig, main
 from solarswarm.codec import write_text
 from solarswarm.errors import ValidationError
@@ -848,8 +849,9 @@ class TestRunConfig:
     ["frontier", "--workers", "2"],
 ], ids=["optimize", "frontier", "frontier_w2"])
 def test_non_finite_objectives_exit_2(command, tmp_path, capsys):
-    # a failure while computing is one line and exit 2, raised in a pool
-    # worker too: the power surface's 10 ** 400 is inf
+    # a failure while computing is one line and exit 2, with the runs
+    # split between the caller and a child too: the power surface's
+    # 10 ** 400 is inf
     config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
                           runs_per_weight=1,
                           problem={"power_scale_exp": 400})
@@ -861,6 +863,47 @@ def test_non_finite_objectives_exit_2(command, tmp_path, capsys):
                                "finite at position ")
     # nothing is written before the run succeeds: no bundle, no directory
     assert not (tmp_path / "out").exists()
+
+
+def frontier_stderr(tmp_path, capsys, *flags, **overrides):
+    """The exit code and stderr lines of a tiny frontier sweep, whose
+    bundle directory must not exist afterwards."""
+    config = write_config(tmp_path, weight_step=0.5, weight_minimum=0.0,
+                          runs_per_weight=1, **overrides)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["frontier", *flags, "--config", config,
+                     "--out", str(out)])
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_a_child_share_error_is_the_serial_line(tmp_path, capsys,
+                                                child_batch):
+    # objectives that overflow at the first scoring (power_scale_exp 307)
+    # in a child's share stop a split sweep with the serial sweep's line
+    # and exit code; the caller steps its own share on the default problem
+    serial = frontier_stderr(tmp_path, capsys,
+                             problem={"power_scale_exp": 307})
+    assert serial == (2, [
+        "error: NonFiniteResult: the first scoring left the floats: "
+        "overflow encountered in multiply"])
+    run_batch = pareto._run_batch
+    child_batch(run_batch, lambda problem, *rest: run_batch(
+        ss.ProblemSpec(), *rest))
+    assert frontier_stderr(tmp_path, capsys, "--workers", "2",
+                           problem={"power_scale_exp": 307}) == serial
+
+
+def test_a_child_that_dies_unsent_is_one_line(tmp_path, capsys, child_batch):
+    # a child that exits (killed, out of memory, os._exit) before it sends
+    # its share: one line naming its runs and exit code, exit 2, no bundle
+    child_batch(lambda *args: os._exit(3))
+    assert frontier_stderr(tmp_path, capsys, "--workers", "2") == (2, [
+        "error: ComputationError: the process stepping runs 4-6 of 6 "
+        "exited with code 3 before sending their results"])
 
 
 @pytest.mark.parametrize("command", [

@@ -3,10 +3,12 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,7 @@ import solarswarm as ss
 from solarswarm import pareto
 from solarswarm.codec import csv_rows
 from solarswarm.errors import (
+    ComputationError,
     EmptyGrid,
     NonFiniteResult,
     SchemaMismatch,
@@ -40,9 +43,9 @@ SEED_001_W118_R0 = 9796933195283788052
 
 
 # run in a fresh interpreter by test_pool_workers_start_warm: records, from
-# inside each pool worker, whether numpy.random was loaded when its share
-# began, one file per share in the directory argv[1], and prints the start
-# method
+# inside each share's process, that process's id and whether numpy.random
+# was loaded when its share began, one file per share in the directory
+# argv[1], and prints the start method and the caller's process id
 WARM_START_SCRIPT = """
 import multiprocessing, os, sys, tempfile
 import solarswarm as ss
@@ -53,7 +56,7 @@ run_batch = pareto._run_batch
 
 def recording_batch(*args):
     fd, _ = tempfile.mkstemp(dir=sys.argv[1])
-    os.write(fd, str("numpy.random" in sys.modules).encode())
+    os.write(fd, f"{os.getpid()} {'numpy.random' in sys.modules}".encode())
     os.close(fd)
     return run_batch(*args)
 
@@ -64,8 +67,21 @@ cfg = ss.BfaConfig(population_size=4, chemotaxis_steps=2, swim_limit=2,
 ss.build_frontier(ss.ProblemSpec(), cfg,
                   ss.weight_grid(step=1.0, minimum=0.0)[:2],
                   runs_per_weight=1, workers=2)
-print(multiprocessing.get_start_method())
+print(multiprocessing.get_start_method(), os.getpid())
 """
+
+
+def record_starts(monkeypatch) -> list:
+    """Every multiprocessing.Process started from now on, in order."""
+    started = []
+    start = multiprocessing.Process.start
+
+    def recording_start(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", recording_start)
+    return started
 
 
 def tiny_bfa(seed=123):
@@ -541,32 +557,38 @@ class TestBuildFrontier:
     def test_workers_do_not_change_bytes(self, tiny_frontier):
         problem = ss.ProblemSpec()
         grid = ss.weight_grid(step=0.5, minimum=0.0)
-        parallel, _ = ss.build_frontier(problem, tiny_bfa(), grid,
-                                        runs_per_weight=1, workers=2)
+        # starting and joining the child warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parallel, _ = ss.build_frontier(problem, tiny_bfa(), grid,
+                                            runs_per_weight=1, workers=2)
         assert frontier_to_csv_text(parallel) == frontier_to_csv_text(
             tiny_frontier)
 
-    @pytest.mark.parametrize("workers, runs, pool", [
+    @pytest.mark.parametrize("workers, runs, shares", [
         (6, 1, 2), (8, 3, 6), (2, 3, 2)])
-    def test_pool_never_exceeds_the_runs(self, workers, runs, pool,
+    def test_pool_never_exceeds_the_runs(self, workers, runs, shares,
                                          monkeypatch):
-        # one process per share of the runs, and the serial frontier
-        sizes = []
-
-        class Recording(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(pareto, "ProcessPoolExecutor", Recording)
+        # one share per worker, never more shares than runs; the caller
+        # steps the first share and starts one child for each other share
+        started = record_starts(monkeypatch)
         problem = ss.ProblemSpec()
         grid = ss.weight_grid(step=1.0, minimum=0.0)[:2]
         serial, _ = ss.build_frontier(problem, tiny_bfa(), grid,
                                       runs_per_weight=runs)
-        pooled, _ = ss.build_frontier(problem, tiny_bfa(), grid,
-                                      runs_per_weight=runs, workers=workers)
-        assert sizes == [pool]
-        assert frontier_to_csv_text(pooled) == frontier_to_csv_text(serial)
+        assert started == []
+        split, _ = ss.build_frontier(problem, tiny_bfa(), grid,
+                                     runs_per_weight=runs, workers=workers)
+        assert len(started) == shares - 1
+        assert frontier_to_csv_text(split) == frontier_to_csv_text(serial)
+        assert multiprocessing.active_children() == []
+
+    def test_one_run_starts_no_child(self, monkeypatch):
+        started = record_starts(monkeypatch)
+        grid = ss.weight_grid(step=1.0, minimum=0.0)[:1]
+        ss.build_frontier(ss.ProblemSpec(), tiny_bfa(), grid,
+                          runs_per_weight=1, workers=4)
+        assert started == []
 
     def test_pool_workers_start_warm(self, tmp_path):
         # a fresh interpreter, since this one has loaded numpy.random
@@ -574,13 +596,43 @@ class TestBuildFrontier:
             [sys.executable, "-c", WARM_START_SCRIPT, str(tmp_path)],
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        if proc.stdout.strip() != "fork":
-            pytest.skip("workers inherit the caller's modules only when "
+        method, caller = proc.stdout.split()
+        if method != "fork":
+            pytest.skip("children inherit the caller's modules only when "
                         "forked")
         # numpy 2.x loads numpy.random lazily, on the first draw; numpy 1.x
-        # loads it with numpy
-        shares = [path.read_text() for path in tmp_path.iterdir()]
-        assert shares == ["True", "True"]
+        # loads it with numpy. The caller steps one share, a forked child
+        # the other, which starts with numpy.random loaded
+        shares = [path.read_text().split() for path in tmp_path.iterdir()]
+        assert [pid == caller for pid, _ in shares].count(True) == 1
+        assert [loaded for _, loaded in shares] == ["True", "True"]
+
+    def test_a_child_that_dies_unsent_is_one_error(self, child_batch):
+        # a child killed, or exiting, before it sends its share
+        child_batch(lambda *args: os._exit(3))
+        with pytest.raises(ComputationError) as err:
+            ss.build_frontier(ss.ProblemSpec(), tiny_bfa(),
+                              ss.weight_grid(step=0.5, minimum=0.0),
+                              runs_per_weight=2, workers=3)
+        assert str(err.value) == (
+            "the process stepping runs 5-8 of 12 exited with code 3 before "
+            "sending their results")
+        assert multiprocessing.active_children() == []
+
+    def test_a_caller_error_stops_the_children(self, child_batch):
+        # the children would sleep for a minute; the caller's error
+        # terminates them and waits for them before it propagates
+        def failing_batch(*args):
+            raise NonFiniteResult("raised in the caller")
+
+        child_batch(lambda *args: time.sleep(60), failing_batch)
+        started = time.perf_counter()
+        with pytest.raises(NonFiniteResult, match="^raised in the caller$"):
+            ss.build_frontier(ss.ProblemSpec(), tiny_bfa(),
+                              ss.weight_grid(step=0.5, minimum=0.0),
+                              runs_per_weight=1, workers=3)
+        assert time.perf_counter() - started < 30
+        assert multiprocessing.active_children() == []
 
     def test_grid_order_and_traces(self):
         problem = ss.ProblemSpec()
